@@ -1,19 +1,16 @@
 //! Micro-benchmarks for the cache model's dynamic-access tiers, isolating
-//! each rung of the memory fast-path ladder the machine's `mem_access_parts`
-//! climbs (DESIGN §12 MRU filter, §16 seal-site way predictor):
+//! each rung of the memory path the machine's `mem_access_parts` climbs
+//! (DESIGN §16 seal-site way predictor):
 //!
-//! 1. **absorbed filter hit** — same line back-to-back, current-epoch
-//!    speculative bits cover the access: the one-compare tier.
-//! 2. **predictor hit** — two lines alternating across two seal sites: the
-//!    MRU filter misses every access, the per-site predictor names the way,
-//!    one live tag compare validates it.
-//! 3. **full scan hit** — the same alternating stream with the predictor
+//! 1. **predictor hit** — two lines alternating across two seal sites: the
+//!    per-site predictor names the way, one live tag compare validates it.
+//! 2. **full scan hit** — the same alternating stream with the predictor
 //!    disabled: every access pays the set scan and LRU bump.
-//! 4. **install** — a cold streaming sweep: every access misses and pays
+//! 3. **install** — a cold streaming sweep: every access misses and pays
 //!    victim selection and line install.
 //!
 //! The ladder only earns its keep if each tier is measurably cheaper than
-//! the one below it; these four groups make that ordering a number instead
+//! the one below it; these three groups make that ordering a number instead
 //! of an argument.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -25,7 +22,7 @@ use hasp_hw::{CacheSim, HwConfig};
 const ACCESSES: u64 = 4096;
 
 /// Two hot line addresses 8 KiB apart: same L1 set, so both stay resident
-/// in the 4-way set while neither ever matches the other's MRU memo.
+/// in the 4-way set.
 const LINE_A: u64 = 0x1000;
 const LINE_B: u64 = 0x3000;
 
@@ -35,27 +32,9 @@ fn small(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
     g
 }
 
-/// Tier 1: the §12 MRU filter. One speculative line accessed repeatedly
-/// inside a region; after the first access arms the memo, every subsequent
-/// access is absorbed by a single line compare.
-fn absorbed_filter_hit(c: &mut Criterion) {
-    let mut sim = CacheSim::new(&HwConfig::baseline());
-    sim.access(LINE_A, true, true);
-    let mut g = small(c);
-    g.bench_function("absorbed_filter_hit", |b| {
-        b.iter(|| {
-            for _ in 0..ACCESSES {
-                black_box(sim.fast_hit(0, black_box(LINE_A), false, true));
-            }
-        })
-    });
-    g.finish();
-}
-
-/// Tier 2: the §16 way predictor. Two lines alternate across two seal
-/// sites, so the MRU filter misses every access while each site's predictor
-/// entry keeps naming the resident way — the cost of one predictor load
-/// plus one validating tag compare.
+/// Tier 1: the §16 way predictor. Two lines alternate across two seal
+/// sites, and each site's predictor entry keeps naming the resident way —
+/// the cost of one predictor load plus one validating tag compare.
 fn predictor_hit(c: &mut Criterion) {
     let mut sim = CacheSim::new(&HwConfig::baseline());
     // Train: both lines resident, both sites predicting.
@@ -73,7 +52,7 @@ fn predictor_hit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Tier 3: the full lookup on an L1 hit. The same alternating stream with
+/// Tier 2: the full lookup on an L1 hit. The same alternating stream with
 /// the predictor disabled — every access falls through `fast_hit` into the
 /// monomorphized set scan and its LRU bump.
 fn full_scan_hit(c: &mut Criterion) {
@@ -100,7 +79,7 @@ fn full_scan_hit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Tier 4: the miss path. A cold streaming sweep over a footprint far past
+/// Tier 3: the miss path. A cold streaming sweep over a footprint far past
 /// both cache levels — every access pays victim selection and install (and,
 /// steady-state, an L2 or memory miss).
 fn install(c: &mut Criterion) {
@@ -122,11 +101,5 @@ fn install(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    memmodel,
-    absorbed_filter_hit,
-    predictor_hit,
-    full_scan_hit,
-    install
-);
+criterion_group!(memmodel, predictor_hit, full_scan_hit, install);
 criterion_main!(memmodel);

@@ -7,10 +7,9 @@
 //! * `benches/ablations.rs` — the ablation studies for the design choices
 //!   DESIGN.md calls out (region size target, cold threshold, SLE, partial
 //!   inlining, §7 check elimination and adaptive recompilation).
-//! * `benches/memmodel.rs` — micro-benchmarks isolating the four
-//!   dynamic-access tiers of the cache model's memory fast-path ladder
-//!   (absorbed filter hit, way-predictor hit, full scan hit, install —
-//!   DESIGN §12/§16).
+//! * `benches/memmodel.rs` — micro-benchmarks isolating the three
+//!   dynamic-access tiers of the cache model's memory path (way-predictor
+//!   hit, full scan hit, install — DESIGN §16).
 //!
 //! The library itself exports [`scaffold`]: the warm-then-interleaved
 //! best-of-reps timing discipline shared by the `bench-dispatch` and `mt`

@@ -57,19 +57,11 @@ pub struct DispatchRow {
     /// density that separates a workload's shipped throughput from its
     /// cache-off ceiling.
     pub static_mem_share: f64,
-    /// Fraction of memory uops whose line the seal-time static access plan
-    /// resolves ([`hasp_hw::CodeCache::static_resolved_uops`]): the share
-    /// bulk per-superblock accounting (DESIGN §13) can collapse into sealed
-    /// run probes. The complement is the dynamic-access residue the cache
-    /// model still pays for per access.
-    pub static_resolved_share: f64,
     /// Seal-site way-predictor consults during the superblock warm run
-    /// (DESIGN §16) — every dynamic access that fell past the MRU filter
-    /// with a sealed seal site.
+    /// (DESIGN §16) — every access with a sealed seal site.
     pub pred_probes: u64,
-    /// Tag-validated predictor hits among those consults: dynamic accesses
-    /// whose set scan (and, when absorbed, install/footprint work) the
-    /// predictor skipped.
+    /// Tag-validated predictor hits among those consults: accesses whose
+    /// set scan (and, when absorbed, footprint work) the predictor skipped.
     pub pred_hits: u64,
 }
 
@@ -165,7 +157,6 @@ impl DispatchBenchReport {
                 "speedup",
                 "ceiling",
                 "mem%",
-                "static%",
                 "pred%",
                 "predx",
             ],
@@ -179,7 +170,6 @@ impl DispatchBenchReport {
                 format!("{}x", num(r.speedup(), 2)),
                 format!("{}x", num(r.cache_off_speedup(), 2)),
                 format!("{:.1}", r.static_mem_share * 100.0),
-                format!("{:.1}", r.static_resolved_share * 100.0),
                 format!("{:.1}", r.pred_rate() * 100.0),
                 format!("{}x", num(r.pred_speedup(), 2)),
             ]);
@@ -191,7 +181,6 @@ impl DispatchBenchReport {
             "-".into(),
             format!("{}x", num(self.geomean_speedup(), 2)),
             format!("{}x", num(self.geomean_cache_off(), 2)),
-            "-".into(),
             "-".into(),
             "-".into(),
             format!("{}x", num(self.geomean_pred_speedup(), 2)),
@@ -218,7 +207,6 @@ impl DispatchBenchReport {
                     .num("speedup", r.speedup())
                     .num("cache_off_speedup", r.cache_off_speedup())
                     .num("static_mem_share", r.static_mem_share)
-                    .num("static_resolved_share", r.static_resolved_share)
                     .int("pred_probes", r.pred_probes)
                     .int("pred_hits", r.pred_hits)
                     .num("pred_rate", r.pred_rate())
@@ -226,7 +214,7 @@ impl DispatchBenchReport {
             );
         }
         JsonObj::new()
-            .str("schema", "hasp-bench-dispatch-v4")
+            .str("schema", "hasp-bench-dispatch-v5")
             .bool("smoke", smoke)
             .int("reps", REPS as u64)
             .num("wall_s", wall_s)
@@ -267,9 +255,6 @@ pub fn run_bench(smoke: bool) -> DispatchBenchReport {
             let compiled = compile_workload(w, &profiled, &ccfg);
             let (mem_uops, static_uops) = compiled.code.static_mem_uops();
             let static_mem_share = mem_uops as f64 / static_uops.max(1) as f64;
-            let (resolved_uops, plan_mem_uops) = compiled.code.static_resolved_uops();
-            debug_assert_eq!(mem_uops, plan_mem_uops);
-            let static_resolved_share = resolved_uops as f64 / plan_mem_uops.max(1) as f64;
             // The shared scaffold (`hasp_bench::scaffold`): one untimed
             // warm run per leg, then best-of-REPS interleaved round-robin
             // across the legs so host-speed drift degrades every leg
@@ -314,7 +299,6 @@ pub fn run_bench(smoke: bool) -> DispatchBenchReport {
                 cache_off_s,
                 cache_off_uops: ablate_warm.stats.uops,
                 static_mem_share,
-                static_resolved_share,
                 // The superblock (shipped-config) run is the leg the
                 // predictor serves; its warm run is deterministic, so these
                 // counters are stable across reps.
@@ -344,7 +328,6 @@ mod tests {
                     cache_off_s: 0.05,
                     cache_off_uops: 1_000_000,
                     static_mem_share: 0.25,
-                    static_resolved_share: 0.10,
                     pred_probes: 200_000,
                     pred_hits: 150_000,
                 },
@@ -357,7 +340,6 @@ mod tests {
                     cache_off_s: 0.05,
                     cache_off_uops: 2_000_000,
                     static_mem_share: 0.40,
-                    static_resolved_share: 0.05,
                     pred_probes: 0,
                     pred_hits: 0,
                 },
@@ -377,19 +359,17 @@ mod tests {
         assert!((report.rows[0].pred_speedup() - 1.1).abs() < 1e-12);
         assert!((report.geomean_pred_speedup() - 1.1f64.sqrt()).abs() < 1e-12);
         let json = report.json(false, 1.0);
-        assert!(json.contains("\"schema\": \"hasp-bench-dispatch-v4\""));
+        assert!(json.contains("\"schema\": \"hasp-bench-dispatch-v5\""));
         assert!(json.contains("\"geomean_speedup\": 4.000000"));
         assert!(json.contains("\"geomean_cache_off\": 8.000000"));
         let table = report.table();
         assert!(table.contains("geomean"));
         assert!(table.contains("ceiling"));
         assert!(table.contains("mem%"));
-        assert!(table.contains("static%"));
         assert!(table.contains("pred%"));
         assert!(table.contains("predx"));
         assert!(json.contains("\"geomean_pred_speedup\""));
         assert!(json.contains("\"static_mem_share\": 0.250000"));
-        assert!(json.contains("\"static_resolved_share\": 0.100000"));
         assert!(json.contains("\"pred_probes\": 200000"));
         assert!(json.contains("\"pred_rate\": 0.750000"));
     }
@@ -401,10 +381,6 @@ mod tests {
         for r in &report.rows {
             assert!(r.uops > 0 && r.cache_off_uops > 0);
             assert!(r.static_mem_share > 0.0 && r.static_mem_share < 1.0);
-            assert!(
-                r.static_resolved_share > 0.0 && r.static_resolved_share < 1.0,
-                "polls resolve statically, heap accesses do not"
-            );
             assert!(r.per_uop_s > 0.0 && r.superblock_s > 0.0 && r.cache_off_s > 0.0);
             assert!(r.unpredicted_s > 0.0);
             assert!(

@@ -101,6 +101,7 @@ impl WorkerAgg {
         self.link.sig_aborts += l.sig_aborts;
         self.link.sig_raced += l.sig_raced;
         self.link.benign += l.benign;
+        self.link.unsignaled_conflicts += l.unsignaled_conflicts;
     }
 
     fn merge(&mut self, o: &WorkerAgg) {
@@ -264,6 +265,8 @@ pub struct MtLeg {
     pub sig_aborts: u64,
     /// Signals that provably raced with a commit/abort flash-clear.
     pub sig_raced: u64,
+    /// Unsignaled messages that hit a live speculative bit (must be 0).
+    pub unsignaled_conflicts: u64,
     /// Governor-ladder tier entries (0–3) under this leg.
     pub tier_enters: [u64; 4],
     /// Region-entry consults spent per tier.
@@ -301,6 +304,8 @@ pub struct MtContention {
     pub sig_aborts: u64,
     /// Signals that raced a flash-clear.
     pub sig_raced: u64,
+    /// Unsignaled messages that hit a live speculative bit (must be 0).
+    pub unsignaled_conflicts: u64,
 }
 
 /// The full mt report.
@@ -435,6 +440,7 @@ impl MtReport {
                     .int("signaled", l.signaled)
                     .int("sig_aborts", l.sig_aborts)
                     .int("sig_raced", l.sig_raced)
+                    .int("unsignaled_conflicts", l.unsignaled_conflicts)
                     .int("publishes", l.publishes)
                     .int("invalidations", l.invalidations)
                     .int("downgrades", l.downgrades)
@@ -455,6 +461,7 @@ impl MtReport {
             .int("signaled", c.signaled)
             .int("sig_aborts", c.sig_aborts)
             .int("sig_raced", c.sig_raced)
+            .int("unsignaled_conflicts", c.unsignaled_conflicts)
             .int("lock_subscriptions", c.lock_subscriptions)
             .int("lock_holds", c.lock_holds)
             .bool("conservation", c.conservation)
@@ -465,7 +472,7 @@ impl MtReport {
             tenants = tenants.str(name);
         }
         JsonObj::new()
-            .str("schema", "hasp-mt-v1")
+            .str("schema", "hasp-mt-v2")
             .bool("smoke", self.smoke)
             .int("reps", self.reps as u64)
             .int("host_cores", self.host_cores as u64)
@@ -507,6 +514,7 @@ fn leg_row(run: &LegRun, wall_s: f64) -> MtLeg {
         conservation: run.conservation,
         sig_aborts: a.link.sig_aborts,
         sig_raced: a.link.sig_raced,
+        unsignaled_conflicts: a.link.unsignaled_conflicts,
         tier_enters: a.tier_enters,
         tier_time: a.tier_time,
     }
@@ -589,6 +597,7 @@ pub fn run_mt(smoke: bool) -> MtReport {
         signaled: crun.signaled,
         sig_aborts: ca.link.sig_aborts,
         sig_raced: ca.link.sig_raced,
+        unsignaled_conflicts: ca.link.unsignaled_conflicts,
     };
 
     MtReport {

@@ -296,36 +296,22 @@ pub enum FastHit {
     Resident,
 }
 
-/// The simulated cache hierarchy, fronted by a one-entry MRU line filter
-/// and a per-seal-site way predictor.
+/// The simulated cache hierarchy, fronted by a per-seal-site way predictor.
 ///
-/// The filter (`DESIGN.md` §12) memoizes the last L1-resident line touched:
-/// a repeat access to it skips the set scan, the LRU bump, and the install
-/// path entirely — the dominant pattern in field/array-heavy workloads is
-/// runs of accesses to one object's line. The way predictor (`DESIGN.md`
-/// §16) generalizes the same idea from one global entry to one entry per
-/// sealed memory-uop site, catching the loop pattern the filter cannot:
-/// alternating accesses where each *site* is line-stable but consecutive
-/// accesses are not. Two invariants make both invisible:
+/// The way predictor (`DESIGN.md` §16) gives every sealed memory-uop site
+/// one entry naming the last `(line, L1 way)` it resolved, so a site that
+/// keeps touching one line skips the set scan and the install path. Two
+/// invariants make it invisible:
 ///
-/// * **Validity.** The filter entry `(mru_line, mru_idx)` is live only
-///   while `mru_epoch == epoch`. Commit and abort bump the epoch (the same
-///   flash clear that wipes the speculative bits), and `invalidate` disarms
-///   it explicitly, so the filter can never claim residency for a line the
-///   hierarchy no longer holds: between two full-path accesses nothing else
-///   can evict an L1 line. Predictor entries carry no epoch at all —
-///   instead every consult re-validates `tags[idx] == line` against the
-///   live array, which is exact: tags store full line indices, so a match
-///   proves the line is resident at that slot *right now*, whatever
-///   evictions, aborts, or invalidations happened since training.
-/// * **Deferred LRU.** Fast-path hits do not bump the line's recency
-///   immediately; one bump per collapsed same-way run is flushed in access
-///   order (`pend_idx`/`pend`, flushed before any full-path access, tag
-///   mutation, or a fast hit on a *different* way). Victim selection
-///   compares only *relative* `(class, lru)` order within a set, so
-///   collapsing a same-way run's bumps to its final tick preserves every
-///   victim choice — hence residency, hit levels, and overflow signals —
-///   bit-exactly.
+/// * **Validity.** Predictor entries carry no epoch. Every consult
+///   re-validates `tags[idx] == line` against the live array instead, which
+///   is exact: tags store full line indices, so a match proves the line is
+///   resident at that slot *right now*, whatever evictions, aborts, or
+///   invalidations happened since training.
+/// * **Recency.** A predicted hit bumps the way's LRU age at once, exactly
+///   as the set scan's hit would, so LRU state — and with it every victim
+///   choice, hit level, and overflow signal — matches the unpredicted
+///   reference tick for tick.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheSim {
     l1: Level,
@@ -337,22 +323,6 @@ pub struct CacheSim {
     /// Current region epoch; starts above [`NEVER`] so default lines are
     /// never speculative.
     epoch: u64,
-    /// MRU-filter line index ([`TAG_INVALID`] disarms; never armed when the
-    /// filter is configured off).
-    mru_line: u64,
-    /// The armed line's way slot in L1 (valid only while the entry is live).
-    mru_idx: usize,
-    /// Epoch at arming: the entry is live iff this equals `epoch`, so every
-    /// commit/abort flash-clears the filter for free.
-    mru_epoch: u64,
-    /// The L1 way slot owed a deferred LRU bump when `pend` is set (one
-    /// collapsed run of fast-path hits; see the struct docs).
-    pend_idx: usize,
-    /// Whether a deferred bump is pending for `pend_idx`.
-    pend: bool,
-    /// `HwConfig::mem_filter` — `false` forces the unfiltered reference
-    /// path for the equivalence gates.
-    filter: bool,
     /// `HwConfig::way_predict` — `false` disables the per-site predictor
     /// (the `unpredicted()` reference leg).
     way_predict: bool,
@@ -366,11 +336,9 @@ pub struct CacheSim {
     /// state (replaces the O(sets×ways) scan the validator used to pay on
     /// every commit/abort).
     spec_count: u32,
-    /// Construction-time-precomputed extra contention cycles charged per L2
-    /// hit — `(l2_latency - l1_latency) / mlp * width`, the exact integer
-    /// the per-access path computes (with two hardware divides) on every
-    /// miss. The batched accounting path multiplies this by the block's L2
-    /// tally once per superblock instead.
+    /// Extra cycles × width charged per L2 hit, `(l2_latency - l1_latency)
+    /// / mlp * width`, precomputed at construction so the miss path pays no
+    /// hardware divide. The machine's one definition of miss latency.
     pub(crate) l2_extra_cxw: u64,
     /// As [`Self::l2_extra_cxw`] for misses to memory:
     /// `(mem_latency - l1_latency) / mlp * width`.
@@ -386,12 +354,6 @@ impl CacheSim {
             line_bytes: 0,
             line_shift: None,
             epoch: 0,
-            mru_line: 0,
-            mru_idx: 0,
-            mru_epoch: 0,
-            pend_idx: 0,
-            pend: false,
-            filter: false,
             way_predict: false,
             pred: Vec::new(),
             pred_stats: PredStats::default(),
@@ -413,12 +375,6 @@ impl CacheSim {
             .is_power_of_two()
             .then(|| cfg.line_bytes.trailing_zeros());
         self.epoch = NEVER + 1;
-        self.mru_line = TAG_INVALID;
-        self.mru_idx = 0;
-        self.mru_epoch = NEVER;
-        self.pend_idx = 0;
-        self.pend = false;
-        self.filter = cfg.mem_filter;
         self.way_predict = cfg.way_predict;
         self.pred_stats = PredStats::default();
         self.spec_count = 0;
@@ -451,12 +407,6 @@ impl CacheSim {
             CacheSim::new(cfg),
             "in-place reset diverged from a fresh simulator"
         );
-    }
-
-    /// Whether the MRU line filter currently holds a live entry — must be
-    /// `false` between requests (the cross-request isolation check).
-    pub fn mru_armed(&self) -> bool {
-        self.mru_line != TAG_INVALID && self.mru_epoch == self.epoch
     }
 
     /// Whether any seal-site predictor entry is trained — must be `false`
@@ -496,69 +446,15 @@ impl CacheSim {
         }
     }
 
-    /// Defers the LRU bump of a fast-path hit on L1 way `idx`. At most one
-    /// bump is ever pending: deferring a *different* way first flushes the
-    /// pending one, so applied bumps keep access order with each same-way
-    /// run collapsed to its final tick — exactly the relative recency a
-    /// bump-every-time reference produces (victim selection compares only
-    /// relative `(class, lru)` order, never tick magnitudes).
-    #[inline]
-    fn defer_bump(&mut self, idx: usize) {
-        if self.pend && self.pend_idx != idx {
-            self.l1.tick += 1;
-            self.l1.lru[self.pend_idx] = self.l1.tick;
-        }
-        self.pend_idx = idx;
-        self.pend = true;
-    }
-
-    /// Applies the pending deferred bump, if any: the collapsed run's way
-    /// receives the run's *final* tick, exactly as if only the last of its
-    /// accesses had gone through [`Level::lookup`]. Called before any
-    /// full-path access or tag mutation, while the pending way still holds
-    /// the line the run touched (nothing can evict an L1 line in between).
-    #[inline]
-    fn flush_pending(&mut self) {
-        if self.pend {
-            self.l1.tick += 1;
-            self.l1.lru[self.pend_idx] = self.l1.tick;
-            self.pend = false;
-        }
-    }
-
-    /// The zero-cost tier of [`CacheSim::access`], for callers that batch
-    /// their own statistics: `true` iff `addr` is a repeat of the armed MRU
-    /// line whose effects are fully absorbed — an L1 hit on a resident line
-    /// with (when `speculative`) a speculative bit already covering this
-    /// access kind, so *no* residency, LRU-order, speculative, footprint,
-    /// or overflow state can change. A write is absorbed only if the write
-    /// bit is already set; a read also when only the write bit is set (the
-    /// skipped read bit is unobservable: every consumer tests read-or-write,
-    /// and the write bit can only be cleared by the same flash clears).
-    #[inline(always)]
-    pub fn absorbed(&self, addr: u64, write: bool, speculative: bool) -> bool {
-        let line = self.line_of(addr);
-        line == self.mru_line
-            && self.mru_epoch == self.epoch
-            && (!speculative
-                || self.l1.spec_write_epoch[self.mru_idx] == self.epoch
-                || (!write && self.l1.spec_read_epoch[self.mru_idx] == self.epoch))
-    }
-
-    /// The sited fast path, consulted *before* [`CacheSim::access_sited`]:
-    /// `Some` iff the access is a validated L1 hit that skipped the set
-    /// scan, install path, and immediate LRU bump (the bump is deferred).
-    /// Two tiers:
-    ///
-    /// 1. **MRU filter** — repeat of the armed line whose current-epoch
-    ///    speculative bits already cover this access kind: nothing at all
-    ///    can change, so the hit is [`FastHit::Absorbed`].
-    /// 2. **Way predictor** — `site`'s cached `(line, way)` entry names
-    ///    this line and validation against the live L1 tag array confirms
-    ///    residency at that slot. Speculative bits are marked as usual; the
-    ///    hit is `Absorbed` only when the pre-existing bits already covered
-    ///    the access (otherwise [`FastHit::Resident`], and an in-region
-    ///    caller still owes the footprint/budget bookkeeping).
+    /// The way-predictor fast path, consulted *before*
+    /// [`CacheSim::access_sited`]: `Some` iff `site`'s cached `(line, way)`
+    /// entry names this line and validation against the live L1 tag array
+    /// confirms residency at that slot — an L1 hit that skipped the set
+    /// scan and install path. Recency and speculative bits update exactly
+    /// as on the full path; the hit is [`FastHit::Absorbed`] only when the
+    /// pre-existing bits already covered the access (otherwise
+    /// [`FastHit::Resident`], and an in-region caller still owes the
+    /// footprint/budget bookkeeping).
     ///
     /// `None` (cold site, different line, failed validation, predictor off)
     /// means the caller must take the full path, which retrains the site.
@@ -571,15 +467,6 @@ impl CacheSim {
         speculative: bool,
     ) -> Option<FastHit> {
         let line = self.line_of(addr);
-        if line == self.mru_line
-            && self.mru_epoch == self.epoch
-            && (!speculative
-                || self.l1.spec_write_epoch[self.mru_idx] == self.epoch
-                || (!write && self.l1.spec_read_epoch[self.mru_idx] == self.epoch))
-        {
-            self.defer_bump(self.mru_idx);
-            return Some(FastHit::Absorbed);
-        }
         if !self.way_predict || site == NO_SITE {
             return None;
         }
@@ -597,15 +484,17 @@ impl CacheSim {
             return None;
         }
         self.pred_stats.hits += 1;
+        // The bump `Level::lookup` makes on a hit.
+        self.l1.tick += 1;
+        self.l1.lru[idx] = self.l1.tick;
         // Coverage is decided on the bits as they were *before* this access
-        // marks them — the same condition `absorbed` tests.
+        // marks them.
         let covered = !speculative
             || self.l1.spec_write_epoch[idx] == self.epoch
             || (!write && self.l1.spec_read_epoch[idx] == self.epoch);
         if speculative {
             self.mark_spec(idx, write);
         }
-        self.defer_bump(idx);
         Some(if covered {
             FastHit::Absorbed
         } else {
@@ -651,18 +540,6 @@ impl CacheSim {
         speculative: bool,
     ) -> (HitLevel, bool) {
         let line = self.line_of(addr);
-        // MRU filter hit: the line is L1-resident at `mru_idx` (nothing can
-        // have evicted it since arming), so the set scan, LRU bump, and
-        // install path are all skipped; the recency bump is deferred.
-        if line == self.mru_line && self.mru_epoch == self.epoch {
-            self.defer_bump(self.mru_idx);
-            if speculative {
-                self.mark_spec(self.mru_idx, write);
-            }
-            self.train(site, line, self.mru_idx);
-            return (HitLevel::L1, false);
-        }
-        self.flush_pending();
         let (level, idx, overflow) = match self.l1.lookup(line) {
             Some(i) => (HitLevel::L1, i, false),
             None => {
@@ -685,29 +562,21 @@ impl CacheSim {
         if speculative {
             self.mark_spec(idx, write);
         }
-        if self.filter {
-            self.mru_line = line;
-            self.mru_idx = idx;
-            self.mru_epoch = self.epoch;
-        }
         self.train(site, line, idx);
         (level, overflow)
     }
 
     /// Commits the current region: flash-clears all speculative bits (a
-    /// single epoch bump — the O(1) wired clear the paper describes). The
-    /// epoch bump also flash-clears the MRU filter entry.
+    /// single epoch bump — the O(1) wired clear the paper describes).
     pub fn commit_region(&mut self) {
-        self.flush_pending();
         self.epoch += 1;
         self.spec_count = 0;
     }
 
     /// Aborts the current region: speculatively-written lines are
     /// invalidated (their data is rolled back architecturally by the undo
-    /// log); read bits — and the MRU filter entry — are flash-cleared.
+    /// log); read bits are flash-cleared.
     pub fn abort_region(&mut self) {
-        self.flush_pending();
         for (i, e) in self.l1.spec_write_epoch.iter().enumerate() {
             if *e == self.epoch {
                 self.l1.tags[i] = TAG_INVALID;
@@ -751,9 +620,6 @@ impl CacheSim {
     /// coherence directory's drain path uses (its messages carry lines,
     /// not addresses).
     pub fn invalidate_line(&mut self, line: u64) -> bool {
-        self.flush_pending();
-        self.mru_line = TAG_INVALID;
-        self.mru_epoch = NEVER;
         for i in self.l2.set_range(line) {
             if self.l2.tags[i] == line {
                 self.l2.tags[i] = TAG_INVALID;
@@ -788,7 +654,6 @@ impl CacheSim {
     /// invalidated exactly as [`CacheSim::invalidate_line`] would.
     /// Returns `true` on conflict — the caller must abort the region.
     pub fn downgrade_line(&mut self, line: u64) -> bool {
-        self.flush_pending();
         for i in self.l1.set_range(line) {
             if self.l1.tags[i] == line {
                 if self.l1.spec_write_epoch[i] == self.epoch {
@@ -892,39 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn mru_filter_absorbs_only_covered_accesses() {
-        let mut c = sim();
-        assert!(!c.absorbed(0x1000, false, false), "cold cache: disarmed");
-        c.access(0x1000, false, false);
-        assert!(c.absorbed(0x1008, false, false), "same line is armed");
-        assert!(!c.absorbed(0x1040, false, false), "different line");
-        // Speculative coverage: a read bit absorbs reads but not writes;
-        // the write bit covers both (the skipped read bit is unobservable).
-        c.access(0x1000, false, true);
-        assert!(c.absorbed(0x1008, false, true));
-        assert!(!c.absorbed(0x1008, true, true), "write needs the write bit");
-        c.access(0x1000, true, true);
-        assert!(c.absorbed(0x1008, true, true));
-        assert!(c.absorbed(0x1008, false, true), "write bit covers reads");
-        c.commit_region();
-        assert!(
-            !c.absorbed(0x1000, false, false),
-            "the commit epoch bump flash-clears the filter"
-        );
-        c.access(0x1000, false, false);
-        c.invalidate(0x1000);
-        assert!(!c.absorbed(0x1000, false, false), "invalidate disarms");
-    }
-
-    #[test]
-    fn unfiltered_config_never_arms_the_filter() {
-        let mut c = CacheSim::new(&HwConfig::unfiltered());
-        c.access(0x1000, false, false);
-        c.access(0x1000, false, false);
-        assert!(!c.absorbed(0x1008, false, false));
-    }
-
-    #[test]
     fn invalidate_removes_the_line_from_both_levels() {
         let mut c = sim();
         c.access(0x1000, false, false); // resident in L1 and L2
@@ -934,32 +766,6 @@ mod tests {
             HitLevel::Memory,
             "coherence-inclusive: the L2 copy is gone too"
         );
-    }
-
-    #[test]
-    fn deferred_lru_preserves_victim_choice_against_reference() {
-        let mut f = sim();
-        let mut r = CacheSim::new(&HwConfig::unfiltered());
-        // A same-line run (collapsed by the filter in `f`), then an eviction
-        // storm through the same L1 set (8 KB stride), then re-probes: every
-        // hit level, overflow signal, and the victim sequence behind them
-        // must match the unfiltered reference access for access.
-        let mut seq: Vec<(u64, bool, bool)> = vec![
-            (0x1000, false, false),
-            (0x1008, false, false),
-            (0x1010, true, false),
-            (0x1018, false, false),
-        ];
-        for k in 1..=4u64 {
-            seq.push((0x1000 + k * 8192, false, false));
-        }
-        seq.push((0x1000, false, false));
-        seq.push((0x1000 + 8192, true, true));
-        seq.push((0x1000 + 8192, false, true));
-        for &(a, w, s) in &seq {
-            assert_eq!(f.access(a, w, s), r.access(a, w, s), "at {a:#x}");
-            assert_eq!(f.spec_lines(), r.spec_lines());
-        }
     }
 
     #[test]
@@ -1026,14 +832,9 @@ mod tests {
         let after_train = c.pred_stats();
         assert_eq!(after_train.probes, 1);
         assert_eq!(after_train.hits, 0);
-        // Same site, same line, but the MRU filter absorbs it first — the
-        // predictor is never consulted.
+        // Same site, same line: the entry validates and hits.
         assert_eq!(c.fast_hit(3, 0x1008, false, false), Some(FastHit::Absorbed));
-        assert_eq!(c.pred_stats().probes, 1);
-        // Disarm the filter by touching another line through a different
-        // site; now site 3's entry must validate and hit.
-        sited(&mut c, 4, 0x2000, false, false);
-        assert_eq!(c.fast_hit(3, 0x1000, false, false), Some(FastHit::Absorbed));
+        assert_eq!(c.pred_stats().probes, 2);
         assert_eq!(c.pred_stats().hits, 1);
         assert_eq!(c.pred_stats().mispredicts, 0);
         // Evict 0x1000 from L1 (fill its 4-way set with an 8 KB stride):
@@ -1045,27 +846,22 @@ mod tests {
         assert_eq!(c.pred_stats().mispredicts, 1);
         // The full path retrains; the site predicts again.
         assert_eq!(c.access_sited(3, 0x1000, false, false).0, HitLevel::L2);
-        sited(&mut c, 4, 0x2000, false, false);
         assert_eq!(c.fast_hit(3, 0x1000, false, false), Some(FastHit::Absorbed));
     }
 
     #[test]
     fn predictor_hit_reports_footprint_obligation() {
         let mut c = sim();
-        // Train site 7 outside a region, touch another line to disarm the
-        // MRU filter, then re-access speculatively: residency is validated
-        // but the line's first in-region touch still owes the footprint.
+        // Train site 7 outside a region, then re-access speculatively:
+        // residency is validated but the line's first in-region touch still
+        // owes the footprint.
         c.access_sited(7, 0x3000, false, false);
-        sited(&mut c, 8, 0x4000, false, false);
         assert_eq!(c.fast_hit(7, 0x3000, false, true), Some(FastHit::Resident));
         assert_eq!(c.spec_lines(), 1, "the validated hit marked the read bit");
-        // Covered repeat (after disarming the filter again): absorbed.
-        sited(&mut c, 8, 0x4000, false, false);
+        // Covered repeat: absorbed.
         assert_eq!(c.fast_hit(7, 0x3000, false, true), Some(FastHit::Absorbed));
         // A write through the read-covered line is residency-only again.
-        sited(&mut c, 8, 0x4000, false, false);
         assert_eq!(c.fast_hit(7, 0x3000, true, true), Some(FastHit::Resident));
-        sited(&mut c, 8, 0x4000, false, false);
         assert_eq!(
             c.fast_hit(7, 0x3000, false, true),
             Some(FastHit::Absorbed),
@@ -1094,11 +890,12 @@ mod tests {
     fn sited_discipline_is_bit_identical_to_unpredicted_reference() {
         let mut p = sim();
         let mut r = CacheSim::new(&HwConfig::unpredicted());
-        // Two sites alternating lines in the same L1 set (the pattern the
-        // MRU filter cannot catch but per-site entries can), an eviction
-        // storm, speculative marks, a commit, an abort, an invalidate: hit
-        // levels, overflow signals, and spec-line counts must match the
-        // predictor-off reference access for access.
+        // Two sites alternating lines in the same L1 set, an eviction storm
+        // (its victims are chosen by the LRU ages predicted hits bump),
+        // speculative marks, a commit, an abort, an invalidate: hit levels,
+        // overflow signals, spec-line counts, and the L1 arrays themselves
+        // (tags, LRU ticks, spec epochs) must match the predictor-off
+        // reference access for access.
         let mut seq: Vec<(u32, u64, bool, bool)> = Vec::new();
         for _ in 0..4 {
             seq.push((0, 0x1000, false, false));
@@ -1114,6 +911,7 @@ mod tests {
         for (i, &(site, a, w, s)) in seq.iter().enumerate() {
             assert_eq!(sited(&mut p, site, a, w, s), r.access(a, w, s), "op {i}");
             assert_eq!(p.spec_lines(), r.spec_lines(), "op {i}");
+            assert_eq!(p.l1, r.l1, "op {i}: L1 state drifted");
         }
         p.commit_region();
         r.commit_region();
@@ -1126,6 +924,7 @@ mod tests {
         for (i, &(site, a, w, s)) in seq.iter().enumerate() {
             assert_eq!(sited(&mut p, site, a, w, s), r.access(a, w, s), "re {i}");
             assert_eq!(p.spec_lines(), r.spec_lines(), "re {i}");
+            assert_eq!(p.l1, r.l1, "re {i}: L1 state drifted");
         }
     }
 

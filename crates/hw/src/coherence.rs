@@ -36,13 +36,14 @@
 //! Every *signaled* message (one whose victim held a directory-registered
 //! speculative claim on the line when the remote op was published) is
 //! eventually classified by the victim at drain time as either a conflict
-//! abort (`sig_aborts` — the local current-epoch spec bit was still live)
-//! or a benign race with a completed region (`sig_raced` — the victim
-//! committed or aborted between the signal and the drain, so the local bit
-//! was already flash-cleared; the remote op serialized after that commit).
-//! After all mailboxes drain, `Directory::signaled()` equals the sum of
-//! both buckets across cores — the stress tests and the `mt` harness gate
-//! on this identity.
+//! abort (`sig_aborts` — the registration, and with it the region, was
+//! still live) or a benign race with a completed region (`sig_raced` — the
+//! victim committed or aborted between the signal and the drain, so the
+//! registration was already released; the remote op serialized after that
+//! commit). After all mailboxes drain, `Directory::signaled()` equals the
+//! sum of both buckets across cores, and no core has counted an
+//! unsignaled conflict — the stress tests and the `mt` harness gate on
+//! both.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,9 +195,12 @@ impl Directory {
             self.downgrades.fetch_add(1, Ordering::Relaxed);
         }
         let mb = &self.mailboxes[to as usize];
-        mb.msgs.lock().expect("mailbox").push_back(msg);
-        // Release-publish after the push so a victim that observes
-        // `pending > 0` always finds the message under the queue lock.
+        // The count changes only under the queue lock, in step with the
+        // queue. Bumped after the unlock, the victim could pop this message
+        // and decrement first; its count could then read 0 while another
+        // message waits, and the post-publish re-drain would skip that one.
+        let mut q = mb.msgs.lock().expect("mailbox");
+        q.push_back(msg);
         mb.pending.fetch_add(1, Ordering::Release);
     }
 
@@ -316,7 +320,9 @@ impl Directory {
     /// Pops the oldest undelivered message for core `me`, if any.
     pub fn pop_msg(&self, me: CoreId) -> Option<CohMsg> {
         let mb = &self.mailboxes[me as usize];
-        let msg = mb.msgs.lock().expect("mailbox").pop_front();
+        // Under the queue lock, like the increment in `post`.
+        let mut q = mb.msgs.lock().expect("mailbox");
+        let msg = q.pop_front();
         if msg.is_some() {
             mb.pending.fetch_sub(1, Ordering::Release);
         }
@@ -391,14 +397,21 @@ pub struct LinkStats {
     pub published: u64,
     /// Messages this core drained from its mailbox.
     pub drained: u64,
-    /// Signaled messages that found a live local speculative bit and
-    /// aborted the region (conservation bucket 1).
+    /// Signaled messages that aborted the region: they found a live local
+    /// speculative bit, or a live registration whose bit the access had not
+    /// marked yet (conservation bucket 1).
     pub sig_aborts: u64,
-    /// Signaled messages whose local speculative bit was already
-    /// flash-cleared by a commit or abort (conservation bucket 2).
+    /// Signaled messages whose registration was already released by a
+    /// commit or abort (conservation bucket 2).
     pub sig_raced: u64,
     /// Unsignaled messages (plain capacity/sharing traffic).
     pub benign: u64,
+    /// Unsignaled messages that still hit a live speculative bit: a live
+    /// bit without a directory claim, which the protocol must never allow.
+    /// They abort the region but sit in neither conservation bucket, so
+    /// `signaled == sig_aborts + sig_raced` cannot balance by coincidence;
+    /// gated at zero (debug builds assert on the first one).
+    pub unsignaled_conflicts: u64,
 }
 
 /// One core's attachment to a shared [`Directory`]: identity, address
@@ -502,10 +515,19 @@ impl CoreLink {
     }
 
     /// Drains the mailbox into `cache`, applying each remote op to the
-    /// local cache model. Stops at the first message that collides with a
-    /// live current-epoch speculative bit and returns the abort reason the
-    /// caller must raise (`Sle` for the fallback-lock line, `Conflict`
-    /// otherwise); remaining messages stay queued for the next drain.
+    /// local cache model. Stops at the first conflicting message and
+    /// returns the abort reason the caller must raise (`Sle` for the
+    /// fallback-lock line, `Conflict` otherwise); remaining messages stay
+    /// queued for the next drain.
+    ///
+    /// A message conflicts when it collides with a live current-epoch
+    /// speculative bit, or when it is signaled and its key is in this
+    /// link's live registration set. The second case is the access hook's
+    /// re-drain catching a signal aimed at the registration it just
+    /// published, before the access marks the bit: the directory has
+    /// consumed the claim, so letting the access go on would leave a live
+    /// bit with no claim behind it (DESIGN §17 argues why the set never
+    /// holds a stale registration here).
     pub fn drain(&mut self, cache: &mut CacheSim) -> Option<AbortReason> {
         let lock_line = cache.line_of(FALLBACK_LOCK_ADDR);
         while let Some(msg) = self.dir.pop_msg(self.core) {
@@ -518,7 +540,7 @@ impl CoreLink {
             } else if self.held.get(&msg.key) == Some(&Held::Owned) {
                 self.held.insert(msg.key, Held::Shared);
             }
-            let conflict = if msg.write {
+            let live_bit = if msg.write {
                 cache.invalidate_line(line)
             } else {
                 cache.downgrade_line(line)
@@ -526,17 +548,23 @@ impl CoreLink {
             // A conflict without a directory signal would mean the remote
             // published against stale registration state — impossible,
             // because spec registration precedes the local spec-bit mark
-            // and release follows the local flash-clear.
+            // and release follows the local flash-clear. Release builds
+            // count what this assert would have caught.
             debug_assert!(
-                msg.signal || !conflict,
+                msg.signal || !live_bit,
                 "unsignaled conflict: core {} key {:#x} write {} held-after {:?}",
                 self.core,
                 msg.key,
                 msg.write,
                 self.held.get(&msg.key),
             );
-            if conflict {
-                self.stats.sig_aborts += 1;
+            let registered = msg.signal && self.spec.contains_key(&msg.key);
+            if live_bit || registered {
+                if msg.signal {
+                    self.stats.sig_aborts += 1;
+                } else {
+                    self.stats.unsignaled_conflicts += 1;
+                }
                 let reason = if line == lock_line {
                     AbortReason::Sle
                 } else {
@@ -645,6 +673,30 @@ mod tests {
             link_a.stats.sig_raced,
             "post-release signal count must match the raced bucket"
         );
+    }
+
+    #[test]
+    fn signal_against_a_fresh_registration_conflicts_before_the_bit_is_marked() {
+        // The access hook's window: link 0 has published a speculative
+        // read, but the access has not marked the local bit yet, when a
+        // remote write consumes the claim. The re-drain must abort the
+        // region, not book a race and let the access mark a bit the
+        // directory no longer knows about.
+        let dir = Directory::new(2);
+        let mut cache = CacheSim::new(&HwConfig::baseline());
+        let mut link = CoreLink::new(Arc::clone(&dir), 0, 0);
+        link.publish(0x40, false, true);
+        dir.publish_write(1, 0x40, false);
+        assert_eq!(link.drain(&mut cache), Some(AbortReason::Conflict));
+        assert_eq!(link.take_abort(), Some(AbortReason::Conflict));
+        assert_eq!((link.stats.sig_aborts, link.stats.sig_raced), (1, 0));
+        // The same window on the fallback-lock line is an SLE abort.
+        let lock_line = cache.line_of(FALLBACK_LOCK_ADDR);
+        link.publish(lock_line, false, true);
+        dir.publish_write(1, lock_line, false);
+        assert_eq!(link.drain(&mut cache), Some(AbortReason::Sle));
+        assert_eq!(dir.signaled(), link.stats.sig_aborts);
+        assert_eq!(link.stats.unsignaled_conflicts, 0);
     }
 
     #[test]

@@ -236,13 +236,6 @@ pub struct HwConfig {
     pub governor: GovernorConfig,
     /// Uop-stream dispatch strategy (see [`Dispatch`]).
     pub dispatch: Dispatch,
-    /// Arm the cache model's MRU line filter + deferred-LRU fast path
-    /// (`DESIGN.md` §12). Semantics-preserving — hit levels, overflow
-    /// signals, and conflict verdicts are bit-identical either way, which
-    /// `tests/prop_hw.rs` and `tests/filter_equivalence.rs` gate — so this
-    /// is on by default; `false` forces the unfiltered reference model for
-    /// those equivalence gates.
-    pub mem_filter: bool,
     /// Arm the seal-site way predictor in front of the dynamic-access set
     /// scan (`DESIGN.md` §16): each sealed memory-uop site caches the last
     /// `(line, L1 way)` it resolved, and a consult validated against the
@@ -251,17 +244,6 @@ pub struct HwConfig {
     /// bit-exactness against the predictor-off reference — so it is on by
     /// default; `false` forces the unpredicted reference model.
     pub way_predict: bool,
-    /// Bulk per-superblock cache accounting (DESIGN §13): the superblock
-    /// interior charges hit/latency statistics through a per-block
-    /// accumulator flushed once at block exit, collapses statically
-    /// resolved poll runs from the sealed access plan into one probe plus a
-    /// bulk charge, and uses seal-time-precomputed miss-latency increments.
-    /// Semantics-preserving — `tests/batch_equivalence.rs` and the lockstep
-    /// proptest gate bit-exactness against the per-access reference — so it
-    /// is on by default; `false` forces the immediate per-access accounting
-    /// path. Only meaningful under [`Dispatch::Superblock`]; the per-uop
-    /// engine always accounts per access.
-    pub batched_mem: bool,
     /// Ablation: skip the L1/L2 timing model entirely (every access counts
     /// as an L1 hit; region footprints and injected line budgets still
     /// work). NOT semantics-preserving — geometric overflow aborts
@@ -295,9 +277,7 @@ impl HwConfig {
             validate: false,
             governor: GovernorConfig::off(),
             dispatch: Dispatch::Superblock,
-            mem_filter: true,
             way_predict: true,
-            batched_mem: true,
             cache_off: false,
         }
     }
@@ -312,37 +292,13 @@ impl HwConfig {
         }
     }
 
-    /// The baseline with the memory fast path disabled: the cache model
-    /// answers every access through the full set-scan reference path. The
-    /// "before" side of the filter-equivalence gate.
-    pub fn unfiltered() -> Self {
-        HwConfig {
-            name: "chkpt-4wide-unfiltered",
-            mem_filter: false,
-            ..HwConfig::baseline()
-        }
-    }
-
     /// The baseline with the seal-site way predictor disabled: every
-    /// dynamic access resolves through the set-scan reference path (the MRU
-    /// filter stays armed — it predates the predictor and has its own
-    /// gate). The "before" side of the predictor-equivalence gate.
+    /// access resolves through the set-scan reference path. The "before"
+    /// side of the predictor-equivalence gate.
     pub fn unpredicted() -> Self {
         HwConfig {
             name: "chkpt-4wide-unpredicted",
             way_predict: false,
-            ..HwConfig::baseline()
-        }
-    }
-
-    /// The baseline with bulk per-superblock cache accounting disabled:
-    /// every interior memory access charges statistics and latency
-    /// immediately, and sealed poll runs replay access by access. The
-    /// "before" side of the batch-equivalence gate.
-    pub fn unbatched() -> Self {
-        HwConfig {
-            name: "chkpt-4wide-unbatched",
-            batched_mem: false,
             ..HwConfig::baseline()
         }
     }
@@ -457,24 +413,10 @@ mod tests {
     #[test]
     fn fast_path_knobs_default_on_and_ablations_differ_only_in_their_knob() {
         let b = HwConfig::baseline();
-        assert!(b.mem_filter, "filter is the production default");
         assert!(!b.cache_off, "the timing model is on by default");
-        let u = HwConfig::unfiltered();
-        assert!(!u.mem_filter);
-        let mut b2 = HwConfig::baseline();
-        b2.name = u.name;
-        b2.mem_filter = false;
-        assert_eq!(b2, u, "unfiltered differs from baseline only by the knob");
         let n = HwConfig::no_cache_model();
         assert!(n.cache_off);
         assert_eq!(n.dispatch, Dispatch::Superblock);
-        assert!(b.batched_mem, "bulk accounting is the production default");
-        let ub = HwConfig::unbatched();
-        assert!(!ub.batched_mem);
-        let mut b3 = HwConfig::baseline();
-        b3.name = ub.name;
-        b3.batched_mem = false;
-        assert_eq!(b3, ub, "unbatched differs from baseline only by the knob");
         assert!(b.way_predict, "way prediction is the production default");
         let up = HwConfig::unpredicted();
         assert!(!up.way_predict);

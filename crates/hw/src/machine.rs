@@ -67,43 +67,6 @@ enum Interior {
     Overflow(usize),
 }
 
-/// Per-superblock deferred cache-accounting accumulator (DESIGN §13): the
-/// batched interior path counts serviced accesses per level here and flushes
-/// them into `RunStats`/`cxw` once per interior run — one fused update per
-/// block instead of per-access counter read-modify-writes and per-miss
-/// latency divisions. Exact because nothing observes the running counters
-/// between a block's interior uops: markers and terminators live outside
-/// `i..term`, and every bail path flushes before control leaves the loop.
-#[derive(Default)]
-struct MemTally {
-    /// Accesses serviced by L1, including absorbed filter hits and the
-    /// bulk-charged followers of sealed static runs.
-    l1: u64,
-    /// Accesses serviced by L2.
-    l2: u64,
-    /// Misses serviced by memory.
-    mem: u64,
-}
-
-impl MemTally {
-    /// The fused flush: total accesses, per-level hits, and the aggregate
-    /// miss latency in two multiply-adds. `l2x`/`memx` are the cache's
-    /// construction-time-precomputed per-miss cxw increments, so the sum
-    /// equals the per-access reference arithmetic exactly (`k` identical
-    /// integer increments collapse to one multiplication).
-    #[inline]
-    fn flush(&self, stats: &mut RunStats, cxw: &mut u64, l2x: u64, memx: u64) {
-        let total = self.l1 + self.l2 + self.mem;
-        if total == 0 {
-            return;
-        }
-        stats.mem_accesses += total;
-        stats.l1_hits += self.l1;
-        stats.l2_hits += self.l2;
-        *cxw += self.l2 * l2x + self.mem * memx;
-    }
-}
-
 /// How an `aregion_begin` resolved (see [`Machine::region_begin`]).
 enum BeginOut {
     /// The region was entered: execution falls through into the body.
@@ -140,9 +103,9 @@ struct RegionCtx {
     heap: HeapMark,
     undo: Vec<(HeapCell, i64)>,
     lines: LineSet,
-    /// The last cache line recorded into `lines` — an MRU filter so runs of
-    /// accesses to the same line (the common case: consecutive fields of
-    /// one object) skip the set probe entirely.
+    /// The last cache line recorded into `lines`, so runs of accesses to
+    /// the same line (the common case: consecutive fields of one object)
+    /// skip the set probe entirely.
     last_line: u64,
     start_uops: u64,
     /// Independent copy of the *full* register file, captured only in
@@ -359,12 +322,12 @@ impl<'p> Machine<'p> {
 
     /// Resets the machine in place for the next request of a serving
     /// worker: all architectural state (heap, environment, frames), all
-    /// speculative state (region context, cache speculative bits, MRU
-    /// filter arm), all microarchitectural history (cache contents,
-    /// predictors, BTB), and all per-request accounting (stats, cycle
-    /// accumulators, fault RNG, governor ladder) return to construction
-    /// state, while every steady-state allocation is kept. The subsequent
-    /// run is bit-identical to one on a freshly constructed machine —
+    /// speculative state (region context, cache speculative bits), all
+    /// microarchitectural history (cache contents, predictors, BTB), and
+    /// all per-request accounting (stats, cycle accumulators, fault RNG,
+    /// governor ladder) return to construction state, while every
+    /// steady-state allocation is kept. The subsequent run is
+    /// bit-identical to one on a freshly constructed machine —
     /// which is also what makes per-request results independent of which
     /// worker served them, the property the service harness's shard
     /// conservation check rests on.
@@ -411,7 +374,7 @@ impl<'p> Machine<'p> {
     /// or `None` when a new request would observe a pristine machine. The
     /// isolation oracle behind [`Machine::reset_for_request`]'s debug
     /// assertion and the service harness's tests: speculative cache lines,
-    /// an armed MRU filter, governor ladder state, or any architectural
+    /// a trained way predictor, governor ladder state, or any architectural
     /// residue here would leak one tenant's request into the next.
     pub fn cross_request_state(&self) -> Option<&'static str> {
         if self.region.is_some() {
@@ -422,9 +385,6 @@ impl<'p> Machine<'p> {
         }
         if self.cache.spec_lines() != 0 {
             return Some("speculative cache lines still marked");
-        }
-        if self.cache.mru_armed() {
-            return Some("MRU line filter still armed");
         }
         if self.cache.pred_trained() {
             return Some("way predictor still trained");
@@ -614,17 +574,7 @@ impl<'p> Machine<'p> {
         if cfg.cache_off {
             stats.mem_accesses += 1;
             stats.l1_hits += 1;
-            let mut overflowed = false;
-            if let Some(r) = region.as_mut() {
-                let line = cache.line_of(addr);
-                if line != r.last_line {
-                    r.last_line = line;
-                    r.lines.insert(line);
-                }
-                let budget = cfg.faults.line_budget;
-                overflowed = budget > 0 && r.lines.len() as u64 > budget;
-            }
-            return !overflowed;
+            return !Self::over_line_budget(cache, region, cfg, addr);
         }
         // The coherence hook (DESIGN §17), strictly ordered drain → publish
         // → drain → access: undelivered remote ops are applied to the local
@@ -648,154 +598,69 @@ impl<'p> Machine<'p> {
                 return false;
             }
         }
+        stats.mem_accesses += 1;
         let in_region = region.is_some();
-        // The zero-cost tiers (DESIGN §12 MRU filter, §16 seal-site way
-        // predictor): `Absorbed` is an L1 hit whose current-epoch
-        // speculative bits already cover this access kind, so the set scan,
-        // footprint update, and budget re-check are all skipped. Skipping
-        // the footprint is sound because a current-epoch speculative bit can
-        // only have been set by an earlier in-region call on the same line
-        // (each region runs in its own epoch), which already recorded the
-        // line and settled the line-budget verdict; the verdict only changes
-        // when the footprint grows. `Resident` is a tag-validated predictor
-        // hit whose speculative bits did *not* cover the access — the line
-        // was just marked for the first time this region, so the footprint
-        // insert and budget verdict below are still owed. With `cache_off`
-        // neither tier engages, so the ablation path above stays
-        // authoritative.
+        // The seal-site way predictor (DESIGN §16): `Absorbed` is an L1 hit
+        // whose current-epoch speculative bits already cover this access
+        // kind, so the set scan, footprint update, and budget re-check are
+        // all skipped. Skipping the footprint is sound because a
+        // current-epoch speculative bit can only have been set by an earlier
+        // in-region call on the same line (each region runs in its own
+        // epoch), which already recorded the line and settled the
+        // line-budget verdict; the verdict only changes when the footprint
+        // grows. `Resident` is a validated hit whose speculative bits did
+        // *not* cover the access — the line was just marked for the first
+        // time this region, so the footprint insert and budget verdict are
+        // still owed.
         match cache.fast_hit(site, addr, write, in_region) {
             Some(FastHit::Absorbed) => {
-                stats.mem_accesses += 1;
                 stats.l1_hits += 1;
                 return true;
             }
             Some(FastHit::Resident) => {
-                stats.mem_accesses += 1;
                 stats.l1_hits += 1;
-                let mut overflowed = false;
-                if let Some(r) = region.as_mut() {
-                    let line = cache.line_of(addr);
-                    if line != r.last_line {
-                        r.last_line = line;
-                        r.lines.insert(line);
-                    }
-                    let budget = cfg.faults.line_budget;
-                    overflowed = budget > 0 && r.lines.len() as u64 > budget;
-                }
-                return !overflowed;
+                return !Self::over_line_budget(cache, region, cfg, addr);
             }
             None => {}
         }
         let (level, overflow) = cache.access_sited(site, addr, write, in_region);
-        stats.mem_accesses += 1;
         match level {
             HitLevel::L1 => stats.l1_hits += 1,
             HitLevel::L2 => {
                 stats.l2_hits += 1;
-                *cxw += (cfg.l2_latency - cfg.l1_latency) / cfg.mlp * cfg.width;
+                *cxw += cache.l2_extra_cxw;
             }
-            HitLevel::Memory => {
-                *cxw += (cfg.mem_latency - cfg.l1_latency) / cfg.mlp * cfg.width;
-            }
+            HitLevel::Memory => *cxw += cache.mem_extra_cxw,
         }
-        let mut overflowed = false;
-        if let Some(r) = region.as_mut() {
-            let line = cache.line_of(addr);
-            if line != r.last_line {
-                r.last_line = line;
-                r.lines.insert(line);
-            }
-            // The injected line budget models a smaller speculative cache:
-            // it tightens the geometric overflow, never loosens it.
-            let budget = cfg.faults.line_budget;
-            overflowed = overflow || (budget > 0 && r.lines.len() as u64 > budget);
-        }
-        !overflowed
+        // Only a region marks speculative bits, so only a region can
+        // overflow. The footprint still records an overflowing access's
+        // line: the abort reports the footprint size to the governor.
+        debug_assert!(in_region || !overflow);
+        let over_budget = Self::over_line_budget(cache, region, cfg, addr);
+        !(overflow || over_budget)
     }
 
-    /// The bulk-accounting twin of [`Machine::mem_access_parts`]: identical
-    /// cache-model traffic (absorbed tier, full path, region footprint,
-    /// line-budget verdict — in the same order), but hit and latency
-    /// statistics accumulate in the caller's per-block [`MemTally`] instead
-    /// of being charged immediately. The superblock interior flushes the
-    /// tally once per run (`HwConfig::batched_mem`); the per-access path
-    /// stays the reference the batch-equivalence gates compare against.
+    /// Records `addr`'s line in the in-flight region's footprint and
+    /// returns whether the footprint now exceeds the injected line budget
+    /// (`false` outside a region). The budget models a smaller speculative
+    /// cache: it tightens the geometric overflow, never loosens it.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn mem_probe(
-        cache: &mut CacheSim,
-        tally: &mut MemTally,
+    fn over_line_budget(
+        cache: &CacheSim,
         region: &mut Option<RegionCtx>,
-        coh: &mut Option<CoreLink>,
         cfg: &HwConfig,
-        site: u32,
         addr: u64,
-        write: bool,
     ) -> bool {
-        if cfg.cache_off {
-            tally.l1 += 1;
-            let mut overflowed = false;
-            if let Some(r) = region.as_mut() {
-                let line = cache.line_of(addr);
-                if line != r.last_line {
-                    r.last_line = line;
-                    r.lines.insert(line);
-                }
-                let budget = cfg.faults.line_budget;
-                overflowed = budget > 0 && r.lines.len() as u64 > budget;
-            }
-            return !overflowed;
+        let Some(r) = region.as_mut() else {
+            return false;
+        };
+        let line = cache.line_of(addr);
+        if line != r.last_line {
+            r.last_line = line;
+            r.lines.insert(line);
         }
-        // Same coherence hook as [`Machine::mem_access_parts`] (drain →
-        // publish → drain → access); see there for the ordering argument.
-        if let Some(link) = coh.as_mut() {
-            if link.pending() && link.drain(cache).is_some() {
-                return false;
-            }
-            link.publish(cache.line_of(addr), write, region.is_some());
-            if link.pending() && link.drain(cache).is_some() {
-                return false;
-            }
-        }
-        let in_region = region.is_some();
-        match cache.fast_hit(site, addr, write, in_region) {
-            Some(FastHit::Absorbed) => {
-                tally.l1 += 1;
-                return true;
-            }
-            Some(FastHit::Resident) => {
-                tally.l1 += 1;
-                let mut overflowed = false;
-                if let Some(r) = region.as_mut() {
-                    let line = cache.line_of(addr);
-                    if line != r.last_line {
-                        r.last_line = line;
-                        r.lines.insert(line);
-                    }
-                    let budget = cfg.faults.line_budget;
-                    overflowed = budget > 0 && r.lines.len() as u64 > budget;
-                }
-                return !overflowed;
-            }
-            None => {}
-        }
-        let (level, overflow) = cache.access_sited(site, addr, write, in_region);
-        match level {
-            HitLevel::L1 => tally.l1 += 1,
-            HitLevel::L2 => tally.l2 += 1,
-            HitLevel::Memory => tally.mem += 1,
-        }
-        let mut overflowed = false;
-        if let Some(r) = region.as_mut() {
-            let line = cache.line_of(addr);
-            if line != r.last_line {
-                r.last_line = line;
-                r.lines.insert(line);
-            }
-            let budget = cfg.faults.line_budget;
-            overflowed = overflow || (budget > 0 && r.lines.len() as u64 > budget);
-        }
-        !overflowed
+        let budget = cfg.faults.line_budget;
+        budget > 0 && r.lines.len() as u64 > budget
     }
 
     /// Data-memory access bookkeeping: cache simulation, timing, speculative
@@ -1384,20 +1249,6 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Refunds the bulk charge for the `n` static-run followers the
-    /// interior loop never reached: a redirect (trap, abort, overflow)
-    /// between a sealed poll run's head and its last poll leaves accesses
-    /// charged that the per-access reference would not yet have performed.
-    /// The refund is statistics-only by construction — a follower's
-    /// cache-state effect is empty (the head's probe armed the filter and
-    /// speculative bits that absorb it), so subtracting the L1-hit charge
-    /// restores exact agreement with the reference at the redirect point.
-    fn unapply_precharge(&mut self, n: u32) {
-        let n = u64::from(n);
-        self.stats.mem_accesses -= n;
-        self.stats.l1_hits -= n;
-    }
-
     /// The superblock interior executor: retires the straight-line uops in
     /// `i..term` under one set of field borrows — register file, heap,
     /// cache, and region context all resolved once — inlining the hot
@@ -1406,26 +1257,9 @@ impl<'p> Machine<'p> {
     /// caller can replay it through the shared [`Machine::step`] semantics;
     /// region overflow (whose cache access cannot be replayed) surfaces as
     /// [`Interior::Overflow`].
-    ///
-    /// Under `HwConfig::batched_mem` (`BATCHED` — a const generic, so each
-    /// accounting discipline compiles to a lean loop with no dead twin
-    /// inlined into its memory arms; only the configured instantiation is
-    /// ever fetched) the memory arms account through a per-run [`MemTally`]
-    /// flushed once on every exit path, and `Poll` uops execute the sealed
-    /// static access plan: the head of a statically resolved run probes the
-    /// cache model once and bulk-charges the followers, which `precharged`
-    /// then skips. `precharged` lives in the caller so the count survives
-    /// slow-path replay re-entries within one block and can be refunded
-    /// exactly on a mid-block redirect.
     #[allow(clippy::too_many_lines)]
     #[inline]
-    fn run_interior<const BATCHED: bool>(
-        &mut self,
-        code: &'p CompiledCode,
-        mut i: usize,
-        term: usize,
-        precharged: &mut u32,
-    ) -> Interior {
+    fn run_interior(&mut self, code: &'p CompiledCode, mut i: usize, term: usize) -> Interior {
         let program = self.program;
         let Machine {
             frames,
@@ -1439,30 +1273,18 @@ impl<'p> Machine<'p> {
             env,
             ..
         } = self;
-        debug_assert_eq!(cfg.batched_mem, BATCHED);
         let frame = frames.last_mut().expect("frame");
         let regs = &mut frame.regs;
-        let batched = BATCHED;
-        let (l2x, memx) = (cache.l2_extra_cxw, cache.mem_extra_cxw);
-        let mut tally = MemTally::default();
-        // Routes one access through the discipline the instantiation
-        // selects: the deferred-tally fast path, or the immediate
-        // per-access reference accounting. `BATCHED` is const, so the
-        // untaken branch is compiled out of every arm.
         macro_rules! probe {
             ($addr:expr, $write:expr) => {{
-                // The uop's sealed seal site (way-predictor slot, DESIGN
-                // §16) rides in the superblock index the plan was built
-                // from; non-memory uops never reach this macro.
+                // The uop's seal site (way-predictor slot, DESIGN §16)
+                // rides in the superblock index; non-memory uops never
+                // reach this macro.
                 let site = code.blocks[i].mem_site;
-                if BATCHED {
-                    Self::mem_probe(cache, &mut tally, region, coh, cfg, site, $addr, $write)
-                } else {
-                    Self::mem_access_parts(cache, stats, cxw, region, coh, cfg, site, $addr, $write)
-                }
+                Self::mem_access_parts(cache, stats, cxw, region, coh, cfg, site, $addr, $write)
             }};
         }
-        let out = loop {
+        loop {
             if i >= term {
                 break Interior::Done;
             }
@@ -1605,29 +1427,8 @@ impl<'p> Machine<'p> {
                     heap.write_cell(cell, regs[src.0 as usize]);
                 }
                 Uop::Poll => {
-                    if batched && *precharged > 0 {
-                        // A follower of an already-charged static run: its
-                        // L1 hit was bulk-charged at the run's head, and its
-                        // cache-state effect is empty (the head's probe
-                        // armed the filter/speculative bits that absorb it).
-                        *precharged -= 1;
-                    } else {
-                        if !probe!(YIELD_FLAG_ADDR, false) {
-                            break Interior::Overflow(i);
-                        }
-                        if batched {
-                            // Execute the sealed static plan: the head's
-                            // probe just resolved residency and the budget
-                            // verdict for the run's one line, so the
-                            // remaining `run - 1` polls are L1 hits by
-                            // construction — charge them now, skip them
-                            // as they retire.
-                            let run = u32::from(code.blocks[i].poll_run);
-                            if run > 1 {
-                                tally.l1 += u64::from(run) - 1;
-                                *precharged = run - 1;
-                            }
-                        }
+                    if !probe!(YIELD_FLAG_ADDR, false) {
+                        break Interior::Overflow(i);
                     }
                 }
                 Uop::Intrin {
@@ -1653,9 +1454,7 @@ impl<'p> Machine<'p> {
                 _ => break Interior::Slow(i),
             }
             i += 1;
-        };
-        tally.flush(stats, cxw, l2x, memx);
-        out
+        }
     }
 
     /// The chained batched-dispatch hot path: retire decoded superblocks
@@ -1737,17 +1536,8 @@ impl<'p> Machine<'p> {
             if pc < term {
                 let mut i = pc;
                 let mut redirected = false;
-                // Static-run followers bulk-charged but not yet retired;
-                // survives slow-path replay re-entries, and is refunded on
-                // any redirect out of the block (see `unapply_precharge`).
-                let mut precharged: u32 = 0;
                 while i < term {
-                    let interior = if self.cfg.batched_mem {
-                        self.run_interior::<true>(code, i, term, &mut precharged)
-                    } else {
-                        self.run_interior::<false>(code, i, term, &mut precharged)
-                    };
-                    match interior {
+                    match self.run_interior(code, i, term) {
                         Interior::Done => break,
                         // A trap-bound or unspecialized interior uop: keep
                         // the frame pc exact for trap provenance, then
@@ -1757,16 +1547,9 @@ impl<'p> Machine<'p> {
                         Interior::Slow(j) => {
                             self.frames.last_mut().expect("frame").pc = j;
                             match self.step(&code.uops[j], method, j) {
-                                Ok(StepOut::Next(_)) => {
-                                    // Only allocation falls through here,
-                                    // and allocations break static runs at
-                                    // seal time — no run can span the bail.
-                                    debug_assert_eq!(precharged, 0);
-                                    i = j + 1;
-                                }
+                                Ok(StepOut::Next(_)) => i = j + 1,
                                 Ok(StepOut::Redirect) => {
                                     self.unapply_suffix(&code.blocks[j + 1], in_region);
-                                    self.unapply_precharge(precharged);
                                     redirected = true;
                                     break;
                                 }
@@ -1775,7 +1558,6 @@ impl<'p> Machine<'p> {
                                 }
                                 Err(e) => {
                                     self.unapply_suffix(&code.blocks[j + 1], in_region);
-                                    self.unapply_precharge(precharged);
                                     return Err(e);
                                 }
                             }
@@ -1786,11 +1568,8 @@ impl<'p> Machine<'p> {
                         // cannot be replayed — abort here, exactly as the
                         // reference path's `mem_access` would, with the
                         // parked conflict reason when a drain bailed the
-                        // probe. Overflow can only surface at a run's head
-                        // (followers never probe), so there is never a
-                        // precharge to refund.
+                        // probe.
                         Interior::Overflow(j) => {
-                            debug_assert_eq!(precharged, 0);
                             let why = self.take_mem_abort_reason();
                             if let Err(e) = self.abort(why) {
                                 self.unapply_suffix(&code.blocks[j + 1], in_region);
@@ -1806,9 +1585,6 @@ impl<'p> Machine<'p> {
                     resync!();
                     continue;
                 }
-                // A clean exit retires every uop of the run, including every
-                // follower of every charged static run.
-                debug_assert_eq!(precharged, 0);
             }
             // Follow the sealed terminator link. Every arm mirrors the
             // corresponding [`Machine::step`] semantics exactly; the shared
@@ -3245,12 +3021,11 @@ mod fault_tests {
         assert!(mach.stats().validations >= 1);
     }
 
-    /// A hand-sealed static run `[Poll, CheckNull, Poll]` whose head
-    /// bulk-charges both polls before the check traps between them: the
-    /// in-region trap becomes an exception abort to the alt path, and the
-    /// batched engine must refund the never-retired follower's charge so
-    /// every counter lands exactly where the per-access reference does.
-    fn mid_run_trap_stream() -> (Program, CodeCache) {
+    /// `[Poll, CheckNull, Poll]` inside a region: the check traps between
+    /// the two polls, so the superblock engine leaves the block mid-way
+    /// through an exception abort to the alt path, with one access retired
+    /// and one never reached.
+    fn mid_block_trap_stream() -> (Program, CodeCache) {
         install_uops(
             vec![
                 Uop::RegionBegin { region: 0, alt: 8 },
@@ -3275,36 +3050,20 @@ mod fault_tests {
     }
 
     #[test]
-    fn precharged_poll_run_is_refunded_exactly_on_a_mid_run_trap() {
-        // Seal-time plan: the run head at pc 2 covers both polls (the
-        // CheckNull between them is not a memory uop, so it rides inside
-        // the run), which is precisely what forces the batched engine to
-        // precharge the pc-4 poll it will never retire.
-        let (_p, cc) = mid_run_trap_stream();
-        let code = cc.get(hasp_vm::bytecode::MethodId(0)).expect("entry");
-        assert_eq!(code.blocks[2].poll_run, 2, "run head covers both polls");
-        assert_eq!(code.blocks[4].poll_run, 1);
-
+    fn mid_block_trap_between_polls_matches_the_per_uop_reference() {
         let mut runs = Vec::new();
-        for hw in [
-            HwConfig::baseline(),
-            HwConfig::unbatched(),
-            HwConfig::per_uop(),
-        ] {
-            let (p, cc) = mid_run_trap_stream();
+        for hw in [HwConfig::baseline(), HwConfig::per_uop()] {
+            let (p, cc) = mid_block_trap_stream();
             let mut mach = Machine::new(&p, &cc, hw);
             let out = mach.run(&[]).expect("exception abort is recoverable");
             assert_eq!(out, Some(Value::Int(7)), "trap redirects to alt path");
             assert_eq!(mach.stats().aborts.get(AbortReason::Exception), 1);
-            // Only the run's head poll retired before the trap (a cold
-            // miss); the follower's bulk L1-hit charge must have been
-            // refunded.
+            // Only the first poll retired before the trap (a cold miss).
             assert_eq!(mach.stats().mem_accesses, 1);
             assert_eq!(mach.stats().l1_hits, 0);
-            runs.push((mach.stats().clone(), mach.cycles()));
+            runs.push(mach.stats().clone());
         }
-        assert_eq!(runs[0], runs[1], "batched == per-access reference");
-        assert_eq!(runs[0].0, runs[2].0, "superblock == per-uop reference");
+        assert_eq!(runs[0], runs[1], "superblock == per-uop reference");
     }
 
     #[test]

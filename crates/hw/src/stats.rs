@@ -163,14 +163,13 @@ impl std::fmt::Debug for UopClassCounts {
 ///
 /// Deliberately *not* part of [`RunStats`]: the predictor is a
 /// performance-transparent accelerator, and every equivalence gate asserts
-/// full `RunStats` equality across predictor-on/off configs and across
-/// dispatch engines — whose consult counts legitimately differ (batched
-/// poll precharging skips follower probes entirely). Counters live in the
-/// cache model and are read out separately via `Machine::pred_stats`.
+/// full `RunStats` equality across predictor-on/off configs. Counters live
+/// in the cache model and are read out separately via
+/// `Machine::way_pred_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredStats {
-    /// Predictor consults: dynamic accesses that reached the per-site table
-    /// (sited access, predictor enabled, not absorbed by the MRU filter).
+    /// Predictor consults: accesses that reached the per-site table (sited
+    /// access, predictor enabled).
     pub probes: u64,
     /// Consults whose cached `(line, way)` entry named this access's line
     /// *and* survived validation against the live L1 tag array.

@@ -24,8 +24,7 @@ use crate::cache::NO_SITE;
 use crate::uop::{MReg, Uop, UOP_CLASSES};
 
 /// Simulated address of the thread-local yield flag polled by safepoints —
-/// the one data address in this ISA that is a seal-time constant, and
-/// therefore the whole universe of the static access plan below.
+/// the one data address in this ISA that is a seal-time constant.
 pub const YIELD_FLAG_ADDR: u64 = 0x100;
 
 /// A block terminator decoded at seal time: the `next_block` link the
@@ -111,48 +110,15 @@ pub struct SbInfo {
     /// I-cache/branch footprint — more than the stripped memory arms saved
     /// — so the classification stays seal-time metadata.
     pub mem_ops: u16,
-    /// How many of [`mem_ops`](Self::mem_ops) are stores.
-    pub mem_writes: u16,
-    /// How many of [`mem_ops`](Self::mem_ops) are `Poll` uops (fixed-address
-    /// yield-flag reads).
-    pub poll_ops: u16,
-    /// The static access plan's run length at this pc: how many `Poll` uops
-    /// the suffix starting here issues before its first dynamically-addressed
-    /// access (a load/store whose address depends on a runtime object id, or
-    /// an allocation's header write) and before the block's terminator.
-    /// Non-memory uops between the polls do not break the run — they never
-    /// call the cache model, so in cache-model terms the run is a sequence
-    /// of *adjacent* same-line accesses, the shape DESIGN §12's deferred-LRU
-    /// argument proves collapsible. At retire time the batched engine
-    /// charges the whole run at its head poll (one real probe + `run - 1`
-    /// bulk L1 hits) and skips the followers.
-    pub poll_run: u16,
     /// The seal-site identity of the uop *at this pc* for the way predictor
     /// (DESIGN §16): a dense per-method index over the pcs that access data
     /// memory (loads, stores, lock/len/class reads, polls — exactly the
-    /// `mem_kind` set; allocations are excluded), assigned in pc order by a
+    /// `is_mem` set; allocations are excluded), assigned in pc order by a
     /// forward post-pass; [`crate::cache::NO_SITE`] for every other pc.
     /// `CodeCache::install` rebases these by a cache-global site counter so
     /// each installed method's sites own disjoint predictor slots. Unlike
     /// the rest of `SbInfo` this describes one uop, not the block's suffix.
     pub mem_site: u32,
-}
-
-/// One entry of a block's sealed static access plan: a data address whose
-/// cache line is a seal-time constant, with the number of reads and writes
-/// the block issues to it. The plan is the *deduplicated* static set — one
-/// entry per unique address, not per access — so the retire-time engine
-/// probes the cache model once per entry and bulk-charges the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticLine {
-    /// The statically known byte address (the cache line is derived by the
-    /// machine's configured line size at probe time, so the plan itself
-    /// stays configuration-independent).
-    pub addr: u64,
-    /// Reads the block issues to this address.
-    pub reads: u16,
-    /// Writes the block issues to this address.
-    pub writes: u16,
 }
 
 impl SbInfo {
@@ -161,69 +127,23 @@ impl SbInfo {
     pub fn fall_through(&self, pc: usize) -> usize {
         pc + self.len as usize
     }
-
-    /// How many of the block's memory accesses are *statically resolved* —
-    /// their target cache line is a seal-time constant. In this ISA that is
-    /// exactly the `Poll` uops: every other access goes through a runtime
-    /// object id, and 16-byte object alignment (vs 64-byte lines) means even
-    /// same-object field pairs are not provably same-line.
-    pub fn static_ops(&self) -> u16 {
-        self.poll_ops
-    }
-
-    /// How many of the block's memory accesses need dynamic address
-    /// resolution at retire time (the complement of [`Self::static_ops`]).
-    pub fn dynamic_ops(&self) -> u16 {
-        self.mem_ops - self.poll_ops
-    }
-
-    /// The block's sealed static access plan: the deduplicated list of
-    /// seal-time-resolvable addresses with per-address read/write counts.
-    /// Currently at most one entry — the yield flag — because it is the only
-    /// fixed data address in the ISA; the representation generalizes to any
-    /// future fixed-address uop by growing the returned list.
-    pub fn static_plan(&self) -> Option<StaticLine> {
-        (self.poll_ops > 0).then_some(StaticLine {
-            addr: YIELD_FLAG_ADDR,
-            reads: self.poll_ops,
-            writes: 0,
-        })
-    }
-
-    /// True when the block's memory accesses are statically confined to at
-    /// most one distinct cache line: one access at most, or every access a
-    /// `Poll` of the fixed yield-flag address. (Field accesses off one base
-    /// register do *not* qualify — consecutive fields can straddle a line
-    /// boundary, and the base register may be rewritten mid-block.)
-    pub fn one_line(&self) -> bool {
-        self.mem_ops <= 1 || self.poll_ops == self.mem_ops
-    }
 }
 
-/// `Some(is_store)` for uops that access data memory; `None` otherwise.
-/// Mirrors exactly the set of interior arms that call the cache model.
-fn mem_kind(u: &Uop) -> Option<bool> {
-    match u {
-        Uop::StoreField { .. } | Uop::StoreElem { .. } | Uop::StoreLock { .. } => Some(true),
-        Uop::LoadField { .. }
-        | Uop::LoadElem { .. }
-        | Uop::LoadLen { .. }
-        | Uop::LoadLock { .. }
-        | Uop::LoadClass { .. }
-        | Uop::Poll => Some(false),
-        _ => None,
-    }
-}
-
-/// True for uops whose retirement touches the cache model at a *dynamic*
-/// address, ending any statically-collapsible poll run in flight: loads and
-/// stores (object-id-relative addresses), and allocations (whose header
-/// write goes through `mem_access` on the shared step path). Pure register,
-/// check, and intrinsic uops never call the cache model, so they pass
-/// through a run without breaking it.
-fn breaks_poll_run(u: &Uop) -> bool {
-    mem_kind(u).is_some() && !matches!(u, Uop::Poll)
-        || matches!(u, Uop::AllocObj { .. } | Uop::AllocArr { .. })
+/// True for uops that access data memory. Mirrors exactly the set of
+/// interior arms that call the cache model.
+fn is_mem(u: &Uop) -> bool {
+    matches!(
+        u,
+        Uop::StoreField { .. }
+            | Uop::StoreElem { .. }
+            | Uop::StoreLock { .. }
+            | Uop::LoadField { .. }
+            | Uop::LoadElem { .. }
+            | Uop::LoadLen { .. }
+            | Uop::LoadLock { .. }
+            | Uop::LoadClass { .. }
+            | Uop::Poll
+    )
 }
 
 /// True for uops that end a superblock: control transfers, call linkage,
@@ -305,9 +225,6 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
                 term: SbTerm::Decode,
                 classes: [0; UOP_CLASSES.len()],
                 mem_ops: 0,
-                mem_writes: 0,
-                poll_ops: 0,
-                poll_run: 0,
                 mem_site: NO_SITE,
             });
             continue;
@@ -317,18 +234,12 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
         {
             // The block is this uop alone: it is a terminator, the stream
             // ends here, or the next uop is a marker (which may not batch).
-            // A block's final uop retires through the terminator/step path,
-            // never the interior loop, so it seeds `poll_run: 0` even when
-            // it is itself a `Poll` — runs cover interior pcs only.
             SbInfo {
                 len: 1,
                 can_fault: can_fault(u),
                 term: decode_term(u),
                 classes: [0; UOP_CLASSES.len()],
                 mem_ops: 0,
-                mem_writes: 0,
-                poll_ops: 0,
-                poll_run: 0,
                 mem_site: NO_SITE,
             }
         } else {
@@ -341,32 +252,12 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
                 term: suffix.term,
                 classes: suffix.classes,
                 mem_ops: suffix.mem_ops,
-                mem_writes: suffix.mem_writes,
-                poll_ops: suffix.poll_ops,
-                // Extended below once this uop's own kind is known.
-                poll_run: suffix.poll_run,
                 mem_site: NO_SITE,
             }
         };
         info.classes[u.class() as usize] += 1;
-        if let Some(write) = mem_kind(u) {
+        if is_mem(u) {
             info.mem_ops += 1;
-            if write {
-                info.mem_writes += 1;
-            }
-            if matches!(u, Uop::Poll) {
-                info.poll_ops += 1;
-            }
-        }
-        // The static run recurrence. `info.len > 1` distinguishes interior
-        // pcs (where the run may extend into the suffix) from single-uop
-        // blocks (whose sole uop is the terminator, outside any run).
-        if info.len > 1 {
-            if matches!(u, Uop::Poll) {
-                info.poll_run += 1;
-            } else if breaks_poll_run(u) {
-                info.poll_run = 0;
-            }
         }
         blocks.push(info);
     }
@@ -377,7 +268,7 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
     // the next per-method predictor slot.
     let mut site = 0u32;
     for (b, u) in blocks.iter_mut().zip(uops) {
-        if mem_kind(u).is_some() {
+        if is_mem(u) {
             b.mem_site = site;
             site += 1;
         }
@@ -559,90 +450,11 @@ mod tests {
             Uop::Ret { src: None },
         ];
         let b = build_blocks(&uops);
-        assert_eq!((b[0].mem_ops, b[0].mem_writes, b[0].poll_ops), (3, 1, 1));
-        assert!(!b[0].one_line(), "load + store can straddle lines");
-        // Suffix from the store on: a single access is one-line by definition.
-        assert_eq!(b[3].mem_ops, 1);
-        assert!(b[3].one_line());
+        assert_eq!(b[0].mem_ops, 3, "load, poll, and store");
+        assert_eq!(b[3].mem_ops, 1, "suffix from the store on");
         // Pure register blocks carry no memory metadata.
         let alu = build_blocks(&[konst(0), Uop::Ret { src: None }]);
         assert_eq!(alu[0].mem_ops, 0);
-        assert!(alu[0].one_line());
-        // An all-poll block touches only the yield-flag line.
-        let polls = build_blocks(&[Uop::Poll, Uop::Poll, Uop::Ret { src: None }]);
-        assert_eq!((polls[0].mem_ops, polls[0].poll_ops), (2, 2));
-        assert!(polls[0].one_line());
-    }
-
-    #[test]
-    fn poll_runs_coalesce_across_non_memory_uops_only() {
-        // [Poll, alu, Poll, CheckDiv, Poll, Ret]: the three polls form one
-        // static run — ALU and check uops never touch the cache model.
-        let uops = vec![
-            Uop::Poll,
-            konst(0),
-            Uop::Poll,
-            Uop::CheckDiv { v: MReg(0) },
-            Uop::Poll,
-            Uop::Ret { src: None },
-        ];
-        let b = build_blocks(&uops);
-        assert_eq!(b[0].poll_run, 3, "whole run visible from the block head");
-        assert_eq!(b[2].poll_run, 2, "suffix entry mid-run sees its remainder");
-        assert_eq!(b[4].poll_run, 1);
-        assert_eq!(b[5].poll_run, 0, "terminators are outside any run");
-        assert_eq!(b[0].static_ops(), 3);
-        assert_eq!(b[0].dynamic_ops(), 0);
-        let plan = b[0].static_plan().expect("three static accesses");
-        assert_eq!(
-            plan,
-            StaticLine {
-                addr: YIELD_FLAG_ADDR,
-                reads: 3,
-                writes: 0
-            }
-        );
-
-        // A dynamically-addressed access between polls breaks the run: the
-        // load's line depends on a runtime object id, so the polls are no
-        // longer adjacent in cache-model terms.
-        let split = build_blocks(&[
-            Uop::Poll,
-            Uop::LoadField {
-                dst: MReg(1),
-                obj: MReg(0),
-                field: 0,
-            },
-            Uop::Poll,
-            Uop::Ret { src: None },
-        ]);
-        assert_eq!(split[0].poll_run, 1, "run stops at the dynamic load");
-        assert_eq!(split[2].poll_run, 1);
-        assert_eq!((split[0].static_ops(), split[0].dynamic_ops()), (2, 1));
-
-        // Allocations access memory through the shared step path (header
-        // write), so they break runs exactly like an explicit store.
-        let alloc = build_blocks(&[
-            Uop::Poll,
-            Uop::AllocObj {
-                dst: MReg(0),
-                class: hasp_vm::bytecode::ClassId(0),
-            },
-            Uop::Poll,
-            Uop::Ret { src: None },
-        ]);
-        assert_eq!(alloc[0].poll_run, 1, "alloc header write breaks the run");
-
-        // A poll sealed alone (next uop is a marker) retires through the
-        // step path, never the interior loop: no run, no plan collapse.
-        let sealed = build_blocks(&[Uop::Poll, Uop::Marker { id: 1 }, Uop::Ret { src: None }]);
-        assert_eq!(sealed[0].len, 1);
-        assert_eq!(sealed[0].poll_run, 0);
-        assert_eq!(sealed[0].static_ops(), 1, "still counted as resolved");
-
-        // Blocks with no polls have no plan.
-        let none = build_blocks(&[konst(0), Uop::Ret { src: None }]);
-        assert!(none[0].static_plan().is_none());
     }
 
     #[test]

@@ -360,28 +360,6 @@ impl CodeCache {
         (mem, self.static_uops())
     }
 
-    /// Static-plan coverage across all sealed methods: (memory uops whose
-    /// line the seal-time static access plan resolves, total memory uops).
-    /// The dispatch benchmark reports the ratio per workload as
-    /// `static_resolved_share` — it bounds how much of the cache-model cost
-    /// bulk per-superblock accounting (DESIGN §13) can possibly remove,
-    /// because only statically resolved accesses can be collapsed into a
-    /// sealed run's single probe.
-    pub fn static_resolved_uops(&self) -> (usize, usize) {
-        let (mut resolved, mut mem) = (0, 0);
-        for c in self.methods.iter().flatten() {
-            // Same per-pc suffix-table walk as `static_mem_uops`.
-            let mut pc = 0;
-            while pc < c.blocks.len() {
-                let sb = &c.blocks[pc];
-                resolved += sb.static_ops() as usize;
-                mem += sb.mem_ops as usize;
-                pc += (sb.len as usize).max(1);
-            }
-        }
-        (resolved, mem)
-    }
-
     /// Iterates over all installed methods and their code.
     pub fn iter(&self) -> impl Iterator<Item = (MethodId, &CompiledCode)> {
         self.methods

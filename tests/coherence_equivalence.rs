@@ -75,9 +75,8 @@ fn all_workloads_identical_with_directory_attached() {
 }
 
 /// The per-uop reference engine reaches the cache model through
-/// `Machine::step` rather than the superblock interior loop, so its
-/// accesses arrive at the coherence hook via `mem_access_parts` instead of
-/// `mem_probe` — gate that leg too.
+/// `Machine::step` rather than the superblock interior loop — gate that
+/// leg too.
 #[test]
 fn per_uop_engine_identical_with_directory_attached() {
     for w in all_workloads() {

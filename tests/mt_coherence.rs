@@ -7,7 +7,8 @@
 //! * **Machine vs antagonist** — a real machine executes a workload on
 //!   core 0 while a directory-level antagonist thread on core 1 aims
 //!   plain (non-speculative) writes at whatever line core 0 is currently
-//!   speculating on. Asserts the conflicts are non-vacuous, that every
+//!   speculating on. Asserts the conflicts are non-vacuous, that no
+//!   unsignaled message ever hit a live speculative bit, that every
 //!   signaled message is classified (`signaled == sig_aborts +
 //!   sig_raced`), and that every victim-side conflict surfaced as exactly
 //!   one machine `Conflict`/`Sle` abort.
@@ -86,6 +87,12 @@ fn antagonist_conflicts_are_conserved_and_observed() {
             let link = mach.detach_core().expect("link");
             (stats, link)
         });
+        // No live speculative bit ever lacked a directory claim.
+        assert_eq!(
+            link.stats.unsignaled_conflicts, 0,
+            "unsignaled conflict (attempt {attempt}): {:?}",
+            link.stats
+        );
         // Conservation: every signaled message was classified by the victim.
         assert_eq!(
             dir.signaled(),
@@ -146,6 +153,10 @@ fn two_machines_share_an_address_space_correctly() {
         let (sig_aborts, sig_raced) = outcomes
             .iter()
             .fold((0, 0), |(a, r), (_, l)| (a + l.sig_aborts, r + l.sig_raced));
+        assert!(
+            outcomes.iter().all(|(_, l)| l.unsignaled_conflicts == 0),
+            "unsignaled conflict (attempt {attempt}): {outcomes:?}"
+        );
         assert_eq!(
             dir.signaled(),
             sig_aborts + sig_raced,

@@ -9,9 +9,11 @@
 //!
 //! A fault-pressure leg repeats the comparison under targeted mid-chain
 //! aborts, a tight injected line budget, and coherence-conflict spray:
-//! aborts flash-clear the speculative epoch and overflows stress the
-//! deferred-LRU victim choice — exactly the machinery a stale predictor
-//! entry would corrupt if validation ever let one through.
+//! aborts flash-clear the speculative epoch and overflows stress the LRU
+//! victim choice — exactly the machinery a stale predictor entry would
+//! corrupt if validation ever let one through. A third leg sweeps the §6.3
+//! hardware variants, so the equivalence is not an artifact of the Table 1
+//! geometry.
 
 use hasp_experiments::{
     compile_workload, profile_workload, try_execute_compiled, CompiledWorkload, ProfiledWorkload,
@@ -99,7 +101,7 @@ fn per_uop_engine_identical_across_predictor_models() {
 }
 
 /// Aborts bump the speculative epoch (flash clear) and overflow exercises
-/// the deferred-LRU victim choice under speculative pressure; a predictor
+/// the LRU victim choice under speculative pressure; a predictor
 /// entry trained before a mid-block abort must retrain through validation,
 /// never stale-hit across the epoch. Drive all three fault kinds and
 /// require identity cell by cell.
@@ -118,6 +120,28 @@ fn fault_pressure_identical_across_predictor_models() {
         predicted.faults = plan.clone();
         let mut unpredicted = unpredicted_baseline();
         unpredicted.faults = plan;
+        run_both(w, &profiled, &compiled, predicted, unpredicted);
+    }
+}
+
+/// The §6.3 hardware variants change width, MLP, and cache geometry —
+/// `two_wide_half`'s 2-way L1 is a shipped associativity with its own
+/// tag-scan instantiation and a different victim pool — so the predictor
+/// must stay exact under each, not just Table 1.
+#[test]
+fn hardware_variants_identical_across_predictor_models() {
+    let ws = all_workloads();
+    let w = ws.iter().find(|w| w.name == "fop").expect("fop");
+    let profiled = profile_workload(w);
+    let compiled = compile_workload(w, &profiled, &CompilerConfig::atomic_aggressive());
+    for predicted in [
+        HwConfig::with_begin_overhead(),
+        HwConfig::single_inflight(),
+        HwConfig::two_wide(),
+        HwConfig::two_wide_half(),
+    ] {
+        let mut unpredicted = predicted.clone();
+        unpredicted.way_predict = false;
         run_both(w, &profiled, &compiled, predicted, unpredicted);
     }
 }

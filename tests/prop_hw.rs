@@ -2,10 +2,9 @@
 //! `LineSet` must behave exactly like a sorted set under random insert
 //! sequences (duplicates, overflow boundaries), the cache's speculative
 //! read/write bits must flash-clear on both commit and abort whatever the
-//! access sequence was, and the MRU-filter and seal-site way-predictor
-//! fast paths must each be bit-identical to their reference models under
-//! random interleavings of accesses, commits, aborts, and coherence
-//! invalidations.
+//! access sequence was, and the seal-site way predictor must be
+//! bit-identical to the unpredicted reference model under random
+//! interleavings of accesses, commits, aborts, and coherence invalidations.
 
 use proptest::prelude::*;
 
@@ -84,51 +83,6 @@ proptest! {
     }
 
     #[test]
-    fn filtered_cache_is_bit_identical_to_unfiltered_reference(
-        ops in prop::collection::vec(
-            (any::<u8>(), 0u64..12, 0u64..8, any::<bool>(), any::<bool>()),
-            1..300,
-        ),
-    ) {
-        // The MRU-filter + deferred-LRU fast path (DESIGN §12) against the
-        // unfiltered reference model in lockstep: identical hit levels,
-        // overflow signals, conflict verdicts, and speculative-line counts
-        // at every step of a random access / commit / abort / invalidate
-        // interleaving.
-        let mut fast = CacheSim::new(&HwConfig::baseline());
-        let mut reference = CacheSim::new(&HwConfig::unfiltered());
-        for &(sel, choice, offset, write, speculative) in &ops {
-            // Twelve hot lines crammed into two L1 sets (8 KB stride): high
-            // same-line repeat probability to exercise the filter, and
-            // guaranteed eviction/overflow pressure so the deferred-LRU
-            // victim choices are what is actually under test.
-            let addr = (choice / 2) * 8192 + (choice % 2) * 64 + offset * 8;
-            match sel % 8 {
-                // Weighted toward accesses.
-                0..=4 => prop_assert_eq!(
-                    fast.access(addr, write, speculative),
-                    reference.access(addr, write, speculative),
-                    "access {addr:#x} (write={write}, spec={speculative}) diverged"
-                ),
-                5 => {
-                    fast.commit_region();
-                    reference.commit_region();
-                }
-                6 => {
-                    fast.abort_region();
-                    reference.abort_region();
-                }
-                _ => prop_assert_eq!(
-                    fast.invalidate(addr),
-                    reference.invalidate(addr),
-                    "invalidate {addr:#x} conflict verdict diverged"
-                ),
-            }
-            prop_assert_eq!(fast.spec_lines(), reference.spec_lines());
-        }
-    }
-
-    #[test]
     fn predicted_cache_is_bit_identical_to_unpredicted_reference(
         ops in prop::collection::vec(
             (any::<u8>(), 0u64..12, 0u64..8, 0u32..6, any::<bool>(), any::<bool>()),
@@ -155,11 +109,11 @@ proptest! {
             }
         };
         for &(sel, choice, offset, slot, write, speculative) in &ops {
-            // Same crammed two-set universe as the filter lockstep test,
-            // with twelve hot lines shared by only five predictor sites so
-            // entries are constantly retrained onto conflicting lines —
-            // plus an occasional site-less access (slot 5 → NO_SITE), the
-            // fallback-lock / alloc-header shape.
+            // Twelve hot lines crammed into two L1 sets (8 KB stride), for
+            // guaranteed eviction/overflow pressure, shared by only five
+            // predictor sites so entries are constantly retrained onto
+            // conflicting lines — plus an occasional site-less access
+            // (slot 5 → NO_SITE), the fallback-lock / alloc-header shape.
             let addr = (choice / 2) * 8192 + (choice % 2) * 64 + offset * 8;
             let site = if slot == 5 { hasp_hw::NO_SITE } else { slot };
             match sel % 8 {
@@ -187,84 +141,6 @@ proptest! {
         }
         // The reference side must never have consulted a predictor.
         prop_assert_eq!(reference.pred_stats().probes, 0);
-    }
-
-    #[test]
-    fn batched_run_collapse_is_bit_identical_to_per_access_replay(
-        ops in prop::collection::vec(
-            (any::<u8>(), 0u64..12, 0u64..8, 1u32..5, any::<bool>(), any::<bool>()),
-            1..200,
-        ),
-        unfiltered in any::<bool>(),
-    ) {
-        // The DESIGN §13 run-collapse contract at the cache-model level: a
-        // sealed static run is `k` identical accesses (same line, same
-        // kind, same speculative state — exactly what a poll run is), the
-        // batched engine performs only the head's probe and bulk-counts the
-        // `k-1` followers, and the per-access reference replays all `k`
-        // through the absorbed-else-access discipline the machine's
-        // `mem_access_parts` uses. Exactness requires: identical head
-        // results, followers that are pure `(L1, no-overflow)` hits, and
-        // identical speculative-line counts at every step — under both the
-        // filtered production model and the unfiltered reference model
-        // (where skipped follower LRU ticks shift timestamps uniformly but
-        // never reorder victims).
-        let cfg = if unfiltered { HwConfig::unfiltered() } else { HwConfig::baseline() };
-        let mut batched = CacheSim::new(&cfg);
-        let mut reference = CacheSim::new(&cfg);
-        let probe = |c: &mut CacheSim, addr, write, speculative| {
-            if c.absorbed(addr, write, speculative) {
-                (HitLevel::L1, false)
-            } else {
-                c.access(addr, write, speculative)
-            }
-        };
-        for &(sel, choice, offset, run, write, speculative) in &ops {
-            // Same crammed two-set universe as the filter lockstep test:
-            // high same-line repeat probability plus eviction pressure.
-            let addr = (choice / 2) * 8192 + (choice % 2) * 64 + offset * 8;
-            match sel % 8 {
-                // Weighted toward run-shaped accesses.
-                0..=4 => {
-                    let b = probe(&mut batched, addr, write, speculative);
-                    let r = probe(&mut reference, addr, write, speculative);
-                    prop_assert_eq!(
-                        b, r,
-                        "run head {:#x} (write={}, spec={}) diverged",
-                        addr, write, speculative
-                    );
-                    // An overflow at the head aborts the region before any
-                    // follower retires (the machine breaks out of the
-                    // interior loop), so the run only continues on success.
-                    if !b.1 {
-                        for _ in 1..run {
-                            let f = probe(&mut reference, addr, write, speculative);
-                            prop_assert_eq!(
-                                f,
-                                (HitLevel::L1, false),
-                                "follower of {:#x} must be an absorbed L1 hit",
-                                addr
-                            );
-                        }
-                    }
-                }
-                5 => {
-                    batched.commit_region();
-                    reference.commit_region();
-                }
-                6 => {
-                    batched.abort_region();
-                    reference.abort_region();
-                }
-                _ => prop_assert_eq!(
-                    batched.invalidate(addr),
-                    reference.invalidate(addr),
-                    "invalidate {:#x} conflict verdict diverged",
-                    addr
-                ),
-            }
-            prop_assert_eq!(batched.spec_lines(), reference.spec_lines());
-        }
     }
 
     #[test]
