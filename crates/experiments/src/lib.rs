@@ -19,7 +19,6 @@ pub mod adaptive;
 pub mod dispatch_bench;
 pub mod faults;
 pub mod figures;
-pub mod mt;
 pub mod reform;
 pub mod report;
 pub mod runner;
@@ -31,7 +30,6 @@ pub use faults::{
     run_campaign, run_knee, sweep_rates, CampaignReport, FaultCell, KneeReport, KneeRow,
     KNEE_RATE_CAP, KNEE_THRESHOLD,
 };
-pub use mt::{run_mt, MtContention, MtLeg, MtReport};
 pub use reform::{run_reform_quanta, ReformOutcome, ReformQuantum, MAX_QUANTA};
 pub use runner::{
     compile_workload, execute_compiled, profile_workload, run_workload, try_execute_compiled,
@@ -39,7 +37,8 @@ pub use runner::{
     WorkloadRun,
 };
 pub use service::{
-    build_schedule, build_service_cache, build_tenants, run_leg, run_service, LegOutcome,
-    LegSummary, ServiceCache, ServiceReport, Tenant, TenantClass, TenantShard, WorkerShard,
+    build_schedule, build_service_cache, build_tenants, run_leg, run_mt, run_service,
+    DirectoryCounters, LegOutcome, LegSummary, PoolReport, ServiceCache, Tenant, TenantClass,
+    TenantShard, WorkerShard,
 };
 pub use suite::{hw_sweep, MatrixCell, Suite};

@@ -1,38 +1,25 @@
 //! Experiment driver: prints every regenerated table and figure, or — with
-//! the `bench-suite` subcommand — benchmarks the serial vs parallel
-//! experiment pipeline over the full evaluation matrix and writes
-//! `BENCH_suite.json`, or — with the `faults` subcommand — runs the
-//! fault-injection campaign and writes the `BENCH_faults.json` resilience
-//! report (`faults --smoke` for the CI-sized slice; `faults --knee` instead
-//! binary-searches each workload's highest tolerated conflict rate and
-//! writes `BENCH_knee.json`), or — with the `bench-dispatch` subcommand —
-//! races the per-uop and superblock dispatch engines over the suite and
-//! writes `BENCH_dispatch.json`, or — with the `serve` subcommand — runs
-//! the multi-tenant service harness (pooled machines, one lock-free
-//! published code cache) and writes `BENCH_service.json`.
+//! the `faults` subcommand — runs the fault-injection campaign and writes
+//! the `BENCH_faults.json` resilience report (`faults --smoke` for the
+//! CI-sized slice; `faults --knee` instead binary-searches each workload's
+//! highest tolerated conflict rate and writes `BENCH_knee.json`), or — with
+//! the `bench-dispatch` subcommand — races the per-uop and superblock
+//! dispatch engines over the suite and writes `BENCH_dispatch.json`, or —
+//! with `serve` / `mt` — runs the worker-pool harness (pooled machines, one
+//! lock-free published code cache; `mt` attaches every worker to one shared
+//! coherence directory) and writes `BENCH_service.json` / `BENCH_mt.json`.
 
 use hasp_experiments::figures;
-use hasp_experiments::report::JsonObj;
 use hasp_experiments::{dispatch_bench, faults, service, Suite};
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
     match std::env::args().nth(1).as_deref() {
         None => print_figures(),
-        Some("bench-suite") => bench_suite(),
-        Some("bench-dispatch") => {
-            let smoke = std::env::args().any(|a| a == "--smoke");
-            bench_dispatch(smoke);
-        }
-        Some("serve") => {
-            let smoke = std::env::args().any(|a| a == "--smoke");
-            serve(smoke);
-        }
-        Some("mt") => {
-            let smoke = std::env::args().any(|a| a == "--smoke");
-            mt_bench(smoke);
-        }
+        Some("bench-dispatch") => bench_dispatch(smoke),
+        Some("serve") => pool(smoke, false),
+        Some("mt") => pool(smoke, true),
         Some("faults") => {
-            let smoke = std::env::args().any(|a| a == "--smoke");
             // `--injected` is accepted as the explicit name for what this
             // campaign always is: the deterministic fault-injection ablation
             // (organic conflicts live in the `mt` harness).
@@ -45,91 +32,56 @@ fn main() {
         }
         Some(other) => {
             eprintln!(
-                "unknown subcommand `{other}` (expected no argument, `bench-suite`, \
-                 `bench-dispatch [--smoke]`, `serve [--smoke]`, `mt [--smoke]`, or \
-                 `faults [--knee] [--injected] [--smoke]`)"
+                "unknown subcommand `{other}` (expected no argument, `bench-dispatch [--smoke]`, \
+                 `serve [--smoke]`, `mt [--smoke]`, or `faults [--knee] [--injected] [--smoke]`)"
             );
             std::process::exit(2);
         }
     }
 }
 
-fn serve(smoke: bool) {
+/// The worker-pool benchmark: `serve` (coherence off) or `mt` (every
+/// worker attached to one shared coherence directory).
+fn pool(smoke: bool, coherence: bool) {
+    let (name, artifact) = if coherence {
+        ("mt", "BENCH_mt")
+    } else {
+        ("serve", "BENCH_service")
+    };
     eprintln!(
-        "serve: {} tenant mix, worker-pool scaling sweep",
-        if smoke { "smoke" } else { "full" }
+        "{name}: {} run, worker-pool scaling sweep, coherence {}",
+        if smoke { "smoke" } else { "full" },
+        if coherence { "on" } else { "off" }
     );
     let t0 = std::time::Instant::now();
-    let report = service::run_service(smoke);
+    let report = if coherence {
+        service::run_mt(smoke)
+    } else {
+        service::run_service(smoke)
+    };
     let wall = t0.elapsed().as_secs_f64();
     print!("{}", report.table());
-    let json = report.json(wall);
     // The smoke slice goes to its own (gitignored) file so a CI run never
     // clobbers the committed full artifact.
     let path = if smoke {
-        "BENCH_service_smoke.json"
+        format!("{artifact}_smoke.json")
     } else {
-        "BENCH_service.json"
+        format!("{artifact}.json")
     };
-    std::fs::write(path, &json).expect("write service bench artifact");
+    std::fs::write(&path, report.json(wall)).expect("write pool bench artifact");
     eprintln!(
-        "wrote {path} (top speedup {:.2}x, deterministic: {}, in {wall:.1}s)",
+        "wrote {path} (modeled top speedup {:.2}x, {} emergent aborts, max tier {}, \
+         host cores {}, in {wall:.1}s)",
         report.top_speedup(),
-        report.deterministic
-    );
-    if !report.all_passed() || !report.scaling_ok() || !report.deterministic {
-        for l in &report.legs {
-            if l.failures > 0 || !l.conservation || l.retired_after > 0 {
-                eprintln!(
-                    "FAILED leg: {} workers ({} failures, conservation {}, {} unreclaimed)",
-                    l.workers, l.failures, l.conservation, l.retired_after
-                );
-            }
-        }
-        if !report.scaling_ok() {
-            eprintln!("FAILED: worker scaling regressed below the 1-worker floor");
-        }
-        if !report.deterministic {
-            eprintln!("FAILED: request timings varied across worker counts");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn mt_bench(smoke: bool) {
-    eprintln!(
-        "mt: {} run, real threads over the shared coherence directory",
-        if smoke { "smoke" } else { "full" }
-    );
-    let t0 = std::time::Instant::now();
-    let report = hasp_experiments::run_mt(smoke);
-    let wall = t0.elapsed().as_secs_f64();
-    print!("{}", report.table());
-    let json = report.json(wall);
-    // The smoke slice goes to its own (gitignored) file so a CI run never
-    // clobbers the committed full artifact.
-    let path = if smoke {
-        "BENCH_mt_smoke.json"
-    } else {
-        "BENCH_mt.json"
-    };
-    std::fs::write(path, &json).expect("write mt bench artifact");
-    eprintln!(
-        "wrote {path} ({} emergent aborts, max tier {}, host cores {}, in {wall:.1}s)",
         report.emergent_total(),
         report.max_tier(),
         report.host_cores
     );
-    let mut failed = false;
-    if !report.all_conserved() {
-        eprintln!("FAILED: directory conservation identity violated");
-        failed = true;
+    let problems = report.problems();
+    for p in &problems {
+        eprintln!("FAILED: {p}");
     }
-    if report.contention.emergent == 0 {
-        eprintln!("FAILED: contention phase produced no emergent conflicts (vacuous run)");
-        failed = true;
-    }
-    if failed {
+    if !problems.is_empty() {
         std::process::exit(1);
     }
 }
@@ -266,83 +218,5 @@ fn print_figures() {
         "total wall time: {:.1}s ({} worker threads)",
         t0.elapsed().as_secs_f64(),
         suite.threads()
-    );
-}
-
-/// Times one full-matrix fill at `threads` workers on a fresh suite.
-/// Returns (suite, wall seconds, total retired uops across cells).
-fn timed_fill(cells_threads: usize) -> (Suite, f64, u64) {
-    // Profiling happens before the clock starts: the benchmark measures the
-    // compile + execute pipeline, which is what `run_all` parallelizes.
-    let mut suite = Suite::with_threads(cells_threads);
-    let cells = suite.full_matrix();
-    let t0 = std::time::Instant::now();
-    suite.run_all_on(&cells, cells_threads);
-    let wall = t0.elapsed().as_secs_f64();
-    let uops: u64 = cells
-        .iter()
-        .map(|(i, c, h)| suite.run(*i, c, h).stats.uops)
-        .sum();
-    (suite, wall, uops)
-}
-
-fn bench_suite() {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let n_cells = {
-        let probe = Suite::with_threads(1);
-        probe.full_matrix().len()
-    };
-    eprintln!("bench-suite: {n_cells} cells, serial then {threads}-thread parallel");
-
-    let (serial_suite, serial_s, serial_uops) = timed_fill(1);
-    eprintln!("  serial  : {serial_s:.2}s");
-    let (parallel_suite, parallel_s, parallel_uops) = timed_fill(threads);
-    eprintln!("  parallel: {parallel_s:.2}s");
-
-    // Bit-identical determinism across thread counts.
-    let cells = serial_suite.full_matrix();
-    let mut deterministic = serial_uops == parallel_uops;
-    for (i, c, h) in &cells {
-        let a = serial_suite.cached(*i, c.name, h.name);
-        let b = parallel_suite.cached(*i, c.name, h.name);
-        if a != b {
-            deterministic = false;
-            eprintln!(
-                "  NONDETERMINISTIC cell: workload {i} {}/{}",
-                c.name, h.name
-            );
-        }
-    }
-
-    let leg = |wall: f64, uops: u64| {
-        JsonObj::new()
-            .num("wall_s", wall)
-            .num("cells_per_s", n_cells as f64 / wall)
-            .num("retired_uops_per_s", uops as f64 / wall)
-            .int("retired_uops", uops)
-    };
-    let json = JsonObj::new()
-        .str("schema", "hasp-bench-suite-v1")
-        .int("cores", threads as u64)
-        .int("threads", threads as u64)
-        .int("cells", n_cells as u64)
-        .int(
-            "compiled_products",
-            parallel_suite.compiled_products() as u64,
-        )
-        .obj("serial", leg(serial_s, serial_uops))
-        .obj("parallel", leg(parallel_s, parallel_uops))
-        .num("speedup", serial_s / parallel_s)
-        .bool("deterministic", deterministic)
-        .finish();
-    std::fs::write("BENCH_suite.json", &json).expect("write BENCH_suite.json");
-    println!("{json}");
-    eprintln!(
-        "wrote BENCH_suite.json (speedup {:.2}x on {threads} cores)",
-        serial_s / parallel_s
-    );
-    assert!(
-        deterministic,
-        "parallel run_all must be bit-identical to serial"
     );
 }

@@ -59,8 +59,8 @@ impl Table {
     }
 }
 
-/// A minimal JSON object writer for benchmark artifacts (`BENCH_suite.json`
-/// and friends) — no external serialization dependency.
+/// A minimal JSON object writer for benchmark artifacts (`BENCH_*.json`) —
+/// no external serialization dependency.
 #[derive(Debug, Clone)]
 pub struct JsonObj {
     buf: String,

@@ -8,7 +8,7 @@ use hasp_opt::CompilerConfig;
 
 /// A reduced but multi-dimensional matrix: two workloads × three compiler
 /// configurations × two hardware configurations (kept small so the test
-/// stays in tier-1 time budgets; the full matrix runs in `bench-suite`).
+/// stays in tier-1 time budgets).
 fn test_matrix(suite: &Suite) -> Vec<MatrixCell> {
     let workloads = [suite.index_of("antlr"), suite.index_of("fop")];
     let compilers = [

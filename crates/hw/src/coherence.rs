@@ -414,6 +414,28 @@ pub struct LinkStats {
     pub unsignaled_conflicts: u64,
 }
 
+impl LinkStats {
+    /// Adds another link's counters into this one (per-field sums — the
+    /// worker-pool harness's shard merge). Destructured, so a counter added
+    /// to the struct does not compile until it is merged here too.
+    pub fn merge(&mut self, other: &LinkStats) {
+        let LinkStats {
+            published,
+            drained,
+            sig_aborts,
+            sig_raced,
+            benign,
+            unsignaled_conflicts,
+        } = *other;
+        self.published += published;
+        self.drained += drained;
+        self.sig_aborts += sig_aborts;
+        self.sig_raced += sig_raced;
+        self.benign += benign;
+        self.unsignaled_conflicts += unsignaled_conflicts;
+    }
+}
+
 /// One core's attachment to a shared [`Directory`]: identity, address
 /// space, local dedup state, and the speculative registration set that
 /// must be withdrawn at region commit/abort.
@@ -708,6 +730,42 @@ mod tests {
         b.publish(0x40, true, true);
         assert!(!a.pending() && !b.pending());
         assert_eq!(dir.signaled(), 0);
+    }
+
+    #[test]
+    fn link_stats_merge_adds_every_field() {
+        let a = LinkStats {
+            published: 1,
+            drained: 2,
+            sig_aborts: 3,
+            sig_raced: 4,
+            benign: 5,
+            unsignaled_conflicts: 6,
+        };
+        let b = LinkStats {
+            published: 10,
+            drained: 20,
+            sig_aborts: 30,
+            sig_raced: 40,
+            benign: 50,
+            unsignaled_conflicts: 60,
+        };
+        let mut sum = a;
+        sum.merge(&b);
+        assert_eq!(
+            sum,
+            LinkStats {
+                published: 11,
+                drained: 22,
+                sig_aborts: 33,
+                sig_raced: 44,
+                benign: 55,
+                unsignaled_conflicts: 66,
+            }
+        );
+        let mut zero = LinkStats::default();
+        zero.merge(&a);
+        assert_eq!(zero, a, "merging into zero is the identity");
     }
 
     #[test]

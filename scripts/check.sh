@@ -75,20 +75,22 @@ print(f"smoke geomean {g:.2f}x >= 1.40 ok; cache-off ceiling {c:.2f}x >= shipped
       f"pred hit-rates {rates}")
 PY
 
-echo "== service publication test (release: mid-stream cache swap under threads) =="
+echo "== worker-pool publication test (release: mid-stream cache swap under threads, coherence off and on) =="
 cargo test --release -q -p hasp-experiments --test service
 
 echo "== service-mode smoke (pooled workers, lock-free published cache) =="
 cargo run --release -p hasp-experiments --bin experiments -- serve --smoke
-# Service gates on the smoke artifact: schema pinned, the shard-merge
-# conservation flag true in every leg, and N-worker throughput at least the
-# 1-worker floor (the scaling curve is computed over deterministic modeled
-# cycles, so this is host-independent — a violation means the harness or
-# the isolation property rotted, not that CI was slow).
+# Service gates on the smoke artifact: schema pinned (one schema for the
+# serve and mt artifacts, told apart by the coherence flag), the
+# shard-merge conservation flag true in every leg, and N-worker throughput
+# at least the 1-worker floor (the scaling curve is computed over
+# deterministic modeled cycles, so this is host-independent — a violation
+# means the harness or the isolation property rotted, not that CI was slow).
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_service_smoke.json"))
-assert r["schema"] == "hasp-service-v1", f"unexpected schema {r['schema']}"
+assert r["schema"] == "hasp-pool-v1", f"unexpected schema {r['schema']}"
+assert r["coherence"] is False, "serve artifact ran with the directory attached"
 legs = r["legs"]
 assert legs, "no service legs"
 bad = [l["workers"] for l in legs if not l["conservation"]]
@@ -111,13 +113,15 @@ cargo test --release -q --test coherence_equivalence
 echo "== mt stress (release: antagonist + two-machine conservation) =="
 cargo test --release -q --test mt_coherence
 
-echo "== mt smoke (real threads over the sharded coherence directory) =="
+echo "== mt smoke (the worker pool over the sharded coherence directory) =="
 cargo run --release -p hasp-experiments --bin experiments -- mt --smoke
-# Multi-core gates on the smoke artifact: schema pinned, the directory's
-# conservation identity (signaled == sig_aborts + sig_raced) true and zero
-# unsignaled conflicts (a live speculative bit with no directory claim,
-# which release builds count instead of asserting) in every leg and the
-# contention phase, emergent conflicts strictly positive with NO FaultPlan anywhere in
+# Multi-core gates on the smoke artifact: schema pinned, zero failed
+# requests, conservation (the shard merge and the directory's
+# signaled == sig_aborts + sig_raced) true, the observation identity
+# (conflict-class machine aborts == sig_aborts) true, and zero unsignaled
+# conflicts (a live speculative bit with no directory claim, which release
+# builds count instead of asserting) in every leg and the contention leg,
+# emergent conflicts strictly positive with NO FaultPlan anywhere in
 # the harness, and — only when the host actually has >= 2 CPUs — a 1.5x
 # throughput floor at 2 workers. On a 1-core host the two workers time-slice
 # one CPU, so wall-clock scaling is physically capped at ~1.0x and the
@@ -127,7 +131,8 @@ cargo run --release -p hasp-experiments --bin experiments -- mt --smoke
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_mt_smoke.json"))
-assert r["schema"] == "hasp-mt-v2", f"unexpected schema {r['schema']}"
+assert r["schema"] == "hasp-pool-v1", f"unexpected schema {r['schema']}"
+assert r["coherence"] is True, "mt artifact ran without the directory"
 assert r["conservation_ok"], "directory conservation identity violated"
 legs = r["legs"]
 assert legs, "no mt legs"
@@ -135,10 +140,16 @@ bad = [l["workers"] for l in legs if not l["conservation"]]
 assert not bad, f"conservation failed at worker counts {bad}"
 uns = [l["workers"] for l in legs if l["unsignaled_conflicts"] != 0]
 assert not uns, f"unsignaled conflicts at worker counts {uns}"
+fail = [l["workers"] for l in legs if l["failures"]]
+assert not fail, f"request failures at worker counts {fail}"
+unobs = [l["workers"] for l in legs if not l["observation"]]
+assert not unobs, f"observation identity failed at worker counts {unobs}"
 c = r["contention"]
 assert c["conservation"], "contention-phase conservation failed"
 assert c["unsignaled_conflicts"] == 0, \
     f"{c['unsignaled_conflicts']} unsignaled conflicts under contention"
+assert c["failures"] == 0, f"{c['failures']} request failures under contention"
+assert c["observation"], "observation identity failed under contention"
 assert c["emergent"] > 0, "no emergent conflicts under shared-tenant contention"
 host = r["host_cores"]
 if host >= 2:
@@ -148,8 +159,8 @@ if host >= 2:
     scale_note = f"2-worker scaling {two['scaling_x']:.2f}x >= 1.5x"
 else:
     scale_note = "scaling floor skipped (1-core host)"
-print(f"mt gates ok: {len(legs)} legs conserved, 0 unsignaled, {c['emergent']} emergent "
-      f"conflicts under contention, {scale_note}")
+print(f"mt gates ok: {len(legs)} legs conserved and observed, 0 failures, 0 unsignaled, "
+      f"{c['emergent']} emergent conflicts under contention, {scale_note}")
 PY
 
 # Optional ThreadSanitizer leg for the directory stress tests: needs a

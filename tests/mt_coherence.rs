@@ -150,16 +150,19 @@ fn two_machines_share_an_address_space_correctly() {
                 .map(|h| h.join().expect("worker"))
                 .collect()
         });
-        let (sig_aborts, sig_raced) = outcomes
+        let total = outcomes
             .iter()
-            .fold((0, 0), |(a, r), (_, l)| (a + l.sig_aborts, r + l.sig_raced));
-        assert!(
-            outcomes.iter().all(|(_, l)| l.unsignaled_conflicts == 0),
+            .fold(LinkStats::default(), |mut acc, (_, l)| {
+                acc.merge(l);
+                acc
+            });
+        assert_eq!(
+            total.unsignaled_conflicts, 0,
             "unsignaled conflict (attempt {attempt}): {outcomes:?}"
         );
         assert_eq!(
             dir.signaled(),
-            sig_aborts + sig_raced,
+            total.sig_aborts + total.sig_raced,
             "conservation identity violated (attempt {attempt}): {outcomes:?}"
         );
         for (core, (observed, link)) in outcomes.iter().enumerate() {
