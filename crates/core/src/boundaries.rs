@@ -87,18 +87,10 @@ pub fn select_boundaries(
             continue;
         }
         let has_warm_call = has_call_on_warm_path(f, cfg, site.entry, &site.blocks);
-        let selected_set: HashSet<BlockId> = selected.iter().copied().collect();
-        let has_selected_loop = site.contains_any(&selected_set);
-        if (has_warm_call || has_selected_loop) && std::env::var("HASP_TRACE_PRUNE").is_ok() {
-            eprintln!(
-                "prune candidate {i}: callee {:?} warm_call={has_warm_call} sel_loop={has_selected_loop}",
-                site.callee
-            );
-        }
+        let has_selected_loop = selected.iter().any(|b| site.blocks.contains(b));
         if (has_warm_call || has_selected_loop) && uninline_checked(f, site) {
             pruned_sites.push(i);
             // Boundaries inside the removed body are gone.
-            selected.retain(|b| !site.blocks.contains(b) || !f.block(*b).dead);
             selected.retain(|b| !f.block(*b).dead);
         }
     }

@@ -117,23 +117,13 @@ pub fn form_regions(
     // ---- Phase B2: copy bodies, convert cold edges, insert commits. ----
     let mut regions = Vec::new();
     for (s, body) in &bodies {
-        let watermark = f.block_count() as u32;
         let (r, vmap) = replicate_one(f, cfg, *s, body, begin_of[s]);
         regions.push(r);
         // SSA repair: every value defined in the body now has two
         // definitions (original + copy), and region exits can re-enter the
         // original blocks downstream — so every pair gets a reaching-def
-        // rewrite with join phis. One dominator computation serves them all
-        // (phi insertion does not change the CFG).
-        let _ = watermark;
-        let rdt = hasp_ir::DomTree::compute(f);
-        let rfronts = rdt.frontiers(f);
-        let mut pairs: Vec<(VReg, VReg)> = vmap.into_iter().collect();
-        pairs.sort();
-        for (d, d2) in pairs {
-            hasp_ir::ssa_repair::repair_with(f, &[d, d2], &rdt, &rfronts);
-        }
-        hasp_ir::ssa_repair::materialize_undef_inputs(f);
+        // rewrite with join phis.
+        hasp_ir::ssa_repair::repair(f, &vmap);
     }
 
     // Originals are abort paths now: their profile weight moves to the

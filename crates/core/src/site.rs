@@ -168,9 +168,12 @@ pub fn uninline(f: &mut Func, site: &InlineSite) {
 }
 
 /// Where the inlined body's exit edges currently land: `cont` itself, or the
-/// region-begin block that took over `cont`'s incoming edges.
+/// region-begin block that took over `cont`'s incoming edges. Body blocks are
+/// searched in `BlockId` order, so the answer does not depend on hash order.
 fn find_body_exit_target(f: &Func, site: &InlineSite) -> BlockId {
-    for &b in &site.blocks {
+    let mut blocks: Vec<BlockId> = site.blocks.iter().copied().collect();
+    blocks.sort_unstable();
+    for b in blocks {
         if f.block(b).dead {
             continue;
         }

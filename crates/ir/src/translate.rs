@@ -113,7 +113,7 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
                         .push(Inst::with_dst(var(*dst), Op::Cmp(*op, var(*a), var(*b))));
                 }
                 Instr::Branch { op, a, b, target } => {
-                    let (t_count, f_count) = prof.branches.get(&pc).copied().unwrap_or((0, 0));
+                    let (t_count, f_count) = prof.branch_counts(pc);
                     f.block_mut(bid).term = Term::Branch {
                         op: *op,
                         a: var(*a),

@@ -135,14 +135,7 @@ fn duplicate_block(f: &mut Func, b: BlockId, from: BlockId) -> BlockId {
         }
     }
     // Reaching-definition repair for the duplicated values.
-    let rdt = hasp_ir::DomTree::compute(f);
-    let rfronts = rdt.frontiers(f);
-    let mut pairs: Vec<(VReg, VReg)> = vmap.into_iter().collect();
-    pairs.sort();
-    for (d, d2) in pairs {
-        hasp_ir::ssa_repair::repair_with(f, &[d, d2], &rdt, &rfronts);
-    }
-    hasp_ir::ssa_repair::materialize_undef_inputs(f);
+    hasp_ir::ssa_repair::repair(f, &vmap);
     copy
 }
 

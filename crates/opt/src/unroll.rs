@@ -50,26 +50,16 @@ pub fn run(f: &mut Func, cfg: &RegionConfig) -> usize {
 }
 
 fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
-    let trace = std::env::var("HASP_TRACE_UNROLL").is_ok();
     // Fully inside one region.
     let Some(region) = f.block(l.header).region else {
-        if trace {
-            eprintln!("unroll {:?}: header not in region", l.header);
-        }
         return false;
     };
     if !l.blocks.iter().all(|b| f.block(*b).region == Some(region)) {
-        if trace {
-            eprintln!("unroll {:?}: straddles region", l.header);
-        }
         return false;
     }
     // Single latch.
     let latches = l.latches(f);
     if latches.len() != 1 {
-        if trace {
-            eprintln!("unroll {:?}: {} latches", l.header, latches.len());
-        }
         return false;
     }
     let latch = latches[0];
@@ -80,31 +70,27 @@ fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
         .map(|&b| f.block(b).insts.len() as u64 + 1)
         .sum();
     if loop_ops * 2 > cfg.max_region_ops {
-        if trace {
-            eprintln!("unroll {:?}: too big ({loop_ops})", l.header);
-        }
         return false;
     }
-    let _ = trace;
-    let defs: HashSet<VReg> = l
-        .blocks
-        .iter()
-        .flat_map(|&b| f.block(b).insts.iter().filter_map(|i| i.dst))
-        .collect();
     let exit_targets: HashSet<BlockId> = l.exit_targets(f).into_iter().collect();
-
-    // ---- Copy the body (iteration 2). ----
-    let mut vmap: HashMap<VReg, VReg> = HashMap::new();
-    for &d in &defs {
-        let fresh = f.vreg();
-        vmap.insert(d, fresh);
-    }
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
     let blocks: Vec<BlockId> = {
         let mut v: Vec<_> = l.blocks.iter().copied().collect();
         v.sort();
         v
     };
+
+    // ---- Copy the body (iteration 2). ----
+    // Copies are numbered in block and instruction order.
+    let defs: Vec<VReg> = blocks
+        .iter()
+        .flat_map(|&b| f.block(b).insts.iter().filter_map(|i| i.dst))
+        .collect();
+    let mut vmap: HashMap<VReg, VReg> = HashMap::new();
+    for d in defs {
+        let fresh = f.vreg();
+        vmap.insert(d, fresh);
+    }
+    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
     for &b in &blocks {
         let nb = f.add_block(Term::Return(None));
         bmap.insert(b, nb);
@@ -217,14 +203,7 @@ fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
 
     // Reaching-definition repair for every duplicated value: escapes through
     // the loop exits get their iteration-1/iteration-2 join phis.
-    let rdt = hasp_ir::DomTree::compute(f);
-    let rfronts = rdt.frontiers(f);
-    let mut pairs: Vec<(VReg, VReg)> = vmap.into_iter().collect();
-    pairs.sort();
-    for (d, d2) in pairs {
-        hasp_ir::ssa_repair::repair_with(f, &[d, d2], &rdt, &rfronts);
-    }
-    hasp_ir::ssa_repair::materialize_undef_inputs(f);
+    hasp_ir::ssa_repair::repair(f, &vmap);
     true
 }
 

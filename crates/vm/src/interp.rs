@@ -94,7 +94,7 @@ impl<'p> Interp<'p> {
         regs[..args.len()].copy_from_slice(args);
 
         if self.profiling {
-            self.profile.method_mut(m).invocations += 1;
+            self.profile.method_mut(m, method.code.len()).invocations += 1;
         }
         if method.synchronized {
             let recv = self.require_obj(regs[0], m, 0)?;
@@ -127,7 +127,7 @@ impl<'p> Interp<'p> {
             self.fuel -= 1;
             self.steps += 1;
             if self.profiling {
-                *self.profile.method_mut(m).exec.entry(pc).or_insert(0) += 1;
+                self.profile.method_mut(m, code.len()).exec[pc] += 1;
             }
             let instr = &code[pc];
             match instr {
@@ -152,12 +152,7 @@ impl<'p> Interp<'p> {
                     let taken =
                         self.eval_cmp(*op, regs[a.0 as usize], regs[b.0 as usize], m, pc)?;
                     if self.profiling {
-                        let e = self
-                            .profile
-                            .method_mut(m)
-                            .branches
-                            .entry(pc)
-                            .or_insert((0, 0));
+                        let e = &mut self.profile.method_mut(m, code.len()).branches[pc];
                         if taken {
                             e.0 += 1;
                         } else {
@@ -187,7 +182,7 @@ impl<'p> Interp<'p> {
                     if self.profiling {
                         let counts = self
                             .profile
-                            .method_mut(m)
+                            .method_mut(m, code.len())
                             .switches
                             .entry(pc)
                             .or_insert_with(|| vec![0; targets.len() + 1]);
@@ -266,7 +261,7 @@ impl<'p> Interp<'p> {
                     if self.profiling {
                         *self
                             .profile
-                            .method_mut(m)
+                            .method_mut(m, code.len())
                             .receivers
                             .entry(pc)
                             .or_default()
@@ -480,8 +475,7 @@ mod tests {
         assert_eq!(r, Some(Value::Int(4950)));
         // Branch profile: taken once (exit), not-taken 100 times.
         let prof = interp.profile.method(entry).unwrap();
-        let (t, nt) = prof.branches[&4];
-        assert_eq!((t, nt), (1, 100));
+        assert_eq!(prof.branch_counts(4), (1, 100));
     }
 
     #[test]
@@ -547,6 +541,43 @@ mod tests {
         // Two virtual sites (pc 2 and 3), each monomorphic.
         assert_eq!(prof.monomorphic_receiver(2), Some(a));
         assert_eq!(prof.monomorphic_receiver(3), Some(b));
+    }
+
+    /// The dense counters read like sparse ones: a method that never ran
+    /// has no profile, and a pc that never executed counts zero.
+    #[test]
+    fn unrun_code_profiles_as_zero() {
+        let mut pb = ProgramBuilder::new();
+        let unused = pb.declare("unused", 0);
+        let mut m = pb.method("unused", 0);
+        m.ret(None);
+        m.finish(&mut pb);
+        let mut m = pb.method("main", 0);
+        let zero = m.imm(0);
+        let out = m.new_label();
+        m.branch(CmpOp::Eq, zero, zero, out); // always taken
+        m.branch(CmpOp::Ne, zero, zero, out); // never executed
+        m.bind(out);
+        m.ret(Some(zero));
+        let entry = m.finish(&mut pb);
+        let (_, interp) = run_main(pb, entry);
+        assert!(interp.profile.method(unused).is_none());
+        let branches: Vec<usize> = interp
+            .program
+            .method(entry)
+            .code
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| matches!(i, Instr::Branch { .. }))
+            .map(|(pc, _)| pc)
+            .collect();
+        let [taken, skipped] = branches[..] else {
+            panic!("expected two branches, found {branches:?}")
+        };
+        let prof = interp.profile.method(entry).unwrap();
+        assert_eq!(prof.branch_counts(taken), (1, 0));
+        assert_eq!(prof.exec_count(skipped), 0);
+        assert_eq!(prof.branch_bias(skipped), None);
     }
 
     #[test]

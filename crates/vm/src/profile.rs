@@ -1,5 +1,9 @@
 //! Edge, call-site, and invocation profiles collected by the first-pass
 //! interpreter (paper §4: "region formation is fundamentally profile-driven").
+//!
+//! The counters the interpreter bumps on every step are dense: one
+//! [`MethodProfile`] slot per `MethodId`, and per-pc vectors sized to the
+//! method's code when it first runs, so a step costs a vector index.
 
 use std::collections::HashMap;
 
@@ -10,22 +14,38 @@ use crate::bytecode::{ClassId, MethodId};
 pub struct MethodProfile {
     /// Times the method was invoked.
     pub invocations: u64,
-    /// For each conditional branch pc: (taken, not-taken) counts.
-    pub branches: HashMap<usize, (u64, u64)>,
+    /// Per pc: (taken, not-taken) counts of the conditional branch there;
+    /// (0, 0) at every other pc.
+    pub(crate) branches: Vec<(u64, u64)>,
     /// For each switch pc: per-case counts (`targets.len()` entries) plus the
     /// default count in the last slot.
     pub switches: HashMap<usize, Vec<u64>>,
     /// For each virtual-call pc: receiver class histogram.
     pub receivers: HashMap<usize, HashMap<ClassId, u64>>,
-    /// Times each instruction pc was executed (block counts are derived from
-    /// the counts of block-leader pcs).
-    pub exec: HashMap<usize, u64>,
+    /// Per pc: times the instruction there was executed (block counts are
+    /// derived from the counts of block-leader pcs).
+    pub(crate) exec: Vec<u64>,
 }
 
 impl MethodProfile {
+    /// Zeroed counters for a method whose code is `code_len` instructions.
+    fn sized(code_len: usize) -> Self {
+        MethodProfile {
+            branches: vec![(0, 0); code_len],
+            exec: vec![0; code_len],
+            ..MethodProfile::default()
+        }
+    }
+
+    /// (taken, not-taken) counts of the branch at `pc`; (0, 0) if it never
+    /// executed or is not a branch.
+    pub fn branch_counts(&self, pc: usize) -> (u64, u64) {
+        self.branches.get(pc).copied().unwrap_or((0, 0))
+    }
+
     /// Taken-bias of the branch at `pc` in [0, 1]; `None` if never executed.
     pub fn branch_bias(&self, pc: usize) -> Option<f64> {
-        let (t, n) = *self.branches.get(&pc)?;
+        let (t, n) = self.branch_counts(pc);
         let total = t + n;
         if total == 0 {
             None
@@ -36,7 +56,7 @@ impl MethodProfile {
 
     /// Execution count of the instruction at `pc`.
     pub fn exec_count(&self, pc: usize) -> u64 {
-        self.exec.get(&pc).copied().unwrap_or(0)
+        self.exec.get(pc).copied().unwrap_or(0)
     }
 
     /// The single receiver class observed at a virtual call site, if the site
@@ -50,11 +70,12 @@ impl MethodProfile {
         }
     }
 
-    /// The dominant receiver class and its frequency share, if any.
+    /// The dominant receiver class and its frequency share, if any. A tie
+    /// goes to the lowest `ClassId`.
     pub fn dominant_receiver(&self, pc: usize) -> Option<(ClassId, f64)> {
         let h = self.receivers.get(&pc)?;
         let total: u64 = h.values().sum();
-        let (&c, &n) = h.iter().max_by_key(|(_, &n)| n)?;
+        let (&c, &n) = h.iter().max_by_key(|&(&c, &n)| (n, std::cmp::Reverse(c)))?;
         if total == 0 {
             None
         } else {
@@ -66,7 +87,8 @@ impl MethodProfile {
 /// Whole-program profile: one [`MethodProfile`] per method.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    methods: HashMap<MethodId, MethodProfile>,
+    /// Indexed by `MethodId`; `None` for a method that never ran.
+    methods: Vec<Option<MethodProfile>>,
 }
 
 impl Profile {
@@ -77,12 +99,18 @@ impl Profile {
 
     /// The profile for `m`, if the method ever ran.
     pub fn method(&self, m: MethodId) -> Option<&MethodProfile> {
-        self.methods.get(&m)
+        self.methods.get(m.0 as usize)?.as_ref()
     }
 
-    /// Mutable accessor, creating an empty per-method profile on first use.
-    pub fn method_mut(&mut self, m: MethodId) -> &mut MethodProfile {
-        self.methods.entry(m).or_default()
+    /// Mutable accessor, creating zeroed counters for `m` (whose code is
+    /// `code_len` instructions) on first use.
+    #[inline]
+    pub(crate) fn method_mut(&mut self, m: MethodId, code_len: usize) -> &mut MethodProfile {
+        let i = m.0 as usize;
+        if i >= self.methods.len() {
+            self.methods.resize_with(i + 1, || None);
+        }
+        self.methods[i].get_or_insert_with(|| MethodProfile::sized(code_len))
     }
 
     /// Methods sorted by invocation count, hottest first.
@@ -90,7 +118,8 @@ impl Profile {
         let mut v: Vec<_> = self
             .methods
             .iter()
-            .map(|(m, p)| (*m, p.invocations))
+            .enumerate()
+            .filter_map(|(i, p)| Some((MethodId(i as u32), p.as_ref()?.invocations)))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
@@ -108,10 +137,12 @@ mod tests {
 
     #[test]
     fn branch_bias() {
-        let mut p = MethodProfile::default();
-        p.branches.insert(4, (99, 1));
+        let mut p = MethodProfile::sized(8);
+        p.branches[4] = (99, 1);
+        assert_eq!(p.branch_counts(4), (99, 1));
         assert_eq!(p.branch_bias(4), Some(0.99));
         assert_eq!(p.branch_bias(5), None);
+        assert_eq!(p.branch_bias(100), None);
     }
 
     #[test]
@@ -128,11 +159,26 @@ mod tests {
         assert_eq!(q.monomorphic_receiver(10), Some(ClassId(3)));
     }
 
+    /// A 2-way tie goes to the lowest class, whatever order the histogram
+    /// iterates in (every fresh map hashes with its own keys, so a hash-order
+    /// pick would fail one of these with probability 1 - 2^-32).
+    #[test]
+    fn dominant_receiver_tie_goes_to_lowest_class() {
+        for _ in 0..32 {
+            let mut p = MethodProfile::default();
+            let h = p.receivers.entry(2).or_default();
+            h.insert(ClassId(7), 40);
+            h.insert(ClassId(3), 40);
+            h.insert(ClassId(1), 20);
+            assert_eq!(p.dominant_receiver(2), Some((ClassId(3), 0.4)));
+        }
+    }
+
     #[test]
     fn hottest_sorted() {
         let mut p = Profile::new();
-        p.method_mut(MethodId(0)).invocations = 5;
-        p.method_mut(MethodId(1)).invocations = 50;
+        p.method_mut(MethodId(0), 1).invocations = 5;
+        p.method_mut(MethodId(1), 1).invocations = 50;
         assert_eq!(p.hottest_methods()[0].0, MethodId(1));
     }
 }

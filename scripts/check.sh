@@ -9,6 +9,14 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+# The repository benchmark's own suite (release: its smoke tests skip in
+# debug builds): on every workload, no failed operation, traced and
+# untraced digests equal, and the pass-by-pass compile equal to
+# `compile_program`. Runs before the mt blocks, whose scaling floor can stop
+# the script on small hosts.
+echo "== perfbench suite (release) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== fault-campaign smoke (checksum equivalence under injected aborts) =="
 cargo run --release -p hasp-experiments --bin experiments -- faults --smoke
 # Governor-ladder gates on the smoke artifact: every cell checksum-clean,

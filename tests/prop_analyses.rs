@@ -1,11 +1,13 @@
 //! Property tests over the IR analyses on randomly generated reducible-ish
 //! CFGs: dominator-tree laws, post-dominator duality at exits, loop
-//! detection sanity, and SSA-construction round trips through the verifier.
+//! detection sanity, and batched SSA repair against one pair at a time.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use hasp_ir::{DomTree, Func, LoopForest, PostDomTree, Term};
-use hasp_vm::bytecode::{CmpOp, MethodId};
+use hasp_ir::{ssa_repair, verify, DomTree, Func, Inst, LoopForest, Op, PostDomTree, Term, VReg};
+use hasp_vm::bytecode::{BinOp, CmpOp, MethodId};
 
 /// Builds a random CFG: `n` blocks where block `i` branches to one or two
 /// higher-numbered blocks (acyclic core) plus optional back edges to
@@ -44,6 +46,53 @@ fn random_cfg(edges: &[(u8, u8, bool)], n: usize) -> Func {
         };
     }
     f
+}
+
+/// Makes a [`random_cfg`] valid SSA (its branch operands get definitions in
+/// the entry) and adds one replicated value per `(copy, use, phi)` triple:
+/// the original is defined in the entry, its copy in block `copy`, a use in
+/// block `use`, and — when block `phi` merges two or more edges — a phi
+/// there reading the original from every predecessor. The exit returns the
+/// first original. Returns the original → copy map.
+fn replicate_values(f: &mut Func, placements: &[(u8, u8, u8)]) -> HashMap<VReg, VReg> {
+    let blocks = f.rpo();
+    let preds = f.preds();
+    let pick = |i: u8| blocks[i as usize % blocks.len()];
+    let entry = f.entry;
+    for v in [VReg(0), VReg(1)] {
+        f.block_mut(entry)
+            .insts
+            .push(Inst::with_dst(v, Op::Const(0)));
+    }
+    let mut copies = HashMap::new();
+    for (k, &(copy_at, use_at, phi_at)) in placements.iter().enumerate() {
+        let (orig, copy, sum) = (f.vreg(), f.vreg(), f.vreg());
+        f.block_mut(entry)
+            .insts
+            .push(Inst::with_dst(orig, Op::Const(k as i64)));
+        f.block_mut(pick(copy_at))
+            .insts
+            .push(Inst::with_dst(copy, Op::Const(k as i64)));
+        f.block_mut(pick(use_at))
+            .insts
+            .push(Inst::with_dst(sum, Op::Bin(BinOp::Add, orig, orig)));
+        let mut ins: Vec<(hasp_ir::BlockId, VReg)> =
+            preds[&pick(phi_at)].iter().map(|&p| (p, orig)).collect();
+        ins.sort();
+        ins.dedup();
+        if ins.len() >= 2 {
+            let merged = f.vreg();
+            f.block_mut(pick(phi_at))
+                .insts
+                .insert(0, Inst::with_dst(merged, Op::Phi(ins)));
+        }
+        copies.insert(orig, copy);
+    }
+    let exit = *blocks.last().expect("nonempty");
+    if let Term::Return(v) = &mut f.block_mut(exit).term {
+        *v = copies.keys().min().copied();
+    }
+    copies
 }
 
 proptest! {
@@ -144,5 +193,30 @@ proptest! {
             // share our header's blocks imply nesting consistency.
             prop_assert!(l.blocks.contains(&l.header));
         }
+    }
+
+    /// Repairing a replication's pairs in one call equals repairing them one
+    /// call per pair in sorted order, and leaves valid SSA. Originals live in
+    /// the entry, so a definition reaches every use and no zero is
+    /// synthesized.
+    #[test]
+    fn batched_ssa_repair_matches_one_pair_at_a_time(
+        edges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..12),
+        n in 3usize..12,
+        placements in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
+    ) {
+        let mut batched = random_cfg(&edges, n);
+        let copies = replicate_values(&mut batched, &placements);
+        let mut one_by_one = batched.clone();
+
+        ssa_repair::repair(&mut batched, &copies);
+        prop_assert!(verify(&batched).is_ok(), "{:?}\n{}", verify(&batched), batched.display());
+
+        let mut pairs: Vec<(VReg, VReg)> = copies.into_iter().collect();
+        pairs.sort();
+        for pair in pairs {
+            ssa_repair::repair(&mut one_by_one, &HashMap::from([pair]));
+        }
+        prop_assert_eq!(one_by_one.display(), batched.display());
     }
 }

@@ -102,3 +102,32 @@ fn lowering_resolves_every_target() {
         }
     }
 }
+
+/// Compiling the same profile twice gives the same IR, virtual-register
+/// numbering included: no pass may let hash order pick a value's number, a
+/// phi's position or an un-inlining outcome. Each map in the process hashes
+/// with its own keys, so a hash-order dependence shows up as a mismatch.
+#[test]
+fn compilation_repeats_exactly() {
+    for w in all_workloads() {
+        let profiled = profile_workload(&w);
+        for cfg in [
+            CompilerConfig::atomic_aggressive(),
+            CompilerConfig::atomic_forced_mono(),
+        ] {
+            let a = compile_program(&w.program, &profiled.profile, &cfg);
+            let b = compile_program(&w.program, &profiled.profile, &cfg);
+            for (mid, ca) in &a {
+                let (da, db) = (ca.func.display(), b[mid].func.display());
+                let first = da.lines().zip(db.lines()).position(|(x, y)| x != y);
+                assert!(
+                    da == db,
+                    "{}/{} method {}: the second compile differs from IR line {first:?}",
+                    w.name,
+                    cfg.name,
+                    mid.0
+                );
+            }
+        }
+    }
+}

@@ -65,10 +65,11 @@ fn workload_profiles_capture_bias() {
         let mut interp = Interp::new(&w.program).with_profiling();
         interp.set_fuel(w.fuel);
         interp.run(&[]).unwrap();
-        let prof = interp.profile.method(w.program.entry()).unwrap();
+        let entry = w.program.entry();
+        let prof = interp.profile.method(entry).unwrap();
         let mut biased = 0;
         let mut executed = 0;
-        for &pc in prof.branches.keys() {
+        for pc in 0..w.program.method(entry).code.len() {
             if let Some(bias) = prof.branch_bias(pc) {
                 executed += 1;
                 if !(0.01..=0.99).contains(&bias) {
