@@ -9,9 +9,9 @@
 //! 3. boundaries are placed along acyclic dominant paths, choosing the
 //!    candidate subset that minimizes Equation 1.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
-use hasp_ir::{BlockId, DomTree, Func, LoopForest, Term};
+use hasp_ir::{BlockId, BlockSet, DomTree, Func, LoopForest, Term};
 
 use crate::cold::{block_is_cold, has_call_on_warm_path};
 use crate::config::RegionConfig;
@@ -41,7 +41,7 @@ pub fn select_boundaries(
     {
         let dt = DomTree::compute(f);
         let forest = LoopForest::compute(f, &dt);
-        let preds = f.preds();
+        let preds = dt.preds();
         let max_freq = f
             .block_ids()
             .iter()
@@ -57,11 +57,10 @@ pub fn select_boundaries(
             }
             // Entries into the loop = executions of outside->header edges.
             let entries: u64 = preds
-                .get(&header)
-                .into_iter()
-                .flatten()
-                .filter(|p| !l.blocks.contains(p))
-                .map(|p| f.edge_count(*p, header))
+                .of(header)
+                .iter()
+                .filter(|&&p| !l.blocks.contains(p))
+                .map(|&p| f.edge_count(p, header))
                 .sum();
             if entries == 0 {
                 continue; // never-entered (cold) loop
@@ -87,7 +86,7 @@ pub fn select_boundaries(
             continue;
         }
         let has_warm_call = has_call_on_warm_path(f, cfg, site.entry, &site.blocks);
-        let has_selected_loop = selected.iter().any(|b| site.blocks.contains(b));
+        let has_selected_loop = selected.iter().any(|&b| site.blocks.contains(b));
         if (has_warm_call || has_selected_loop) && uninline_checked(f, site) {
             pruned_sites.push(i);
             // Boundaries inside the removed body are gone.
@@ -99,25 +98,23 @@ pub fn select_boundaries(
     {
         let dt = DomTree::compute(f);
         let forest = LoopForest::compute(f, &dt);
-        let preds = f.preds();
+        let preds = dt.preds();
 
         // Candidate-kind blocks: loop pre-header-ish blocks (outside preds of
         // headers) and loop-exit targets.
-        let mut structural: HashSet<BlockId> = HashSet::new();
+        let mut structural = BlockSet::new();
         for l in forest.post_order() {
-            for p in preds.get(&l.header).into_iter().flatten() {
+            for &p in preds.of(l.header) {
                 if !l.blocks.contains(p) {
-                    structural.insert(*p);
+                    structural.insert(p);
                 }
             }
-            for t in l.exit_targets(f) {
-                structural.insert(t);
-            }
+            structural.extend(l.exit_targets(f));
         }
 
         // Trace boundaries: method entry, exits, call blocks, and already
         // selected region boundaries.
-        let mut trace_bounds: HashSet<BlockId> = selected.iter().copied().collect();
+        let mut trace_bounds: BlockSet = selected.iter().copied().collect();
         trace_bounds.insert(f.entry);
         for b in f.block_ids() {
             if matches!(f.block(b).term, Term::Return(_)) || is_call_block(f, b) {
@@ -138,15 +135,15 @@ pub fn select_boundaries(
             };
         }
 
-        let mut visited: HashSet<BlockId> = HashSet::new();
+        let mut visited = BlockSet::new();
         for seed in blocks_by_freq {
-            if visited.contains(&seed)
+            if visited.contains(seed)
                 || f.block(seed).freq < max_freq / cfg.seed_fraction
                 || block_is_cold(f, cfg, seed, max_freq)
             {
                 continue;
             }
-            let path = trace_dominant_path(f, &preds, &forest, seed, &trace_bounds);
+            let path = trace_dominant_path(f, preds, &forest, seed, &trace_bounds);
             visited.extend(path.iter().copied());
             if path.len() < 2 {
                 continue;
@@ -157,7 +154,7 @@ pub fn select_boundaries(
             let mut prefix = 0u64;
             let mut candidates: Vec<Candidate> = Vec::new();
             for (i, &b) in path.iter().enumerate() {
-                let is_candidate = i == 0 || i == path.len() - 1 || structural.contains(&b);
+                let is_candidate = i == 0 || i == path.len() - 1 || structural.contains(b);
                 if is_candidate {
                     candidates.push(Candidate {
                         path_index: i,
@@ -165,18 +162,15 @@ pub fn select_boundaries(
                     });
                 }
                 let hopped_loop = forest
-                    .post_order()
-                    .iter()
-                    .find(|l| l.header == b)
-                    .filter(|l| i + 1 >= path.len() || !l.blocks.contains(&path[i + 1]));
+                    .headed_by(b)
+                    .filter(|l| i + 1 >= path.len() || !l.blocks.contains(path[i + 1]));
                 prefix += match hopped_loop {
                     Some(l) => {
                         let entries: u64 = preds
-                            .get(&b)
-                            .into_iter()
-                            .flatten()
-                            .filter(|p| !l.blocks.contains(*p))
-                            .map(|p| f.edge_count(*p, b))
+                            .of(b)
+                            .iter()
+                            .filter(|&&p| !l.blocks.contains(p))
+                            .map(|&p| f.edge_count(p, b))
                             .sum();
                         loop_weight(f, l)
                             .checked_div(entries)
@@ -191,16 +185,14 @@ pub fn select_boundaries(
                 // A call cannot host an aregion_begin; the region the paper
                 // wants "often begin[s] immediately after the call returns"
                 // — use the continuation.
-                if is_call_block(f, b) {
-                    if let [succ] = f.succs(b)[..] {
-                        b = succ;
-                    }
+                if is_call_block(f, b) && f.block(b).term.succ_count() == 1 {
+                    b = f.block(b).term.succ(0);
                 }
                 // A block whose dominant predecessor is already a region
                 // boundary is covered by that region; a second begin here
                 // would only fragment it.
                 let covered =
-                    crate::cold::dominant_pred(f, &preds, b).is_some_and(|p| selected.contains(&p));
+                    crate::cold::dominant_pred(f, preds, b).is_some_and(|p| selected.contains(&p));
                 if !covered && usable_boundary(f, b) && !cfg.is_excluded(b) {
                     selected.insert(b);
                     trace_bounds.insert(b);

@@ -1,8 +1,6 @@
 //! Cold-path classification and warm-reachability queries over profiled CFGs.
 
-use std::collections::HashSet;
-
-use hasp_ir::{BlockId, Func};
+use hasp_ir::{BlockId, BlockSet, Func, Preds};
 
 use crate::config::RegionConfig;
 
@@ -28,37 +26,24 @@ pub fn block_is_cold(f: &Func, cfg: &RegionConfig, b: BlockId, max_freq: u64) ->
     (freq as f64) < cfg.cold_threshold * (max_freq as f64)
 }
 
-/// Warm successors of `b` (edges that are not cold), deduplicated.
-pub fn warm_succs(f: &Func, cfg: &RegionConfig, b: BlockId) -> Vec<BlockId> {
-    let mut out = Vec::new();
-    for s in f.succs(b) {
-        if !edge_is_cold(f, cfg, b, s) && !out.contains(&s) {
-            out.push(s);
-        }
-    }
-    out
-}
-
 /// `HASCALLONWARMPATH` from Algorithm 1: is a (non-inlined) call reachable
 /// from `start` along non-cold edges while staying within `blocks`?
 pub fn has_call_on_warm_path(
     f: &Func,
     cfg: &RegionConfig,
     start: BlockId,
-    blocks: &HashSet<BlockId>,
+    blocks: &BlockSet,
 ) -> bool {
-    let mut seen = HashSet::new();
+    let mut seen = BlockSet::new();
     let mut stack = vec![start];
     while let Some(b) = stack.pop() {
-        if !blocks.contains(&b) || !seen.insert(b) {
+        if !blocks.contains(b) || !seen.insert(b) {
             continue;
         }
         if f.block(b).insts.iter().any(|i| i.op.is_call()) {
             return true;
         }
-        for s in warm_succs(f, cfg, b) {
-            stack.push(s);
-        }
+        stack.extend(f.succs(b).filter(|&s| !edge_is_cold(f, cfg, b, s)));
     }
     false
 }
@@ -66,7 +51,6 @@ pub fn has_call_on_warm_path(
 /// The dominant (hottest) successor of `b`, if any edge executed.
 pub fn dominant_succ(f: &Func, b: BlockId) -> Option<BlockId> {
     f.succs(b)
-        .into_iter()
         .map(|s| (s, f.edge_count(b, s)))
         .max_by_key(|(s, c)| (*c, u32::MAX - s.0))
         .filter(|(_, c)| *c > 0)
@@ -74,13 +58,9 @@ pub fn dominant_succ(f: &Func, b: BlockId) -> Option<BlockId> {
 }
 
 /// The dominant (hottest) predecessor of `b`, if any edge executed.
-pub fn dominant_pred(
-    f: &Func,
-    preds: &std::collections::HashMap<BlockId, Vec<BlockId>>,
-    b: BlockId,
-) -> Option<BlockId> {
+pub fn dominant_pred(f: &Func, preds: &Preds, b: BlockId) -> Option<BlockId> {
     preds
-        .get(&b)?
+        .of(b)
         .iter()
         .map(|p| (*p, f.edge_count(*p, b)))
         .max_by_key(|(p, c)| (*c, u32::MAX - p.0))
@@ -157,7 +137,7 @@ mod tests {
                 method: _MID(1),
                 args: vec![],
             }));
-        let blocks: HashSet<BlockId> = f.block_ids().into_iter().collect();
+        let blocks: BlockSet = f.block_ids().into_iter().collect();
         assert!(!has_call_on_warm_path(&f, &cfg, f.entry, &blocks));
         // Put one in the hot target: reachable.
         f.block_mut(BlockId(1))

@@ -7,9 +7,9 @@
 //! 4. Convert cold edges into asserts.
 //! 5. Remove all (aggressively) inlined methods from non-speculative paths.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
-use hasp_ir::{BlockId, Func, RegionId};
+use hasp_ir::{BlockId, BlockSet, Func, RegionId};
 
 use crate::boundaries::select_boundaries;
 use crate::config::RegionConfig;
@@ -39,20 +39,19 @@ pub fn form_atomic_regions(
 ) -> FormationResult {
     split_at_calls(f);
     let sel = select_boundaries(f, sites, cfg);
-    let pruned: HashSet<usize> = sel.pruned_sites.iter().copied().collect();
     let regions = form_regions(f, &sel.boundaries, cfg);
 
     // Step 5: aggressively-inlined methods are retained only along
     // speculative paths (inside the region copies); the originals revert to
     // calls. Sites that ended up containing a region boundary stay fully
     // inlined — their middle is an abort target and cannot be collapsed.
-    let mut guard: HashSet<BlockId> = sel.boundaries.iter().copied().collect();
+    let mut guard: BlockSet = sel.boundaries.iter().copied().collect();
     for ri in &regions {
         guard.insert(f.regions[ri.0 as usize].begin);
     }
     let mut despeculated = Vec::new();
     for (i, site) in sites.iter().enumerate() {
-        if pruned.contains(&i)
+        if sel.pruned_sites.contains(&i)
             || site.budget == InlineBudget::Baseline
             || site.contains_any(&guard)
             || !site.is_live(f)

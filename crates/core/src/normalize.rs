@@ -49,7 +49,8 @@ fn split_after(f: &mut Func, b: BlockId, at: usize) -> BlockId {
     f.block_mut(tail).region = region;
     f.block_mut(b).term = Term::Jump(tail);
     // Successors' phis must name the new predecessor.
-    for s in f.succs(tail) {
+    for k in 0..f.block(tail).term.succ_count() {
+        let s = f.block(tail).term.succ(k);
         let insts = &mut f.block_mut(s).insts;
         for inst in insts {
             if let Op::Phi(ins) = &mut inst.op {

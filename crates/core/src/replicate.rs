@@ -9,9 +9,9 @@
 //! are moved to the aregion begin and an exception edge is added from the
 //! atomic begin to the source block".
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
-use hasp_ir::{AssertKind, BlockId, Func, Inst, Op, RegionId, RegionInfo, Term, VReg};
+use hasp_ir::{AssertKind, BlockId, BlockSet, Func, Inst, Op, RegionId, RegionInfo, Term, VReg};
 use hasp_vm::bytecode::CmpOp;
 
 use crate::config::RegionConfig;
@@ -23,28 +23,32 @@ pub fn form_regions(
     boundaries: &BTreeSet<BlockId>,
     cfg: &RegionConfig,
 ) -> Vec<RegionId> {
-    let live: HashSet<BlockId> = f.rpo().into_iter().collect();
+    let live: BlockSet = f.rpo().into_iter().collect();
     let mut bounds: Vec<BlockId> = boundaries
         .iter()
         .copied()
-        .filter(|b| live.contains(b) && !f.block(*b).dead)
+        .filter(|&b| live.contains(b) && !f.block(b).dead)
         .collect();
 
     // Drop boundaries whose region would be too small to amortize the
     // begin/commit pair (estimated against the full boundary set).
-    let bound_set: HashSet<BlockId> = bounds.iter().copied().collect();
+    let bound_set: BlockSet = bounds.iter().copied().collect();
+    let mut seen = BlockSet::new();
+    let mut stack = Vec::new();
     bounds.retain(|&s| {
         let mut ops = 0u64;
-        let mut seen: HashSet<BlockId> = [s].into_iter().collect();
-        let mut stack = vec![s];
+        seen.clear();
+        seen.insert(s);
+        stack.clear();
+        stack.push(s);
         while let Some(c) = stack.pop() {
             ops += f.block(c).insts.len() as u64 + 1;
             if ops >= cfg.min_region_ops {
                 return true;
             }
             for t in f.succs(c) {
-                if !seen.contains(&t)
-                    && !bound_set.contains(&t)
+                if !seen.contains(t)
+                    && !bound_set.contains(t)
                     && !is_call_block(f, t)
                     && !edge_cold(f, cfg, c, t)
                 {
@@ -57,7 +61,8 @@ pub fn form_regions(
     });
 
     // ---- Phase A: create begin blocks and reroute all incoming edges. ----
-    let mut begin_of: HashMap<BlockId, BlockId> = HashMap::new();
+    // `begins[i]` is the begin block of `bounds[i]`.
+    let mut begins: Vec<BlockId> = Vec::with_capacity(bounds.len());
     for &s in &bounds {
         let b = f.add_block(Term::Jump(s));
         // Move the boundary's phis into the begin block: merged values are
@@ -75,9 +80,9 @@ pub fn form_regions(
         if f.entry == s {
             f.entry = b;
         }
-        begin_of.insert(s, b);
+        begins.push(b);
     }
-    let begin_set: HashSet<BlockId> = begin_of.values().copied().collect();
+    let begin_set: BlockSet = begins.iter().copied().collect();
 
     // ---- Phase B1: compute each region's body over the original graph. ----
     // A body block reached over a back edge to a block that *dominates* part
@@ -85,13 +90,14 @@ pub fn form_regions(
     // region exits instead (the dominator tree is computed after the begin
     // blocks rerouted all boundary edges).
     let dt = hasp_ir::DomTree::compute(f);
-    let mut bodies: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
+    let mut bodies: Vec<Vec<BlockId>> = Vec::new();
     for &s in &bounds {
         let mut body: Vec<BlockId> = Vec::new();
-        let mut seen: HashSet<BlockId> = HashSet::new();
         let mut ops = 0u64;
-        let mut stack = vec![s];
+        seen.clear();
         seen.insert(s);
+        stack.clear();
+        stack.push(s);
         while let Some(c) = stack.pop() {
             body.push(c);
             ops += f.block(c).insts.len() as u64 + 1;
@@ -99,8 +105,8 @@ pub fn form_regions(
                 continue; // stop expanding; remaining successors become exits
             }
             for t in f.succs(c) {
-                if seen.contains(&t)
-                    || begin_set.contains(&t)
+                if seen.contains(t)
+                    || begin_set.contains(t)
                     || is_call_block(f, t)
                     || edge_cold(f, cfg, c, t)
                     || dt.dominates(t, c)
@@ -111,28 +117,25 @@ pub fn form_regions(
                 stack.push(t);
             }
         }
-        bodies.push((s, body));
+        bodies.push(body);
     }
 
     // ---- Phase B2: copy bodies, convert cold edges, insert commits. ----
     let mut regions = Vec::new();
-    for (s, body) in &bodies {
-        let (r, vmap) = replicate_one(f, cfg, *s, body, begin_of[s]);
+    for ((&s, &begin), body) in bounds.iter().zip(&begins).zip(&bodies) {
+        let (r, copies) = replicate_one(f, cfg, s, body, begin);
         regions.push(r);
         // SSA repair: every value defined in the body now has two
         // definitions (original + copy), and region exits can re-enter the
         // original blocks downstream — so every pair gets a reaching-def
         // rewrite with join phis.
-        hasp_ir::ssa_repair::repair(f, &vmap);
+        hasp_ir::ssa_repair::repair(f, &copies);
     }
 
     // Originals are abort paths now: their profile weight moves to the
     // copies (which inherited the counts verbatim).
-    let mut originals: HashSet<BlockId> = HashSet::new();
-    for (_, body) in &bodies {
-        originals.extend(body.iter().copied());
-    }
-    for b in originals {
+    let originals: BlockSet = bodies.iter().flatten().copied().collect();
+    for b in originals.iter() {
         f.block_mut(b).freq = 0;
         zero_counts(&mut f.block_mut(b).term);
     }
@@ -164,15 +167,38 @@ fn edge_cold(f: &Func, cfg: &RegionConfig, from: BlockId, to: BlockId) -> bool {
     crate::cold::edge_is_cold(f, cfg, from, to)
 }
 
-/// Copies one region body and rewires it.
+/// One region body being copied: the copy of each body block and of each
+/// value the body defines, indexed by the original's id.
+struct BodyCopy {
+    blocks: Vec<Option<BlockId>>,
+    values: Vec<Option<VReg>>,
+}
+
+impl BodyCopy {
+    /// The copy of `b`, if `b` is in the body.
+    fn block(&self, b: BlockId) -> Option<BlockId> {
+        self.blocks.get(b.0 as usize).copied().flatten()
+    }
+
+    /// The copy of `v` if the body defines it, else `v`.
+    fn value(&self, v: VReg) -> VReg {
+        self.values
+            .get(v.0 as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(v)
+    }
+}
+
+/// Copies one region body and rewires it. Returns the region and the
+/// (original, copy) pair of every value the body defines.
 fn replicate_one(
     f: &mut Func,
     cfg: &RegionConfig,
     s: BlockId,
     body: &[BlockId],
     begin: BlockId,
-) -> (RegionId, HashMap<VReg, VReg>) {
-    let body_set: HashSet<BlockId> = body.iter().copied().collect();
+) -> (RegionId, Vec<(VReg, VReg)>) {
     let size_estimate: u64 = body
         .iter()
         .map(|&b| f.block(b).insts.len() as u64 + 1)
@@ -183,77 +209,82 @@ fn replicate_one(
         size_estimate,
     });
 
-    // Rename every value defined inside the body.
-    let mut vmap: HashMap<VReg, VReg> = HashMap::new();
+    // Rename every value defined inside the body, and allocate the block
+    // copies (consecutive ids from `first`).
+    let mut copy = BodyCopy {
+        blocks: vec![None; f.block_count()],
+        values: vec![None; f.vreg_count() as usize],
+    };
+    let mut pairs: Vec<(VReg, VReg)> = Vec::new();
     for &c in body {
-        let defs: Vec<VReg> = f.block(c).insts.iter().filter_map(|i| i.dst).collect();
-        for d in defs {
-            let fresh = f.vreg();
-            vmap.insert(d, fresh);
+        for i in 0..f.block(c).insts.len() {
+            if let Some(d) = f.block(c).insts[i].dst {
+                let fresh = f.vreg();
+                copy.values[d.0 as usize] = Some(fresh);
+                pairs.push((d, fresh));
+            }
         }
     }
-    // Allocate copies.
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
+    let first = f.block_count() as u32;
     for &c in body {
         let c2 = f.add_block(Term::Return(None));
-        bmap.insert(c, c2);
+        copy.blocks[c.0 as usize] = Some(c2);
     }
 
     // Copy instructions and rewrite terminators.
-    for &c in body {
-        let c2 = bmap[&c];
+    for (k, &c) in body.iter().enumerate() {
+        let c2 = BlockId(first + k as u32);
         let mut insts = f.block(c).insts.clone();
         for inst in &mut insts {
-            if let Some(d) = inst.dst {
-                inst.dst = Some(vmap[&d]);
-            }
-            for a in inst.op.args_mut() {
-                if let Some(n) = vmap.get(a) {
-                    *a = *n;
-                }
-            }
+            inst.dst = inst.dst.map(|d| copy.value(d));
+            inst.op.for_each_arg_mut(|a| *a = copy.value(*a));
         }
         let mut term = f.block(c).term.clone();
-        for a in term.args_mut() {
-            if let Some(n) = vmap.get(a) {
-                *a = *n;
-            }
-        }
+        term.for_each_arg_mut(|a| *a = copy.value(*a));
         let freq = f.block(c).freq;
         f.block_mut(c2).insts = insts;
         f.block_mut(c2).freq = freq;
         f.block_mut(c2).region = Some(r);
-        rewrite_copy_term(f, cfg, r, c, c2, term, &body_set, &bmap, &vmap);
+        rewrite_copy_term(f, cfg, r, c, c2, term, &copy);
     }
 
     // Fix phis inside copies: keep only inputs arriving over surviving
     // in-copy edges (this is where superblock-style entry-edge removal
-    // happens), relabeled to the copied predecessors.
-    let mut copy_preds: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
-    for &c in body {
-        for t in f.succs(bmap[&c]) {
-            copy_preds.entry(t).or_default().insert(bmap[&c]);
-        }
+    // happens), relabeled to the copied predecessors. `copy_preds` holds
+    // (copy index, copied predecessor), sorted and distinct.
+    let n = body.len() as u32;
+    let mut copy_preds: Vec<(u32, BlockId)> = Vec::new();
+    for k in 0..n {
+        let c2 = BlockId(first + k);
+        copy_preds.extend(
+            f.succs(c2)
+                .filter(|t| (first..first + n).contains(&t.0))
+                .map(|t| (t.0 - first, c2)),
+        );
     }
-    for &c in body {
-        let c2 = bmap[&c];
-        let preds_here: HashSet<BlockId> = copy_preds.get(&c2).cloned().unwrap_or_default();
+    copy_preds.sort_unstable();
+    copy_preds.dedup();
+    let mut rest = &copy_preds[..];
+    for (k, &c) in body.iter().enumerate() {
+        let c2 = BlockId(first + k as u32);
+        let len = rest.iter().take_while(|(i, _)| *i == k as u32).count();
+        let (here, tail) = rest.split_at(len);
+        rest = tail;
+        let preds_here = |p: BlockId| here.iter().any(|&(_, q)| q == p);
         let mut degenerate: Vec<(usize, VReg)> = Vec::new();
         for (idx, inst) in f.block_mut(c2).insts.iter_mut().enumerate() {
             if let Op::Phi(ins) = &mut inst.op {
-                let mut new_ins: Vec<(BlockId, VReg)> = Vec::new();
-                for (p, v) in ins.iter() {
-                    if let Some(&p2) = bmap.get(p) {
-                        if preds_here.contains(&p2) {
-                            new_ins.push((p2, *v));
-                        }
-                    }
-                }
+                let new_ins: Vec<(BlockId, VReg)> = ins
+                    .iter()
+                    .filter_map(|&(p, v)| {
+                        copy.block(p).filter(|&p2| preds_here(p2)).map(|p2| (p2, v))
+                    })
+                    .collect();
                 assert!(
                     !new_ins.is_empty(),
                     "region copy of {c} has a phi with no surviving inputs"
                 );
-                if new_ins.len() == 1 && preds_here.len() <= 1 {
+                if new_ins.len() == 1 && here.len() <= 1 {
                     degenerate.push((idx, new_ins[0].1));
                 } else {
                     *ins = new_ins;
@@ -272,16 +303,15 @@ fn replicate_one(
     // Arm the begin block.
     f.block_mut(begin).term = Term::RegionBegin {
         region: r,
-        body: bmap[&s],
+        body: BlockId(first),
         abort: s,
     };
-    (r, vmap)
+    (r, pairs)
 }
 
 /// Rewrites the terminator of copy `c2` (of original `c`): in-body edges go
 /// to copies, warm exits go through `aregion_end` helper blocks, cold edges
 /// become asserts (Step 4).
-#[allow(clippy::too_many_arguments)]
 fn rewrite_copy_term(
     f: &mut Func,
     cfg: &RegionConfig,
@@ -289,13 +319,11 @@ fn rewrite_copy_term(
     c: BlockId,
     c2: BlockId,
     term: Term,
-    body: &HashSet<BlockId>,
-    bmap: &HashMap<BlockId, BlockId>,
-    vmap: &HashMap<VReg, VReg>,
+    copy: &BodyCopy,
 ) {
     match term {
         Term::Jump(t) => {
-            let nt = map_target(f, r, c, t, body, bmap, vmap);
+            let nt = map_target(f, r, c, t, copy);
             f.block_mut(c2).term = Term::Jump(nt);
         }
         Term::Return(v) => {
@@ -315,8 +343,8 @@ fn rewrite_copy_term(
             let f_cold = is_cold_count(cfg, f_count, total);
             match (t_cold, f_cold) {
                 (false, false) => {
-                    let nt = map_target(f, r, c, t, body, bmap, vmap);
-                    let nf = map_target(f, r, c, fb, body, bmap, vmap);
+                    let nt = map_target(f, r, c, t, copy);
+                    let nf = map_target(f, r, c, fb, copy);
                     f.block_mut(c2).term = Term::Branch {
                         op,
                         a,
@@ -334,7 +362,7 @@ fn rewrite_copy_term(
                         kind: AssertKind::Cmp { op, a, b },
                         id,
                     }));
-                    let nf = map_target(f, r, c, fb, body, bmap, vmap);
+                    let nf = map_target(f, r, c, fb, copy);
                     f.block_mut(c2).term = Term::Jump(nf);
                 }
                 (false, true) => {
@@ -347,7 +375,7 @@ fn rewrite_copy_term(
                         },
                         id,
                     }));
-                    let nt = map_target(f, r, c, t, body, bmap, vmap);
+                    let nt = map_target(f, r, c, t, copy);
                     f.block_mut(c2).term = Term::Jump(nt);
                 }
                 (true, true) => {
@@ -362,7 +390,7 @@ fn rewrite_copy_term(
                         kind: AssertKind::Cmp { op: cold_op, a, b },
                         id,
                     }));
-                    let nw = map_target(f, r, c, warm, body, bmap, vmap);
+                    let nw = map_target(f, r, c, warm, copy);
                     f.block_mut(c2).term = Term::Jump(nw);
                 }
             }
@@ -372,7 +400,7 @@ fn rewrite_copy_term(
             targets,
             default,
         } => {
-            rewrite_switch(f, cfg, r, c, c2, sel, targets, default, body, bmap, vmap);
+            rewrite_switch(f, cfg, r, c, c2, sel, targets, default, copy);
         }
         Term::RegionBegin { .. } => unreachable!("no nested regions in a body"),
     }
@@ -398,9 +426,7 @@ fn rewrite_switch(
     sel: VReg,
     targets: Vec<(BlockId, u64)>,
     default: (BlockId, u64),
-    body: &HashSet<BlockId>,
-    bmap: &HashMap<BlockId, BlockId>,
-    vmap: &HashMap<VReg, VReg>,
+    copy: &BodyCopy,
 ) {
     let total: u64 = targets.iter().map(|(_, n)| *n).sum::<u64>() + default.1;
     let warm_cases: Vec<(i64, BlockId, u64)> = targets
@@ -425,7 +451,7 @@ fn rewrite_switch(
             kind: AssertKind::IntNe { sel, expected: k },
             id,
         }));
-        let nt = map_target(f, r, c, t, body, bmap, vmap);
+        let nt = map_target(f, r, c, t, copy);
         f.block_mut(c2).term = Term::Jump(nt);
         return;
     }
@@ -438,7 +464,7 @@ fn rewrite_switch(
             kind: AssertKind::IntNe { sel, expected: k },
             id,
         }));
-        let nt = map_target(f, r, c, t, body, bmap, vmap);
+        let nt = map_target(f, r, c, t, copy);
         f.block_mut(c2).term = Term::Jump(nt);
         return;
     }
@@ -448,7 +474,7 @@ fn rewrite_switch(
     let n_warm = warm_cases.len();
     for (i, (k, t, n)) in warm_cases.iter().enumerate() {
         let is_last = i == n_warm - 1;
-        let nt = map_target(f, r, c, *t, body, bmap, vmap);
+        let nt = map_target(f, r, c, *t, copy);
         if is_last && !default_warm {
             // Assert it is this case, then jump.
             let id = f.new_assert(r, format!("cold-switch {c} tail"));
@@ -495,24 +521,16 @@ fn rewrite_switch(
             }));
         }
     }
-    let nd = map_target(f, r, c, default.0, body, bmap, vmap);
+    let nd = map_target(f, r, c, default.0, copy);
     f.block_mut(cur).term = Term::Jump(nd);
 }
 
 /// Maps an edge target from a region copy: in-body targets go to the copy;
 /// anything else exits the region through a fresh `aregion_end` block. The
 /// exit block also registers itself with the target's phis.
-fn map_target(
-    f: &mut Func,
-    r: RegionId,
-    c_orig: BlockId,
-    t: BlockId,
-    body: &HashSet<BlockId>,
-    bmap: &HashMap<BlockId, BlockId>,
-    vmap: &HashMap<VReg, VReg>,
-) -> BlockId {
-    if body.contains(&t) {
-        return bmap[&t];
+fn map_target(f: &mut Func, r: RegionId, c_orig: BlockId, t: BlockId, copy: &BodyCopy) -> BlockId {
+    if let Some(t2) = copy.block(t) {
+        return t2;
     }
     // Exit: commit and continue in normal code at `t`.
     let e = f.add_block(Term::Jump(t));
@@ -529,7 +547,7 @@ fn map_target(
                 .find(|(p, _)| *p == c_orig)
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("phi at {t} lacks input for pred {c_orig}"));
-            additions.push((idx, *vmap.get(&v).unwrap_or(&v)));
+            additions.push((idx, copy.value(v)));
         }
     }
     for (idx, v) in additions {
@@ -611,9 +629,8 @@ mod tests {
         assert!(has_assert, "{}", f.display());
         assert!(has_end, "{}", f.display());
         // The original cold block is still reachable (via the abort path).
-        let reach: HashSet<BlockId> = f.rpo().into_iter().collect();
         assert!(
-            reach.contains(&BlockId(2)),
+            f.rpo().contains(&BlockId(2)),
             "cold path must survive for aborts"
         );
     }

@@ -10,9 +10,7 @@
 //!   body, while the original blocks are replaced by the call — this is what
 //!   makes partial inlining almost trivial with atomic regions.
 
-use std::collections::HashSet;
-
-use hasp_ir::{BlockId, Func, Inst, Op, Term, VReg};
+use hasp_ir::{BlockId, BlockSet, Func, Inst, Op, Term, VReg};
 use hasp_vm::bytecode::{MethodId, SlotId};
 
 /// How the call site dispatches when restored by un-inlining.
@@ -52,7 +50,7 @@ pub struct InlineSite {
     /// Continuation block (created by splitting at the call).
     pub cont: BlockId,
     /// All body blocks (including `entry` and any guard-miss call block).
-    pub blocks: HashSet<BlockId>,
+    pub blocks: BlockSet,
     /// The SSA value holding the call result — always defined by a phi in
     /// `cont` (possibly single-input), so un-inlining can redirect it.
     pub dst: Option<VReg>,
@@ -67,14 +65,14 @@ pub struct InlineSite {
 impl InlineSite {
     /// True if any of the given boundary blocks falls inside this site's
     /// body (`hasSelectedLoop` in Algorithm 1 and the Step-5 safety check).
-    pub fn contains_any(&self, blocks: &HashSet<BlockId>) -> bool {
+    pub fn contains_any(&self, blocks: &BlockSet) -> bool {
         !self.blocks.is_disjoint(blocks)
     }
 
     /// True if the site's body is still wired into the CFG (its entry is
     /// reachable); outer un-inlines can strand inner sites.
     pub fn is_live(&self, f: &Func) -> bool {
-        let reach: HashSet<BlockId> = f.rpo().into_iter().collect();
+        let reach = f.rpo();
         reach.contains(&self.entry) && reach.contains(&self.pre)
     }
 }
@@ -171,16 +169,12 @@ pub fn uninline(f: &mut Func, site: &InlineSite) {
 /// region-begin block that took over `cont`'s incoming edges. Body blocks are
 /// searched in `BlockId` order, so the answer does not depend on hash order.
 fn find_body_exit_target(f: &Func, site: &InlineSite) -> BlockId {
-    let mut blocks: Vec<BlockId> = site.blocks.iter().copied().collect();
-    blocks.sort_unstable();
-    for b in blocks {
+    for b in site.blocks.iter() {
         if f.block(b).dead {
             continue;
         }
-        for s in f.succs(b) {
-            if !site.blocks.contains(&s) {
-                return s;
-            }
+        if let Some(s) = f.succs(b).find(|&s| !site.blocks.contains(s)) {
+            return s;
         }
     }
     site.cont
@@ -293,8 +287,8 @@ mod tests {
     #[test]
     fn contains_any_detects_boundaries() {
         let (_, site) = inlined_func();
-        let inside: HashSet<BlockId> = [site.entry].into_iter().collect();
-        let outside: HashSet<BlockId> = [site.cont].into_iter().collect();
+        let inside: BlockSet = [site.entry].into_iter().collect();
+        let outside: BlockSet = [site.cont].into_iter().collect();
         assert!(site.contains_any(&inside));
         assert!(!site.contains_any(&outside));
     }

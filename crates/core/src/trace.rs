@@ -1,8 +1,6 @@
 //! Algorithm 2: `TRACEDOMINANTPATH` and `LOOPWEIGHT`.
 
-use std::collections::{HashMap, HashSet};
-
-use hasp_ir::{BlockId, Func, Loop};
+use hasp_ir::{BlockId, BlockSet, Func, Loop, LoopForest, Preds};
 
 use crate::cold::{dominant_pred, dominant_succ};
 
@@ -11,7 +9,7 @@ use crate::cold::{dominant_pred, dominant_succ};
 pub fn loop_weight(f: &Func, l: &Loop) -> u64 {
     l.blocks
         .iter()
-        .map(|&b| {
+        .map(|b| {
             let blk = f.block(b);
             blk.freq * (blk.insts.len() as u64 + 1)
         })
@@ -31,47 +29,42 @@ pub fn loop_weight(f: &Func, l: &Loop) -> u64 {
 /// per Algorithm 1) instead of degenerating into per-iteration boundaries.
 pub fn trace_dominant_path(
     f: &Func,
-    preds: &HashMap<BlockId, Vec<BlockId>>,
-    forest: &hasp_ir::LoopForest,
+    preds: &Preds,
+    forest: &LoopForest,
     seed: BlockId,
-    boundaries: &HashSet<BlockId>,
+    boundaries: &BlockSet,
 ) -> Vec<BlockId> {
     let mut path = vec![seed];
-    let mut on_path: HashSet<BlockId> = [seed].into_iter().collect();
+    let mut on_path: BlockSet = [seed].into_iter().collect();
 
-    if boundaries.contains(&seed) {
+    if boundaries.contains(seed) {
         return path;
     }
     // Forward along dominant out-edges, hopping over unselected loops.
     let mut cur = seed;
     while let Some(mut next) = dominant_succ(f, cur) {
-        if on_path.contains(&next) {
+        if on_path.contains(next) {
             // Back edge: leave the loop through its dominant exit.
-            let Some(l) = forest
-                .post_order()
-                .iter()
-                .find(|l| l.header == next && l.blocks.contains(&cur))
-            else {
+            let Some(l) = forest.headed_by(next).filter(|l| l.blocks.contains(cur)) else {
                 break;
             };
             let exit = l
-                .exiting_blocks(f)
-                .into_iter()
+                .blocks
+                .iter()
                 .flat_map(|e| {
                     f.succs(e)
-                        .into_iter()
-                        .filter(|t| !l.blocks.contains(t))
+                        .filter(|&t| !l.blocks.contains(t))
                         .map(move |t| (t, f.edge_count(e, t)))
                 })
                 .max_by_key(|(t, c)| (*c, u32::MAX - t.0));
             match exit {
-                Some((t, c)) if c > 0 && !on_path.contains(&t) => next = t,
+                Some((t, c)) if c > 0 && !on_path.contains(t) => next = t,
                 _ => break,
             }
         }
         on_path.insert(next);
         path.push(next);
-        if boundaries.contains(&next) {
+        if boundaries.contains(next) {
             break;
         }
         cur = next;
@@ -80,13 +73,11 @@ pub fn trace_dominant_path(
     // predecessors count (the latch belongs to the encapsulated loop).
     let mut cur = seed;
     loop {
-        let enclosing = forest.post_order().iter().find(|l| l.header == cur);
-        let prev = match enclosing {
+        let prev = match forest.headed_by(cur) {
             Some(l) => preds
-                .get(&cur)
-                .into_iter()
-                .flatten()
-                .filter(|p| !l.blocks.contains(*p))
+                .of(cur)
+                .iter()
+                .filter(|&&p| !l.blocks.contains(p))
                 .map(|p| (*p, f.edge_count(*p, cur)))
                 .max_by_key(|(p, c)| (*c, u32::MAX - p.0))
                 .filter(|(_, c)| *c > 0)
@@ -98,7 +89,7 @@ pub fn trace_dominant_path(
             break;
         }
         path.insert(0, prev);
-        if boundaries.contains(&prev) {
+        if boundaries.contains(prev) {
             break;
         }
         cur = prev;
@@ -150,7 +141,7 @@ mod tests {
         let f = chain();
         let preds = f.preds();
         let forest = LoopForest::compute(&f, &DomTree::compute(&f));
-        let boundaries: HashSet<BlockId> = [f.entry, BlockId(1)].into_iter().collect();
+        let boundaries: BlockSet = [f.entry, BlockId(1)].into_iter().collect();
         let path = trace_dominant_path(&f, &preds, &forest, BlockId(4), &boundaries);
         assert_eq!(
             path,
@@ -164,7 +155,7 @@ mod tests {
         let f = chain();
         let preds = f.preds();
         let forest = LoopForest::compute(&f, &DomTree::compute(&f));
-        let boundaries: HashSet<BlockId> = [BlockId(4)].into_iter().collect();
+        let boundaries: BlockSet = [BlockId(4)].into_iter().collect();
         let path = trace_dominant_path(&f, &preds, &forest, BlockId(4), &boundaries);
         assert_eq!(path, vec![BlockId(4)]);
     }
@@ -194,9 +185,9 @@ mod tests {
         f.block_mut(exit).freq = 10;
         let preds = f.preds();
         let forest = LoopForest::compute(&f, &DomTree::compute(&f));
-        let path = trace_dominant_path(&f, &preds, &forest, body, &HashSet::new());
+        let path = trace_dominant_path(&f, &preds, &forest, body, &BlockSet::new());
         // Must terminate and contain each block at most once.
-        let unique: HashSet<_> = path.iter().collect();
+        let unique: BlockSet = path.iter().copied().collect();
         assert_eq!(unique.len(), path.len());
         assert!(path.contains(&body));
     }

@@ -50,9 +50,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cache::CacheSim;
-use crate::fxhash::FxHashMap;
 use crate::machine::FALLBACK_LOCK_ADDR;
 use crate::stats::AbortReason;
+use hasp_vm::fxhash::FxHashMap;
 
 /// A core's identity within one [`Directory`] (index into mailboxes and
 /// the per-line sharer bitmasks).
@@ -505,19 +505,80 @@ impl CoreLink {
         self.dir.pending(self.core)
     }
 
+    /// The access hook (DESIGN §17), strictly ordered drain → publish →
+    /// drain: undelivered remote ops are applied to `cache` first, then this
+    /// access's intent on `line` is published (`write`, and `spec` for an
+    /// access inside a region) so remote cores see it before our own
+    /// speculative bits can depend on it, then the mailbox is drained again.
+    /// Returns the abort reason when a drained message conflicts (also
+    /// parked for [`CoreLink::take_abort`]); the access must not touch the
+    /// cache then.
+    ///
+    /// The re-drain after publish is what makes every conflicting message a
+    /// *signaled* one: publishing takes the line's stripe lock, and every
+    /// directory post rides some poster's stripe critical section, so once
+    /// publish returns, any message sampled against our pre-registration
+    /// state is already pending-visible — and is applied before this access
+    /// can mark the local bit such a stale message would collide with.
+    #[inline]
+    pub fn access(
+        &mut self,
+        cache: &mut CacheSim,
+        line: u64,
+        write: bool,
+        spec: bool,
+    ) -> Option<AbortReason> {
+        if self.pending() {
+            if let Some(reason) = self.drain(cache) {
+                return Some(reason);
+            }
+        }
+        self.publish_and_redrain(cache, line, write, spec)
+    }
+
+    /// The access hook after its first drain. A skipped publish rests on
+    /// the local `held` view, which a message posted since the first drain
+    /// can have made stale: a remote read that downgraded a line this core
+    /// owns would let a write go ahead unpublished, and the remote
+    /// speculative reader would never see it. So a skip stands only if the
+    /// mailbox is still empty right after it; otherwise drain and decide
+    /// again.
+    fn publish_and_redrain(
+        &mut self,
+        cache: &mut CacheSim,
+        line: u64,
+        write: bool,
+        spec: bool,
+    ) -> Option<AbortReason> {
+        while !self.publish(line, write, spec) {
+            if !self.pending() {
+                return None;
+            }
+            if let Some(reason) = self.drain(cache) {
+                return Some(reason);
+            }
+        }
+        if self.pending() {
+            self.drain(cache)
+        } else {
+            None
+        }
+    }
+
     /// Publishes intent for a local access to `line` (`write`, and whether
     /// the access is speculative, i.e. inside a region). Deduped: the
     /// directory is only consulted when this access adds information —
     /// first touch, shared→owned upgrade, or a new speculative claim.
+    /// Returns whether it published.
     #[inline]
-    pub fn publish(&mut self, line: u64, write: bool, spec: bool) {
+    pub fn publish(&mut self, line: u64, write: bool, spec: bool) -> bool {
         let key = self.tag | line;
         let spec_bit = if write { SPEC_W } else { SPEC_R };
         let spec_new = spec && self.spec.get(&key).is_none_or(|b| b & spec_bit == 0);
         let held = self.held.get(&key).copied();
         let upgrade = write && held != Some(Held::Owned);
         if held.is_some() && !upgrade && !spec_new {
-            return;
+            return false;
         }
         self.stats.published += 1;
         if write {
@@ -534,6 +595,7 @@ impl CoreLink {
             });
             *bits |= spec_bit;
         }
+        true
     }
 
     /// Drains the mailbox into `cache`, applying each remote op to the
@@ -545,8 +607,9 @@ impl CoreLink {
     /// A message conflicts when it collides with a live current-epoch
     /// speculative bit, or when it is signaled and its key is in this
     /// link's live registration set. The second case is the access hook's
-    /// re-drain catching a signal aimed at the registration it just
-    /// published, before the access marks the bit: the directory has
+    /// ([`CoreLink::access`]) re-drain catching a signal aimed at the
+    /// registration it just published, before the access marks the bit: the
+    /// directory has
     /// consumed the claim, so letting the access go on would leave a live
     /// bit with no claim behind it (DESIGN §17 argues why the set never
     /// holds a stale registration here).
@@ -722,6 +785,37 @@ mod tests {
     }
 
     #[test]
+    fn downgrade_between_first_drain_and_skipped_publish_still_invalidates() {
+        // Core A owns line L. Its next write's first drain finds the
+        // mailbox empty; then core B reads L speculatively, which downgrades
+        // A. A's publish would be skipped on its stale "owned" view, and
+        // without a second look the write would go ahead unpublished: the
+        // directory would end with no owner, sharers {A, B}, B's
+        // speculative read registered, and B never told of A's write.
+        let dir = Directory::new(2);
+        let hw = HwConfig::baseline();
+        let (mut cache_a, mut cache_b) = (CacheSim::new(&hw), CacheSim::new(&hw));
+        let mut a = CoreLink::new(Arc::clone(&dir), 0, 0);
+        let mut b = CoreLink::new(Arc::clone(&dir), 1, 0);
+        let line = 0x40;
+        assert_eq!(a.access(&mut cache_a, line, true, false), None);
+        assert_eq!(dir.line_state(line).owner, Some(0));
+
+        assert!(!a.pending(), "A's first drain finds nothing");
+        assert_eq!(b.access(&mut cache_b, line, false, true), None);
+        assert!(a.pending(), "B's read downgraded A");
+        assert_eq!(a.publish_and_redrain(&mut cache_a, line, true, false), None);
+
+        let st = dir.line_state(line);
+        assert_eq!((st.owner, st.sharers, st.spec_readers), (Some(0), 0b01, 0));
+        assert!(b.pending(), "B must learn of A's write");
+        assert_eq!(b.drain(&mut cache_b), Some(AbortReason::Conflict));
+        assert_eq!((b.stats.sig_aborts, b.stats.unsignaled_conflicts), (1, 0));
+        assert_eq!(dir.signaled(), b.stats.sig_aborts + b.stats.sig_raced);
+        assert_eq!(a.stats.benign, 1, "A applied the downgrade first");
+    }
+
+    #[test]
     fn distinct_asids_never_interact() {
         let dir = Directory::new(2);
         let mut a = CoreLink::new(Arc::clone(&dir), 0, 1);
@@ -772,12 +866,12 @@ mod tests {
     fn dedup_skips_redundant_publishes() {
         let dir = Directory::new(2);
         let mut a = CoreLink::new(Arc::clone(&dir), 0, 0);
-        a.publish(0x40, false, false);
-        a.publish(0x40, false, false); // held shared, no new info
+        assert!(a.publish(0x40, false, false));
+        assert!(!a.publish(0x40, false, false)); // held shared, no new info
         assert_eq!(a.stats.published, 1);
-        a.publish(0x40, false, true); // new spec-read claim
-        a.publish(0x40, true, true); // shared→owned upgrade + spec write
-        a.publish(0x40, true, true); // fully covered
+        assert!(a.publish(0x40, false, true)); // new spec-read claim
+        assert!(a.publish(0x40, true, true)); // shared→owned upgrade + spec write
+        assert!(!a.publish(0x40, true, true)); // fully covered
         assert_eq!(a.stats.published, 3);
     }
 }

@@ -37,7 +37,6 @@ pub mod cache;
 pub mod coherence;
 pub mod config;
 pub mod fault;
-pub mod fxhash;
 pub mod lineset;
 pub mod lower;
 pub mod machine;

@@ -20,7 +20,7 @@
 //! proptest in `tests/prop_hw.rs` drives them against each other across the
 //! threshold).
 
-use crate::fxhash::FxHashSet;
+use hasp_vm::fxhash::FxHashSet;
 
 /// Distinct-line count beyond which the dense vector spills to a hash set.
 /// Above any typical committed region footprint in the paper's data, and

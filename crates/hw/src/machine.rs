@@ -25,11 +25,11 @@ use crate::cache::{CacheSim, FastHit, HitLevel, TargetCache, NO_SITE};
 use crate::coherence::CoreLink;
 use crate::config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 use crate::fault::MachineFault;
-use crate::fxhash::FxHashMap;
 use crate::lineset::LineSet;
 use crate::stats::{AbortReason, MarkerSnap, RunStats};
 use crate::superblock::{SbInfo, SbTerm, YIELD_FLAG_ADDR};
 use crate::uop::{CodeCache, CompiledCode, MReg, Uop};
+use hasp_vm::fxhash::FxHashMap;
 
 /// Data address of the global fallback lock word (the hybrid-TM mutual-
 /// isolation channel, SNIPPETS §9.2.2 made concrete): tier-2+ speculative
@@ -576,25 +576,12 @@ impl<'p> Machine<'p> {
             stats.l1_hits += 1;
             return !Self::over_line_budget(cache, region, cfg, addr);
         }
-        // The coherence hook (DESIGN §17), strictly ordered drain → publish
-        // → drain → access: undelivered remote ops are applied to the local
-        // cache first (a colliding one bails out before this access touches
-        // anything — the caller aborts through the overflow path with the
-        // parked reason), then this access's intent is published so remote
-        // cores see it before our own speculative bits can depend on it.
-        // The re-drain after publish is what makes every conflicting
-        // message a *signaled* one: publishing takes the line's stripe
-        // lock, and every directory post rides some poster's stripe
-        // critical section, so once publish returns, any message sampled
-        // against our pre-registration state is already pending-visible —
-        // and is applied here, before this access can mark the local bit
-        // such a stale message would collide with.
+        // The coherence hook (DESIGN §17, `CoreLink::access`): a colliding
+        // remote op bails out before this access touches anything — the
+        // caller aborts through the overflow path with the parked reason.
         if let Some(link) = coh.as_mut() {
-            if link.pending() && link.drain(cache).is_some() {
-                return false;
-            }
-            link.publish(cache.line_of(addr), write, region.is_some());
-            if link.pending() && link.drain(cache).is_some() {
+            let line = cache.line_of(addr);
+            if link.access(cache, line, write, region.is_some()).is_some() {
                 return false;
             }
         }

@@ -4,8 +4,8 @@
 
 use hasp_vm::bytecode::MethodId;
 
-use crate::fxhash::FxHashMap;
 use crate::uop::{UopClass, UOP_CLASSES};
+use hasp_vm::fxhash::FxHashMap;
 
 /// Why an atomic region aborted (reported to software through the abort
 /// reason register, §3.2).

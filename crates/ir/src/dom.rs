@@ -1,110 +1,172 @@
 //! Dominators, post-dominators, and dominance frontiers
 //! (Cooper–Harvey–Kennedy iterative algorithm).
+//!
+//! Every table is a vector indexed by `BlockId`. Both trees number their
+//! nodes in a depth-first preorder, so a (post-)dominance query is two
+//! comparisons: `a` dominates `b` iff `b`'s number falls in `a`'s subtree
+//! interval.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::func::Func;
+use crate::dense::DenseLists;
+use crate::func::{Func, Preds};
 use crate::instr::BlockId;
 
-/// Computes immediate dominators over an abstract graph.
-///
-/// `nodes` must be a reverse postorder starting at the root; `preds` gives
-/// predecessors restricted to `nodes`.
-fn compute_idoms(
-    nodes: &[BlockId],
-    preds: &HashMap<BlockId, Vec<BlockId>>,
-) -> HashMap<BlockId, BlockId> {
-    let index: HashMap<BlockId, usize> = nodes.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-    let root = nodes[0];
-    let mut idom: Vec<Option<usize>> = vec![None; nodes.len()];
-    idom[0] = Some(0);
+/// "No block" in the dense tables.
+const NONE: u32 = u32::MAX;
+
+/// Immediate dominators over an abstract graph of `n` nodes `0..n`, given
+/// in reverse postorder from the root (`order[0]`). `preds(v, push)` pushes
+/// the predecessors of node `v`; nodes outside `order` are ignored.
+/// Returns each node's immediate dominator (`NONE` for the root and for
+/// nodes outside `order`).
+fn compute_idoms(n: usize, order: &[u32], mut preds: impl FnMut(u32, &mut Vec<u32>)) -> Vec<u32> {
+    let mut index = vec![NONE; n];
+    for (i, &v) in order.iter().enumerate() {
+        index[v as usize] = i as u32;
+    }
+    // Immediate dominators by reverse-postorder position; the root is its
+    // own until the end.
+    let mut idom = vec![NONE; order.len()];
+    idom[0] = 0;
+    let mut ps = Vec::new();
     let mut changed = true;
     while changed {
         changed = false;
-        for (i, b) in nodes.iter().enumerate().skip(1) {
-            let mut new_idom: Option<usize> = None;
-            for p in preds.get(b).into_iter().flatten() {
-                let Some(&pi) = index.get(p) else { continue };
-                if idom[pi].is_none() {
+        for (i, &v) in order.iter().enumerate().skip(1) {
+            ps.clear();
+            preds(v, &mut ps);
+            let mut new_idom = NONE;
+            for &p in &ps {
+                let pi = index[p as usize];
+                if pi == NONE || idom[pi as usize] == NONE {
                     continue;
                 }
-                new_idom = Some(match new_idom {
-                    None => pi,
-                    Some(cur) => intersect(&idom, pi, cur),
-                });
+                new_idom = if new_idom == NONE {
+                    pi
+                } else {
+                    intersect(&idom, pi, new_idom)
+                };
             }
-            if let Some(n) = new_idom {
-                if idom[i] != Some(n) {
-                    idom[i] = Some(n);
-                    changed = true;
-                }
+            if new_idom != NONE && idom[i] != new_idom {
+                idom[i] = new_idom;
+                changed = true;
             }
         }
     }
-    nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| **b != root)
-        .filter_map(|(i, b)| idom[i].map(|d| (*b, nodes[d])))
-        .collect()
+    let mut out = vec![NONE; n];
+    for (i, &v) in order.iter().enumerate().skip(1) {
+        if idom[i] != NONE {
+            out[v as usize] = order[idom[i] as usize];
+        }
+    }
+    out
 }
 
-fn intersect(idom: &[Option<usize>], mut a: usize, mut b: usize) -> usize {
+fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
         while a > b {
-            a = idom[a].expect("processed");
+            a = idom[a as usize];
         }
         while b > a {
-            b = idom[b].expect("processed");
+            b = idom[b as usize];
         }
     }
     a
 }
 
-/// The dominator tree of a function's CFG.
+/// A tree over `0..n` given by parent links, stored as children lists
+/// (ascending) with preorder numbers for O(1) ancestor queries.
+#[derive(Debug, Clone)]
+struct Tree {
+    parent: Vec<u32>,
+    children: DenseLists<BlockId>,
+    /// Preorder number of each node (`NONE` outside the tree) and the
+    /// largest preorder number in its subtree.
+    pre: Vec<u32>,
+    last: Vec<u32>,
+    preorder: Vec<BlockId>,
+}
+
+impl Tree {
+    fn new(root: u32, parent: Vec<u32>) -> Tree {
+        let n = parent.len();
+        let children = DenseLists::new(
+            n,
+            parent
+                .iter()
+                .enumerate()
+                .filter(|(_, &p)| p != NONE)
+                .map(|(v, &p)| (p as usize, BlockId(v as u32))),
+        );
+        let mut pre = vec![NONE; n];
+        let mut last = vec![NONE; n];
+        let mut preorder = Vec::with_capacity(n);
+        // Preorder over children in ascending order; on leaving a node, its
+        // subtree's last number is the current count - 1.
+        let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
+        pre[root as usize] = 0;
+        preorder.push(BlockId(root));
+        while let Some(&mut (v, ref mut next_child)) = stack.last_mut() {
+            if let Some(&c) = children.get(v as usize).get(*next_child) {
+                *next_child += 1;
+                pre[c.0 as usize] = preorder.len() as u32;
+                preorder.push(c);
+                stack.push((c.0, 0));
+            } else {
+                last[v as usize] = preorder.len() as u32 - 1;
+                stack.pop();
+            }
+        }
+        Tree {
+            parent,
+            children,
+            pre,
+            last,
+            preorder,
+        }
+    }
+
+    fn parent(&self, v: u32) -> Option<u32> {
+        self.parent.get(v as usize).copied().filter(|&p| p != NONE)
+    }
+
+    fn children(&self, v: u32) -> &[BlockId] {
+        self.children.get(v as usize)
+    }
+
+    /// True if `a` is an ancestor of `b` or `b` itself, both in the tree.
+    fn is_ancestor(&self, a: u32, b: u32) -> bool {
+        let (Some(&pa), Some(&pb)) = (self.pre.get(a as usize), self.pre.get(b as usize)) else {
+            return false;
+        };
+        pa != NONE && pb != NONE && pa <= pb && pb <= self.last[a as usize]
+    }
+}
+
+/// The dominator tree of a function's CFG, over the blocks reachable from
+/// the entry. It keeps the reverse postorder and predecessors it was built
+/// from, which its users and [`DomTree::frontiers`] need as well.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    idom: HashMap<BlockId, BlockId>,
-    children: HashMap<BlockId, Vec<BlockId>>,
     root: BlockId,
-    /// Depth of each node in the tree (root = 0); used for fast
-    /// `dominates` queries via ancestor walking.
-    depth: HashMap<BlockId, usize>,
+    tree: Tree,
+    rpo: Vec<BlockId>,
+    preds: Preds,
 }
 
 impl DomTree {
     /// Computes dominators for `f` over reachable blocks.
     pub fn compute(f: &Func) -> Self {
         let rpo = f.rpo();
-        let preds = f.preds();
-        Self::build(f.entry, &rpo, &preds)
-    }
-
-    fn build(root: BlockId, rpo: &[BlockId], preds: &HashMap<BlockId, Vec<BlockId>>) -> Self {
-        let idom = compute_idoms(rpo, preds);
-        let mut children: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for (&b, &d) in &idom {
-            children.entry(d).or_default().push(b);
-        }
-        for c in children.values_mut() {
-            c.sort();
-        }
-        let mut depth = HashMap::new();
-        depth.insert(root, 0usize);
-        // BFS down the tree.
-        let mut queue = vec![root];
-        while let Some(b) = queue.pop() {
-            let d = depth[&b];
-            for &c in children.get(&b).into_iter().flatten() {
-                depth.insert(c, d + 1);
-                queue.push(c);
-            }
-        }
+        let preds = Preds::compute(f, &rpo);
+        let order: Vec<u32> = rpo.iter().map(|b| b.0).collect();
+        let idom = compute_idoms(f.block_count(), &order, |v, out| {
+            out.extend(preds.of(BlockId(v)).iter().map(|p| p.0));
+        });
         DomTree {
-            idom,
-            children,
-            root,
-            depth,
+            root: f.entry,
+            tree: Tree::new(f.entry.0, idom),
+            rpo,
+            preds,
         }
     }
 
@@ -115,72 +177,86 @@ impl DomTree {
 
     /// Immediate dominator of `b` (`None` for the root or unreachable).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom.get(&b).copied()
+        self.tree.parent(b.0).map(BlockId)
     }
 
-    /// Children of `b` in the dominator tree.
+    /// Children of `b` in the dominator tree, in ascending `BlockId` order.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        self.children.get(&b).map(Vec::as_slice).unwrap_or(&[])
+        self.tree.children(b.0)
     }
 
     /// True if `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if a == b {
-            return true;
-        }
-        let (Some(&da), Some(mut cur)) = (self.depth.get(&a), Some(b)) else {
-            return false;
-        };
-        loop {
-            let Some(&dc) = self.depth.get(&cur) else {
-                return false;
-            };
-            if dc <= da {
-                return cur == a;
-            }
-            match self.idom(cur) {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
+        a == b || self.tree.is_ancestor(a.0, b.0)
     }
 
-    /// Dominator-tree preorder starting at the root.
-    pub fn preorder(&self) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(b) = stack.pop() {
-            out.push(b);
-            for &c in self.children(b).iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+    /// Dominator-tree preorder starting at the root, children in ascending
+    /// `BlockId` order.
+    pub fn preorder(&self) -> &[BlockId] {
+        &self.tree.preorder
+    }
+
+    /// The reverse postorder of the blocks the tree covers.
+    pub fn rpo(&self) -> &[BlockId] {
+        &self.rpo
+    }
+
+    /// The predecessors of the blocks the tree covers.
+    pub fn preds(&self) -> &Preds {
+        &self.preds
     }
 
     /// Dominance frontiers (for SSA phi placement).
-    pub fn frontiers(&self, f: &Func) -> HashMap<BlockId, HashSet<BlockId>> {
-        let preds = f.preds();
-        let mut df: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
-        for b in f.rpo() {
-            let ps = preds.get(&b).cloned().unwrap_or_default();
-            if ps.len() >= 2 {
-                for p in ps {
-                    let mut runner = p;
-                    loop {
-                        if Some(runner) == self.idom(b) {
-                            break;
-                        }
-                        df.entry(runner).or_default().insert(b);
-                        match self.idom(runner) {
-                            Some(n) if runner != self.root => runner = n,
-                            _ => break,
-                        }
+    pub fn frontiers(&self) -> Frontiers {
+        // (runner, b) pairs in the order b is visited; the same b reached
+        // from two predecessors of b lands on consecutive pairs.
+        let mut pairs: Vec<(u32, BlockId)> = Vec::new();
+        for &b in &self.rpo {
+            let ps = self.preds.of(b);
+            if ps.len() < 2 {
+                continue;
+            }
+            let stop = self.idom(b);
+            for &p in ps {
+                let mut runner = p;
+                while Some(runner) != stop {
+                    pairs.push((runner.0, b));
+                    match self.idom(runner) {
+                        Some(n) if runner != self.root => runner = n,
+                        _ => break,
                     }
                 }
             }
         }
-        df
+        Frontiers::from_pairs(self.tree.parent.len(), pairs)
+    }
+}
+
+/// Dominance frontiers indexed by `BlockId`: `get(b)` lists each block in
+/// `b`'s frontier once, in reverse postorder.
+#[derive(Debug, Clone)]
+pub struct Frontiers(DenseLists<BlockId>);
+
+impl Frontiers {
+    fn from_pairs(n: usize, pairs: Vec<(u32, BlockId)>) -> Frontiers {
+        // All pairs of one frontier block are contiguous, so a repeated
+        // (runner, b) pair is always a repeat of the runner's last entry.
+        let mut last = vec![NONE; n];
+        let keep: Vec<bool> = pairs
+            .iter()
+            .map(|&(r, b)| std::mem::replace(&mut last[r as usize], b.0) != b.0)
+            .collect();
+        let kept = pairs
+            .iter()
+            .zip(&keep)
+            .filter(|(_, &k)| k)
+            .map(|(&(r, b), _)| (r as usize, b));
+        Frontiers(DenseLists::new(n, kept))
+    }
+
+    /// The dominance frontier of `b` (empty if it has none).
+    pub fn get(&self, b: BlockId) -> &[BlockId] {
+        self.0.get(b.0 as usize)
     }
 }
 
@@ -189,114 +265,79 @@ impl DomTree {
 /// absent, which is safe for the check-elimination use).
 #[derive(Debug, Clone)]
 pub struct PostDomTree {
-    ipdom: HashMap<BlockId, BlockId>,
-    depth: HashMap<BlockId, usize>,
-    /// Virtual exit marker: blocks whose immediate post-dominator is the
-    /// virtual exit have no entry in `ipdom` but appear in `depth`.
+    /// Over nodes `0..=block_count`; node `block_count` is the virtual exit.
+    tree: Tree,
+    virt: u32,
     exits: Vec<BlockId>,
 }
 
 impl PostDomTree {
     /// Computes post-dominators for `f`.
     pub fn compute(f: &Func) -> Self {
-        // Build the reverse graph over reachable blocks with a virtual exit.
         let rpo = f.rpo();
-        let virt = BlockId(u32::MAX);
-        let mut rev_preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new(); // preds in reverse graph = succs in CFG
-        let mut exits = Vec::new();
-        for &b in &rpo {
-            let succs = f.succs(b);
-            if succs.is_empty() {
-                exits.push(b);
-                rev_preds.entry(b).or_default().push(virt);
+        let preds = Preds::compute(f, &rpo);
+        let virt = f.block_count() as u32;
+        let exits: Vec<BlockId> = rpo
+            .iter()
+            .copied()
+            .filter(|&b| f.block(b).term.succ_count() == 0)
+            .collect();
+        // Reverse postorder of the reverse graph: DFS from the virtual exit
+        // along CFG predecessor edges.
+        let rev_succs = |v: u32| -> &[BlockId] {
+            if v == virt {
+                &exits
+            } else {
+                preds.of(BlockId(v))
             }
-            for s in succs {
-                rev_preds.entry(b).or_default().push(s);
-            }
-        }
-        // Reverse postorder of the reverse graph = postorder of CFG from
-        // virtual exit; compute by DFS over reverse edges (succ lists).
-        let mut rev_succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for (&b, ps) in &rev_preds {
-            for &p in ps {
-                rev_succs.entry(p).or_default().push(b);
-            }
-        }
-        let mut order = vec![];
-        let mut seen: HashSet<BlockId> = HashSet::new();
-        seen.insert(virt);
-        let mut stack = vec![(virt, 0usize)];
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let succs = rev_succs.get(&b).cloned().unwrap_or_default();
+        };
+        let mut seen = vec![false; virt as usize + 1];
+        let mut order: Vec<u32> = Vec::with_capacity(rpo.len() + 1);
+        let mut stack: Vec<(u32, usize)> = vec![(virt, 0)];
+        seen[virt as usize] = true;
+        while let Some(&mut (v, ref mut i)) = stack.last_mut() {
+            let succs = rev_succs(v);
             if *i < succs.len() {
-                let s = succs[*i];
+                let s = succs[*i].0;
                 *i += 1;
-                if seen.insert(s) {
+                if !seen[s as usize] {
+                    seen[s as usize] = true;
                     stack.push((s, 0));
                 }
             } else {
-                order.push(b);
+                order.push(v);
                 stack.pop();
             }
         }
         order.reverse();
-        let idom = compute_idoms(&order, &rev_preds);
-        let mut depth = HashMap::new();
-        depth.insert(virt, 0usize);
-        // Depths via repeated walking (graph is small).
-        fn depth_of(
-            b: BlockId,
-            idom: &HashMap<BlockId, BlockId>,
-            depth: &mut HashMap<BlockId, usize>,
-        ) -> usize {
-            if let Some(&d) = depth.get(&b) {
-                return d;
+        // Predecessors in the reverse graph are CFG successors, plus the
+        // virtual exit for exit blocks.
+        let ipdom = compute_idoms(virt as usize + 1, &order, |v, out| {
+            let term = &f.block(BlockId(v)).term;
+            if term.succ_count() == 0 {
+                out.push(virt);
             }
-            let d = match idom.get(&b) {
-                Some(&p) => depth_of(p, idom, depth) + 1,
-                None => 0,
-            };
-            depth.insert(b, d);
-            d
-        }
-        for &b in &order {
-            depth_of(b, &idom, &mut depth);
-        }
-        let ipdom = idom.into_iter().filter(|(b, _)| *b != virt).collect();
+            out.extend(term.succs().map(|s| s.0));
+        });
         PostDomTree {
-            ipdom,
-            depth,
+            tree: Tree::new(virt, ipdom),
+            virt,
             exits,
         }
     }
 
     /// Immediate post-dominator (`None` if it is the virtual exit).
     pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        self.ipdom.get(&b).copied().filter(|p| p.0 != u32::MAX)
+        self.tree
+            .parent(b.0)
+            .filter(|&p| p != self.virt)
+            .map(BlockId)
     }
 
     /// True if `a` post-dominates `b` (reflexive): every path from `b` to
     /// function exit passes through `a`.
     pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if a == b {
-            return true;
-        }
-        let Some(&da) = self.depth.get(&a) else {
-            return false;
-        };
-        let mut cur = b;
-        loop {
-            let Some(&dc) = self.depth.get(&cur) else {
-                return false;
-            };
-            if dc <= da {
-                return cur == a;
-            }
-            match self.ipdom(cur) {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
+        a == b || (a.0 != self.virt && self.tree.is_ancestor(a.0, b.0))
     }
 
     /// Blocks that exit the function directly.
@@ -350,11 +391,12 @@ mod tests {
     fn diamond_frontiers() {
         let f = diamond();
         let dt = DomTree::compute(&f);
-        let df = dt.frontiers(&f);
+        let df = dt.frontiers();
         let (b, c, d) = (BlockId(2), BlockId(3), BlockId(1));
-        assert!(df[&b].contains(&d));
-        assert!(df[&c].contains(&d));
-        assert!(!df.contains_key(&d) || !df[&d].contains(&d));
+        assert_eq!(df.get(b), &[d]);
+        assert_eq!(df.get(c), &[d]);
+        assert!(df.get(d).is_empty());
+        assert!(df.get(BlockId(99)).is_empty());
     }
 
     #[test]

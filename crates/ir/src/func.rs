@@ -1,10 +1,11 @@
 //! Functions: CFG container, block management, traversal utilities.
 
-use std::collections::HashMap;
+use std::ops::Index;
 
 use hasp_vm::bytecode::MethodId;
 
-use crate::instr::{AssertId, BlockId, Inst, Op, RegionId, Term, VReg};
+use crate::dense::DenseLists;
+use crate::instr::{AssertId, BlockId, Inst, Op, RegionId, Succs, Term, VReg};
 
 /// A basic block.
 #[derive(Debug, Clone)]
@@ -146,40 +147,32 @@ impl Func {
     }
 
     /// Successors of `b` in edge order.
-    pub fn succs(&self, b: BlockId) -> Vec<BlockId> {
+    pub fn succs(&self, b: BlockId) -> Succs<'_> {
         self.block(b).term.succs()
     }
 
-    /// Predecessor map over live, reachable blocks.
-    pub fn preds(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for b in self.reachable() {
-            preds.entry(b).or_default();
-            for s in self.succs(b) {
-                preds.entry(s).or_default().push(b);
-            }
-        }
-        preds
+    /// Predecessors of the blocks reachable from the entry.
+    pub fn preds(&self) -> Preds {
+        Preds::compute(self, &self.rpo())
     }
 
     /// Blocks reachable from the entry, in reverse postorder.
     pub fn rpo(&self) -> Vec<BlockId> {
-        let mut order = Vec::new();
-        let mut state = vec![0u8; self.blocks.len()]; // 0 unvisited, 1 on stack, 2 done
-                                                      // Iterative DFS computing postorder.
+        let mut order = Vec::with_capacity(self.blocks.len());
+        let mut seen = vec![false; self.blocks.len()];
+        // Iterative DFS computing postorder: (block, next edge to follow).
         let mut stack = vec![(self.entry, 0usize)];
-        state[self.entry.0 as usize] = 1;
+        seen[self.entry.0 as usize] = true;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let succs = self.succs(b);
-            if *i < succs.len() {
-                let s = succs[*i];
+            let term = &self.block(b).term;
+            if *i < term.succ_count() {
+                let s = term.succ(*i);
                 *i += 1;
-                if state[s.0 as usize] == 0 {
-                    state[s.0 as usize] = 1;
+                if !seen[s.0 as usize] {
+                    seen[s.0 as usize] = true;
                     stack.push((s, 0));
                 }
             } else {
-                state[b.0 as usize] = 2;
                 order.push(b);
                 stack.pop();
             }
@@ -188,29 +181,28 @@ impl Func {
         order
     }
 
-    /// Blocks reachable from the entry (arbitrary order).
+    /// Blocks reachable from the entry, in reverse postorder (the same
+    /// list as [`Func::rpo`]).
     pub fn reachable(&self) -> Vec<BlockId> {
         self.rpo()
     }
 
     /// Tombstones blocks not reachable from the entry. Returns how many died.
     pub fn remove_unreachable(&mut self) -> usize {
-        let live: std::collections::HashSet<BlockId> = self.rpo().into_iter().collect();
+        let preds = self.preds();
         let mut killed = 0;
-        for i in 0..self.blocks.len() {
-            let id = BlockId(i as u32);
-            if !live.contains(&id) && !self.blocks[i].dead {
-                self.blocks[i].dead = true;
-                self.blocks[i].insts.clear();
+        for (i, blk) in self.blocks.iter_mut().enumerate() {
+            if preds.get(BlockId(i as u32)).is_none() && !blk.dead {
+                blk.dead = true;
+                blk.insts.clear();
                 killed += 1;
             }
         }
         // Phis may reference dead predecessors; prune those inputs.
         if killed > 0 {
-            let preds = self.preds();
-            for b in self.block_ids() {
-                let pred_set: Vec<BlockId> = preds.get(&b).cloned().unwrap_or_default();
-                for inst in &mut self.blocks[b.0 as usize].insts {
+            for (i, blk) in self.blocks.iter_mut().enumerate() {
+                let pred_set = preds.of(BlockId(i as u32));
+                for inst in &mut blk.insts {
                     if let Op::Phi(ins) = &mut inst.op {
                         ins.retain(|(p, _)| pred_set.contains(p));
                     }
@@ -348,6 +340,69 @@ impl Func {
     }
 }
 
+/// Predecessors of the blocks reachable from the entry, indexed by
+/// [`BlockId`]: one flat edge list with per-block offsets, so a query is a
+/// slice and building costs O(blocks + edges). A block has one entry per
+/// edge into it, ordered by the predecessor's position in reverse
+/// postorder (edge order within one predecessor). Unreachable blocks —
+/// and blocks created after the snapshot — have no entry
+/// ([`Preds::get`] is `None`), which tells them apart from a reachable
+/// block with no predecessors (`Some(&[])`, the entry).
+#[derive(Debug, Clone)]
+pub struct Preds {
+    lists: DenseLists<BlockId>,
+    reachable: Vec<bool>,
+}
+
+impl Preds {
+    /// Predecessors over `rpo`, the reverse postorder of `f`.
+    pub(crate) fn compute(f: &Func, rpo: &[BlockId]) -> Preds {
+        let mut reachable = vec![false; f.block_count()];
+        for &b in rpo {
+            reachable[b.0 as usize] = true;
+        }
+        let edges = rpo
+            .iter()
+            .flat_map(|&b| f.succs(b).map(move |s| (s.0 as usize, b)));
+        Preds {
+            lists: DenseLists::new(f.block_count(), edges),
+            reachable,
+        }
+    }
+
+    /// Predecessors of `b`, or `None` if `b` is unreachable.
+    #[inline]
+    pub fn get(&self, b: BlockId) -> Option<&[BlockId]> {
+        let i = b.0 as usize;
+        self.reachable
+            .get(i)
+            .is_some_and(|&r| r)
+            .then(|| self.lists.get(i))
+    }
+
+    /// Predecessors of `b` (empty if `b` is unreachable).
+    #[inline]
+    pub fn of(&self, b: BlockId) -> &[BlockId] {
+        self.get(b).unwrap_or(&[])
+    }
+
+    /// Number of edges into `b` (0 if `b` is unreachable).
+    #[inline]
+    pub fn count(&self, b: BlockId) -> usize {
+        self.of(b).len()
+    }
+}
+
+impl Index<BlockId> for Preds {
+    type Output = [BlockId];
+
+    /// Predecessors of `b`. Panics if `b` is unreachable.
+    fn index(&self, b: BlockId) -> &[BlockId] {
+        self.get(b)
+            .unwrap_or_else(|| panic!("{b} is not reachable from the entry"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,11 +442,42 @@ mod tests {
 
     #[test]
     fn preds_of_join() {
-        let f = diamond();
+        let mut f = diamond();
+        let orphan = f.add_block(Term::Jump(BlockId(1)));
         let preds = f.preds();
-        let mut p = preds[&BlockId(1)].clone();
+        let mut p = preds[BlockId(1)].to_vec();
         p.sort();
         assert_eq!(p, vec![BlockId(2), BlockId(3)]);
+        // The entry is reachable with no predecessors; the orphan (and a
+        // block created after the snapshot) are unreachable.
+        assert_eq!(preds.get(f.entry), Some(&[][..]));
+        assert_eq!(preds.get(orphan), None);
+        assert_eq!(preds.count(orphan), 0);
+        let later = f.add_block(Term::Return(None));
+        assert_eq!(preds.get(later), None);
+    }
+
+    #[test]
+    fn preds_list_one_entry_per_edge_in_rpo() {
+        // A branch whose arms both reach the join through the same block
+        // contributes one entry per edge.
+        let mut f = diamond();
+        let x = f.vreg();
+        f.block_mut(BlockId(2)).term = Term::Branch {
+            op: CmpOp::Eq,
+            a: x,
+            b: x,
+            t: BlockId(1),
+            f: BlockId(1),
+            t_count: 1,
+            f_count: 1,
+        };
+        let preds = f.preds();
+        let rpo = f.rpo();
+        let pos = |b: BlockId| rpo.iter().position(|x| *x == b).unwrap();
+        let join = &preds[BlockId(1)];
+        assert_eq!(join.len(), 3);
+        assert!(join.windows(2).all(|w| pos(w[0]) <= pos(w[1])));
     }
 
     #[test]
@@ -424,7 +510,7 @@ mod tests {
             Op::Phi(vec![(BlockId(2), v2), (BlockId(3), v3)]),
         ));
         let mid = f.split_edge(BlockId(2), BlockId(1));
-        assert_eq!(f.succs(BlockId(2)), vec![mid]);
+        assert!(f.succs(BlockId(2)).eq([mid]));
         match &f.block(BlockId(1)).insts[0].op {
             Op::Phi(ins) => {
                 assert!(ins.iter().any(|(p, v)| *p == mid && *v == v2));

@@ -85,20 +85,33 @@ pub enum AssertKind {
 impl AssertKind {
     /// Operands read by the assertion.
     pub fn args(&self) -> Vec<VReg> {
+        let mut v = Vec::with_capacity(2);
+        self.for_each_arg(|a| v.push(a));
+        v
+    }
+
+    /// Calls `f` on every operand, in order, without allocating.
+    pub fn for_each_arg(&self, mut f: impl FnMut(VReg)) {
         match self {
-            AssertKind::Cmp { a, b, .. } => vec![*a, *b],
-            AssertKind::Null(v) | AssertKind::LockHeld(v) => vec![*v],
-            AssertKind::ClassNe { obj, .. } => vec![*obj],
-            AssertKind::IntNe { sel, .. } => vec![*sel],
+            AssertKind::Cmp { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            AssertKind::Null(v) | AssertKind::LockHeld(v) => f(*v),
+            AssertKind::ClassNe { obj, .. } => f(*obj),
+            AssertKind::IntNe { sel, .. } => f(*sel),
         }
     }
 
-    fn args_mut(&mut self) -> Vec<&mut VReg> {
+    fn for_each_arg_mut<'a>(&'a mut self, mut f: impl FnMut(&'a mut VReg)) {
         match self {
-            AssertKind::Cmp { a, b, .. } => vec![a, b],
-            AssertKind::Null(v) | AssertKind::LockHeld(v) => vec![v],
-            AssertKind::ClassNe { obj, .. } => vec![obj],
-            AssertKind::IntNe { sel, .. } => vec![sel],
+            AssertKind::Cmp { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            AssertKind::Null(v) | AssertKind::LockHeld(v) => f(v),
+            AssertKind::ClassNe { obj, .. } => f(obj),
+            AssertKind::IntNe { sel, .. } => f(sel),
         }
     }
 }
@@ -238,14 +251,21 @@ pub enum Op {
 impl Op {
     /// Operand values read by this op.
     pub fn args(&self) -> Vec<VReg> {
+        let mut v = Vec::new();
+        self.for_each_arg(|a| v.push(a));
+        v
+    }
+
+    /// Calls `f` on every operand, in order, without allocating.
+    pub fn for_each_arg(&self, mut f: impl FnMut(VReg)) {
         match self {
             Op::Const(_)
             | Op::ConstNull
             | Op::New(_)
             | Op::Safepoint
             | Op::Marker(_)
-            | Op::RegionEnd(_) => vec![],
-            Op::Phi(ins) => ins.iter().map(|(_, v)| *v).collect(),
+            | Op::RegionEnd(_) => {}
+            Op::Phi(ins) => ins.iter().for_each(|(_, v)| f(*v)),
             Op::Copy(v)
             | Op::NullCheck(v)
             | Op::DivCheck(v)
@@ -254,35 +274,50 @@ impl Op {
             | Op::MonitorEnter(v)
             | Op::MonitorExit(v)
             | Op::SleCheck(v)
-            | Op::LoadClass(v) => vec![*v],
-            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => vec![*a, *b],
-            Op::BoundsCheck { len, idx } => vec![*len, *idx],
-            Op::CastCheck { obj, .. } | Op::InstanceOf { obj, .. } => vec![*obj],
-            Op::LoadField { obj, .. } => vec![*obj],
-            Op::StoreField { obj, val, .. } => vec![*obj, *val],
-            Op::LoadElem { arr, idx } => vec![*arr, *idx],
-            Op::StoreElem { arr, idx, val } => vec![*arr, *idx, *val],
-            Op::Call { args, .. } => args.clone(),
-            Op::CallVirtual { recv, args, .. } => {
-                let mut v = vec![*recv];
-                v.extend_from_slice(args);
-                v
+            | Op::LoadClass(v) => f(*v),
+            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => {
+                f(*a);
+                f(*b);
             }
-            Op::Intrin { args, .. } => args.clone(),
-            Op::Assert { kind, .. } => kind.args(),
+            Op::BoundsCheck { len, idx } => {
+                f(*len);
+                f(*idx);
+            }
+            Op::CastCheck { obj, .. } | Op::InstanceOf { obj, .. } => f(*obj),
+            Op::LoadField { obj, .. } => f(*obj),
+            Op::StoreField { obj, val, .. } => {
+                f(*obj);
+                f(*val);
+            }
+            Op::LoadElem { arr, idx } => {
+                f(*arr);
+                f(*idx);
+            }
+            Op::StoreElem { arr, idx, val } => {
+                f(*arr);
+                f(*idx);
+                f(*val);
+            }
+            Op::Call { args, .. } | Op::Intrin { args, .. } => args.iter().for_each(|a| f(*a)),
+            Op::CallVirtual { recv, args, .. } => {
+                f(*recv);
+                args.iter().for_each(|a| f(*a));
+            }
+            Op::Assert { kind, .. } => kind.for_each_arg(f),
         }
     }
 
-    /// Mutable references to every operand (for renaming).
-    pub fn args_mut(&mut self) -> Vec<&mut VReg> {
+    /// Calls `f` on a mutable reference to every operand, in order, without
+    /// allocating (for renaming).
+    pub fn for_each_arg_mut<'a>(&'a mut self, mut f: impl FnMut(&'a mut VReg)) {
         match self {
             Op::Const(_)
             | Op::ConstNull
             | Op::New(_)
             | Op::Safepoint
             | Op::Marker(_)
-            | Op::RegionEnd(_) => vec![],
-            Op::Phi(ins) => ins.iter_mut().map(|(_, v)| v).collect(),
+            | Op::RegionEnd(_) => {}
+            Op::Phi(ins) => ins.iter_mut().for_each(|(_, v)| f(v)),
             Op::Copy(v)
             | Op::NullCheck(v)
             | Op::DivCheck(v)
@@ -291,22 +326,36 @@ impl Op {
             | Op::MonitorEnter(v)
             | Op::MonitorExit(v)
             | Op::SleCheck(v)
-            | Op::LoadClass(v) => vec![v],
-            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => vec![a, b],
-            Op::BoundsCheck { len, idx } => vec![len, idx],
-            Op::CastCheck { obj, .. } | Op::InstanceOf { obj, .. } => vec![obj],
-            Op::LoadField { obj, .. } => vec![obj],
-            Op::StoreField { obj, val, .. } => vec![obj, val],
-            Op::LoadElem { arr, idx } => vec![arr, idx],
-            Op::StoreElem { arr, idx, val } => vec![arr, idx, val],
-            Op::Call { args, .. } => args.iter_mut().collect(),
-            Op::CallVirtual { recv, args, .. } => {
-                let mut v = vec![recv];
-                v.extend(args.iter_mut());
-                v
+            | Op::LoadClass(v) => f(v),
+            Op::Bin(_, a, b) | Op::Cmp(_, a, b) => {
+                f(a);
+                f(b);
             }
-            Op::Intrin { args, .. } => args.iter_mut().collect(),
-            Op::Assert { kind, .. } => kind.args_mut(),
+            Op::BoundsCheck { len, idx } => {
+                f(len);
+                f(idx);
+            }
+            Op::CastCheck { obj, .. } | Op::InstanceOf { obj, .. } => f(obj),
+            Op::LoadField { obj, .. } => f(obj),
+            Op::StoreField { obj, val, .. } => {
+                f(obj);
+                f(val);
+            }
+            Op::LoadElem { arr, idx } => {
+                f(arr);
+                f(idx);
+            }
+            Op::StoreElem { arr, idx, val } => {
+                f(arr);
+                f(idx);
+                f(val);
+            }
+            Op::Call { args, .. } | Op::Intrin { args, .. } => args.iter_mut().for_each(f),
+            Op::CallVirtual { recv, args, .. } => {
+                f(recv);
+                args.iter_mut().for_each(f);
+            }
+            Op::Assert { kind, .. } => kind.for_each_arg_mut(f),
         }
     }
 
@@ -438,20 +487,35 @@ pub enum Term {
 }
 
 impl Term {
-    /// All successor blocks, in edge order.
-    pub fn succs(&self) -> Vec<BlockId> {
+    /// Number of outgoing edges.
+    pub fn succ_count(&self) -> usize {
         match self {
-            Term::Jump(b) => vec![*b],
-            Term::Branch { t, f, .. } => vec![*t, *f],
+            Term::Jump(_) => 1,
+            Term::Branch { .. } | Term::RegionBegin { .. } => 2,
+            Term::Switch { targets, .. } => targets.len() + 1,
+            Term::Return(_) => 0,
+        }
+    }
+
+    /// Target of edge `i` (`i < succ_count()`).
+    pub fn succ(&self, i: usize) -> BlockId {
+        match self {
+            Term::Jump(b) if i == 0 => *b,
+            Term::Branch { t, f, .. } if i < 2 => [*t, *f][i],
+            Term::RegionBegin { body, abort, .. } if i < 2 => [*body, *abort][i],
             Term::Switch {
                 targets, default, ..
-            } => {
-                let mut v: Vec<BlockId> = targets.iter().map(|(b, _)| *b).collect();
-                v.push(default.0);
-                v
-            }
-            Term::Return(_) => vec![],
-            Term::RegionBegin { body, abort, .. } => vec![*body, *abort],
+            } if i <= targets.len() => targets.get(i).map_or(default.0, |(b, _)| *b),
+            _ => panic!("edge {i} out of range for {self:?}"),
+        }
+    }
+
+    /// All successor blocks, in edge order, without allocating.
+    pub fn succs(&self) -> Succs<'_> {
+        Succs {
+            term: self,
+            next: 0,
+            end: self.succ_count(),
         }
     }
 
@@ -486,24 +550,66 @@ impl Term {
 
     /// Operand values read by the terminator.
     pub fn args(&self) -> Vec<VReg> {
+        let mut v = Vec::new();
+        self.for_each_arg(|a| v.push(a));
+        v
+    }
+
+    /// Calls `f` on every operand value, in order, without allocating.
+    pub fn for_each_arg(&self, mut f: impl FnMut(VReg)) {
         match self {
-            Term::Branch { a, b, .. } => vec![*a, *b],
-            Term::Switch { sel, .. } => vec![*sel],
-            Term::Return(Some(v)) => vec![*v],
-            _ => vec![],
+            Term::Branch { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            Term::Switch { sel, .. } => f(*sel),
+            Term::Return(Some(v)) => f(*v),
+            _ => {}
         }
     }
 
-    /// Mutable references to operand values (for renaming).
-    pub fn args_mut(&mut self) -> Vec<&mut VReg> {
+    /// Calls `f` on a mutable reference to every operand value, in order,
+    /// without allocating (for renaming).
+    pub fn for_each_arg_mut<'a>(&'a mut self, mut f: impl FnMut(&'a mut VReg)) {
         match self {
-            Term::Branch { a, b, .. } => vec![a, b],
-            Term::Switch { sel, .. } => vec![sel],
-            Term::Return(Some(v)) => vec![v],
-            _ => vec![],
+            Term::Branch { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            Term::Switch { sel, .. } => f(sel),
+            Term::Return(Some(v)) => f(v),
+            _ => {}
         }
     }
 }
+
+/// The successors of a terminator, in edge order ([`Term::succs`]).
+#[derive(Debug, Clone)]
+pub struct Succs<'a> {
+    term: &'a Term,
+    next: usize,
+    end: usize,
+}
+
+impl Iterator for Succs<'_> {
+    type Item = BlockId;
+
+    #[inline]
+    fn next(&mut self) -> Option<BlockId> {
+        (self.next < self.end).then(|| {
+            self.next += 1;
+            self.term.succ(self.next - 1)
+        })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.end - self.next;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Succs<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -513,10 +619,29 @@ mod tests {
     fn op_args_roundtrip() {
         let mut op = Op::Bin(BinOp::Add, VReg(1), VReg(2));
         assert_eq!(op.args(), vec![VReg(1), VReg(2)]);
-        for a in op.args_mut() {
-            a.0 += 10;
-        }
+        op.for_each_arg_mut(|a| a.0 += 10);
         assert_eq!(op.args(), vec![VReg(11), VReg(12)]);
+        let mut call = Op::CallVirtual {
+            slot: SlotId(0),
+            recv: VReg(3),
+            args: vec![VReg(4), VReg(5)],
+            site: 0,
+        };
+        call.for_each_arg_mut(|a| a.0 *= 2);
+        assert_eq!(call.args(), vec![VReg(6), VReg(8), VReg(10)]);
+    }
+
+    #[test]
+    fn switch_succs_list_cases_then_default() {
+        let t = Term::Switch {
+            sel: VReg(0),
+            targets: vec![(BlockId(4), 1), (BlockId(2), 0)],
+            default: (BlockId(4), 3),
+        };
+        assert_eq!(t.succ_count(), 3);
+        assert_eq!(t.succs().len(), 3);
+        assert!(t.succs().eq([BlockId(4), BlockId(2), BlockId(4)]));
+        assert_eq!(Term::Return(None).succs().next(), None);
     }
 
     #[test]
@@ -553,9 +678,9 @@ mod tests {
             t_count: 10,
             f_count: 90,
         };
-        assert_eq!(t.succs(), vec![BlockId(2), BlockId(3)]);
+        assert!(t.succs().eq([BlockId(2), BlockId(3)]));
         t.retarget(BlockId(3), BlockId(7));
-        assert_eq!(t.succs(), vec![BlockId(2), BlockId(7)]);
+        assert!(t.succs().eq([BlockId(2), BlockId(7)]));
     }
 
     #[test]
@@ -565,7 +690,7 @@ mod tests {
             body: BlockId(1),
             abort: BlockId(2),
         };
-        assert_eq!(t.succs(), vec![BlockId(1), BlockId(2)]);
+        assert!(t.succs().eq([BlockId(1), BlockId(2)]));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+pub mod dense;
 pub mod dom;
 pub mod dot;
 pub mod func;
@@ -28,9 +29,10 @@ pub mod ssa_repair;
 pub mod translate;
 pub mod verify;
 
+pub use dense::{BlockSet, DenseLists, VRegSet};
 pub use dom::{DomTree, PostDomTree};
-pub use func::{AssertInfo, Block, Func, RegionInfo};
-pub use instr::{AssertId, AssertKind, BlockId, Inst, Op, RegionId, Term, VReg};
+pub use func::{AssertInfo, Block, Func, Preds, RegionInfo};
+pub use instr::{AssertId, AssertKind, BlockId, Inst, Op, RegionId, Succs, Term, VReg};
 pub use liveness::Liveness;
 pub use loops::{ensure_preheader, Loop, LoopForest};
 pub use translate::translate;

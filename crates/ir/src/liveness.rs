@@ -1,18 +1,16 @@
 //! Backward liveness analysis (used by lowering/register allocation and by
 //! dead-code elimination's treatment of phis).
 
-use std::collections::{HashMap, HashSet};
-
+use crate::dense::VRegSet;
 use crate::func::Func;
-use crate::instr::{BlockId, Op, VReg};
+use crate::instr::{BlockId, Op};
 
-/// Per-block live-in/live-out sets.
+/// Per-block live-in/live-out sets, indexed by `BlockId` (empty for blocks
+/// the entry does not reach).
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    /// Values live at block entry (phi results included).
-    pub live_in: HashMap<BlockId, HashSet<VReg>>,
-    /// Values live at block exit.
-    pub live_out: HashMap<BlockId, HashSet<VReg>>,
+    live_in: Vec<VRegSet>,
+    live_out: Vec<VRegSet>,
 }
 
 impl Liveness {
@@ -23,88 +21,85 @@ impl Liveness {
     /// at block entry.
     pub fn compute(f: &Func) -> Liveness {
         let blocks = f.rpo();
-        let preds = f.preds();
+        let n = f.block_count();
 
-        // Per-block upward-exposed uses and defs (phis excluded from uses).
-        let mut gen_: HashMap<BlockId, HashSet<VReg>> = HashMap::new();
-        let mut kill: HashMap<BlockId, HashSet<VReg>> = HashMap::new();
+        // Per-block upward-exposed uses and defs (phis excluded from uses);
+        // phi uses attach to predecessor ends.
+        let mut gen_ = vec![VRegSet::new(); n];
+        let mut kill = vec![VRegSet::new(); n];
+        let mut phi_uses = vec![VRegSet::new(); n];
         for &b in &blocks {
-            let mut g = HashSet::new();
-            let mut k = HashSet::new();
+            let (g, k) = (&mut gen_[b.0 as usize], &mut kill[b.0 as usize]);
             for inst in &f.block(b).insts {
-                if !matches!(inst.op, Op::Phi(_)) {
-                    for a in inst.op.args() {
-                        if !k.contains(&a) {
-                            g.insert(a);
+                match &inst.op {
+                    Op::Phi(ins) => {
+                        for &(p, v) in ins {
+                            phi_uses[p.0 as usize].insert(v);
                         }
                     }
+                    op => op.for_each_arg(|a| {
+                        if !k.contains(a) {
+                            g.insert(a);
+                        }
+                    }),
                 }
                 if let Some(d) = inst.dst {
                     k.insert(d);
                 }
             }
-            for a in f.block(b).term.args() {
-                if !k.contains(&a) {
+            f.block(b).term.for_each_arg(|a| {
+                if !k.contains(a) {
                     g.insert(a);
                 }
-            }
-            gen_.insert(b, g);
-            kill.insert(b, k);
+            });
         }
 
-        // Phi uses attach to predecessor ends.
-        let mut phi_uses: HashMap<BlockId, HashSet<VReg>> = HashMap::new();
-        for &b in &blocks {
-            for inst in f.block(b).phis() {
-                if let Op::Phi(ins) = &inst.op {
-                    for (p, v) in ins {
-                        phi_uses.entry(*p).or_default().insert(*v);
-                    }
-                }
-            }
-        }
-
-        let mut live_in: HashMap<BlockId, HashSet<VReg>> =
-            blocks.iter().map(|b| (*b, HashSet::new())).collect();
-        let mut live_out: HashMap<BlockId, HashSet<VReg>> =
-            blocks.iter().map(|b| (*b, HashSet::new())).collect();
-
+        let mut live_in = vec![VRegSet::new(); n];
+        let mut live_out = vec![VRegSet::new(); n];
         let mut changed = true;
         while changed {
             changed = false;
             // Reverse order converges faster for backward problems.
             for &b in blocks.iter().rev() {
-                let mut out: HashSet<VReg> = phi_uses.get(&b).cloned().unwrap_or_default();
+                let i = b.0 as usize;
+                let mut out = phi_uses[i].clone();
                 for s in f.succs(b) {
-                    if let Some(li) = live_in.get(&s) {
-                        out.extend(li.iter().copied());
+                    out.union_with(&live_in[s.0 as usize]);
+                }
+                let mut inn = gen_[i].clone();
+                for v in out.iter() {
+                    if !kill[i].contains(v) {
+                        inn.insert(v);
                     }
                 }
-                let mut inn: HashSet<VReg> = gen_[&b].clone();
-                for v in &out {
-                    if !kill[&b].contains(v) {
-                        inn.insert(*v);
-                    }
-                }
-                if out != live_out[&b] {
-                    live_out.insert(b, out);
+                if out != live_out[i] {
+                    live_out[i] = out;
                     changed = true;
                 }
-                if inn != live_in[&b] {
-                    live_in.insert(b, inn);
+                if inn != live_in[i] {
+                    live_in[i] = inn;
                     changed = true;
                 }
             }
         }
-        let _ = preds;
         Liveness { live_in, live_out }
+    }
+
+    /// Values live at the entry of `b` (phi results included).
+    pub fn live_in(&self, b: BlockId) -> &VRegSet {
+        &self.live_in[b.0 as usize]
+    }
+
+    /// Values live at the exit of `b`.
+    pub fn live_out(&self, b: BlockId) -> &VRegSet {
+        &self.live_out[b.0 as usize]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{Inst, Term};
+    use crate::instr::{Inst, Term, VReg};
     use hasp_vm::bytecode::{BinOp, CmpOp, MethodId};
 
     #[test]
@@ -143,14 +138,14 @@ mod tests {
 
         let lv = Liveness::compute(&f);
         // x1 is live out of body (consumed by head's phi).
-        assert!(lv.live_out[&body].contains(&x1));
+        assert!(lv.live_out(body).contains(x1));
         // x is live into body and exit.
-        assert!(lv.live_in[&body].contains(&x));
-        assert!(lv.live_in[&exit].contains(&x));
+        assert!(lv.live_in(body).contains(x));
+        assert!(lv.live_in(exit).contains(x));
         // p (parameter) is live into head.
-        assert!(lv.live_in[&head].contains(&p));
+        assert!(lv.live_in(head).contains(p));
         // x0 is live out of entry (phi input) but not into body.
-        assert!(lv.live_out[&f.entry].contains(&x0));
-        assert!(!lv.live_in[&body].contains(&x0));
+        assert!(lv.live_out(f.entry).contains(x0));
+        assert!(!lv.live_in(body).contains(x0));
     }
 }

@@ -2,11 +2,10 @@
 //! nesting order) — Algorithm 1 processes "loops in post order" (innermost
 //! first).
 
-use std::collections::{HashMap, HashSet};
-
+use crate::dense::BlockSet;
 use crate::dom::DomTree;
 use crate::func::Func;
-use crate::instr::{BlockId, Term};
+use crate::instr::{BlockId, Op, Term};
 
 /// One natural loop.
 #[derive(Debug, Clone)]
@@ -14,49 +13,42 @@ pub struct Loop {
     /// The loop header (target of the back edge(s)).
     pub header: BlockId,
     /// All blocks in the loop, including the header.
-    pub blocks: HashSet<BlockId>,
+    pub blocks: BlockSet,
     /// Loops whose headers are strictly inside this loop.
     pub depth: usize,
 }
 
 impl Loop {
     /// Blocks outside the loop reachable by one edge from inside (loop
-    /// exits' *targets*).
+    /// exits' *targets*), in `BlockId` order.
     pub fn exit_targets(&self, f: &Func) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        for &b in &self.blocks {
-            for s in f.succs(b) {
-                if !self.blocks.contains(&s) && !out.contains(&s) {
-                    out.push(s);
-                }
-            }
-        }
-        out.sort();
+        let mut out: Vec<BlockId> = self
+            .blocks
+            .iter()
+            .flat_map(|b| f.succs(b))
+            .filter(|&s| !self.blocks.contains(s))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
-    /// Blocks inside the loop with an edge leaving the loop.
+    /// Blocks inside the loop with an edge leaving the loop, in `BlockId`
+    /// order.
     pub fn exiting_blocks(&self, f: &Func) -> Vec<BlockId> {
-        let mut out: Vec<BlockId> = self
-            .blocks
+        self.blocks
             .iter()
-            .copied()
-            .filter(|&b| f.succs(b).iter().any(|s| !self.blocks.contains(s)))
-            .collect();
-        out.sort();
-        out
+            .filter(|&b| f.succs(b).any(|s| !self.blocks.contains(s)))
+            .collect()
     }
 
-    /// Blocks inside the loop that branch back to the header.
+    /// Blocks inside the loop that branch back to the header, in `BlockId`
+    /// order.
     pub fn latches(&self, f: &Func) -> Vec<BlockId> {
-        let mut out: Vec<BlockId> = self
-            .blocks
+        self.blocks
             .iter()
-            .copied()
-            .filter(|&b| f.succs(b).contains(&self.header))
-            .collect();
-        out.sort();
-        out
+            .filter(|&b| f.succs(b).any(|s| s == self.header))
+            .collect()
     }
 }
 
@@ -71,43 +63,45 @@ impl LoopForest {
     /// `t`, the loop body is everything that reaches `t` without passing
     /// `h`. Back edges sharing a header are merged into one loop.
     pub fn compute(f: &Func, dt: &DomTree) -> Self {
-        let preds = f.preds();
-        let mut by_header: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
-        for b in f.rpo() {
+        let preds = dt.preds();
+        // Loop index of each header, in order of discovery.
+        let mut loop_of = vec![u32::MAX; f.block_count()];
+        let mut loops: Vec<Loop> = Vec::new();
+        let mut stack: Vec<BlockId> = Vec::new();
+        for &b in dt.rpo() {
             for s in f.succs(b) {
-                if dt.dominates(s, b) {
-                    // b -> s is a back edge.
-                    let body = by_header.entry(s).or_default();
-                    body.insert(s);
-                    // Walk predecessors from the latch up to the header.
-                    let mut stack = vec![b];
-                    while let Some(x) = stack.pop() {
-                        if body.insert(x) {
-                            for &p in preds.get(&x).into_iter().flatten() {
-                                if !body.contains(&p) {
-                                    stack.push(p);
-                                }
-                            }
-                        }
+                if !dt.dominates(s, b) {
+                    continue;
+                }
+                // b -> s is a back edge.
+                let slot = &mut loop_of[s.0 as usize];
+                if *slot == u32::MAX {
+                    *slot = loops.len() as u32;
+                    let mut blocks = BlockSet::with_capacity(f.block_count());
+                    blocks.insert(s);
+                    loops.push(Loop {
+                        header: s,
+                        blocks,
+                        depth: 0,
+                    });
+                }
+                let body = &mut loops[*slot as usize].blocks;
+                // Walk predecessors from the latch up to the header.
+                stack.push(b);
+                while let Some(x) = stack.pop() {
+                    if body.insert(x) {
+                        stack.extend(preds.of(x).iter().filter(|&&p| !body.contains(p)));
                     }
                 }
             }
         }
-        let mut loops: Vec<Loop> = by_header
-            .into_iter()
-            .map(|(header, blocks)| Loop {
-                header,
-                blocks,
-                depth: 0,
-            })
-            .collect();
         // Depth = number of other loops containing this loop's header.
         let depths: Vec<usize> = loops
             .iter()
             .map(|l| {
                 loops
                     .iter()
-                    .filter(|o| o.header != l.header && o.blocks.contains(&l.header))
+                    .filter(|o| o.header != l.header && o.blocks.contains(l.header))
                     .count()
             })
             .collect();
@@ -127,12 +121,17 @@ impl LoopForest {
 
     /// The innermost loop containing `b`, if any.
     pub fn innermost_containing(&self, b: BlockId) -> Option<&Loop> {
-        self.loops.iter().find(|l| l.blocks.contains(&b))
+        self.loops.iter().find(|l| l.blocks.contains(b))
+    }
+
+    /// The loop headed by `b`, if any.
+    pub fn headed_by(&self, b: BlockId) -> Option<&Loop> {
+        self.loops.iter().find(|l| l.header == b)
     }
 
     /// True if `b` is a loop header.
     pub fn is_header(&self, b: BlockId) -> bool {
-        self.loops.iter().any(|l| l.header == b)
+        self.headed_by(b).is_some()
     }
 
     /// Number of loops.
@@ -152,15 +151,13 @@ impl LoopForest {
 pub fn ensure_preheader(f: &mut Func, l: &Loop) -> BlockId {
     let preds = f.preds();
     let outside: Vec<BlockId> = preds
-        .get(&l.header)
-        .into_iter()
-        .flatten()
+        .of(l.header)
+        .iter()
         .copied()
-        .filter(|p| !l.blocks.contains(p))
+        .filter(|&p| !l.blocks.contains(p))
         .collect();
-    if outside.len() == 1 {
-        let p = outside[0];
-        if f.succs(p) == vec![l.header] {
+    if let [p] = outside[..] {
+        if f.succs(p).eq([l.header]) {
             return p;
         }
     }
@@ -175,7 +172,7 @@ pub fn ensure_preheader(f: &mut Func, l: &Loop) -> BlockId {
         f.block_mut(p).term.retarget(l.header, ph);
         // Phi inputs from p now flow through ph.
         for inst in &mut f.block_mut(l.header).insts {
-            if let crate::instr::Op::Phi(ins) = &mut inst.op {
+            if let Op::Phi(ins) = &mut inst.op {
                 for (pb, _) in ins.iter_mut() {
                     if *pb == p {
                         *pb = ph;
@@ -235,9 +232,9 @@ mod tests {
         assert_eq!(inner.header, BlockId(3));
         assert_eq!(outer.header, BlockId(2));
         assert!(inner.depth > outer.depth);
-        assert!(outer.blocks.contains(&BlockId(3)));
-        assert!(outer.blocks.contains(&BlockId(5)));
-        assert!(!inner.blocks.contains(&BlockId(5)));
+        assert!(outer.blocks.contains(BlockId(3)));
+        assert!(outer.blocks.contains(BlockId(5)));
+        assert!(!inner.blocks.contains(BlockId(5)));
     }
 
     #[test]

@@ -6,179 +6,175 @@
 //! phis. Temporaries allocated during translation are already single-def and
 //! left untouched.
 
-use std::collections::{HashMap, HashSet};
-
+use crate::dense::DenseLists;
 use crate::dom::DomTree;
 use crate::func::Func;
-use crate::instr::{BlockId, Inst, Op, VReg};
+use crate::instr::{BlockId, Inst, Op, Term, VReg};
+
+/// "No variable" in the per-block stamp tables.
+const NONE: u32 = u32::MAX;
 
 /// Rewrites variables `VReg(0)..VReg(num_vars)` into SSA form.
 ///
 /// Requires every variable to be defined before use on all paths; the
 /// translator guarantees this by zero-initializing non-argument variables in
-/// the entry block (arguments are live-in at entry).
+/// the entry block (arguments are live-in at entry, and are variables:
+/// `params <= num_vars`).
 pub fn construct(f: &mut Func, num_vars: u32) {
-    let is_var = |v: VReg| v.0 < num_vars;
+    debug_assert!(u32::from(f.params) <= num_vars, "parameters are variables");
     let dt = DomTree::compute(f);
-    let frontiers = dt.frontiers(f);
-    let reachable: HashSet<BlockId> = f.rpo().into_iter().collect();
+    let frontiers = dt.frontiers();
+    let n = f.block_count();
 
-    // Def sites per variable.
-    let mut def_sites: HashMap<VReg, HashSet<BlockId>> = HashMap::new();
-    for &b in &reachable {
+    // (variable, block) for every definition; parameters are defined at
+    // entry.
+    let mut defs: Vec<(u32, BlockId)> = Vec::new();
+    for &b in dt.rpo() {
         for inst in &f.block(b).insts {
-            if let Some(d) = inst.dst {
-                if is_var(d) {
-                    def_sites.entry(d).or_default().insert(b);
-                }
+            if let Some(d) = inst.dst.filter(|d| d.0 < num_vars) {
+                defs.push((d.0, b));
             }
         }
     }
-    // Parameters are defined at entry.
-    for i in 0..f.params {
-        def_sites
-            .entry(VReg(u32::from(i)))
-            .or_default()
-            .insert(f.entry);
-    }
+    defs.extend((0..u32::from(f.params)).map(|i| (i, f.entry)));
+    defs.sort_unstable();
+    defs.dedup();
 
-    // Insert phi placeholders at iterated dominance frontiers.
-    // phi_for[(block, slot)] = variable (slot = index among leading phis).
-    let mut phi_var: HashMap<(BlockId, usize), VReg> = HashMap::new();
-    let mut vars: Vec<VReg> = def_sites.keys().copied().collect();
-    vars.sort();
-    for v in vars {
-        let mut work: Vec<BlockId> = def_sites[&v].iter().copied().collect();
-        work.sort();
-        let mut has_phi: HashSet<BlockId> = HashSet::new();
+    // Phis at each variable's iterated dominance frontier. Per block, the
+    // last variable that put a phi there / defines it: stamps, so the
+    // tables need no clearing between variables.
+    let mut has_phi = vec![NONE; n];
+    let mut is_def = vec![NONE; n];
+    let mut work: Vec<BlockId> = Vec::new();
+    let mut placed: Vec<(BlockId, u32)> = Vec::new();
+    for group in defs.chunk_by(|x, y| x.0 == y.0) {
+        let v = group[0].0;
+        for &(_, b) in group {
+            is_def[b.0 as usize] = v;
+            work.push(b);
+        }
         while let Some(b) = work.pop() {
-            for &d in frontiers
-                .get(&b)
-                .map(|s| s as &HashSet<BlockId>)
-                .into_iter()
-                .flatten()
-            {
-                if !reachable.contains(&d) || !has_phi.insert(d) {
+            for &d in frontiers.get(b) {
+                if has_phi[d.0 as usize] == v {
                     continue;
                 }
-                let slot = f.block(d).phi_count();
-                f.block_mut(d)
-                    .insts
-                    .insert(slot, Inst::with_dst(v, Op::Phi(Vec::new())));
-                // Re-key any phis recorded after this slot in the same block.
-                let mut rekey: Vec<((BlockId, usize), VReg)> = Vec::new();
-                for (&(bb, s), &vv) in &phi_var {
-                    if bb == d && s >= slot {
-                        rekey.push(((bb, s), vv));
-                    }
-                }
-                rekey.sort_by_key(|&((_, s), _)| std::cmp::Reverse(s));
-                for ((bb, s), vv) in rekey {
-                    phi_var.remove(&(bb, s));
-                    phi_var.insert((bb, s + 1), vv);
-                }
-                phi_var.insert((d, slot), v);
-                if !def_sites[&v].contains(&d) {
+                has_phi[d.0 as usize] = v;
+                placed.push((d, v));
+                if is_def[d.0 as usize] != v {
                     work.push(d);
                 }
             }
         }
     }
-
-    // Renaming via dominator-tree walk.
-    let mut stacks: HashMap<VReg, Vec<VReg>> = HashMap::new();
-    for i in 0..f.params {
-        // Parameter values arrive in their original registers.
-        stacks.insert(VReg(u32::from(i)), vec![VReg(u32::from(i))]);
+    // A block's phis go after any it already has, in variable order, from
+    // slot `phi_slot[b]` on.
+    placed.sort_unstable();
+    let mut phi_slot = vec![0u32; n];
+    for group in placed.chunk_by(|x, y| x.0 == y.0) {
+        let d = group[0].0;
+        let slot = f.block(d).phi_count();
+        phi_slot[d.0 as usize] = slot as u32;
+        let arity = dt.preds().count(d);
+        let phis = group
+            .iter()
+            .map(|&(_, v)| Inst::with_dst(VReg(v), Op::Phi(Vec::with_capacity(arity))));
+        f.block_mut(d).insts.splice(slot..slot, phis);
     }
+    let phi_vars = DenseLists::new(n, placed.iter().map(|&(b, v)| (b.0 as usize, v)));
 
-    rename(f, &dt, f.entry, num_vars, &mut stacks, &phi_var);
+    // Renaming via dominator-tree walk. Parameter values arrive in their
+    // original registers.
+    let mut rename = Rename {
+        num_vars,
+        stacks: vec![Vec::new(); num_vars as usize],
+        pushed: Vec::new(),
+        phi_slot,
+        phi_vars,
+    };
+    for i in 0..u32::from(f.params) {
+        rename.stacks[i as usize].push(VReg(i));
+    }
+    rename.walk(f, &dt, f.entry);
 }
 
-fn rename(
-    f: &mut Func,
-    dt: &DomTree,
-    b: BlockId,
+/// The renaming walk's state.
+struct Rename {
     num_vars: u32,
-    stacks: &mut HashMap<VReg, Vec<VReg>>,
-    phi_var: &HashMap<(BlockId, usize), VReg>,
-) {
-    let is_var = |v: VReg| v.0 < num_vars;
-    let mut pushed: Vec<VReg> = Vec::new();
+    /// Per variable: its reaching SSA names, innermost last.
+    stacks: Vec<Vec<VReg>>,
+    /// Variable of every live push, in order, so leaving a subtree pops it.
+    pushed: Vec<u32>,
+    /// Per block: the variables of its inserted phis and their first slot.
+    phi_slot: Vec<u32>,
+    phi_vars: DenseLists<u32>,
+}
 
-    // Rewrite instructions.
-    let n_insts = f.block(b).insts.len();
-    for i in 0..n_insts {
-        let is_phi = matches!(f.block(b).insts[i].op, Op::Phi(_));
-        if !is_phi {
-            // Replace variable uses with current SSA names.
-            let mut inst = f.block(b).insts[i].clone();
-            for a in inst.op.args_mut() {
-                if is_var(*a) {
-                    *a = *stacks
-                        .get(a)
-                        .and_then(|s| s.last())
-                        .unwrap_or_else(|| panic!("use of {a} before def in {}", f.name));
-                }
-            }
-            f.block_mut(b).insts[i] = inst;
+impl Rename {
+    fn top(&self, v: VReg) -> Option<VReg> {
+        self.stacks[v.0 as usize].last().copied()
+    }
+
+    fn walk(&mut self, f: &mut Func, dt: &DomTree, b: BlockId) {
+        let mark = self.pushed.len();
+        self.visit(f, b);
+        for &c in dt.children(b) {
+            self.walk(f, dt, c);
         }
-        // New SSA name for variable defs (including phis).
-        if let Some(d) = f.block(b).insts[i].dst {
-            if is_var(d) {
-                let fresh = f.vreg();
-                f.block_mut(b).insts[i].dst = Some(fresh);
-                stacks.entry(d).or_default().push(fresh);
-                pushed.push(d);
-            }
+        for v in self.pushed.drain(mark..) {
+            self.stacks[v as usize].pop();
         }
     }
-    // Terminator uses.
-    {
-        let mut term = f.block(b).term.clone();
-        for a in term.args_mut() {
+
+    fn visit(&mut self, f: &mut Func, b: BlockId) {
+        let num_vars = self.num_vars;
+        let is_var = |v: VReg| v.0 < num_vars;
+
+        // Uses get the current SSA names; variable defs (phis included) get
+        // fresh ones.
+        let mut insts = std::mem::take(&mut f.block_mut(b).insts);
+        for inst in &mut insts {
+            if !matches!(inst.op, Op::Phi(_)) {
+                inst.op.for_each_arg_mut(|a| {
+                    if is_var(*a) {
+                        *a = self
+                            .top(*a)
+                            .unwrap_or_else(|| panic!("use of {a} before def in {}", f.name));
+                    }
+                });
+            }
+            if let Some(d) = inst.dst.filter(|&d| is_var(d)) {
+                let fresh = f.vreg();
+                inst.dst = Some(fresh);
+                self.stacks[d.0 as usize].push(fresh);
+                self.pushed.push(d.0);
+            }
+        }
+        f.block_mut(b).insts = insts;
+        let mut term = std::mem::replace(&mut f.block_mut(b).term, Term::Return(None));
+        term.for_each_arg_mut(|a| {
             if is_var(*a) {
-                *a = *stacks
-                    .get(a)
-                    .and_then(|s| s.last())
+                *a = self
+                    .top(*a)
                     .unwrap_or_else(|| panic!("use of {a} in terminator before def in {}", f.name));
+            }
+        });
+
+        // Fill the inserted phis of each distinct successor.
+        for (i, s) in term.succs().enumerate() {
+            if term.succs().take(i).any(|t| t == s) {
+                continue;
+            }
+            let slot0 = self.phi_slot[s.0 as usize] as usize;
+            for (k, &v) in self.phi_vars.get(s.0 as usize).iter().enumerate() {
+                let cur = self
+                    .top(VReg(v))
+                    .unwrap_or_else(|| panic!("phi input for v{v} undefined on edge {b}->{s}"));
+                if let Op::Phi(ins) = &mut f.block_mut(s).insts[slot0 + k].op {
+                    ins.push((b, cur));
+                }
             }
         }
         f.block_mut(b).term = term;
-    }
-
-    // Fill phi operands in successors.
-    let mut succs = f.succs(b);
-    succs.dedup();
-    let mut seen: HashSet<BlockId> = HashSet::new();
-    for s in succs {
-        if !seen.insert(s) {
-            continue;
-        }
-        let phi_count = f.block(s).phi_count();
-        for slot in 0..phi_count {
-            let Some(&v) = phi_var.get(&(s, slot)) else {
-                continue;
-            };
-            let cur = stacks
-                .get(&v)
-                .and_then(|st| st.last())
-                .copied()
-                .unwrap_or_else(|| panic!("phi input for {v} undefined on edge {b}->{s}"));
-            if let Op::Phi(ins) = &mut f.block_mut(s).insts[slot].op {
-                ins.push((b, cur));
-            }
-        }
-    }
-
-    // Recurse into dominated blocks.
-    for &c in dt.children(b).to_vec().iter() {
-        rename(f, dt, c, num_vars, stacks, phi_var);
-    }
-
-    // Pop this block's definitions.
-    for v in pushed {
-        stacks.get_mut(&v).expect("pushed").pop();
     }
 }
 

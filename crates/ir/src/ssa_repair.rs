@@ -15,8 +15,6 @@
 //!
 //! A replication costs O(insts + Σ|IDF|), however many values it copies.
 
-use std::collections::HashMap;
-
 use crate::dom::DomTree;
 use crate::func::Func;
 use crate::instr::{BlockId, Inst, Op, VReg};
@@ -28,8 +26,8 @@ const NONE: u32 = u32::MAX;
 /// zero constant once the walk is done.
 const UNDEF: VReg = VReg(u32::MAX);
 
-/// Rewrites every use of the values in `copies` (original → copy) to its
-/// reaching definition, inserting join phis as needed.
+/// Rewrites every use of the values in `copies` (original → copy pairs, in
+/// any order) to its reaching definition, inserting join phis as needed.
 ///
 /// Preconditions: every value in `copies` is defined at most once; on every
 /// path reaching a use, at least one value of its pair is defined (paths
@@ -38,13 +36,13 @@ const UNDEF: VReg = VReg(u32::MAX);
 /// replication). A pair defined in fewer than two reachable blocks is left
 /// alone: its one definition already dominates its uses.
 ///
-/// The result does not depend on `copies`' iteration order. It equals
+/// The result does not depend on the order of `copies`. It equals
 /// repairing one pair at a time in sorted order — a pair's join phis are
 /// numbered in `BlockId` order and each goes in front of its block's
 /// existing phis — except that the zeros are synthesized once, after every
 /// pair is placed.
-pub fn repair(f: &mut Func, copies: &HashMap<VReg, VReg>) {
-    let mut pairs: Vec<(VReg, VReg)> = copies.iter().map(|(&d, &c)| (d, c)).collect();
+pub fn repair(f: &mut Func, copies: &[(VReg, VReg)]) {
+    let mut pairs = copies.to_vec();
     pairs.sort_unstable();
 
     // Pair index of every replicated value.
@@ -84,7 +82,7 @@ pub fn repair(f: &mut Func, copies: &HashMap<VReg, VReg>) {
     // 2. Join phis at each active pair's IDF. `joins[i]` is the (block,
     // pair) of the phi defining `VReg(base + i)`.
     let dt = DomTree::compute(f);
-    let frontiers = dt.frontiers(f);
+    let frontiers = dt.frontiers();
     let base = f.vreg_count();
     let mut joins: Vec<(BlockId, u32)> = Vec::new();
     // Per block, the last pair whose IDF (defs) it is in: stamps, so the
@@ -103,7 +101,7 @@ pub fn repair(f: &mut Func, copies: &HashMap<VReg, VReg>) {
             work.push(b);
         }
         while let Some(b) = work.pop() {
-            for &d in frontiers.get(&b).into_iter().flatten() {
+            for &d in frontiers.get(b) {
                 if in_idf[d.0 as usize] != p {
                     in_idf[d.0 as usize] = p;
                     idf.push(d);
@@ -140,6 +138,7 @@ pub fn repair(f: &mut Func, copies: &HashMap<VReg, VReg>) {
         joins: joins.iter().map(|&(_, p)| p).collect(),
         stacks: vec![Vec::new(); pairs.len()],
         pushed: Vec::new(),
+        succs: Vec::new(),
     };
     reaching.walk(f, &dt, dt.root());
 
@@ -186,6 +185,8 @@ struct ReachingDefs {
     stacks: Vec<Vec<VReg>>,
     /// Pair of every live push, in order, so leaving a subtree pops it.
     pushed: Vec<u32>,
+    /// Scratch: the distinct successors of the visited block.
+    succs: Vec<BlockId>,
 }
 
 impl ReachingDefs {
@@ -232,9 +233,7 @@ impl ReachingDefs {
         let blk = f.block_mut(b);
         for inst in &mut blk.insts {
             if !matches!(inst.op, Op::Phi(_)) {
-                for a in inst.op.args_mut() {
-                    self.rename(a, b);
-                }
+                inst.op.for_each_arg_mut(|a| self.rename(a, b));
             }
             if let Some(d) = inst.dst {
                 if let Some(p) = self.def_pair(d) {
@@ -243,14 +242,14 @@ impl ReachingDefs {
                 }
             }
         }
-        for a in blk.term.args_mut() {
-            self.rename(a, b);
-        }
+        blk.term.for_each_arg_mut(|a| self.rename(a, b));
 
-        let mut succs = f.succs(b);
+        let mut succs = std::mem::take(&mut self.succs);
+        succs.clear();
+        succs.extend(f.succs(b));
         succs.sort_unstable();
         succs.dedup();
-        for s in succs {
+        for &s in &succs {
             for inst in &mut f.block_mut(s).insts {
                 let Op::Phi(ins) = &mut inst.op else { break };
                 if let Some(p) = inst.dst.and_then(|d| self.join_pair(d)) {
@@ -270,6 +269,7 @@ impl ReachingDefs {
                 }
             }
         }
+        self.succs = succs;
     }
 }
 
@@ -280,8 +280,8 @@ mod tests {
     use crate::verify;
     use hasp_vm::bytecode::{BinOp, CmpOp, MethodId};
 
-    fn copies(pairs: &[(VReg, VReg)]) -> HashMap<VReg, VReg> {
-        pairs.iter().copied().collect()
+    fn copies(pairs: &[(VReg, VReg)]) -> Vec<(VReg, VReg)> {
+        pairs.to_vec()
     }
 
     /// entry -> {orig, copy} -> join -> use(v_orig)

@@ -7,8 +7,6 @@
 //! optimization (§2, Figure 3). Profile counts from the interpreter are
 //! attached to branch/switch terminators and block frequencies.
 
-use std::collections::{BTreeSet, HashMap};
-
 use hasp_vm::bytecode::{BinOp, Instr, MethodId};
 use hasp_vm::class::Program;
 use hasp_vm::profile::MethodProfile;
@@ -26,17 +24,18 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
     let prof = profile.unwrap_or(&empty);
 
     // 1. Find block leaders.
-    let mut leaders: BTreeSet<usize> = BTreeSet::new();
-    leaders.insert(0);
+    let mut is_leader = vec![false; m.code.len() + 1];
+    is_leader[0] = true;
     for (pc, instr) in m.code.iter().enumerate() {
         for t in instr.targets() {
-            leaders.insert(t);
+            is_leader[t] = true;
         }
         if (matches!(instr, Instr::Branch { .. }) || instr.is_terminator()) && pc + 1 < m.code.len()
         {
-            leaders.insert(pc + 1);
+            is_leader[pc + 1] = true;
         }
     }
+    let leader_list: Vec<usize> = (0..is_leader.len()).filter(|&pc| is_leader[pc]).collect();
 
     let mut f = Func::new(m.name.clone(), method, m.argc);
     // Variable space: bytecode registers map to VReg(0..m.regs); temps after.
@@ -47,10 +46,11 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
     // Entry block: zero-init non-arg variables (the interpreter's default),
     // then jump to the block at pc 0. SSA construction + DCE clean up unused
     // inits.
-    let mut pc_block: HashMap<usize, BlockId> = HashMap::new();
-    for &pc in &leaders {
+    // Block of each leader pc, in pc order.
+    let mut pc_block = vec![BlockId(u32::MAX); is_leader.len()];
+    for &pc in &leader_list {
         let b = f.add_block(Term::Return(None));
-        pc_block.insert(pc, b);
+        pc_block[pc] = b;
         f.block_mut(b).freq = prof.exec_count(pc);
     }
     let var = |r: hasp_vm::bytecode::Reg| VReg(u32::from(r.0));
@@ -69,15 +69,14 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
                 .insts
                 .push(Inst::effect(Op::MonitorEnter(VReg(0))));
         }
-        f.block_mut(entry).term = Term::Jump(pc_block[&0]);
+        f.block_mut(entry).term = Term::Jump(pc_block[0]);
         f.block_mut(entry).freq = prof.invocations;
     }
 
     // 2. Translate each bytecode block.
-    let leader_list: Vec<usize> = leaders.iter().copied().collect();
     for (li, &start) in leader_list.iter().enumerate() {
         let end = leader_list.get(li + 1).copied().unwrap_or(m.code.len());
-        let bid = pc_block[&start];
+        let bid = pc_block[start];
         let mut fell_through = true;
         for pc in start..end {
             let instr = &m.code[pc];
@@ -118,15 +117,15 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
                         op: *op,
                         a: var(*a),
                         b: var(*b),
-                        t: pc_block[target],
-                        f: pc_block[&(pc + 1)],
+                        t: pc_block[*target],
+                        f: pc_block[pc + 1],
                         t_count,
                         f_count,
                     };
                     fell_through = false;
                 }
                 Instr::Jump { target } => {
-                    f.block_mut(bid).term = Term::Jump(pc_block[target]);
+                    f.block_mut(bid).term = Term::Jump(pc_block[*target]);
                     fell_through = false;
                 }
                 Instr::Switch {
@@ -144,9 +143,9 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
                         targets: targets
                             .iter()
                             .zip(&counts)
-                            .map(|(t, c)| (pc_block[t], *c))
+                            .map(|(t, c)| (pc_block[*t], *c))
                             .collect(),
-                        default: (pc_block[default], counts[targets.len()]),
+                        default: (pc_block[*default], counts[targets.len()]),
                     };
                     fell_through = false;
                 }
@@ -313,7 +312,7 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
         if fell_through {
             // The bytecode builder guarantees the method cannot fall off the
             // end, so `end` is a valid leader here.
-            f.block_mut(bid).term = Term::Jump(pc_block[&end]);
+            f.block_mut(bid).term = Term::Jump(pc_block[end]);
         }
     }
 

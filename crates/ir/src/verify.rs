@@ -2,10 +2,8 @@
 //! region invariants (single-entry, no nesting, no calls inside regions,
 //! exits pass through `aregion_end`).
 
-use std::collections::{HashMap, HashSet};
-
 use crate::dom::DomTree;
-use crate::func::Func;
+use crate::func::{Func, Preds};
 use crate::instr::{BlockId, Op, Term, VReg};
 
 /// Verifies `f`, returning a description of the first violation found.
@@ -14,11 +12,11 @@ use crate::instr::{BlockId, Op, Term, VReg};
 /// Returns `Err` with a human-readable message naming the offending block or
 /// value when any invariant is violated.
 pub fn verify(f: &Func) -> Result<(), String> {
-    let live: Vec<BlockId> = f.rpo();
-    let live_set: HashSet<BlockId> = live.iter().copied().collect();
+    let dt = DomTree::compute(f);
+    let live = dt.rpo();
 
     // Terminator targets are live blocks.
-    for &b in &live {
+    for &b in live {
         for s in f.succs(b) {
             if s.0 as usize >= f.block_count() {
                 return Err(format!("{b} targets out-of-range block {s}"));
@@ -29,21 +27,26 @@ pub fn verify(f: &Func) -> Result<(), String> {
         }
     }
 
-    // Single definition per vreg.
-    let mut def_block: HashMap<VReg, (BlockId, usize)> = HashMap::new();
-    for &b in &live {
+    // Single definition per vreg: (block, index) of each value's definition.
+    let mut def_block: Vec<Option<(BlockId, usize)>> = vec![None; f.vreg_count() as usize];
+    for &b in live {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
             if let Some(d) = inst.dst {
-                if let Some((ob, _)) = def_block.insert(d, (b, i)) {
+                if d.0 as usize >= def_block.len() {
+                    def_block.resize(d.0 as usize + 1, None);
+                }
+                if let Some((ob, _)) = def_block[d.0 as usize].replace((b, i)) {
                     return Err(format!("{d} defined twice ({ob} and {b})"));
                 }
             }
         }
     }
+    let def_of = |v: VReg| def_block.get(v.0 as usize).copied().flatten();
 
     // Phis only at block head, and their pred sets match the CFG.
-    let preds = f.preds();
-    for &b in &live {
+    let preds = dt.preds();
+    let (mut phi_preds, mut cfg_preds) = (Vec::new(), Vec::new());
+    for &b in live {
         let blk = f.block(b);
         let head = blk.phi_count();
         for (i, inst) in blk.insts.iter().enumerate() {
@@ -51,9 +54,14 @@ pub fn verify(f: &Func) -> Result<(), String> {
                 return Err(format!("phi after non-phi in {b}"));
             }
             if let Op::Phi(ins) = &inst.op {
-                let phi_preds: HashSet<BlockId> = ins.iter().map(|(p, _)| *p).collect();
-                let cfg_preds: HashSet<BlockId> =
-                    preds.get(&b).into_iter().flatten().copied().collect();
+                phi_preds.clear();
+                phi_preds.extend(ins.iter().map(|(p, _)| *p));
+                phi_preds.sort_unstable();
+                phi_preds.dedup();
+                cfg_preds.clear();
+                cfg_preds.extend_from_slice(preds.of(b));
+                cfg_preds.sort_unstable();
+                cfg_preds.dedup();
                 if phi_preds != cfg_preds {
                     return Err(format!(
                         "phi {:?} in {b} has preds {phi_preds:?} but CFG preds are {cfg_preds:?}",
@@ -65,13 +73,9 @@ pub fn verify(f: &Func) -> Result<(), String> {
     }
 
     // Defs dominate uses.
-    let dt = DomTree::compute(f);
     let dominates_use = |def: VReg, use_block: BlockId, use_index: usize| -> bool {
-        if def.0 < u32::from(f.params) && !def_block.contains_key(&def) {
-            return true; // parameter, live-in at entry
-        }
-        let Some(&(db, di)) = def_block.get(&def) else {
-            return false;
+        let Some((db, di)) = def_of(def) else {
+            return def.0 < u32::from(f.params); // parameter, live-in at entry
         };
         if db == use_block {
             di < use_index
@@ -79,7 +83,7 @@ pub fn verify(f: &Func) -> Result<(), String> {
             dt.dominates(db, use_block)
         }
     };
-    for &b in &live {
+    for &b in live {
         let blk = f.block(b);
         for (i, inst) in blk.insts.iter().enumerate() {
             if let Op::Phi(ins) = &inst.op {
@@ -92,29 +96,32 @@ pub fn verify(f: &Func) -> Result<(), String> {
                     }
                 }
             } else {
-                for v in inst.op.args() {
-                    if !dominates_use(v, b, i) {
-                        return Err(format!("use of {v} in {b}@{i} not dominated by def"));
+                let mut bad = None;
+                inst.op.for_each_arg(|v| {
+                    if bad.is_none() && !dominates_use(v, b, i) {
+                        bad = Some(v);
                     }
+                });
+                if let Some(v) = bad {
+                    return Err(format!("use of {v} in {b}@{i} not dominated by def"));
                 }
             }
         }
-        for v in blk.term.args() {
-            if !dominates_use(v, b, usize::MAX) {
-                return Err(format!("terminator use of {v} in {b} not dominated by def"));
+        let mut bad = None;
+        blk.term.for_each_arg(|v| {
+            if bad.is_none() && !dominates_use(v, b, usize::MAX) {
+                bad = Some(v);
             }
+        });
+        if let Some(v) = bad {
+            return Err(format!("terminator use of {v} in {b} not dominated by def"));
         }
     }
 
-    verify_regions(f, &live, &live_set, &preds)
+    verify_regions(f, live, preds)
 }
 
-fn verify_regions(
-    f: &Func,
-    live: &[BlockId],
-    _live_set: &HashSet<BlockId>,
-    preds: &HashMap<BlockId, Vec<BlockId>>,
-) -> Result<(), String> {
+fn verify_regions(f: &Func, live: &[BlockId], preds: &Preds) -> Result<(), String> {
     for &b in live {
         let blk = f.block(b);
         match blk.region {
@@ -140,7 +147,7 @@ fn verify_regions(
                 }
                 // Single entry: every predecessor is in the same region or is
                 // the RegionBegin block targeting us as body.
-                for &p in preds.get(&b).into_iter().flatten() {
+                for &p in preds.of(b) {
                     let pb = f.block(p);
                     let ok = pb.region == Some(r)
                         || matches!(pb.term, Term::RegionBegin { region, body, .. }
@@ -154,7 +161,7 @@ fn verify_regions(
                 }
                 // Exits commit: an edge leaving the region must come from a
                 // block containing RegionEnd.
-                let leaves_region = f.succs(b).iter().any(|s| f.block(*s).region != Some(r));
+                let leaves_region = f.succs(b).any(|s| f.block(s).region != Some(r));
                 if leaves_region {
                     let has_end = blk
                         .insts

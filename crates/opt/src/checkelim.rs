@@ -9,10 +9,9 @@
 //! `check_bounds(c_length, i)` because `check_bounds(c_length, i+1)`
 //! post-dominates it within the region.
 
-use std::collections::HashMap;
-
 use hasp_ir::{BlockId, Func, Op, PostDomTree, VReg};
 use hasp_vm::bytecode::BinOp;
+use hasp_vm::fxhash::FxHashMap;
 
 /// Removes region-internal bounds checks post-dominated by subsuming ones.
 /// Returns the number of checks removed.
@@ -20,19 +19,34 @@ pub fn run(f: &mut Func) -> usize {
     if f.regions.is_empty() {
         return 0;
     }
-    let pdt = PostDomTree::compute(f);
-
-    // Def table for recognizing `idx2 = idx + c`.
-    let mut defs: HashMap<VReg, Op> = HashMap::new();
+    // Collect bounds checks per region.
+    type Site = (BlockId, usize, VReg, VReg);
+    let mut by_region: FxHashMap<u32, Vec<Site>> = FxHashMap::default();
     for b in f.block_ids() {
-        for inst in &f.block(b).insts {
-            if let Some(d) = inst.dst {
-                defs.insert(d, inst.op.clone());
+        let Some(r) = f.block(b).region else { continue };
+        for (i, inst) in f.block(b).insts.iter().enumerate() {
+            if let Op::BoundsCheck { len, idx } = inst.op {
+                by_region.entry(r.0).or_default().push((b, i, len, idx));
             }
         }
     }
+    if by_region.is_empty() {
+        return 0;
+    }
+    let pdt = PostDomTree::compute(f);
+
+    // Def table for recognizing `idx2 = idx + c`.
+    let mut defs: Vec<Option<&Op>> = vec![None; f.vreg_count() as usize];
+    for b in f.block_ids() {
+        for inst in &f.block(b).insts {
+            if let Some(slot) = inst.dst.and_then(|d| defs.get_mut(d.0 as usize)) {
+                *slot = Some(&inst.op);
+            }
+        }
+    }
+    let def_of = |v: VReg| defs.get(v.0 as usize).copied().flatten();
     let const_of = |v: VReg| -> Option<i64> {
-        match defs.get(&v) {
+        match def_of(v) {
             Some(Op::Const(c)) => Some(*c),
             _ => None,
         }
@@ -47,7 +61,7 @@ pub fn run(f: &mut Func) -> usize {
         if idx1 == idx2 {
             return true;
         }
-        match defs.get(&idx2) {
+        match def_of(idx2) {
             Some(Op::Bin(BinOp::Add, a, b)) => {
                 (*a == idx1 && const_of(*b).is_some_and(|c| c >= 0))
                     || (*b == idx1 && const_of(*a).is_some_and(|c| c >= 0))
@@ -55,18 +69,6 @@ pub fn run(f: &mut Func) -> usize {
             _ => false,
         }
     };
-
-    // Collect bounds checks per region.
-    type Site = (BlockId, usize, VReg, VReg);
-    let mut by_region: HashMap<u32, Vec<Site>> = HashMap::new();
-    for b in f.block_ids() {
-        let Some(r) = f.block(b).region else { continue };
-        for (i, inst) in f.block(b).insts.iter().enumerate() {
-            if let Op::BoundsCheck { len, idx } = inst.op {
-                by_region.entry(r.0).or_default().push((b, i, len, idx));
-            }
-        }
-    }
 
     let mut kill: Vec<(BlockId, usize)> = Vec::new();
     for sites in by_region.values() {

@@ -4,9 +4,7 @@
 //! propagation previously inhibited by cold control flow" (paper §6): once
 //! cold edges are asserts, values that were merge-dependent become constants.
 
-use std::collections::HashMap;
-
-use hasp_ir::{AssertKind, Func, Op, Term, VReg};
+use hasp_ir::{AssertKind, BlockId, Func, Op, Term, VReg};
 use hasp_vm::bytecode::BinOp;
 
 /// Statistics from one constant-propagation run.
@@ -23,11 +21,12 @@ pub struct ConstPropStats {
 /// Runs constant propagation over `f`. Returns statistics.
 pub fn run(f: &mut Func) -> ConstPropStats {
     let mut stats = ConstPropStats::default();
-    let mut consts: HashMap<VReg, i64> = HashMap::new();
+    let mut consts = Consts(vec![None; f.vreg_count() as usize]);
 
     // Collect constants (SSA: one def each, so a single scan suffices; copies
     // were collapsed by GVN).
-    for b in f.block_ids() {
+    let blocks = f.block_ids();
+    for &b in &blocks {
         for inst in &f.block(b).insts {
             if let (Some(d), Op::Const(c)) = (inst.dst, &inst.op) {
                 consts.insert(d, *c);
@@ -36,10 +35,12 @@ pub fn run(f: &mut Func) -> ConstPropStats {
     }
 
     // Fold instructions.
-    for b in f.block_ids() {
+    for &b in &blocks {
         let n = f.block(b).insts.len();
         for i in 0..n {
-            let inst = f.block(b).insts[i].clone();
+            let inst = &f.block(b).insts[i];
+            let dst = inst.dst;
+            let mut dead_assert = false;
             let new_op = match &inst.op {
                 Op::Bin(op, x, y) => match (consts.get(x), consts.get(y)) {
                     (Some(&cx), Some(&cy)) => op.eval(cx, cy).map(Op::Const),
@@ -76,33 +77,27 @@ pub fn run(f: &mut Func) -> ConstPropStats {
                     kind: AssertKind::Cmp { op, a, b: y },
                     ..
                 } => {
-                    match (consts.get(a), consts.get(y)) {
-                        (Some(&ca), Some(&cb)) if !op.eval_int(ca, cb) => {
-                            stats.asserts += 1;
-                            f.block_mut(b).insts[i].op = Op::Marker(u32::MAX); // tombstone
-                            None
-                        }
-                        _ => None,
+                    if let (Some(&ca), Some(&cb)) = (consts.get(a), consts.get(y)) {
+                        dead_assert = !op.eval_int(ca, cb);
                     }
+                    None
                 }
                 Op::Assert {
                     kind: AssertKind::IntNe { sel, expected },
                     ..
-                } => match consts.get(sel) {
-                    Some(&c) if c == *expected => {
-                        stats.asserts += 1;
-                        f.block_mut(b).insts[i].op = Op::Marker(u32::MAX);
-                        None
-                    }
-                    _ => None,
-                },
+                } => {
+                    dead_assert = consts.get(sel) == Some(expected);
+                    None
+                }
                 _ => None,
             };
+            if dead_assert {
+                stats.asserts += 1;
+                f.block_mut(b).insts[i].op = Op::Marker(u32::MAX); // tombstone
+            }
             if let Some(op) = new_op {
-                if let Op::Const(c) = &op {
-                    if let Some(d) = inst.dst {
-                        consts.insert(d, *c);
-                    }
+                if let (Op::Const(c), Some(d)) = (&op, dst) {
+                    consts.insert(d, *c);
                 }
                 f.block_mut(b).insts[i].op = op;
                 stats.folded += 1;
@@ -119,7 +114,7 @@ pub fn run(f: &mut Func) -> ConstPropStats {
     }
 
     // Fold conditional terminators with known outcomes.
-    for b in f.block_ids() {
+    for &b in &blocks {
         let term = f.block(b).term.clone();
         match term {
             Term::Branch {
@@ -177,10 +172,26 @@ pub fn run(f: &mut Func) -> ConstPropStats {
     stats
 }
 
+/// Known constant values, indexed by `VReg`.
+struct Consts(Vec<Option<i64>>);
+
+impl Consts {
+    fn get(&self, v: &VReg) -> Option<&i64> {
+        self.0.get(v.0 as usize).and_then(Option::as_ref)
+    }
+
+    fn insert(&mut self, v: VReg, c: i64) {
+        if v.0 as usize >= self.0.len() {
+            self.0.resize(v.0 as usize + 1, None);
+        }
+        self.0[v.0 as usize] = Some(c);
+    }
+}
+
 /// Removes `from`'s phi inputs in `to` after the edge `from -> to` was
 /// deleted (unless another edge from `from` to `to` survives).
-fn prune_phi_inputs(f: &mut Func, from: hasp_ir::BlockId, to: hasp_ir::BlockId) {
-    if f.succs(from).contains(&to) {
+fn prune_phi_inputs(f: &mut Func, from: BlockId, to: BlockId) {
+    if f.succs(from).any(|s| s == to) {
         return;
     }
     for inst in &mut f.block_mut(to).insts {

@@ -5,50 +5,47 @@
 //! encodes that, along with checks, stores, calls, monitors, allocation,
 //! markers, safepoints, and region bookkeeping.
 
-use std::collections::HashSet;
-
-use hasp_ir::{Func, VReg};
+use hasp_ir::{BlockId, Func, VRegSet};
 
 /// Removes pure instructions whose results are never used. Returns the
 /// number of instructions deleted.
 pub fn run(f: &mut Func) -> usize {
     let blocks = f.block_ids();
     // Mark phase: everything feeding an effectful op or a terminator.
-    let mut live: HashSet<VReg> = HashSet::new();
-    let mut work: Vec<VReg> = Vec::new();
+    let mut live = VRegSet::with_capacity(f.vreg_count() as usize);
+    let mut work = Vec::new();
+    let mut mark = |a| {
+        if live.insert(a) {
+            work.push(a);
+        }
+    };
     for &b in &blocks {
         for inst in &f.block(b).insts {
             if inst.op.has_side_effect() {
-                for a in inst.op.args() {
-                    if live.insert(a) {
-                        work.push(a);
-                    }
-                }
+                inst.op.for_each_arg(&mut mark);
             }
         }
-        for a in f.block(b).term.args() {
-            if live.insert(a) {
-                work.push(a);
-            }
-        }
+        f.block(b).term.for_each_arg(&mut mark);
     }
-    // Def lookup.
-    let mut def_of: std::collections::HashMap<VReg, (hasp_ir::BlockId, usize)> =
-        std::collections::HashMap::new();
+    // Def lookup: (block, index) of each value's definition.
+    let mut def_of: Vec<Option<(BlockId, usize)>> = vec![None; f.vreg_count() as usize];
     for &b in &blocks {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
             if let Some(d) = inst.dst {
-                def_of.insert(d, (b, i));
+                if d.0 as usize >= def_of.len() {
+                    def_of.resize(d.0 as usize + 1, None);
+                }
+                def_of[d.0 as usize] = Some((b, i));
             }
         }
     }
     while let Some(v) = work.pop() {
-        if let Some(&(b, i)) = def_of.get(&v) {
-            for a in f.block(b).insts[i].op.args() {
+        if let Some((b, i)) = def_of.get(v.0 as usize).copied().flatten() {
+            f.block(b).insts[i].op.for_each_arg(|a| {
                 if live.insert(a) {
                     work.push(a);
                 }
-            }
+            });
         }
     }
     // Sweep.
@@ -57,7 +54,7 @@ pub fn run(f: &mut Func) -> usize {
         let before = f.block(b).insts.len();
         f.block_mut(b)
             .insts
-            .retain(|inst| inst.op.has_side_effect() || inst.dst.is_none_or(|d| live.contains(&d)));
+            .retain(|inst| inst.op.has_side_effect() || inst.dst.is_none_or(|d| live.contains(d)));
         removed += before - f.block(b).insts.len();
     }
     removed
@@ -66,7 +63,7 @@ pub fn run(f: &mut Func) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hasp_ir::{verify, Inst, Op, Term};
+    use hasp_ir::{verify, Inst, Op, Term, VReg};
     use hasp_vm::bytecode::{BinOp, FieldId, MethodId};
 
     #[test]

@@ -22,14 +22,16 @@
 //!
 //! Value equivalences are global SSA facts collected in a union-find-style
 //! leader table; expression availability is dominator-tree scoped.
+//!
+//! Every per-block and per-value table is a vector indexed by id; only the
+//! expression table, whose keys are truly sparse, hashes (FxHash).
 
-use std::collections::HashMap;
-
-use hasp_ir::{AssertKind, BlockId, DomTree, Func, Op, VReg};
+use hasp_ir::{AssertKind, BlockId, DenseLists, DomTree, Func, Op, Term, VReg};
 use hasp_vm::bytecode::{BinOp, CmpOp};
+use hasp_vm::fxhash::FxHashMap;
 
 /// Canonical expression key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Const(i64),
     ConstNull,
@@ -77,55 +79,68 @@ impl GvnStats {
 /// Per-program-point memory version state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct MemState {
-    /// Versions of fields that diverged from `default`.
-    fields: HashMap<u16, u64>,
+    /// Versions of fields that diverged from `default`, sorted by field.
+    fields: Vec<(u16, u64)>,
     /// Version of every field not in `fields`.
     default: u64,
     /// Version of the array-element space.
     elems: u64,
 }
 
+/// The state an unvisited predecessor (a back edge) contributes: unknown,
+/// which the merge turns into fresh versions.
+static UNKNOWN: MemState = MemState {
+    fields: Vec::new(),
+    default: u64::MAX,
+    elems: u64::MAX,
+};
+
 impl MemState {
     fn field(&self, f: u16) -> u64 {
-        self.fields.get(&f).copied().unwrap_or(self.default)
+        match self.fields.binary_search_by_key(&f, |&(k, _)| k) {
+            Ok(i) => self.fields[i].1,
+            Err(_) => self.default,
+        }
+    }
+
+    fn set_field(&mut self, f: u16, version: u64) {
+        match self.fields.binary_search_by_key(&f, |&(k, _)| k) {
+            Ok(i) => self.fields[i].1 = version,
+            Err(i) => self.fields.insert(i, (f, version)),
+        }
     }
 
     /// Joins predecessor states: agreeing components keep their version,
     /// disagreeing ones take a fresh tick.
-    fn merge(states: &[&MemState], tick: &mut u64) -> MemState {
-        let first = states[0];
+    fn merge<'a>(states: impl Iterator<Item = &'a MemState> + Clone, tick: &mut u64) -> MemState {
+        let first = states.clone().next().expect("at least one state");
         let mut out = MemState {
-            fields: HashMap::new(),
+            fields: Vec::new(),
             default: first.default,
             elems: first.elems,
         };
-        if states.iter().any(|s| s.default != out.default) {
+        if states.clone().any(|s| s.default != out.default) {
             *tick += 1;
             out.default = *tick;
         }
-        if states.iter().any(|s| s.elems != first.elems) {
+        if states.clone().any(|s| s.elems != first.elems) {
             *tick += 1;
             out.elems = *tick;
-        } else {
-            out.elems = first.elems;
         }
-        // Fields that diverge in any state.
-        let mut keys: Vec<u16> = Vec::new();
-        for s in states {
-            for &k in s.fields.keys() {
-                if !keys.contains(&k) {
-                    keys.push(k);
-                }
-            }
-        }
+        // Fields that diverge in any state, in field order.
+        let mut keys: Vec<u16> = states
+            .clone()
+            .flat_map(|s| s.fields.iter().map(|&(k, _)| k))
+            .collect();
         keys.sort_unstable();
+        keys.dedup();
         for k in keys {
             let v0 = first.field(k);
-            if states.iter().all(|s| s.field(k) == v0) {
-                out.fields.insert(k, v0);
+            if states.clone().all(|s| s.field(k) == v0) {
+                out.fields.push((k, v0));
             } else {
                 *tick += 1;
-                out.fields.insert(k, *tick);
+                out.fields.push((k, *tick));
             }
         }
         out
@@ -135,16 +150,16 @@ impl MemState {
 struct Gvn<'f> {
     f: &'f mut Func,
     dt: DomTree,
-    rpo_index: HashMap<BlockId, usize>,
-    preds: HashMap<BlockId, Vec<BlockId>>,
-    /// Global SSA value equivalences (path-compressed on lookup).
-    leader: HashMap<VReg, VReg>,
-    /// Scoped availability: stack of (key, Option<replacement value>).
+    /// Global SSA value equivalences, indexed by value (a value is its own
+    /// leader until replaced; path-compressed on lookup).
+    leader: Vec<VReg>,
+    /// Scoped availability: the innermost entry of each key, with the undo
+    /// log that restores shadowed entries when a dominator scope closes.
     /// Checks/asserts have no value; presence alone marks availability.
-    table: HashMap<Key, Vec<Option<VReg>>>,
-    scope_log: Vec<Vec<Key>>,
+    table: FxHashMap<Key, Option<VReg>>,
+    undo: Vec<(Key, Option<Option<VReg>>)>,
     /// Memory state at each visited block's exit.
-    block_out: HashMap<BlockId, MemState>,
+    block_out: Vec<Option<MemState>>,
     /// State while processing the current block.
     mem: MemState,
     version_tick: u64,
@@ -154,28 +169,28 @@ struct Gvn<'f> {
 /// Runs GVN over `f` until the dominator walk completes. Returns statistics.
 pub fn run(f: &mut Func) -> GvnStats {
     let dt = DomTree::compute(f);
-    let rpo_index: HashMap<BlockId, usize> = f
-        .rpo()
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| (b, i))
-        .collect();
-    let preds = f.preds();
+    let n = f.block_count();
+    // Children in reverse postorder so a join's predecessors have their
+    // exit states recorded before the join is visited.
+    let children = DenseLists::new(
+        n,
+        dt.rpo()[1..]
+            .iter()
+            .map(|&b| (dt.idom(b).expect("reachable").0 as usize, b)),
+    );
     let mut g = Gvn {
+        leader: (0..f.vreg_count()).map(VReg).collect(),
         f,
         dt,
-        rpo_index,
-        preds,
-        leader: HashMap::new(),
-        table: HashMap::new(),
-        scope_log: Vec::new(),
-        block_out: HashMap::new(),
+        table: FxHashMap::default(),
+        undo: Vec::new(),
+        block_out: vec![None; n],
         mem: MemState::default(),
         version_tick: 0,
         stats: GvnStats::default(),
     };
     let root = g.dt.root();
-    g.walk(root);
+    g.walk(&children, root);
     // Loop phis and any forward references pick up leaders in a final sweep.
     g.rewrite_all();
     g.stats
@@ -183,19 +198,23 @@ pub fn run(f: &mut Func) -> GvnStats {
 
 impl Gvn<'_> {
     fn resolve(&mut self, v: VReg) -> VReg {
+        let Some(&first) = self.leader.get(v.0 as usize) else {
+            return v;
+        };
+        if first == v {
+            return v;
+        }
+        let mut root = first;
+        while self.leader[root.0 as usize] != root {
+            root = self.leader[root.0 as usize];
+        }
         let mut cur = v;
-        let mut chain = Vec::new();
-        while let Some(&n) = self.leader.get(&cur) {
-            if n == cur {
-                break;
-            }
-            chain.push(cur);
-            cur = n;
+        while cur != root {
+            let next = self.leader[cur.0 as usize];
+            self.leader[cur.0 as usize] = root;
+            cur = next;
         }
-        for c in chain {
-            self.leader.insert(c, cur);
-        }
-        cur
+        root
     }
 
     fn bump_all_versions(&mut self) {
@@ -212,7 +231,7 @@ impl Gvn<'_> {
 
     fn bump_field(&mut self, field: u16) {
         self.version_tick += 1;
-        self.mem.fields.insert(field, self.version_tick);
+        self.mem.set_field(field, self.version_tick);
     }
 
     fn bump_elems(&mut self) {
@@ -221,37 +240,31 @@ impl Gvn<'_> {
     }
 
     fn lookup(&self, k: &Key) -> Option<Option<VReg>> {
-        self.table.get(k).and_then(|v| v.last()).copied()
+        self.table.get(k).copied()
     }
 
     fn record(&mut self, k: Key, v: Option<VReg>) {
-        self.table.entry(k.clone()).or_default().push(v);
-        self.scope_log.last_mut().expect("in scope").push(k);
+        let shadowed = self.table.insert(k, v);
+        self.undo.push((k, shadowed));
     }
 
-    fn walk(&mut self, b: BlockId) {
-        self.scope_log.push(Vec::new());
+    /// Value-numbers `b` and then the blocks it dominates (`children`, in
+    /// reverse postorder), inside one availability scope.
+    fn walk(&mut self, children: &DenseLists<BlockId>, b: BlockId) {
+        let scope = self.undo.len();
         // Memory state at block entry: the join of predecessor exit states.
         // An unvisited predecessor (a back edge) contributes "unknown", which
         // the merge turns into fresh versions.
         {
-            let preds: Vec<BlockId> = self.preds.get(&b).cloned().unwrap_or_default();
-            let unknown = MemState {
-                fields: HashMap::new(),
-                default: u64::MAX,
-                elems: u64::MAX,
-            };
-            let states: Vec<&MemState> = preds
-                .iter()
-                .map(|p| self.block_out.get(p).unwrap_or(&unknown))
-                .collect();
-            self.mem = if states.is_empty() {
+            let preds = self.dt.preds().of(b);
+            self.mem = if preds.is_empty() {
                 MemState::default()
             } else {
-                let mut tick = self.version_tick;
-                let merged = MemState::merge(&states, &mut tick);
-                self.version_tick = tick;
-                merged
+                let block_out = &self.block_out;
+                let states = preds
+                    .iter()
+                    .map(|p| block_out[p.0 as usize].as_ref().unwrap_or(&UNKNOWN));
+                MemState::merge(states, &mut self.version_tick)
             };
             // `u64::MAX` components (all-unknown joins) become fresh ticks.
             if self.mem.default == u64::MAX {
@@ -262,75 +275,59 @@ impl Gvn<'_> {
                 self.version_tick += 1;
                 self.mem.elems = self.version_tick;
             }
-            let stale: Vec<u16> = self
-                .mem
-                .fields
-                .iter()
-                .filter(|(_, &v)| v == u64::MAX)
-                .map(|(&k, _)| k)
-                .collect();
-            for k in stale {
-                self.version_tick += 1;
-                self.mem.fields.insert(k, self.version_tick);
+            for (_, v) in &mut self.mem.fields {
+                if *v == u64::MAX {
+                    self.version_tick += 1;
+                    *v = self.version_tick;
+                }
             }
         }
 
-        let n = self.f.block(b).insts.len();
-        let mut kill: Vec<usize> = Vec::new();
-        for i in 0..n {
+        let mut insts = std::mem::take(&mut self.f.block_mut(b).insts);
+        let mut keep = vec![true; insts.len()];
+        for (inst, keep) in insts.iter_mut().zip(&mut keep) {
             // Substitute operands through the leader table.
-            let mut inst = self.f.block(b).insts[i].clone();
             if !matches!(inst.op, Op::Phi(_)) {
-                for a in inst.op.args_mut() {
-                    *a = self.resolve(*a);
-                }
+                inst.op.for_each_arg_mut(|a| *a = self.resolve(*a));
             }
-            let verdict = self.visit(&inst.op, inst.dst);
-            match verdict {
-                Verdict::Keep => {
-                    self.f.block_mut(b).insts[i] = inst;
-                }
+            match self.visit(&inst.op, inst.dst) {
+                Verdict::Keep => {}
                 Verdict::Replace(lead) => {
                     let dst = inst.dst.expect("replaced inst has a result");
-                    self.leader.insert(dst, lead);
-                    kill.push(i);
+                    if dst.0 as usize >= self.leader.len() {
+                        let n = self.leader.len() as u32;
+                        self.leader.extend((n..=dst.0).map(VReg));
+                    }
+                    self.leader[dst.0 as usize] = lead;
+                    *keep = false;
                 }
-                Verdict::Delete => {
-                    kill.push(i);
-                }
+                Verdict::Delete => *keep = false,
             }
         }
-        for &i in kill.iter().rev() {
-            self.f.block_mut(b).insts.remove(i);
-        }
+        let mut keep = keep.into_iter();
+        insts.retain(|_| keep.next().expect("one flag per instruction"));
+        self.f.block_mut(b).insts = insts;
         // Terminator operands.
-        {
-            let mut term = self.f.block(b).term.clone();
-            let args: Vec<VReg> = term.args_mut().iter().map(|a| **a).collect();
-            let resolved: Vec<VReg> = args.into_iter().map(|a| self.resolve(a)).collect();
-            for (slot, r) in term.args_mut().into_iter().zip(resolved) {
-                *slot = r;
-            }
-            self.f.block_mut(b).term = term;
+        self.resolve_term(b);
+
+        self.block_out[b.0 as usize] = Some(self.mem.clone());
+
+        for &c in children.get(b.0 as usize) {
+            self.walk(children, c);
         }
 
-        self.block_out.insert(b, self.mem.clone());
-
-        // Children in reverse postorder so a join's predecessors have their
-        // exit states recorded before the join is visited.
-        let mut children: Vec<BlockId> = self.dt.children(b).to_vec();
-        children.sort_by_key(|c| self.rpo_index.get(c).copied().unwrap_or(usize::MAX));
-        for c in children {
-            self.walk(c);
+        for (k, shadowed) in self.undo.drain(scope..).rev() {
+            match shadowed {
+                Some(v) => self.table.insert(k, v),
+                None => self.table.remove(&k),
+            };
         }
+    }
 
-        for k in self.scope_log.pop().expect("scope") {
-            let stack = self.table.get_mut(&k).expect("recorded");
-            stack.pop();
-            if stack.is_empty() {
-                self.table.remove(&k);
-            }
-        }
+    fn resolve_term(&mut self, b: BlockId) {
+        let mut term = std::mem::replace(&mut self.f.block_mut(b).term, Term::Return(None));
+        term.for_each_arg_mut(|a| *a = self.resolve(*a));
+        self.f.block_mut(b).term = term;
     }
 
     fn visit(&mut self, op: &Op, dst: Option<VReg>) -> Verdict {
@@ -468,21 +465,12 @@ impl Gvn<'_> {
     /// resolved later in the walk) and everything else.
     fn rewrite_all(&mut self) {
         for b in self.f.block_ids() {
-            let n = self.f.block(b).insts.len();
-            for i in 0..n {
-                let mut inst = self.f.block(b).insts[i].clone();
-                for a in inst.op.args_mut() {
-                    *a = self.resolve(*a);
-                }
-                self.f.block_mut(b).insts[i] = inst;
+            let mut insts = std::mem::take(&mut self.f.block_mut(b).insts);
+            for inst in &mut insts {
+                inst.op.for_each_arg_mut(|a| *a = self.resolve(*a));
             }
-            let mut term = self.f.block(b).term.clone();
-            let args: Vec<VReg> = term.args_mut().iter().map(|a| **a).collect();
-            let resolved: Vec<VReg> = args.into_iter().map(|a| self.resolve(a)).collect();
-            for (slot, r) in term.args_mut().into_iter().zip(resolved) {
-                *slot = r;
-            }
-            self.f.block_mut(b).term = term;
+            self.f.block_mut(b).insts = insts;
+            self.resolve_term(b);
         }
     }
 }

@@ -16,10 +16,8 @@
 //! receiver histogram is monomorphic (or dominant, under
 //! `force_dominant_receiver`).
 
-use std::collections::{HashMap, HashSet};
-
 use hasp_core::{InlineBudget, InlineSite, SiteDispatch};
-use hasp_ir::{translate, BlockId, Func, Inst, Op, Term, VReg};
+use hasp_ir::{translate, BlockId, BlockSet, Func, Inst, Op, Term, VReg};
 use hasp_vm::bytecode::{ClassId, MethodId, SlotId};
 use hasp_vm::class::Program;
 use hasp_vm::profile::Profile;
@@ -75,7 +73,11 @@ pub fn run(
     opts: &InlineOptions,
 ) -> Vec<InlineSite> {
     let mut sites: Vec<InlineSite> = Vec::new();
-    let mut origin: HashMap<BlockId, MethodId> = HashMap::new();
+    // The method each block was inlined from (the function's own blocks
+    // have none).
+    let mut origin: Vec<Option<MethodId>> = Vec::new();
+    let origin_of =
+        |origin: &[Option<MethodId>], b: BlockId| origin.get(b.0 as usize).copied().flatten();
     // (block, first inst index to scan, depth)
     let mut work: Vec<(BlockId, usize, usize)> =
         f.block_ids().into_iter().rev().map(|b| (b, 0, 0)).collect();
@@ -86,7 +88,8 @@ pub fn run(
         }
         let mut i = start;
         while i < f.block(b).insts.len() {
-            let inst = f.block(b).insts[i].clone();
+            let inst = &f.block(b).insts[i];
+            let dst = inst.dst;
             let site_freq = f.block(b).freq;
             let decision = match &inst.op {
                 Op::Call { method, args } => decide_direct(
@@ -105,7 +108,7 @@ pub fn run(
                     args,
                     site,
                 } => {
-                    let caller = origin.get(&b).copied().unwrap_or(f.method);
+                    let caller = origin_of(&origin, b).unwrap_or(f.method);
                     decide_virtual(
                         f, program, profile, opts, caller, *slot, *site, depth, site_freq,
                     )
@@ -130,20 +133,21 @@ pub fn run(
             if f.size() > opts.max_function_ops {
                 return sites;
             }
-            let site = splice(f, program, profile, b, i, inst.dst, &plan);
+            let site = splice(f, program, profile, b, i, dst, &plan);
             // Enclosing sites absorb the new blocks.
             for s in &mut sites {
-                if s.blocks.contains(&b) {
-                    s.blocks.extend(site.blocks.iter().copied());
+                if s.blocks.contains(b) {
+                    s.blocks.union_with(&site.blocks);
                     s.blocks.insert(site.cont);
                 }
             }
             // Scan the body (deeper) and the continuation (same depth).
-            for &nb in &site.blocks {
-                origin.insert(nb, plan.callee);
+            origin.resize(f.block_count(), None);
+            for nb in site.blocks.iter() {
+                origin[nb.0 as usize] = Some(plan.callee);
                 work.push((nb, 0, depth + 1));
             }
-            origin.insert(site.cont, origin.get(&b).copied().unwrap_or(f.method));
+            origin[site.cont.0 as usize] = Some(origin_of(&origin, b).unwrap_or(f.method));
             work.push((site.cont, 0, depth));
             sites.push(site);
             break; // rest of `b` moved to the continuation
@@ -277,7 +281,8 @@ fn splice(
     let cont = f.add_block(caller_term);
     f.block_mut(cont).insts = tail[1..].to_vec();
     f.block_mut(cont).freq = site_freq;
-    for s in f.succs(cont) {
+    for k in 0..f.block(cont).term.succ_count() {
+        let s = f.block(cont).term.succ(k);
         for inst in &mut f.block_mut(s).insts {
             if let Op::Phi(ins) = &mut inst.op {
                 for (p, _) in ins.iter_mut() {
@@ -289,59 +294,47 @@ fn splice(
         }
     }
 
-    // 2. Copy the callee body.
-    let mut vmap: HashMap<VReg, VReg> = HashMap::new();
+    // 2. Copy the callee body. `vmap` maps callee values (parameters to
+    // the call's arguments), `bmap` callee blocks.
+    let mut vmap: Vec<Option<VReg>> = vec![None; callee_ir.vreg_count() as usize];
     for (i, arg) in plan.args.iter().enumerate() {
-        vmap.insert(VReg(i as u32), *arg);
+        vmap[i] = Some(*arg);
     }
     let callee_blocks = callee_ir.block_ids();
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut bmap: Vec<BlockId> = vec![BlockId(u32::MAX); callee_ir.block_count()];
     for &cb in &callee_blocks {
-        bmap.insert(cb, f.add_block(Term::Return(None)));
+        bmap[cb.0 as usize] = f.add_block(Term::Return(None));
     }
+    let params = u32::from(callee_ir.params);
     let mut exits: Vec<(BlockId, Option<VReg>)> = Vec::new();
+    let mut targets: Vec<BlockId> = Vec::new();
     for &cb in &callee_blocks {
-        let nb = bmap[&cb];
+        let nb = bmap[cb.0 as usize];
         let mut insts = callee_ir.block(cb).insts.clone();
         for inst in &mut insts {
             if let Some(d) = inst.dst {
-                let fresh = *vmap.entry(d).or_insert_with(|| f.vreg());
-                inst.dst = Some(fresh);
+                inst.dst = Some(*vmap[d.0 as usize].get_or_insert_with(|| f.vreg()));
             }
             if let Op::Phi(ins) = &mut inst.op {
                 for (p, _) in ins.iter_mut() {
-                    *p = bmap[p];
+                    *p = bmap[p.0 as usize];
                 }
             }
-            for a in inst.op.args_mut() {
-                if let Some(n) = vmap.get(a) {
-                    *a = *n;
-                } else if a.0 >= u32::from(callee_ir.params) {
-                    // Forward reference (loop phi input): allocate now.
-                    let fresh = f.vreg();
-                    vmap.insert(*a, fresh);
-                    *a = fresh;
-                }
-            }
+            inst.op
+                .for_each_arg_mut(|a| map_value(&mut vmap, params, f, a));
         }
         let mut term = callee_ir.block(cb).term.clone();
-        for a in term.args_mut() {
-            if let Some(n) = vmap.get(a) {
-                *a = *n;
-            } else if a.0 >= u32::from(callee_ir.params) {
-                let fresh = f.vreg();
-                vmap.insert(*a, fresh);
-                *a = fresh;
-            }
-        }
+        term.for_each_arg_mut(|a| map_value(&mut vmap, params, f, a));
         match term {
             Term::Return(v) => {
                 exits.push((nb, v));
                 f.block_mut(nb).term = Term::Jump(cont);
             }
             mut other => {
-                for s in other.succs() {
-                    other.retarget(s, bmap[&s]);
+                targets.clear();
+                targets.extend(other.succs());
+                for &s in &targets {
+                    other.retarget(s, bmap[s.0 as usize]);
                 }
                 f.block_mut(nb).term = other;
             }
@@ -351,7 +344,7 @@ fn splice(
         scale_counts(&mut f.block_mut(nb).term, scale);
     }
     assert!(!exits.is_empty(), "callee {} never returns", callee_ir.name);
-    let entry_copy = bmap[&callee_ir.entry];
+    let entry_copy = bmap[callee_ir.entry.0 as usize];
     f.block_mut(entry_copy).freq = site_freq;
 
     // 3. Result phi in the continuation.
@@ -371,7 +364,7 @@ fn splice(
     }
 
     // 4. Wire the pre block (plus the class guard for virtual sites).
-    let mut blocks: HashSet<BlockId> = bmap.values().copied().collect();
+    let mut blocks: BlockSet = callee_blocks.iter().map(|cb| bmap[cb.0 as usize]).collect();
     match &plan.guard {
         None => {
             f.block_mut(b).term = Term::Jump(entry_copy);
@@ -430,6 +423,21 @@ fn splice(
         args: plan.args.clone(),
         dispatch: plan.dispatch.clone(),
         budget: plan.budget,
+    }
+}
+
+/// Maps callee value `a` through `vmap`, allocating a fresh caller value
+/// for a non-parameter seen first as an operand (a loop phi's forward
+/// reference).
+fn map_value(vmap: &mut [Option<VReg>], params: u32, f: &mut Func, a: &mut VReg) {
+    match vmap[a.0 as usize] {
+        Some(n) => *a = n,
+        None if a.0 >= params => {
+            let fresh = f.vreg();
+            vmap[a.0 as usize] = Some(fresh);
+            *a = fresh;
+        }
+        None => {}
     }
 }
 

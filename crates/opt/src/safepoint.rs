@@ -21,10 +21,10 @@ pub fn run(f: &mut Func) -> usize {
         let Some(region) = f.block(l.header).region else {
             continue;
         };
-        if !l.blocks.iter().all(|b| f.block(*b).region == Some(region)) {
+        if !l.blocks.iter().all(|b| f.block(b).region == Some(region)) {
             continue;
         }
-        for &b in &l.blocks {
+        for b in l.blocks.iter() {
             let before = f.block(b).insts.len();
             f.block_mut(b)
                 .insts

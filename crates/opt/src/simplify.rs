@@ -18,7 +18,7 @@ fn degenerate_phis(f: &mut Func) -> usize {
     let preds = f.preds();
     let mut n = 0;
     for b in f.block_ids() {
-        if preds.get(&b).map_or(0, Vec::len) != 1 {
+        if preds.count(b) != 1 {
             continue;
         }
         for inst in &mut f.block_mut(b).insts {
@@ -35,25 +35,32 @@ fn degenerate_phis(f: &mut Func) -> usize {
 /// Merges `b -> c` pairs where `b` ends in an unconditional jump and `c` has
 /// no other predecessors. Region tags must agree so speculative code never
 /// bleeds across a region boundary.
+///
+/// One pass in `BlockId` order, merging at each block while it can: merging
+/// `c` into `b` kills `c` and hands its out-edges to `b`, so no other
+/// block's predecessor count changes and no block below `b` becomes
+/// mergeable. The merges are the same, in the same order, as rescanning
+/// from the lowest block after every merge. Expects every live block to be
+/// reachable (`run` removes the rest first).
 fn merge_chains(f: &mut Func) -> usize {
+    let preds = f.preds();
+    let mut pred_count: Vec<usize> = (0..f.block_count())
+        .map(|i| preds.count(BlockId(i as u32)))
+        .collect();
     let mut merged = 0;
-    loop {
-        let preds = f.preds();
-        let mut did = false;
-        for b in f.block_ids() {
-            if f.block(b).dead {
-                continue;
-            }
-            let Term::Jump(c) = f.block(b).term else {
-                continue;
-            };
+    for i in 0..f.block_count() {
+        let b = BlockId(i as u32);
+        if f.block(b).dead {
+            continue;
+        }
+        while let Term::Jump(c) = f.block(b).term {
             if c == b
                 || c == f.entry
-                || preds.get(&c).map_or(0, Vec::len) != 1
+                || pred_count[c.0 as usize] != 1
                 || f.block(b).region != f.block(c).region
                 || is_region_anchor(f, c)
             {
-                continue;
+                break;
             }
             // Degenerate any phis in c first (single pred).
             let mut c_insts = std::mem::take(&mut f.block_mut(c).insts);
@@ -67,8 +74,10 @@ fn merge_chains(f: &mut Func) -> usize {
             f.block_mut(b).insts.extend(c_insts);
             f.block_mut(b).term = c_term;
             f.block_mut(c).dead = true;
+            pred_count[c.0 as usize] = 0;
             // Successor phis now see b instead of c.
-            for s in f.succs(b) {
+            for k in 0..f.block(b).term.succ_count() {
+                let s = f.block(b).term.succ(k);
                 for inst in &mut f.block_mut(s).insts {
                     if let Op::Phi(ins) = &mut inst.op {
                         for (p, _) in ins.iter_mut() {
@@ -79,14 +88,10 @@ fn merge_chains(f: &mut Func) -> usize {
                     }
                 }
             }
-            did = true;
             merged += 1;
-            break; // preds map is stale; recompute
-        }
-        if !did {
-            return merged;
         }
     }
+    merged
 }
 
 /// Blocks that region metadata points at must keep their identity.

@@ -7,9 +7,8 @@
 //! the exit disappears entirely — "in the common case, no action is needed
 //! at the monitor exit".
 
-use std::collections::HashMap;
-
 use hasp_ir::{BlockId, DomTree, Func, Op, PostDomTree, VReg};
+use hasp_vm::fxhash::FxHashMap;
 
 /// Elides balanced monitor pairs inside atomic regions. Returns the number
 /// of pairs elided.
@@ -17,13 +16,10 @@ pub fn run(f: &mut Func) -> usize {
     if f.regions.is_empty() {
         return 0;
     }
-    let dt = DomTree::compute(f);
-    let pdt = PostDomTree::compute(f);
-
     // Collect monitor ops per (region, lock value).
     type Site = (BlockId, usize);
-    let mut enters: HashMap<(u32, VReg), Vec<Site>> = HashMap::new();
-    let mut exits: HashMap<(u32, VReg), Vec<Site>> = HashMap::new();
+    let mut enters: FxHashMap<(u32, VReg), Vec<Site>> = FxHashMap::default();
+    let mut exits: FxHashMap<(u32, VReg), Vec<Site>> = FxHashMap::default();
     for b in f.block_ids() {
         let Some(r) = f.block(b).region else { continue };
         for (i, inst) in f.block(b).insts.iter().enumerate() {
@@ -35,20 +31,23 @@ pub fn run(f: &mut Func) -> usize {
         }
     }
 
+    if enters.is_empty() {
+        return 0;
+    }
+    let dt = DomTree::compute(f);
+    let pdt = PostDomTree::compute(f);
+
     // Greedy ordered pairing: sort each lock's enters and exits by
     // (dominance-compatible) program order and match the i-th enter with the
     // i-th exit. A pair is elidable when the enter dominates the exit and
     // the exit post-dominates the enter — every region path acquires and
     // releases together. (For nested pairs this elides inner pairs first,
     // which is also correct.)
-    let rpo_index: HashMap<BlockId, usize> = f
-        .rpo()
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| (b, i))
-        .collect();
-    let order_key =
-        |(b, i): Site| -> (usize, usize) { (rpo_index.get(&b).copied().unwrap_or(usize::MAX), i) };
+    let mut rpo_index = vec![usize::MAX; f.block_count()];
+    for (i, &b) in dt.rpo().iter().enumerate() {
+        rpo_index[b.0 as usize] = i;
+    }
+    let order_key = |(b, i): Site| -> (usize, usize) { (rpo_index[b.0 as usize], i) };
     let mut rewrites: Vec<(Site, Site, VReg)> = Vec::new();
     for (key, ens) in &enters {
         let Some(exs) = exits.get(key) else { continue };

@@ -11,16 +11,14 @@
 //! need compensation blocks) — that is the complexity the paper's hardware
 //! atomicity removes, and the Figure 2/3 bench quantifies the difference.
 
-use std::collections::{HashMap, HashSet};
-
-use hasp_ir::{BlockId, DomTree, Func, LoopForest, Op, VReg};
+use hasp_ir::{BlockId, BlockSet, DomTree, Func, LoopForest, Op, VReg};
+use hasp_vm::fxhash::FxHashMap;
 
 /// Forms superblocks along dominant paths. Returns the number of blocks
 /// tail-duplicated.
 pub fn run(f: &mut Func) -> usize {
     let dt = DomTree::compute(f);
     let forest = LoopForest::compute(f, &dt);
-    let preds = f.preds();
     let max_freq = f
         .block_ids()
         .iter()
@@ -36,16 +34,15 @@ pub fn run(f: &mut Func) -> usize {
         .into_iter()
         .max_by_key(|b| (f.block(*b).freq, u32::MAX - b.0))
         .expect("nonempty function");
-    let path = hasp_core::trace::trace_dominant_path(f, &preds, &forest, seed, &HashSet::new());
+    let path =
+        hasp_core::trace::trace_dominant_path(f, dt.preds(), &forest, seed, &BlockSet::new());
 
     // Duplicate every path block (after the first) that has side entrances,
     // so the path becomes single-entry.
     let mut duplicated = 0;
     let mut prev = path[0];
     for &b in &path[1..] {
-        let preds = f.preds();
-        let n_preds = preds.get(&b).map_or(0, Vec::len);
-        if n_preds <= 1 || !f.succs(prev).contains(&b) {
+        if f.preds().count(b) <= 1 || !f.succs(prev).any(|s| s == b) {
             prev = b;
             continue;
         }
@@ -62,7 +59,7 @@ pub fn run(f: &mut Func) -> usize {
 /// downstream uses see reaching-definition phis.
 fn duplicate_block(f: &mut Func, b: BlockId, from: BlockId) -> BlockId {
     let copy = f.add_block(f.block(b).term.clone());
-    let mut vmap: HashMap<VReg, VReg> = HashMap::new();
+    let mut vmap: FxHashMap<VReg, VReg> = FxHashMap::default();
     let mut insts = f.block(b).insts.clone();
     for inst in &mut insts {
         if let Some(d) = inst.dst {
@@ -82,19 +79,11 @@ fn duplicate_block(f: &mut Func, b: BlockId, from: BlockId) -> BlockId {
                 .expect("phi must have an input for the duplicating pred");
             inst.op = Op::Copy(*vmap.get(&v).unwrap_or(&v));
         } else {
-            for a in inst.op.args_mut() {
-                if let Some(n) = vmap.get(a) {
-                    *a = *n;
-                }
-            }
+            inst.op.for_each_arg_mut(|a| *a = *vmap.get(a).unwrap_or(a));
         }
     }
     let mut term = f.block(copy).term.clone();
-    for a in term.args_mut() {
-        if let Some(n) = vmap.get(a) {
-            *a = *n;
-        }
-    }
+    term.for_each_arg_mut(|a| *a = *vmap.get(a).unwrap_or(a));
     let edge_freq = f.edge_count(from, b);
     f.block_mut(copy).insts = insts;
     f.block_mut(copy).term = term;
@@ -111,11 +100,8 @@ fn duplicate_block(f: &mut Func, b: BlockId, from: BlockId) -> BlockId {
     }
     // The copy's successors gain a predecessor: extend their phis with the
     // copy's values.
-    let succs: Vec<BlockId> = {
-        let mut s = f.succs(copy);
-        s.dedup();
-        s
-    };
+    let mut succs: Vec<BlockId> = f.succs(copy).collect();
+    succs.dedup();
     for s in succs {
         let mut additions: Vec<(usize, VReg)> = Vec::new();
         for (idx, inst) in f.block(s).insts.iter().enumerate() {
@@ -135,7 +121,8 @@ fn duplicate_block(f: &mut Func, b: BlockId, from: BlockId) -> BlockId {
         }
     }
     // Reaching-definition repair for the duplicated values.
-    hasp_ir::ssa_repair::repair(f, &vmap);
+    let pairs: Vec<(VReg, VReg)> = vmap.into_iter().collect();
+    hasp_ir::ssa_repair::repair(f, &pairs);
     copy
 }
 
@@ -192,6 +179,6 @@ mod tests {
         // The original a2 keeps only the cold predecessor now.
         let preds = f.preds();
         let a2 = BlockId(3);
-        assert_eq!(preds[&a2], vec![BlockId(4)], "{}", f.display());
+        assert_eq!(preds[a2], [BlockId(4)], "{}", f.display());
     }
 }

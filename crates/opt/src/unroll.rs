@@ -12,8 +12,6 @@
 //! a reaching-definition SSA repair inserts the join phis that merge the
 //! iteration-1 and iteration-2 definitions wherever they are consumed.
 
-use std::collections::{HashMap, HashSet};
-
 use hasp_core::RegionConfig;
 use hasp_ir::{BlockId, DomTree, Func, LoopForest, Op, Term, VReg};
 
@@ -54,7 +52,7 @@ fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
     let Some(region) = f.block(l.header).region else {
         return false;
     };
-    if !l.blocks.iter().all(|b| f.block(*b).region == Some(region)) {
+    if !l.blocks.iter().all(|b| f.block(b).region == Some(region)) {
         return false;
     }
     // Single latch.
@@ -67,34 +65,34 @@ fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
     let loop_ops: u64 = l
         .blocks
         .iter()
-        .map(|&b| f.block(b).insts.len() as u64 + 1)
+        .map(|b| f.block(b).insts.len() as u64 + 1)
         .sum();
     if loop_ops * 2 > cfg.max_region_ops {
         return false;
     }
-    let exit_targets: HashSet<BlockId> = l.exit_targets(f).into_iter().collect();
-    let blocks: Vec<BlockId> = {
-        let mut v: Vec<_> = l.blocks.iter().copied().collect();
-        v.sort();
-        v
-    };
+    let exit_targets = l.exit_targets(f);
+    let blocks: Vec<BlockId> = l.blocks.iter().collect();
 
     // ---- Copy the body (iteration 2). ----
-    // Copies are numbered in block and instruction order.
-    let defs: Vec<VReg> = blocks
-        .iter()
-        .flat_map(|&b| f.block(b).insts.iter().filter_map(|i| i.dst))
-        .collect();
-    let mut vmap: HashMap<VReg, VReg> = HashMap::new();
-    for d in defs {
-        let fresh = f.vreg();
-        vmap.insert(d, fresh);
-    }
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
+    // Copies are numbered in block and instruction order. `vmap` and `bmap`
+    // give the iteration-2 copy of each loop value and block.
+    let mut vmap: Vec<Option<VReg>> = vec![None; f.vreg_count() as usize];
+    let mut pairs: Vec<(VReg, VReg)> = Vec::new();
     for &b in &blocks {
-        let nb = f.add_block(Term::Return(None));
-        bmap.insert(b, nb);
+        for i in 0..f.block(b).insts.len() {
+            if let Some(d) = f.block(b).insts[i].dst {
+                let fresh = f.vreg();
+                vmap[d.0 as usize] = Some(fresh);
+                pairs.push((d, fresh));
+            }
+        }
     }
+    let value = |v: VReg| vmap.get(v.0 as usize).copied().flatten().unwrap_or(v);
+    let mut bmap: Vec<Option<BlockId>> = vec![None; f.block_count()];
+    for &b in &blocks {
+        bmap[b.0 as usize] = Some(f.add_block(Term::Return(None)));
+    }
+    let block = |b: BlockId| bmap.get(b.0 as usize).copied().flatten();
     // Latch-carried values feeding the header phis of iteration 2.
     let header_phis: Vec<(VReg, VReg)> = f
         .block(l.header)
@@ -112,47 +110,38 @@ fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
         })
         .collect();
 
+    let mut targets: Vec<BlockId> = Vec::new();
     for &b in &blocks {
-        let nb = bmap[&b];
+        let nb = block(b).expect("loop block copied");
         let mut insts = f.block(b).insts.clone();
         for inst in &mut insts {
-            if let Some(d) = inst.dst {
-                inst.dst = Some(vmap[&d]);
-            }
+            inst.dst = inst.dst.map(value);
             if let Op::Phi(ins) = &mut inst.op {
                 for (p, _) in ins.iter_mut() {
-                    if let Some(np) = bmap.get(p) {
-                        *p = *np;
-                    }
+                    *p = block(*p).unwrap_or(*p);
                 }
             }
-            for a in inst.op.args_mut() {
-                if let Some(n) = vmap.get(a) {
-                    *a = *n;
-                }
-            }
+            inst.op.for_each_arg_mut(|a| *a = value(*a));
         }
         // Iteration 2's header phis become copies of iteration 1's
         // latch-carried values.
         if b == l.header {
             for (slot, (phi_dst, latch_val)) in header_phis.iter().enumerate() {
                 let inst = &mut insts[slot];
-                debug_assert_eq!(inst.dst, Some(vmap[phi_dst]));
+                debug_assert_eq!(inst.dst, Some(value(*phi_dst)));
                 inst.op = Op::Copy(*latch_val);
             }
         }
         let mut term = f.block(b).term.clone();
-        for a in term.args_mut() {
-            if let Some(n) = vmap.get(a) {
-                *a = *n;
-            }
-        }
+        term.for_each_arg_mut(|a| *a = value(*a));
         // Retarget: in-loop -> copy; header backedge from copied latch ->
         // original header; exits stay (phi inputs patched below).
-        for s in term.succs() {
+        targets.clear();
+        targets.extend(term.succs());
+        for &s in &targets {
             if s == l.header && b == latch {
                 // keep pointing at the original header (closes iter 2 -> 1)
-            } else if let Some(&ns) = bmap.get(&s) {
+            } else if let Some(ns) = block(s) {
                 term.retarget(s, ns);
             }
         }
@@ -166,36 +155,37 @@ fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
 
     // Exit-target phis: inputs for the copied exiting blocks (the direct
     // merges; deeper escapes are handled by the SSA repair below).
-    for t in &exit_targets {
+    for &t in &exit_targets {
         let mut additions: Vec<(usize, BlockId, VReg)> = Vec::new();
-        for (idx, inst) in f.block(*t).insts.iter().enumerate() {
+        for (idx, inst) in f.block(t).insts.iter().enumerate() {
             if let Op::Phi(ins) = &inst.op {
-                for (p, v) in ins {
-                    if let Some(&np) = bmap.get(p) {
-                        if f.succs(np).contains(t) {
-                            additions.push((idx, np, *vmap.get(v).unwrap_or(v)));
+                for &(p, v) in ins {
+                    if let Some(np) = block(p) {
+                        if f.succs(np).any(|s| s == t) {
+                            additions.push((idx, np, value(v)));
                         }
                     }
                 }
             }
         }
         for (idx, np, v) in additions {
-            if let Op::Phi(ins) = &mut f.block_mut(*t).insts[idx].op {
+            if let Op::Phi(ins) = &mut f.block_mut(t).insts[idx].op {
                 ins.push((np, v));
             }
         }
     }
 
     // Original latch now feeds iteration 2 instead of the header.
-    f.block_mut(latch).term.retarget(l.header, bmap[&l.header]);
+    let header2 = block(l.header).expect("header copied");
+    f.block_mut(latch).term.retarget(l.header, header2);
     // Header phis: the latch input now arrives from the copied latch.
-    let latch2 = bmap[&latch];
+    let latch2 = block(latch).expect("latch copied");
     for inst in &mut f.block_mut(l.header).insts {
         if let Op::Phi(ins) = &mut inst.op {
             for (p, v) in ins.iter_mut() {
                 if *p == latch {
                     *p = latch2;
-                    *v = *vmap.get(v).unwrap_or(v);
+                    *v = value(*v);
                 }
             }
         }
@@ -203,7 +193,7 @@ fn try_unroll(f: &mut Func, cfg: &RegionConfig, l: &hasp_ir::Loop) -> bool {
 
     // Reaching-definition repair for every duplicated value: escapes through
     // the loop exits get their iteration-1/iteration-2 join phis.
-    hasp_ir::ssa_repair::repair(f, &vmap);
+    hasp_ir::ssa_repair::repair(f, &pairs);
     true
 }
 

@@ -1,12 +1,13 @@
-//! A deterministic multiply-rotate hasher for the simulator's hot-path maps.
+//! A deterministic multiply-rotate hasher for the workspace's integer-keyed
+//! maps — the one hasher every crate uses.
 //!
-//! The per-region counters, mispredicted-site tallies, and governor state are
-//! all keyed by small integer tuples and touched on hot machine paths (every
-//! region entry, every mispredicted branch). `std`'s default SipHash is both
-//! needlessly strong for trusted integer keys and randomly seeded — which
-//! makes map iteration order vary run to run. This FxHash-style hasher is a
-//! few ALU ops per word and fully deterministic, so identical runs produce
-//! identical map layouts.
+//! The simulator's per-region counters, mispredicted-site tallies and
+//! governor state, and the compiler's truly sparse tables (expression keys,
+//! value maps of one replication) are all keyed by small integers or
+//! integer tuples. `std`'s default SipHash is both needlessly strong for
+//! trusted integer keys and randomly seeded — which makes map iteration
+//! order vary run to run. This FxHash-style hasher is a few ALU ops per word
+//! and fully deterministic, so identical runs produce identical map layouts.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -49,6 +49,7 @@ pub mod bytecode;
 pub mod class;
 pub mod env;
 pub mod error;
+pub mod fxhash;
 pub mod heap;
 pub mod interp;
 pub mod profile;

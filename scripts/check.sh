@@ -17,6 +17,15 @@ cargo test -q --workspace
 echo "== perfbench suite (release) =="
 cargo test --release --manifest-path perfbench/Cargo.toml
 
+# Lints and formatting run before the host-dependent legs below, so a
+# scaling floor that stops the script on a small host cannot skip them.
+echo "== cargo clippy =="
+cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --release -q -- -D warnings
+
+echo "== cargo fmt --check =="
+cargo fmt --check
+
 echo "== fault-campaign smoke (checksum equivalence under injected aborts) =="
 cargo run --release -p hasp-experiments --bin experiments -- faults --smoke
 # Governor-ladder gates on the smoke artifact: every cell checksum-clean,
@@ -186,12 +195,5 @@ if rustup run nightly rustc -V >/dev/null 2>&1 \
 else
   echo "== mt stress under ThreadSanitizer: skipped (no nightly toolchain with rust-src) =="
 fi
-
-echo "== cargo clippy =="
-cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy --release -q -- -D warnings
-
-echo "== cargo fmt --check =="
-cargo fmt --check
 
 echo "All checks passed."
