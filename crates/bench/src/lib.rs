@@ -1,19 +1,10 @@
-//! # hasp-bench — the Criterion benchmark harness
+//! # hasp-bench — the wall-clock timing scaffold
 //!
-//! Three benches, all `cargo bench`-able individually with `--bench`:
-//!
-//! * `benches/paper.rs` — regenerates every table and figure of the
-//!   paper's evaluation.
-//! * `benches/ablations.rs` — the ablation studies for the design choices
-//!   DESIGN.md calls out (region size target, cold threshold, SLE, partial
-//!   inlining, §7 check elimination and adaptive recompilation).
-//! * `benches/memmodel.rs` — micro-benchmarks isolating the three
-//!   dynamic-access tiers of the cache model's memory path (way-predictor
-//!   hit, full scan hit, install — DESIGN §16).
-//!
-//! The library itself exports [`scaffold`]: the warm-then-interleaved
-//! best-of-reps timing discipline shared by the `bench-dispatch` and `mt`
-//! wall-clock artifacts.
+//! One module, [`scaffold`]: the warm-then-interleaved best-of-reps timing
+//! discipline shared by the `bench-dispatch` and worker-pool (`serve`,
+//! `mt`) wall-clock artifacts of the `experiments` driver. The paper's
+//! tables and the ablation studies are printed by that driver; per-layer
+//! timings come from `perfbench`.
 
 #![warn(missing_docs)]
 

@@ -61,8 +61,8 @@ impl Default for RegionConfig {
 }
 
 impl RegionConfig {
-    /// A configuration scaled to favor smaller regions (used by ablation
-    /// benches sweeping `R`).
+    /// A configuration scaled to favor smaller regions (used by the
+    /// ablation table's `R` sweep).
     pub fn with_target_size(mut self, r: u64) -> Self {
         self.target_region_size = r;
         self.loop_path_threshold = r as f64;

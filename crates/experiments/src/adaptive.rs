@@ -22,9 +22,12 @@ use std::collections::HashSet;
 use hasp_hw::{lower, CodeCache, GovernorConfig, HwConfig, Machine};
 use hasp_opt::{compile_method, CompilerConfig};
 use hasp_vm::bytecode::MethodId;
+use hasp_vm::interp::Interp;
 use hasp_workloads::Workload;
 
-use crate::runner::{extract_samples, run_workload, ProfiledWorkload, WorkloadRun};
+use crate::runner::{
+    extract_samples, profile_workload, run_workload, ProfiledWorkload, WorkloadRun,
+};
 
 /// Runs `w` under `ccfg` with the online abort-recovery governor enabled:
 /// the single-run replacement for the two-pass [`run_adaptive`] policy.
@@ -45,6 +48,26 @@ pub fn run_governed(
     let mut run = run_workload(w, profiled, ccfg, &hw);
     run.compiler = "governed";
     run
+}
+
+/// Interpreter steps the first-pass profile of [`early_window_profile`]
+/// sees: roughly phase 1 of `synthetic::phase_flip(72_000, 60_000, 40)`.
+const EARLY_WINDOW_STEPS: u64 = 900_000;
+
+/// Profiles `w` the way a first-pass JIT does: the branch profile covers
+/// only the early execution window, so on the phase-flip stressor it closes
+/// before the branch flips. The reference checksum and step count still come
+/// from the full run.
+///
+/// # Panics
+/// Panics if `w` fails to interpret.
+pub fn early_window_profile(w: &Workload) -> ProfiledWorkload {
+    let mut profiled = profile_workload(w);
+    let mut early = Interp::new(&w.program).with_profiling();
+    early.set_fuel(EARLY_WINDOW_STEPS);
+    let _ = early.run(&[]); // fuel exhaustion expected
+    profiled.profile = early.profile;
+    profiled
 }
 
 /// Abort-rate threshold above which a method is recompiled without regions

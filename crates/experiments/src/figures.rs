@@ -1,10 +1,14 @@
 //! Regenerators for every table and figure in the paper's evaluation,
 //! rendered alongside the paper's reported values.
 
-use hasp_hw::{HwConfig, UOP_CLASSES};
+use hasp_core::RegionConfig;
+use hasp_hw::{HwConfig, RunStats, UOP_CLASSES};
 use hasp_opt::CompilerConfig;
+use hasp_workloads::synthetic;
 
+use crate::adaptive::{early_window_profile, run_adaptive};
 use crate::report::{num, pct, Table};
+use crate::runner::{profile_workload, run_workload};
 use crate::suite::{MatrixCell, Suite};
 
 /// Prefetches the (all workloads × `compilers` × `hws`) block through the
@@ -499,6 +503,143 @@ pub fn sec63(suite: &mut Suite) -> (Vec<Sec63Row>, String) {
             pct(r.four_wide),
             pct(r.two_wide),
             pct(r.two_wide_half),
+        ]);
+    }
+    (rows, t.render())
+}
+
+/// One row of the ablation table.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// The study the row belongs to.
+    pub study: &'static str,
+    /// The variant the row runs.
+    pub variant: &'static str,
+    /// The study's headline figure, percent. The four suite studies give
+    /// the speedup over `no-atomic` (Figure 7's metric). The two §7 studies
+    /// compare whole runs with their first row: uop reduction for check
+    /// elimination, cycle speedup for adaptive recompilation.
+    pub gain: f64,
+    /// The run's machine statistics.
+    pub stats: RunStats,
+}
+
+/// Ablations of the design choices DESIGN §6 calls out: the region size
+/// target `R` (= `LOOPPATHTHRESHOLD`), the cold threshold, speculative lock
+/// elision, the partial-inlining policy, and the two §7 studies on
+/// synthetic workloads (post-dominance check elimination, adaptive
+/// recompilation).
+pub fn ablations(suite: &mut Suite) -> (Vec<AblationRow>, String) {
+    let hw = HwConfig::baseline();
+    let atomic = CompilerConfig::atomic;
+    let sized = |name, r| CompilerConfig {
+        name,
+        region: RegionConfig::default().with_target_size(r),
+        ..atomic()
+    };
+    let cold = |name, t| CompilerConfig {
+        name,
+        region: RegionConfig::default().with_cold_threshold(t),
+        ..atomic()
+    };
+    let no_sle = CompilerConfig {
+        name: "atomic-no-sle",
+        sle: false,
+        ..atomic()
+    };
+    let (mono, aggr) = (
+        CompilerConfig::atomic_forced_mono(),
+        CompilerConfig::atomic_aggressive(),
+    );
+    // R = 200 and the 1% threshold are the stock parameters, so those rows
+    // reuse the figure matrix's `atomic` cells.
+    debug_assert_eq!(sized("", 200).region, atomic().region);
+    debug_assert_eq!(cold("", 0.01).region, atomic().region);
+    let (r, c, sle, inl) = (
+        "R (bloat)",
+        "cold threshold (bloat)",
+        "SLE (hsqldb)",
+        "partial inlining (jython)",
+    );
+    let cells = [
+        (r, "bloat", "R = 50", sized("atomic+R50", 50)),
+        (r, "bloat", "R = 100", sized("atomic+R100", 100)),
+        (r, "bloat", "R = 200", atomic()),
+        (r, "bloat", "R = 400", sized("atomic+R400", 400)),
+        (c, "bloat", "0.1%", cold("atomic+cold0.1%", 0.001)),
+        (c, "bloat", "1%", atomic()),
+        (c, "bloat", "5%", cold("atomic+cold5%", 0.05)),
+        (sle, "hsqldb", "with SLE", atomic()),
+        (sle, "hsqldb", "without SLE", no_sle),
+        (inl, "jython", "atomic", atomic()),
+        (inl, "jython", "atomic+forced-mono", mono),
+        (inl, "jython", "atomic+aggr-inline", aggr),
+    ];
+    let base = CompilerConfig::no_atomic();
+    let mut matrix: Vec<MatrixCell> = Vec::new();
+    for (_, w, _, cfg) in &cells {
+        let i = suite.index_of(w);
+        matrix.extend([(i, base.clone(), hw.clone()), (i, cfg.clone(), hw.clone())]);
+    }
+    suite.run_all(&matrix);
+    let row = |study, variant, gain, stats| AblationRow {
+        study,
+        variant,
+        gain,
+        stats,
+    };
+    let mut rows = Vec::new();
+    for (study, w, variant, cfg) in cells {
+        let i = suite.index_of(w);
+        let base_run = suite.run(i, &base, &hw).clone();
+        let run = suite.run(i, &cfg, &hw);
+        let gain = run.speedup_vs(&base_run);
+        rows.push(row(study, variant, gain, run.stats.clone()));
+    }
+
+    // §7 post-dominance check elimination on `a[i] = x; a[i+1] = y;`.
+    let w = synthetic::postdom_checks(30_000);
+    let p = profile_workload(&w);
+    let ce = CompilerConfig {
+        name: "atomic+postdom-ce",
+        postdom_checkelim: true,
+        ..atomic()
+    };
+    let off = run_workload(&w, &p, &atomic(), &hw).stats;
+    let on = run_workload(&w, &p, &ce, &hw).stats;
+    let gain = (1.0 - on.uops as f64 / off.uops as f64) * 100.0;
+    rows.push(row("§7 postdom check elim", "off", 0.0, off));
+    rows.push(row("§7 postdom check elim", "on", gain, on));
+
+    // §7 adaptive recompilation on the phase-flip stressor, profiled over a
+    // first-pass window that closes before the branch flips.
+    let w = synthetic::phase_flip(72_000, 60_000, 40);
+    let out = run_adaptive(&w, &early_window_profile(&w), &atomic(), &hw);
+    let (first, second) = (out.first.stats, out.second.stats);
+    let gain = (first.cycles as f64 / second.cycles as f64 - 1.0) * 100.0;
+    rows.push(row("§7 adaptive (phase-flip)", "speculative", 0.0, first));
+    rows.push(row("§7 adaptive (phase-flip)", "adaptive", gain, second));
+
+    let mut t = Table::new(
+        "Ablations (gain: speedup over no-atomic; §7: whole-run uop reduction, \
+         cycle speedup over the first row)",
+        &[
+            "study", "variant", "gain", "uops", "cycles", "commits", "aborts", "abort%", "size",
+        ],
+    );
+    for (k, r) in rows.iter().enumerate() {
+        let s = &r.stats;
+        let new_study = k == 0 || rows[k - 1].study != r.study;
+        t.row(&[
+            if new_study { r.study } else { "" }.to_string(),
+            r.variant.to_string(),
+            format!("{:+.2}%", r.gain),
+            s.uops.to_string(),
+            s.cycles.to_string(),
+            s.commits.to_string(),
+            s.total_aborts().to_string(),
+            num(s.abort_rate() * 100.0, 2),
+            num(s.avg_region_size(), 0),
         ]);
     }
     (rows, t.render())

@@ -7,10 +7,13 @@
 //! interpreter and the simulated machine, so the numbers can never come from
 //! broken speculation.
 //!
-//! Run the `experiments` binary to print all tables:
+//! Run the `experiments` binary to print all tables (the ablation studies
+//! included), or `experiments -- inspect <workload> [config] [--dot]` to
+//! explain one workload's compile and run:
 //!
 //! ```bash
 //! cargo run --release -p hasp-experiments --bin experiments
+//! cargo run --release -p hasp-experiments -- inspect hsqldb atomic
 //! ```
 
 #![warn(missing_docs)]
@@ -19,6 +22,7 @@ pub mod adaptive;
 pub mod dispatch_bench;
 pub mod faults;
 pub mod figures;
+pub mod inspect;
 pub mod reform;
 pub mod report;
 pub mod runner;

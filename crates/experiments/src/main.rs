@@ -1,52 +1,96 @@
-//! Experiment driver: prints every regenerated table and figure, or — with
-//! the `faults` subcommand — runs the fault-injection campaign and writes
-//! the `BENCH_faults.json` resilience report (`faults --smoke` for the
-//! CI-sized slice; `faults --knee` instead binary-searches each workload's
-//! highest tolerated conflict rate and writes `BENCH_knee.json`), or — with
-//! the `bench-dispatch` subcommand — races the per-uop and superblock
-//! dispatch engines over the suite and writes `BENCH_dispatch.json`, or —
-//! with `serve` / `mt` — runs the worker-pool harness (pooled machines, one
+//! Experiment driver: prints every regenerated table and figure and the
+//! ablation studies, or — with the `faults` subcommand — runs the
+//! fault-injection campaign and writes the `BENCH_faults.json` resilience
+//! report (`faults --knee` instead binary-searches each workload's highest
+//! tolerated conflict rate and writes `BENCH_knee.json`), or — with the
+//! `bench-dispatch` subcommand — races the per-uop and superblock dispatch
+//! engines over the suite and writes `BENCH_dispatch.json`, or — with
+//! `serve` / `mt` — runs the worker-pool harness (pooled machines, one
 //! lock-free published code cache; `mt` attaches every worker to one shared
 //! coherence directory) and writes `BENCH_service.json` / `BENCH_mt.json`.
+//! `--smoke` runs each artifact's CI slice and writes `BENCH_*_smoke.json`
+//! instead. `inspect <workload> [config] [--dot]` explains one workload's
+//! compile and run (see `hasp_experiments::inspect`).
 
 use hasp_experiments::figures;
-use hasp_experiments::{dispatch_bench, faults, service, Suite};
+use hasp_experiments::{dispatch_bench, faults, inspect, service, Suite};
+
+const USAGE: &str = "usage: experiments [bench-dispatch [--smoke] | serve [--smoke] | \
+                     mt [--smoke] | faults [--knee] [--injected] [--smoke] | \
+                     inspect <workload> [config] [--dot]]";
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    match std::env::args().nth(1).as_deref() {
-        None => print_figures(),
-        Some("bench-dispatch") => bench_dispatch(smoke),
-        Some("serve") => pool(smoke, false),
-        Some("mt") => pool(smoke, true),
-        Some("faults") => {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = args.split_first() else {
+        return print_figures();
+    };
+    match cmd.as_str() {
+        "bench-dispatch" => bench_dispatch(flags(rest, ["--smoke"])[0]),
+        "serve" => pool(flags(rest, ["--smoke"])[0], false),
+        "mt" => pool(flags(rest, ["--smoke"])[0], true),
+        "faults" => {
             // `--injected` is accepted as the explicit name for what this
             // campaign always is: the deterministic fault-injection ablation
             // (organic conflicts live in the `mt` harness).
-            let injected = std::env::args().any(|a| a == "--injected");
-            if std::env::args().any(|a| a == "--knee") {
+            let [knee, injected, smoke] = flags(rest, ["--knee", "--injected", "--smoke"]);
+            if knee {
                 knee_sweep(smoke);
             } else {
                 fault_campaign(smoke, injected);
             }
         }
-        Some(other) => {
-            eprintln!(
-                "unknown subcommand `{other}` (expected no argument, `bench-dispatch [--smoke]`, \
-                 `serve [--smoke]`, `mt [--smoke]`, or `faults [--knee] [--injected] [--smoke]`)"
+        "inspect" => {
+            let dot = rest.iter().any(|a| a == "--dot");
+            let names: Vec<&String> = rest.iter().filter(|a| *a != "--dot").collect();
+            let (workload, config) = match names[..] {
+                [w] => (w.as_str(), "atomic"),
+                [w, c] => (w.as_str(), c.as_str()),
+                _ => usage("`inspect` takes a workload, an optional config and `--dot`"),
+            };
+            print!(
+                "{}",
+                inspect::inspect(workload, config, dot).unwrap_or_else(|e| usage(&e))
             );
-            std::process::exit(2);
+        }
+        other => usage(&format!("unknown subcommand `{other}`")),
+    }
+}
+
+/// Prints `problem` and the usage line, and exits 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Which of the `allowed` flags `args` sets; any other argument is a usage
+/// error.
+fn flags<const N: usize>(args: &[String], allowed: [&str; N]) -> [bool; N] {
+    let mut set = [false; N];
+    for a in args {
+        match allowed.iter().position(|f| f == a) {
+            Some(k) => set[k] = true,
+            None => usage(&format!("unknown argument `{a}`")),
         }
     }
+    set
+}
+
+/// Writes `BENCH_<name>.json`, or the gitignored `BENCH_<name>_smoke.json`
+/// for a smoke run so that a CI run never clobbers a committed full
+/// artifact, and returns the path written.
+fn write_artifact(name: &str, smoke: bool, json: &str) -> String {
+    let path = format!("BENCH_{name}{}.json", if smoke { "_smoke" } else { "" });
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    path
 }
 
 /// The worker-pool benchmark: `serve` (coherence off) or `mt` (every
 /// worker attached to one shared coherence directory).
 fn pool(smoke: bool, coherence: bool) {
     let (name, artifact) = if coherence {
-        ("mt", "BENCH_mt")
+        ("mt", "mt")
     } else {
-        ("serve", "BENCH_service")
+        ("serve", "service")
     };
     eprintln!(
         "{name}: {} run, worker-pool scaling sweep, coherence {}",
@@ -61,14 +105,7 @@ fn pool(smoke: bool, coherence: bool) {
     };
     let wall = t0.elapsed().as_secs_f64();
     print!("{}", report.table());
-    // The smoke slice goes to its own (gitignored) file so a CI run never
-    // clobbers the committed full artifact.
-    let path = if smoke {
-        format!("{artifact}_smoke.json")
-    } else {
-        format!("{artifact}.json")
-    };
-    std::fs::write(&path, report.json(wall)).expect("write pool bench artifact");
+    let path = write_artifact(artifact, smoke, &report.json(wall));
     eprintln!(
         "wrote {path} (modeled top speedup {:.2}x, {} emergent aborts, max tier {}, \
          host cores {}, in {wall:.1}s)",
@@ -95,15 +132,7 @@ fn bench_dispatch(smoke: bool) {
     let report = dispatch_bench::run_bench(smoke);
     let wall = t0.elapsed().as_secs_f64();
     print!("{}", report.table());
-    let json = report.json(smoke, wall);
-    // The smoke slice goes to its own file so a CI run never clobbers the
-    // committed full-suite artifact.
-    let path = if smoke {
-        "BENCH_dispatch_smoke.json"
-    } else {
-        "BENCH_dispatch.json"
-    };
-    std::fs::write(path, &json).expect("write dispatch bench artifact");
+    let path = write_artifact("dispatch", smoke, &report.json(smoke, wall));
     eprintln!(
         "wrote {path} (geomean speedup {:.2}x, cache-off ceiling {:.2}x, \
          predictor uplift {:.2}x, in {wall:.1}s)",
@@ -128,12 +157,8 @@ fn fault_campaign(smoke: bool, injected: bool) {
     let report = faults::run_campaign(smoke, threads);
     let wall = t0.elapsed().as_secs_f64();
     print!("{}", report.table());
-    let json = report.json(smoke, threads, wall);
-    std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
-    eprintln!(
-        "wrote BENCH_faults.json ({} cells in {wall:.1}s)",
-        report.cells.len()
-    );
+    let path = write_artifact("faults", smoke, &report.json(smoke, threads, wall));
+    eprintln!("wrote {path} ({} cells in {wall:.1}s)", report.cells.len());
     if !report.all_passed() || !report.tiers_consistent() {
         for c in report.failures() {
             eprintln!(
@@ -167,15 +192,7 @@ fn knee_sweep(smoke: bool) {
     let report = faults::run_knee(smoke, threads);
     let wall = t0.elapsed().as_secs_f64();
     print!("{}", report.table());
-    let json = report.json(smoke, threads, wall);
-    // The smoke slice goes to its own (gitignored) file so a CI run never
-    // clobbers the committed full-suite artifact.
-    let path = if smoke {
-        "BENCH_knee_smoke.json"
-    } else {
-        "BENCH_knee.json"
-    };
-    std::fs::write(path, &json).expect("write knee artifact");
+    let path = write_artifact("knee", smoke, &report.json(smoke, threads, wall));
     eprintln!(
         "wrote {path} ({} workloads in {wall:.1}s)",
         report.rows.len()
@@ -211,6 +228,8 @@ fn print_figures() {
     let (_, s) = figures::sec62(&mut suite);
     println!("{s}");
     let (_, s) = figures::sec63(&mut suite);
+    println!("{s}");
+    let (_, s) = figures::ablations(&mut suite);
     println!("{s}");
     let (_, s) = figures::uop_mix(&mut suite);
     println!("{s}");

@@ -4,8 +4,11 @@
 //! observable checksum against the interpreter's — a functional-equivalence
 //! assertion built into the experiment harness itself.
 
+use std::collections::HashMap;
+
 use hasp_hw::{lower, CodeCache, HwConfig, Machine, MachineFault, RunStats};
-use hasp_opt::{compile_program, CompilerConfig};
+use hasp_opt::{compile_program, CompiledMethod, CompilerConfig};
+use hasp_vm::bytecode::MethodId;
 use hasp_vm::interp::Interp;
 use hasp_vm::profile::Profile;
 use hasp_workloads::Workload;
@@ -186,14 +189,25 @@ pub fn compile_workload(
     profiled: &ProfiledWorkload,
     ccfg: &CompilerConfig,
 ) -> CompiledWorkload {
-    let compiled = compile_program(&w.program, &profiled.profile, ccfg);
+    lower_program(
+        ccfg.name,
+        &compile_program(&w.program, &profiled.profile, ccfg),
+    )
+}
+
+/// Lowers and installs every method of a program compiled under the
+/// configuration named `compiler`.
+pub(crate) fn lower_program(
+    compiler: &'static str,
+    compiled: &HashMap<MethodId, CompiledMethod>,
+) -> CompiledWorkload {
     let mut code = CodeCache::new();
-    for (m, c) in &compiled {
+    for (m, c) in compiled {
         code.install(*m, lower(&c.func));
     }
     let static_uops = code.static_uops();
     CompiledWorkload {
-        compiler: ccfg.name,
+        compiler,
         code,
         static_uops,
     }

@@ -5,25 +5,18 @@
 //! single run* — the single-run replacement for the offline two-pass
 //! adaptive-recompilation ablation.
 
-use hasp_experiments::adaptive::{run_adaptive, run_governed};
-use hasp_experiments::{profile_workload, run_workload};
+use hasp_experiments::adaptive::{early_window_profile, run_adaptive, run_governed};
+use hasp_experiments::run_workload;
 use hasp_hw::HwConfig;
 use hasp_opt::CompilerConfig;
-use hasp_vm::interp::Interp;
 use hasp_workloads::synthetic;
 
 #[test]
 fn governor_converts_sustained_aborts_to_baseline_performance() {
     let w = synthetic::phase_flip(72_000, 60_000, 40);
-    let mut profiled = profile_workload(&w);
     // A first-pass JIT profiles only the early execution window — phase 2
-    // has not happened yet when the optimizer runs. Re-profile with a
-    // bounded budget covering roughly phase 1, keeping the full-run
-    // reference checksum.
-    let mut early = Interp::new(&w.program).with_profiling();
-    early.set_fuel(900_000);
-    let _ = early.run(&[]); // fuel exhaustion expected
-    profiled.profile = early.profile;
+    // has not happened yet when the optimizer runs.
+    let profiled = early_window_profile(&w);
 
     let hw = HwConfig::baseline();
     let ccfg = CompilerConfig::atomic();

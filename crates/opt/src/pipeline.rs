@@ -153,8 +153,8 @@ pub struct CompiledMethod {
 /// Compiles a single method under `cfg`.
 ///
 /// # Panics
-/// Panics if an internal pass breaks IR invariants (the verifier runs after
-/// every phase).
+/// Panics if an internal pass breaks IR invariants: the verifier runs after
+/// every pass in debug builds and once, on the final IR, in release builds.
 pub fn compile_method(
     program: &Program,
     profile: &Profile,
@@ -162,12 +162,15 @@ pub fn compile_method(
     cfg: &CompilerConfig,
 ) -> CompiledMethod {
     let mut f = translate(program, method, profile.method(method));
-    debug_assert!(verify(&f).is_ok(), "translate: {:?}", verify(&f));
+    verify_after(&f, "translate", cfg);
 
     // Pre-inline cleanup (keeps callee-size estimates honest).
     gvn::run(&mut f);
+    verify_after(&f, "gvn", cfg);
     constprop::run(&mut f);
+    verify_after(&f, "constprop", cfg);
     dce::run(&mut f);
+    verify_after(&f, "dce", cfg);
 
     let m = program.method(method);
     let sites = if m.opaque {
@@ -175,12 +178,7 @@ pub fn compile_method(
     } else {
         inline::run(&mut f, program, profile, &cfg.inline)
     };
-    debug_assert!(
-        verify(&f).is_ok(),
-        "inline: {:?}\n{}",
-        verify(&f),
-        f.display()
-    );
+    verify_after(&f, "inline", cfg);
 
     // NOTE: no cleanup passes may run between inlining and region formation.
     // The inline-site records anchor on result phis and block identities
@@ -190,20 +188,18 @@ pub fn compile_method(
     let formation = if cfg.atomic && !m.opaque {
         let region_cfg = cfg.region_for(method);
         let res = form_atomic_regions(&mut f, &sites, &region_cfg);
-        debug_assert!(
-            verify(&f).is_ok(),
-            "formation: {:?}\n{}",
-            verify(&f),
-            f.display()
-        );
+        verify_after(&f, "formation", cfg);
         if cfg.sle {
             sle::run(&mut f);
+            verify_after(&f, "sle", cfg);
         }
         if cfg.safepoint_elision {
             safepoint::run(&mut f);
+            verify_after(&f, "safepoint", cfg);
         }
         if cfg.partial_unroll {
             unroll::run(&mut f, &region_cfg);
+            verify_after(&f, "unroll", cfg);
         }
         Some(res)
     } else {
@@ -215,15 +211,20 @@ pub fn compile_method(
     for _ in 0..cfg.opt_rounds {
         let mut changed = 0;
         changed += gvn::run(&mut f).total();
+        verify_after(&f, "gvn", cfg);
         changed += constprop::run(&mut f).folded;
+        verify_after(&f, "constprop", cfg);
         changed += dce::run(&mut f);
+        verify_after(&f, "dce", cfg);
         changed += simplify::run(&mut f);
+        verify_after(&f, "simplify", cfg);
         if changed == 0 {
             break;
         }
     }
     if cfg.postdom_checkelim {
         checkelim::run(&mut f);
+        verify_after(&f, "checkelim", cfg);
         dce::run(&mut f);
     }
     verify(&f).unwrap_or_else(|e| panic!("final verify ({}): {e}\n{}", cfg.name, f.display()));
@@ -232,6 +233,16 @@ pub fn compile_method(
         func: f,
         sites,
         formation,
+    }
+}
+
+/// Debug builds verify the IR after every pass of [`compile_method`]; the
+/// panic names the pass and the configuration.
+fn verify_after(f: &Func, pass: &str, cfg: &CompilerConfig) {
+    if cfg!(debug_assertions) {
+        if let Err(e) = verify(f) {
+            panic!("verify after {pass} ({}): {e}\n{}", cfg.name, f.display());
+        }
     }
 }
 

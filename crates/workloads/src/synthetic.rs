@@ -1,5 +1,5 @@
-//! Synthetic micro-scenarios shared by examples, tests, and ablation
-//! benches: the paper's Figure 2 `addElement` call site, the Figure 5
+//! Synthetic micro-scenarios shared by examples, tests, and the ablation
+//! table: the paper's Figure 2 `addElement` call site, the Figure 5
 //! region-formation shape, and the §7 phase-flip (adaptive recompilation)
 //! stressor.
 

@@ -11,106 +11,20 @@
 //! cargo run --release --example adaptive
 //! ```
 
-use hasp_experiments::adaptive::{run_adaptive, ABORT_RATE_THRESHOLD};
-use hasp_experiments::{profile_workload, run_workload};
+use hasp_experiments::adaptive::{early_window_profile, run_adaptive, ABORT_RATE_THRESHOLD};
+use hasp_experiments::run_workload;
 use hasp_hw::HwConfig;
 use hasp_opt::CompilerConfig;
-use hasp_vm::builder::ProgramBuilder;
-use hasp_vm::bytecode::{BinOp, CmpOp, Intrinsic};
-use hasp_workloads::{Sample, Workload};
-
-fn phase_flip_workload() -> Workload {
-    let mut pb = ProgramBuilder::new();
-    let st = pb.add_class("Stats", None, &["evens", "odds", "sum"]);
-    let f_even = pb.field(st, "evens");
-    let f_odd = pb.field(st, "odds");
-    let f_sum = pb.field(st, "sum");
-
-    let mut m = pb.method("main", 0);
-    let s = m.reg();
-    m.new_obj(s, st);
-    let one = m.imm(1);
-    let k100 = m.imm(100);
-    // One loop whose "odd" threshold flips from 0% to 40% at i = 60000 —
-    // after the first-pass profiling window closes.
-    m.marker(1);
-    let i = m.imm(0);
-    let n = m.imm(72_000);
-    let flip = m.imm(60_000);
-    let k40 = m.imm(40);
-    let head = m.new_label();
-    let exit = m.new_label();
-    let odd = m.new_label();
-    let join = m.new_label();
-    m.bind(head);
-    m.branch(CmpOp::Ge, i, n, exit);
-    let late = m.reg();
-    m.cmp(CmpOp::Ge, late, i, flip);
-    let thr = m.reg();
-    m.bin(BinOp::Mul, thr, late, k40);
-    let r = m.reg();
-    m.intrin(Intrinsic::NextRandom, Some(r), &[]);
-    let sel = m.reg();
-    m.bin(BinOp::Rem, sel, r, k100);
-    let sum = m.reg();
-    m.get_field(sum, s, f_sum);
-    m.bin(BinOp::Add, sum, sum, sel);
-    m.put_field(s, f_sum, sum);
-    m.branch(CmpOp::Lt, sel, thr, odd); // cold in the profile window
-    let e = m.reg();
-    m.get_field(e, s, f_even);
-    m.bin(BinOp::Add, e, e, one);
-    m.put_field(s, f_even, e);
-    m.jump(join);
-    m.bind(odd);
-    let o = m.reg();
-    m.get_field(o, s, f_odd);
-    m.bin(BinOp::Add, o, o, one);
-    m.put_field(s, f_odd, o);
-    m.put_field(s, f_sum, o); // clobbers what the digest reloads
-    m.jump(join);
-    m.bind(join);
-    let d = m.reg();
-    m.get_field(d, s, f_sum);
-    m.checksum(d);
-    m.bin(BinOp::Add, i, i, one);
-    m.safepoint();
-    m.jump(head);
-    m.bind(exit);
-    m.marker(1);
-    for f in [f_even, f_odd, f_sum] {
-        let v = m.reg();
-        m.get_field(v, s, f);
-        m.checksum(v);
-    }
-    m.ret(None);
-    let entry = m.finish(&mut pb);
-    Workload {
-        name: "phase-flip",
-        description: "hot branch flips from 0% to 40% after profiling",
-        program: pb.finish(entry),
-        samples: vec![Sample {
-            marker: 1,
-            weight: 1.0,
-        }],
-        fuel: 100_000_000,
-    }
-}
+use hasp_workloads::synthetic;
 
 fn main() {
-    let w = phase_flip_workload();
+    // One hot loop whose "odd" branch flips from 0% to 40% taken at
+    // i = 60000 — after the first-pass profiling window closes.
+    let w = synthetic::phase_flip(72_000, 60_000, 40);
     println!("profiling {} ...", w.name);
-    let mut profiled = profile_workload(&w);
     // The JVM's first-pass profiler only sees the early execution window —
-    // phase 2 has not happened yet when the optimizer runs. Re-profile with
-    // a bounded budget covering roughly phase 1.
-    {
-        use hasp_vm::interp::Interp;
-        let mut early = Interp::new(&w.program).with_profiling();
-        early.set_fuel(900_000);
-        let _ = early.run(&[]); // fuel exhaustion expected
-        profiled.profile = early.profile;
-    }
+    // phase 2 has not happened yet when the optimizer runs.
+    let profiled = early_window_profile(&w);
 
     let baseline = run_workload(
         &w,

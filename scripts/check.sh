@@ -17,6 +17,13 @@ cargo test -q --workspace
 echo "== perfbench suite (release) =="
 cargo test --release --manifest-path perfbench/Cargo.toml
 
+# The committed per-layer baseline: re-run every workload x seed traced for
+# 1 s and require the digests (all three workloads) and the exact
+# per-operation counts (cold_start and steady_sim) of BENCH_perfbench.json.
+# Timings are never gated; they drift with the host.
+echo "== perfbench baseline (digests and counts vs BENCH_perfbench.json) =="
+python3 scripts/perfbench_baseline.py --check
+
 # Lints and formatting run before the host-dependent legs below, so a
 # scaling floor that stops the script on a small host cannot skip them.
 echo "== cargo clippy =="
@@ -35,7 +42,7 @@ cargo run --release -p hasp-experiments --bin experiments -- faults --smoke
 # the shape exists; this gate catches the ladder or the reform loop rotting).
 python3 - <<'PY'
 import json
-r = json.load(open("BENCH_faults.json"))
+r = json.load(open("BENCH_faults_smoke.json"))
 assert r["schema"] == "hasp-faults-v2", f"unexpected schema {r['schema']}"
 bad = [c for c in r["matrix"] if not c["ok"]]
 assert not bad, f"checksum/validator failures: {[(c['workload'], c['fault']) for c in bad]}"
