@@ -63,6 +63,7 @@ impl Predictor {
 
     /// Predicts and trains on a conditional branch outcome. Returns `true`
     /// if the prediction was correct.
+    #[inline]
     pub fn branch(&mut self, pc: u64, taken: bool) -> bool {
         let gi = self.gidx(pc);
         let g = self.gshare[gi] >= 2;

@@ -1329,7 +1329,7 @@ impl<'p> Machine<'p> {
                     if !probe!(addr, false) {
                         break Interior::Overflow(i);
                     }
-                    regs[dst.0 as usize] = slot.encode();
+                    regs[dst.0 as usize] = *slot;
                 }
                 Uop::StoreField { obj, field, src } => {
                     let Value::Ref(Some(o)) = Value::decode(regs[obj.0 as usize]) else {
@@ -1340,9 +1340,9 @@ impl<'p> Machine<'p> {
                         break Interior::Overflow(i);
                     }
                     if let Some(r) = region.as_mut() {
-                        r.undo.push((HeapCell::Field(o, field), slot.encode()));
+                        r.undo.push((HeapCell::Field(o, field), *slot));
                     }
-                    *slot = Value::decode(regs[src.0 as usize]);
+                    *slot = regs[src.0 as usize];
                 }
                 Uop::LoadElem { dst, arr, idx } => {
                     let Value::Ref(Some(o)) = Value::decode(regs[arr.0 as usize]) else {
@@ -1352,7 +1352,7 @@ impl<'p> Machine<'p> {
                     if !probe!(addr, false) {
                         break Interior::Overflow(i);
                     }
-                    regs[dst.0 as usize] = slot.encode();
+                    regs[dst.0 as usize] = *slot;
                 }
                 Uop::StoreElem { arr, idx, src } => {
                     let Value::Ref(Some(o)) = Value::decode(regs[arr.0 as usize]) else {
@@ -1364,9 +1364,9 @@ impl<'p> Machine<'p> {
                         break Interior::Overflow(i);
                     }
                     if let Some(r) = region.as_mut() {
-                        r.undo.push((HeapCell::Elem(o, j), slot.encode()));
+                        r.undo.push((HeapCell::Elem(o, j), *slot));
                     }
-                    *slot = Value::decode(regs[src.0 as usize]);
+                    *slot = regs[src.0 as usize];
                 }
                 Uop::LoadLen { dst, arr } => {
                     let Value::Ref(Some(o)) = Value::decode(regs[arr.0 as usize]) else {

@@ -91,10 +91,6 @@ pub struct SbInfo {
     /// Number of uops in the block, terminator included. `0` marks a
     /// `Marker` uop, which is dispatched outside any block.
     pub len: u32,
-    /// True when some uop in the block can fault, abort, or trap (memory
-    /// accesses, checks, allocs, region primitives, calls...). A block
-    /// without this bit retires unconditionally once entered.
-    pub can_fault: bool,
     /// The block's terminator, decoded at seal time (shared by every
     /// interior pc chaining to it).
     pub term: SbTerm,
@@ -165,26 +161,6 @@ fn is_terminator(u: &Uop) -> bool {
     )
 }
 
-/// True for interior uops that can redirect control mid-block (trap, abort
-/// the enclosing region, or overflow the speculative footprint).
-fn can_fault(u: &Uop) -> bool {
-    match u {
-        // Only guarded Div/Rem can trap among ALU ops.
-        Uop::Alu { op, .. } => op.can_trap(),
-        Uop::Const { .. }
-        | Uop::ConstNull { .. }
-        | Uop::Mov { .. }
-        | Uop::CmpSet { .. }
-        | Uop::InstOf { .. }
-        | Uop::Jmp { .. }
-        | Uop::Br { .. }
-        | Uop::JmpInd { .. }
-        | Uop::Intrin { .. }
-        | Uop::Marker { .. } => false,
-        _ => true,
-    }
-}
-
 /// Decodes a block's last uop into its sealed [`SbTerm`]. Uops with heap
 /// payload (calls, `jmp_ind`) and non-terminators sealed early by a marker
 /// or end-of-stream stay [`SbTerm::Decode`].
@@ -221,7 +197,6 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
             // Dispatched outside any block; `len: 0` is the sentinel.
             blocks.push(SbInfo {
                 len: 0,
-                can_fault: false,
                 term: SbTerm::Decode,
                 classes: [0; UOP_CLASSES.len()],
                 mem_ops: 0,
@@ -236,7 +211,6 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
             // ends here, or the next uop is a marker (which may not batch).
             SbInfo {
                 len: 1,
-                can_fault: can_fault(u),
                 term: decode_term(u),
                 classes: [0; UOP_CLASSES.len()],
                 mem_ops: 0,
@@ -248,7 +222,6 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
             let suffix = &blocks[blocks.len() - 1];
             SbInfo {
                 len: suffix.len + 1,
-                can_fault: suffix.can_fault || can_fault(u),
                 term: suffix.term,
                 classes: suffix.classes,
                 mem_ops: suffix.mem_ops,
@@ -403,9 +376,6 @@ mod tests {
         // Whole-stream block: 3 alu-class uops + 1 call-class ret.
         assert_eq!(b[0].classes[crate::uop::UopClass::Alu as usize], 3);
         assert_eq!(b[0].classes[crate::uop::UopClass::Call as usize], 1);
-        // Pure register block — nothing can fault before the ret, but the
-        // ret itself is linkage.
-        assert!(!b[2].can_fault || b[2].len == 2, "alu+ret suffix");
         assert_eq!(b[0].fall_through(0), 4);
     }
 
@@ -495,31 +465,6 @@ mod tests {
         // Site identity is per-pc, not per-suffix: interior and head views
         // of the same pc agree by construction (one table entry per pc).
         assert_eq!(mem_sites(&build_blocks(&[konst(0)])), 0);
-    }
-
-    #[test]
-    fn fault_capability_is_tracked_through_suffixes() {
-        let uops = vec![
-            konst(0),
-            Uop::CheckNull { v: MReg(0) },
-            konst(1),
-            Uop::Jmp { target: 0 },
-        ];
-        let b = build_blocks(&uops);
-        assert!(b[0].can_fault, "contains a check");
-        assert!(b[1].can_fault);
-        assert!(!b[2].can_fault, "const+jmp cannot fault");
-        // Trapping ALU counts as faulting; plain ALU does not.
-        let div = build_blocks(&[
-            Uop::Alu {
-                op: BinOp::Div,
-                dst: MReg(0),
-                a: MReg(0),
-                b: MReg(1),
-            },
-            Uop::Ret { src: None },
-        ]);
-        assert!(div[0].can_fault);
     }
 
     #[test]

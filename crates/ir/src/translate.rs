@@ -7,7 +7,7 @@
 //! optimization (§2, Figure 3). Profile counts from the interpreter are
 //! attached to branch/switch terminators and block frequencies.
 
-use hasp_vm::bytecode::{BinOp, Instr, MethodId};
+use hasp_vm::bytecode::{block_leaders, BinOp, Instr, MethodId};
 use hasp_vm::class::Program;
 use hasp_vm::profile::MethodProfile;
 
@@ -24,17 +24,7 @@ pub fn translate(program: &Program, method: MethodId, profile: Option<&MethodPro
     let prof = profile.unwrap_or(&empty);
 
     // 1. Find block leaders.
-    let mut is_leader = vec![false; m.code.len() + 1];
-    is_leader[0] = true;
-    for (pc, instr) in m.code.iter().enumerate() {
-        for t in instr.targets() {
-            is_leader[t] = true;
-        }
-        if (matches!(instr, Instr::Branch { .. }) || instr.is_terminator()) && pc + 1 < m.code.len()
-        {
-            is_leader[pc + 1] = true;
-        }
-    }
+    let is_leader = block_leaders(&m.code);
     let leader_list: Vec<usize> = (0..is_leader.len()).filter(|&pc| is_leader[pc]).collect();
 
     let mut f = Func::new(m.name.clone(), method, m.argc);

@@ -63,6 +63,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Evaluates the operation, returning `None` on division by zero.
+    #[inline]
     pub fn eval(self, a: i64, b: i64) -> Option<i64> {
         Some(match self {
             BinOp::Add => a.wrapping_add(b),
@@ -86,11 +87,6 @@ impl BinOp {
             BinOp::Shl => a.wrapping_shl(b as u32 & 63),
             BinOp::Shr => a.wrapping_shr(b as u32 & 63),
         })
-    }
-
-    /// True if the op can trap (division/remainder by zero).
-    pub fn can_trap(self) -> bool {
-        matches!(self, BinOp::Div | BinOp::Rem)
     }
 }
 
@@ -158,6 +154,7 @@ impl CmpOp {
     }
 
     /// Evaluates the predicate on integers.
+    #[inline]
     pub fn eval_int(self, a: i64, b: i64) -> bool {
         match self {
             CmpOp::Eq => a == b,
@@ -359,6 +356,24 @@ impl Instr {
             _ => vec![],
         }
     }
+}
+
+/// The basic-block leaders of `code`, as one flag per pc plus one for the
+/// end of the stream: pc 0, every branch/jump/switch target, and the pc
+/// after every conditional branch or terminator. IR translation cuts blocks
+/// here, and the profiling interpreter's straight-line runs never cross one.
+pub fn block_leaders(code: &[Instr]) -> Vec<bool> {
+    let mut is_leader = vec![false; code.len() + 1];
+    is_leader[0] = true;
+    for (pc, instr) in code.iter().enumerate() {
+        for t in instr.targets() {
+            is_leader[t] = true;
+        }
+        if (matches!(instr, Instr::Branch { .. }) || instr.is_terminator()) && pc + 1 < code.len() {
+            is_leader[pc + 1] = true;
+        }
+    }
+    is_leader
 }
 
 #[cfg(test)]

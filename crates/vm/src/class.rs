@@ -88,6 +88,7 @@ impl Program {
     ///
     /// # Panics
     /// Panics if the id is out of range.
+    #[inline]
     pub fn class(&self, id: ClassId) -> &Class {
         &self.classes[id.0 as usize]
     }
@@ -96,6 +97,7 @@ impl Program {
     ///
     /// # Panics
     /// Panics if the id is out of range.
+    #[inline]
     pub fn method(&self, id: MethodId) -> &Method {
         &self.methods[id.0 as usize]
     }
@@ -134,11 +136,13 @@ impl Program {
     ///
     /// # Panics
     /// Panics if the class has no such slot (ill-formed program).
+    #[inline]
     pub fn resolve_virtual(&self, class: ClassId, slot: SlotId) -> MethodId {
         self.class(class).vtable[slot.0 as usize]
     }
 
     /// True if `sub` is `sup` or a (transitive) subclass of it.
+    #[inline]
     pub fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
         let mut cur = Some(sub);
         while let Some(c) = cur {

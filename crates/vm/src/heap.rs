@@ -34,21 +34,33 @@ pub enum HeapCell {
 
 #[derive(Debug, Clone)]
 struct Object {
-    class: ClassId,
     base: u64,
     /// Lock word: 0 = free, otherwise the owning thread id.
     lock: i64,
     /// Monitor recursion depth.
     lock_count: i64,
-    fields: Vec<Value>,
-    array: Option<Vec<Value>>,
+    class: ClassId,
+    /// Arena index of the first payload word (field 0 or element 0).
+    start: u32,
+    /// Instance field count; 0 for arrays.
+    fields: u32,
+    /// Array element count; 0 for instances.
+    elems: u32,
+    is_array: bool,
 }
 
 /// The garbage-free object heap (allocation only; workloads are sized so
 /// collection is unnecessary, as in the paper's measured samples).
+///
+/// Every object's fields or elements live in one flat arena of encoded
+/// words ([`Value::encode`]); an object records where its payload starts.
+/// The machine, whose registers hold encoded words already, loads, stores
+/// and logs undo entries as plain word copies; the interpreter decodes at
+/// [`Heap::get_field`] and [`Heap::array_get`].
 #[derive(Debug, Clone, Default)]
 pub struct Heap {
     objects: Vec<Object>,
+    words: Vec<i64>,
     next_addr: u64,
 }
 
@@ -57,6 +69,7 @@ impl Heap {
     pub fn new() -> Self {
         Heap {
             objects: Vec::new(),
+            words: Vec::new(),
             next_addr: 0x1000,
         }
     }
@@ -73,43 +86,84 @@ impl Heap {
 
     /// Allocates an instance of `class` with `nfields` zeroed fields.
     pub fn alloc_object(&mut self, class: ClassId, nfields: usize) -> ObjId {
-        self.alloc(class, vec![Value::Int(0); nfields], None)
+        self.alloc(class, nfields, None)
     }
 
     /// Allocates an integer array of `len` zeroed elements.
     ///
     /// Arrays carry a synthetic class id of `u32::MAX`.
     pub fn alloc_array(&mut self, len: usize) -> ObjId {
-        self.alloc(
-            ClassId(u32::MAX),
-            Vec::new(),
-            Some(vec![Value::Int(0); len]),
-        )
+        self.alloc(ClassId(u32::MAX), 0, Some(len))
     }
 
-    fn alloc(&mut self, class: ClassId, fields: Vec<Value>, array: Option<Vec<Value>>) -> ObjId {
-        let payload_words = fields.len() as u64 + array.as_ref().map_or(0, |a| a.len() as u64 + 1);
+    fn alloc(&mut self, class: ClassId, fields: usize, array: Option<usize>) -> ObjId {
+        let elems = array.unwrap_or(0);
+        let payload_words = fields as u64 + array.map_or(0, |n| n as u64 + 1);
         let size = HEADER + payload_words * WORD;
         let base = self.next_addr;
         // Keep objects line-aligned-ish: round size up to a word multiple and
         // pad to avoid pathological false sharing between unrelated objects.
         self.next_addr += size.next_multiple_of(16);
+        let start = self.words.len();
+        self.words.resize(start + fields + elems, 0);
+        // Every arena index, and so every `u32` below, fits.
+        assert!(
+            self.words.len() <= u32::MAX as usize,
+            "heap arena exceeds 2^32 words"
+        );
         let id = ObjId(self.objects.len() as u32);
         self.objects.push(Object {
-            class,
             base,
             lock: 0,
             lock_count: 0,
-            fields,
-            array,
+            class,
+            start: start as u32,
+            fields: fields as u32,
+            elems: elems as u32,
+            is_array: array.is_some(),
         });
         id
+    }
+
+    /// Arena index and simulated address of `obj.fields[field]`.
+    ///
+    /// # Panics
+    /// Panics if the field index is out of range for the object's layout
+    /// (ill-formed bytecode; the builder prevents this), arrays included.
+    #[inline]
+    fn field_word(&self, id: ObjId, field: u16) -> (usize, u64) {
+        let o = &self.objects[id.0 as usize];
+        assert!(
+            u32::from(field) < o.fields,
+            "field {field} out of range for {id}"
+        );
+        (
+            (o.start + u32::from(field)) as usize,
+            o.base + HEADER + u64::from(field) * WORD,
+        )
+    }
+
+    /// Arena index and simulated address of `arr[idx]` (element addresses
+    /// skip the length word).
+    ///
+    /// # Panics
+    /// Panics if the object is not an array or `idx` is out of bounds.
+    #[inline]
+    fn elem_word(&self, id: ObjId, idx: u32) -> (usize, u64) {
+        let o = &self.objects[id.0 as usize];
+        assert!(o.is_array, "not an array");
+        assert!(idx < o.elems, "element {idx} out of bounds for {id}");
+        (
+            (o.start + idx) as usize,
+            o.base + HEADER + WORD + u64::from(idx) * WORD,
+        )
     }
 
     /// The dynamic class of an object.
     ///
     /// # Panics
     /// Panics if `id` is stale (never happens for ids produced by this heap).
+    #[inline]
     pub fn class_of(&self, id: ObjId) -> ClassId {
         self.objects[id.0 as usize].class
     }
@@ -119,37 +173,40 @@ impl Heap {
     /// # Panics
     /// Panics if the field index is out of range for the object's layout
     /// (ill-formed bytecode; the builder prevents this).
+    #[inline]
     pub fn get_field(&self, id: ObjId, field: u16) -> Value {
-        self.objects[id.0 as usize].fields[field as usize]
+        Value::decode(self.words[self.field_word(id, field).0])
     }
 
     /// Writes `obj.fields[field]`.
+    #[inline]
     pub fn set_field(&mut self, id: ObjId, field: u16, v: Value) {
-        self.objects[id.0 as usize].fields[field as usize] = v;
+        let (w, _) = self.field_word(id, field);
+        self.words[w] = v.encode();
     }
 
     /// Array length, or `None` if the object is not an array.
+    #[inline]
     pub fn array_len(&self, id: ObjId) -> Option<usize> {
-        self.objects[id.0 as usize].array.as_ref().map(Vec::len)
+        let o = &self.objects[id.0 as usize];
+        o.is_array.then_some(o.elems as usize)
     }
 
     /// Reads `arr[idx]`; the caller has already bounds-checked.
+    #[inline]
     pub fn array_get(&self, id: ObjId, idx: u32) -> Value {
-        self.objects[id.0 as usize]
-            .array
-            .as_ref()
-            .expect("not an array")[idx as usize]
+        Value::decode(self.words[self.elem_word(id, idx).0])
     }
 
     /// Writes `arr[idx]`; the caller has already bounds-checked.
+    #[inline]
     pub fn array_set(&mut self, id: ObjId, idx: u32, v: Value) {
-        self.objects[id.0 as usize]
-            .array
-            .as_mut()
-            .expect("not an array")[idx as usize] = v;
+        let (w, _) = self.elem_word(id, idx);
+        self.words[w] = v.encode();
     }
 
     /// Reads the monitor lock word (0 = free, else owner thread id).
+    #[inline]
     pub fn lock_word(&self, id: ObjId) -> i64 {
         self.objects[id.0 as usize].lock
     }
@@ -162,6 +219,7 @@ impl Heap {
     /// Acquires the monitor for `thread`. Returns `false` if held by another
     /// thread (the single-mutator simulation never blocks; contention is
     /// injected by the hardware crate as conflicts instead).
+    #[inline]
     pub fn monitor_enter(&mut self, id: ObjId, thread: i64) -> bool {
         let o = &mut self.objects[id.0 as usize];
         if o.lock == 0 {
@@ -177,6 +235,7 @@ impl Heap {
     }
 
     /// Releases the monitor. Returns `false` on an illegal release.
+    #[inline]
     pub fn monitor_exit(&mut self, id: ObjId, thread: i64) -> bool {
         let o = &mut self.objects[id.0 as usize];
         if o.lock != thread || o.lock_count <= 0 {
@@ -190,10 +249,11 @@ impl Heap {
     }
 
     /// Generic read of a mutable heap location (undo-log support).
+    #[inline]
     pub fn read_cell(&self, cell: HeapCell) -> i64 {
         match cell {
-            HeapCell::Field(o, f) => self.get_field(o, f).encode(),
-            HeapCell::Elem(o, i) => self.array_get(o, i).encode(),
+            HeapCell::Field(o, f) => self.words[self.field_word(o, f).0],
+            HeapCell::Elem(o, i) => self.words[self.elem_word(o, i).0],
             HeapCell::Lock(o) => {
                 // Pack lock word and count into one loggable word.
                 let obj = &self.objects[o.0 as usize];
@@ -203,10 +263,17 @@ impl Heap {
     }
 
     /// Generic write of a mutable heap location (undo-log support).
+    #[inline]
     pub fn write_cell(&mut self, cell: HeapCell, bits: i64) {
         match cell {
-            HeapCell::Field(o, f) => self.set_field(o, f, Value::decode(bits)),
-            HeapCell::Elem(o, i) => self.array_set(o, i, Value::decode(bits)),
+            HeapCell::Field(o, f) => {
+                let (w, _) = self.field_word(o, f);
+                self.words[w] = bits;
+            }
+            HeapCell::Elem(o, i) => {
+                let (w, _) = self.elem_word(o, i);
+                self.words[w] = bits;
+            }
             HeapCell::Lock(o) => {
                 let obj = &mut self.objects[o.0 as usize];
                 obj.lock = bits >> 32;
@@ -216,6 +283,7 @@ impl Heap {
     }
 
     /// Simulated byte address of a heap location (for the cache model).
+    #[inline]
     pub fn addr_of(&self, cell: HeapCell) -> u64 {
         let base = |o: ObjId| self.objects[o.0 as usize].base;
         match cell {
@@ -227,29 +295,26 @@ impl Heap {
     }
 
     /// Simulated byte address of the array-length word.
+    #[inline]
     pub fn addr_of_len(&self, id: ObjId) -> u64 {
         self.objects[id.0 as usize].base + HEADER
     }
 
-    /// Simulated address and mutable storage slot of `obj.fields[field]` in
+    /// Simulated address and mutable storage word of `obj.fields[field]` in
     /// one object lookup — the hot-path fusion of [`Self::addr_of`] with
     /// [`Self::read_cell`]/[`Self::write_cell`] on a field cell.
-    pub fn field_slot(&mut self, id: ObjId, field: u16) -> (u64, &mut Value) {
-        let o = &mut self.objects[id.0 as usize];
-        (
-            o.base + HEADER + u64::from(field) * WORD,
-            &mut o.fields[field as usize],
-        )
+    #[inline]
+    pub fn field_slot(&mut self, id: ObjId, field: u16) -> (u64, &mut i64) {
+        let (w, addr) = self.field_word(id, field);
+        (addr, &mut self.words[w])
     }
 
-    /// Simulated address and mutable storage slot of `arr[idx]` in one
+    /// Simulated address and mutable storage word of `arr[idx]` in one
     /// object lookup; the caller has already bounds-checked.
-    pub fn elem_slot(&mut self, id: ObjId, idx: u32) -> (u64, &mut Value) {
-        let o = &mut self.objects[id.0 as usize];
-        (
-            o.base + HEADER + WORD + u64::from(idx) * WORD,
-            &mut o.array.as_mut().expect("not an array")[idx as usize],
-        )
+    #[inline]
+    pub fn elem_slot(&mut self, id: ObjId, idx: u32) -> (u64, &mut i64) {
+        let (w, addr) = self.elem_word(id, idx);
+        (addr, &mut self.words[w])
     }
 
     /// Simulated address of the array-length word plus the length itself,
@@ -257,12 +322,15 @@ impl Heap {
     ///
     /// # Panics
     /// Panics if the object is not an array.
+    #[inline]
     pub fn len_slot(&self, id: ObjId) -> (u64, usize) {
         let o = &self.objects[id.0 as usize];
-        (o.base + HEADER, o.array.as_ref().expect("array").len())
+        assert!(o.is_array, "array");
+        (o.base + HEADER, o.elems as usize)
     }
 
     /// Simulated byte address of the object header (for `New` traffic).
+    #[inline]
     pub fn addr_of_header(&self, id: ObjId) -> u64 {
         self.objects[id.0 as usize].base
     }
@@ -271,19 +339,21 @@ impl Heap {
     pub fn alloc_mark(&self) -> HeapMark {
         HeapMark {
             objects: self.objects.len(),
+            words: self.words.len(),
             next_addr: self.next_addr,
         }
     }
 
-    /// Discards every object allocated after `mark` (rollback of an aborted
-    /// atomic region; such objects are only reachable from rolled-back
-    /// state).
+    /// Discards every object allocated after `mark`, and its arena words
+    /// (rollback of an aborted atomic region; such objects are only
+    /// reachable from rolled-back state).
     ///
     /// # Panics
     /// Panics if the heap shrank below the mark since it was taken.
     pub fn truncate(&mut self, mark: &HeapMark) {
         assert!(self.objects.len() >= mark.objects, "heap shrank below mark");
         self.objects.truncate(mark.objects);
+        self.words.truncate(mark.words);
         self.next_addr = mark.next_addr;
     }
 }
@@ -293,6 +363,7 @@ impl Heap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapMark {
     objects: usize,
+    words: usize,
     next_addr: u64,
 }
 

@@ -4,8 +4,19 @@
 //! profiles (branch bias, switch case counts, receiver histograms, block
 //! counts) that drive region formation and inlining, mirroring the
 //! instrumenting first-pass compiler of the paper's JVM (§4, §5).
+//!
+//! One loop runs every frame of an [`Interp::call`] over an explicit frame
+//! stack, whose register windows share one pooled vector. It dispatches a
+//! straight-line *run* at a time: a run starts at a block leader
+//! ([`block_leaders`], the cut `translate` uses) or right after a call, and
+//! ends at the next leader or after the next call. Fuel, steps and the run's
+//! execution count are charged once, when the run starts; a fuel budget too
+//! small for the whole run stops it at the exact step the budget runs out
+//! on, and a trap mid-run takes back the unexecuted rest. Counts go to flat
+//! program-wide arrays, folded into the [`Profile`] once, when the call
+//! returns.
 
-use crate::bytecode::{Instr, Intrinsic, MethodId};
+use crate::bytecode::{block_leaders, ClassId, CmpOp, Instr, Intrinsic, MethodId, Reg};
 use crate::class::Program;
 use crate::env::Env;
 use crate::error::{Trap, VmError};
@@ -32,6 +43,163 @@ pub struct Interp<'p> {
     pub steps: u64,
     fuel: u64,
     max_depth: usize,
+    counters: Counters,
+    frames: Vec<Frame>,
+    /// Every frame's registers, the innermost frame's window last.
+    regs: Vec<Value>,
+}
+
+/// One activation on the interpreter's frame stack.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    method: MethodId,
+    /// Index of the method's pc 0 in the flat per-pc tables.
+    flat: u32,
+    /// First register of the frame's window in `Interp::regs`.
+    regs: u32,
+    /// While suspended: the pc of the call in progress.
+    pc: u32,
+    /// The caller's register that receives the return value.
+    ret: Option<Reg>,
+    /// The method is synchronized: its receiver's monitor is released on
+    /// every exit.
+    sync: bool,
+}
+
+/// Counters of one pc.
+#[derive(Debug, Clone, Copy, Default)]
+struct PcCount {
+    /// Execution-count difference within the pc's run: +1 at the run's
+    /// first pc each time the run starts, −1 at the first pc a trap or fuel
+    /// exhaustion left unexecuted. A pc's execution count is the (wrapping)
+    /// sum over its run's pcs up to and including it.
+    exec: u64,
+    /// (taken, not-taken) counts of the conditional branch at this pc.
+    branch: [u64; 2],
+}
+
+/// The flat, program-wide profile counters of one [`Interp::call`], and the
+/// per-program tables that index them; folded into a [`Profile`] (or just
+/// cleared) when the call returns.
+#[derive(Debug)]
+struct Counters {
+    /// `base[m]`: index of method `m`'s pc 0 in the per-pc tables.
+    base: Vec<u32>,
+    /// Per pc: the method-local, exclusive end of the run containing it.
+    run_end: Vec<u32>,
+    /// Per pc: the first slot of the switch there (in `switches`) or of the
+    /// virtual call there (in `receivers`, one slot per class); 0 elsewhere.
+    site: Vec<u32>,
+    classes: usize,
+    /// Per method: invocations.
+    invocations: Vec<u64>,
+    pcs: Vec<PcCount>,
+    /// Per switch: one count per case, then the default's.
+    switches: Vec<u64>,
+    /// Per virtual call and receiver class: calls.
+    receivers: Vec<u64>,
+}
+
+impl Counters {
+    fn new(program: &Program) -> Self {
+        let classes = program.class_count();
+        let mut base = Vec::with_capacity(program.method_count());
+        let (mut run_end, mut site) = (Vec::new(), Vec::new());
+        let (mut switches, mut receivers) = (0usize, 0usize);
+        for m in program.method_ids() {
+            let code = &program.method(m).code;
+            let first = run_end.len();
+            base.push(first as u32);
+            let leaders = block_leaders(code);
+            run_end.resize(first + code.len(), 0);
+            let mut end = code.len();
+            for pc in (0..code.len()).rev() {
+                if leaders[pc + 1]
+                    || matches!(code[pc], Instr::Call { .. } | Instr::CallVirtual { .. })
+                {
+                    end = pc + 1;
+                }
+                run_end[first + pc] = end as u32;
+            }
+            for instr in code {
+                let (slots, n) = match instr {
+                    Instr::Switch { targets, .. } => (&mut switches, targets.len() + 1),
+                    Instr::CallVirtual { .. } => (&mut receivers, classes),
+                    _ => (&mut 0, 0),
+                };
+                site.push(*slots as u32);
+                *slots += n;
+            }
+        }
+        Counters {
+            invocations: vec![0; base.len()],
+            pcs: vec![PcCount::default(); run_end.len()],
+            switches: vec![0; switches],
+            receivers: vec![0; receivers],
+            base,
+            run_end,
+            site,
+            classes,
+        }
+    }
+
+    /// Adds every counter into `profile` (when given) and zeroes it. Only
+    /// methods entered since the last fold can hold counts.
+    fn fold(&mut self, program: &Program, mut profile: Option<&mut Profile>) {
+        for m in program.method_ids() {
+            let invocations = std::mem::take(&mut self.invocations[m.0 as usize]);
+            if invocations == 0 {
+                continue;
+            }
+            let code = &program.method(m).code;
+            let flat = self.base[m.0 as usize] as usize;
+            let mut prof = profile.as_deref_mut().map(|p| p.method_mut(m, code.len()));
+            if let Some(p) = prof.as_deref_mut() {
+                p.invocations += invocations;
+            }
+            let mut exec = 0u64;
+            for (pc, instr) in code.iter().enumerate() {
+                let i = flat + pc;
+                let c = std::mem::take(&mut self.pcs[i]);
+                if pc == 0 || self.run_end[i - 1] as usize == pc {
+                    exec = 0;
+                }
+                exec = exec.wrapping_add(c.exec);
+                let site = self.site[i] as usize;
+                let slots = match instr {
+                    Instr::Switch { targets, .. } => {
+                        &mut self.switches[site..=site + targets.len()]
+                    }
+                    Instr::CallVirtual { .. } => &mut self.receivers[site..site + self.classes],
+                    _ => &mut [],
+                };
+                let Some(p) = prof.as_deref_mut() else {
+                    slots.fill(0);
+                    continue;
+                };
+                p.exec[pc] += exec;
+                p.branches[pc].0 += c.branch[0];
+                p.branches[pc].1 += c.branch[1];
+                if slots.iter().all(|&n| n == 0) {
+                    continue;
+                }
+                if matches!(instr, Instr::Switch { .. }) {
+                    let counts = p.switches.entry(pc).or_insert_with(|| vec![0; slots.len()]);
+                    for (sum, n) in counts.iter_mut().zip(slots.iter_mut()) {
+                        *sum += std::mem::take(n);
+                    }
+                } else {
+                    let histogram = p.receivers.entry(pc).or_default();
+                    for (class, n) in slots.iter_mut().enumerate() {
+                        if *n > 0 {
+                            *histogram.entry(ClassId(class as u32)).or_insert(0) +=
+                                std::mem::take(n);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl<'p> Interp<'p> {
@@ -46,6 +214,9 @@ impl<'p> Interp<'p> {
             steps: 0,
             fuel: u64::MAX,
             max_depth: 512,
+            counters: Counters::new(program),
+            frames: Vec::new(),
+            regs: Vec::new(),
         }
     }
 
@@ -70,7 +241,8 @@ impl<'p> Interp<'p> {
         self.call(self.program.entry(), args, 0)
     }
 
-    /// Invokes an arbitrary method (used by tests and the experiment driver).
+    /// Invokes an arbitrary method (used by tests and the experiments crate)
+    /// with `depth` frames counted as already on the stack.
     ///
     /// # Errors
     /// Same conditions as [`Interp::run`].
@@ -80,361 +252,385 @@ impl<'p> Interp<'p> {
         args: &[Value],
         depth: usize,
     ) -> Result<Option<Value>, VmError> {
-        if depth >= self.max_depth {
-            return Err(VmError::StackOverflow);
-        }
-        let method = self.program.method(m);
-        assert_eq!(
-            args.len(),
-            method.argc as usize,
-            "arity mismatch calling {}",
-            method.name
-        );
-        let mut regs = vec![Value::Int(0); method.regs as usize];
-        regs[..args.len()].copy_from_slice(args);
-
-        if self.profiling {
-            self.profile.method_mut(m, method.code.len()).invocations += 1;
-        }
-        if method.synchronized {
-            let recv = self.require_obj(regs[0], m, 0)?;
-            self.heap.monitor_enter(recv, MUTATOR_THREAD);
-        }
-        let result = self.exec_body(m, &mut regs, depth);
-        if method.synchronized {
-            // Balanced on every exit path (our methods return normally or the
-            // whole run fails, so unconditional release is correct).
-            if let Value::Ref(Some(recv)) = regs[0] {
-                self.heap.monitor_exit(recv, MUTATOR_THREAD);
-            }
-        }
+        let fuel = self.fuel;
+        let result = self.exec(m, args, depth);
+        self.steps += fuel - self.fuel;
+        let profile = self.profiling.then_some(&mut self.profile);
+        self.counters.fold(self.program, profile);
         result
     }
 
-    fn exec_body(
+    /// The interpreter loop: runs `entry` and everything it calls to
+    /// completion or to the first error.
+    #[allow(clippy::too_many_lines)]
+    fn exec(
         &mut self,
-        m: MethodId,
-        regs: &mut [Value],
+        entry: MethodId,
+        args: &[Value],
         depth: usize,
     ) -> Result<Option<Value>, VmError> {
-        let method = self.program.method(m);
-        let code = &method.code;
-        let mut pc = 0usize;
-        loop {
-            if self.fuel == 0 {
-                return Err(VmError::FuelExhausted);
+        let program = self.program;
+        let mut fuel = self.fuel;
+        let room = self.max_depth.saturating_sub(depth);
+        let Interp {
+            heap,
+            env,
+            counters,
+            frames,
+            regs,
+            ..
+        } = self;
+        frames.clear();
+        regs.clear();
+        regs.extend_from_slice(args);
+
+        // The innermost frame, held in locals: its code, the index of its
+        // pc 0 in the per-pc tables, and its register window `w` (the tail
+        // of `regs`, starting at `rb`). `end` and `limit` bound the current
+        // run: it ends before `end`, and fuel lasts until `limit`.
+        let (mut code, mut w, mut rb, mut pc): (&[Instr], &mut [Value], usize, usize);
+        let (mut flat, mut end, mut limit) = (0usize, 0usize, 0usize);
+
+        // `Err((error, resume))`: `resume` is the first pc of the current
+        // run left unexecuted.
+        let result: Result<Option<Value>, (VmError, usize)> = 'exec: {
+            macro_rules! fail {
+                ($e:expr, $resume:expr) => {
+                    break 'exec Err(($e, $resume))
+                };
             }
-            self.fuel -= 1;
-            self.steps += 1;
-            if self.profiling {
-                self.profile.method_mut(m, code.len()).exec[pc] += 1;
+            // A failed check at `pc`, which counts as executed.
+            macro_rules! tri {
+                ($e:expr) => {
+                    match $e {
+                        Ok(v) => v,
+                        Err(f) => fail!(f.at(frames.last().expect("frame").method, pc), pc + 1),
+                    }
+                };
             }
-            let instr = &code[pc];
-            match instr {
-                Instr::Const { dst, value } => regs[dst.0 as usize] = Value::Int(*value),
-                Instr::ConstNull { dst } => regs[dst.0 as usize] = Value::NULL,
-                Instr::Move { dst, src } => regs[dst.0 as usize] = regs[src.0 as usize],
-                Instr::Bin { op, dst, a, b } => {
-                    let av = self.require_int(regs[a.0 as usize], m, pc)?;
-                    let bv = self.require_int(regs[b.0 as usize], m, pc)?;
-                    let r = op.eval(av, bv).ok_or(VmError::Trap {
-                        trap: Trap::DivByZero,
-                        method: m,
-                        pc,
-                    })?;
-                    regs[dst.0 as usize] = Value::Int(r);
+            macro_rules! r {
+                ($reg:expr) => {
+                    w[$reg.0 as usize]
+                };
+            }
+            // Opens a frame for `callee` over the `nargs` arguments on top
+            // of the register stack and makes it the innermost frame.
+            macro_rules! enter {
+                ($callee:expr, $nargs:expr, $ret:expr, $resume:expr) => {{
+                    let callee: MethodId = $callee;
+                    if frames.len() >= room {
+                        fail!(VmError::StackOverflow, $resume);
+                    }
+                    let method = program.method(callee);
+                    let nargs: usize = $nargs;
+                    assert_eq!(
+                        nargs, method.argc as usize,
+                        "arity mismatch calling {}",
+                        method.name
+                    );
+                    let window = regs.len() - nargs;
+                    for _ in nargs..usize::from(method.regs) {
+                        regs.push(Value::Int(0));
+                    }
+                    counters.invocations[callee.0 as usize] += 1;
+                    if method.synchronized {
+                        match check_null(regs[window]) {
+                            Ok(recv) => heap.monitor_enter(recv, MUTATOR_THREAD),
+                            Err(f) => fail!(f.at(callee, 0), $resume),
+                        };
+                    }
+                    code = &method.code;
+                    flat = counters.base[callee.0 as usize] as usize;
+                    rb = window;
+                    w = &mut regs[rb..];
+                    pc = 0;
+                    frames.push(Frame {
+                        method: callee,
+                        flat: flat as u32,
+                        regs: rb as u32,
+                        pc: 0,
+                        ret: $ret,
+                        sync: method.synchronized,
+                    });
+                }};
+            }
+
+            enter!(entry, args.len(), None, 0);
+            'run: loop {
+                // A run starts at `pc`: count it and charge its fuel.
+                end = counters.run_end[flat + pc] as usize;
+                counters.pcs[flat + pc].exec += 1;
+                let n = (end - pc) as u64;
+                if fuel >= n {
+                    fuel -= n;
+                    limit = end;
+                } else {
+                    // Within one run of exhaustion: stop at the exact step.
+                    limit = pc + fuel as usize;
+                    fuel = 0;
                 }
-                Instr::Cmp { op, dst, a, b } => {
-                    let t = self.eval_cmp(*op, regs[a.0 as usize], regs[b.0 as usize], m, pc)?;
-                    regs[dst.0 as usize] = Value::Int(i64::from(t));
-                }
-                Instr::Branch { op, a, b, target } => {
-                    let taken =
-                        self.eval_cmp(*op, regs[a.0 as usize], regs[b.0 as usize], m, pc)?;
-                    if self.profiling {
-                        let e = &mut self.profile.method_mut(m, code.len()).branches[pc];
-                        if taken {
-                            e.0 += 1;
-                        } else {
-                            e.1 += 1;
+                loop {
+                    if pc == limit {
+                        if pc == end {
+                            continue 'run;
                         }
+                        fail!(VmError::FuelExhausted, pc);
                     }
-                    if taken {
-                        pc = *target;
-                        continue;
-                    }
-                }
-                Instr::Jump { target } => {
-                    pc = *target;
-                    continue;
-                }
-                Instr::Switch {
-                    src,
-                    targets,
-                    default,
-                } => {
-                    let v = self.require_int(regs[src.0 as usize], m, pc)?;
-                    let case = if v >= 0 && (v as usize) < targets.len() {
-                        v as usize
-                    } else {
-                        targets.len()
-                    };
-                    if self.profiling {
-                        let counts = self
-                            .profile
-                            .method_mut(m, code.len())
-                            .switches
-                            .entry(pc)
-                            .or_insert_with(|| vec![0; targets.len() + 1]);
-                        counts[case] += 1;
-                    }
-                    pc = if case < targets.len() {
-                        targets[case]
-                    } else {
-                        *default
-                    };
-                    continue;
-                }
-                Instr::New { dst, class } => {
-                    let n = self.program.class(*class).field_count();
-                    let o = self.heap.alloc_object(*class, n);
-                    regs[dst.0 as usize] = Value::from(o);
-                }
-                Instr::NewArray { dst, len } => {
-                    let n = self.require_int(regs[len.0 as usize], m, pc)?;
-                    if n < 0 {
-                        return Err(VmError::Trap {
-                            trap: Trap::OutOfBounds,
-                            method: m,
-                            pc,
-                        });
-                    }
-                    let o = self.heap.alloc_array(n as usize);
-                    regs[dst.0 as usize] = Value::from(o);
-                }
-                Instr::GetField { dst, obj, field } => {
-                    let o = self.check_null(regs[obj.0 as usize], m, pc)?;
-                    regs[dst.0 as usize] = self.heap.get_field(o, field.0);
-                }
-                Instr::PutField { obj, field, src } => {
-                    let o = self.check_null(regs[obj.0 as usize], m, pc)?;
-                    self.heap.set_field(o, field.0, regs[src.0 as usize]);
-                }
-                Instr::ALoad { dst, arr, idx } => {
-                    let (o, i) =
-                        self.check_array(regs[arr.0 as usize], regs[idx.0 as usize], m, pc)?;
-                    regs[dst.0 as usize] = self.heap.array_get(o, i);
-                }
-                Instr::AStore { arr, idx, src } => {
-                    let (o, i) =
-                        self.check_array(regs[arr.0 as usize], regs[idx.0 as usize], m, pc)?;
-                    self.heap.array_set(o, i, regs[src.0 as usize]);
-                }
-                Instr::ArrayLen { dst, arr } => {
-                    let o = self.check_null(regs[arr.0 as usize], m, pc)?;
-                    let n = self.heap.array_len(o).ok_or(VmError::TypeMismatch {
-                        method: m,
-                        pc,
-                        what: "arraylen on non-array",
-                    })?;
-                    regs[dst.0 as usize] = Value::Int(n as i64);
-                }
-                Instr::Call {
-                    dst,
-                    method: callee,
-                    args,
-                } => {
-                    let argv: Vec<Value> = args.iter().map(|r| regs[r.0 as usize]).collect();
-                    let ret = self.call(*callee, &argv, depth + 1)?;
-                    if let Some(d) = dst {
-                        regs[d.0 as usize] = ret.unwrap_or(Value::Int(0));
-                    }
-                }
-                Instr::CallVirtual {
-                    dst,
-                    slot,
-                    recv,
-                    args,
-                } => {
-                    let o = self.check_null(regs[recv.0 as usize], m, pc)?;
-                    let class = self.heap.class_of(o);
-                    if self.profiling {
-                        *self
-                            .profile
-                            .method_mut(m, code.len())
-                            .receivers
-                            .entry(pc)
-                            .or_default()
-                            .entry(class)
-                            .or_insert(0) += 1;
-                    }
-                    let callee = self.program.resolve_virtual(class, *slot);
-                    let mut argv = vec![regs[recv.0 as usize]];
-                    argv.extend(args.iter().map(|r| regs[r.0 as usize]));
-                    let ret = self.call(callee, &argv, depth + 1)?;
-                    if let Some(d) = dst {
-                        regs[d.0 as usize] = ret.unwrap_or(Value::Int(0));
-                    }
-                }
-                Instr::Return { src } => {
-                    return Ok(src.map(|r| regs[r.0 as usize]));
-                }
-                Instr::MonitorEnter { obj } => {
-                    let o = self.check_null(regs[obj.0 as usize], m, pc)?;
-                    self.heap.monitor_enter(o, MUTATOR_THREAD);
-                }
-                Instr::MonitorExit { obj } => {
-                    let o = self.check_null(regs[obj.0 as usize], m, pc)?;
-                    if !self.heap.monitor_exit(o, MUTATOR_THREAD) {
-                        return Err(VmError::Trap {
-                            trap: Trap::IllegalMonitorState,
-                            method: m,
-                            pc,
-                        });
-                    }
-                }
-                Instr::InstanceOf { dst, obj, class } => {
-                    let is = match regs[obj.0 as usize] {
-                        Value::Ref(Some(o)) => {
-                            self.program.is_subclass(self.heap.class_of(o), *class)
+                    match &code[pc] {
+                        Instr::Const { dst, value } => r!(dst) = Value::Int(*value),
+                        Instr::ConstNull { dst } => r!(dst) = Value::NULL,
+                        Instr::Move { dst, src } => r!(dst) = r!(src),
+                        Instr::Bin { op, dst, a, b } => {
+                            let av = tri!(require_int(r!(a)));
+                            let bv = tri!(require_int(r!(b)));
+                            let v = tri!(op.eval(av, bv).ok_or(Fault::Trap(Trap::DivByZero)));
+                            r!(dst) = Value::Int(v);
                         }
-                        Value::Ref(None) => false,
-                        Value::Int(_) => {
-                            return Err(VmError::TypeMismatch {
-                                method: m,
-                                pc,
-                                what: "instanceof on int",
-                            })
+                        Instr::Cmp { op, dst, a, b } => {
+                            let t = tri!(eval_cmp(*op, r!(a), r!(b)));
+                            r!(dst) = Value::Int(i64::from(t));
                         }
-                    };
-                    regs[dst.0 as usize] = Value::Int(i64::from(is));
-                }
-                Instr::CheckCast { obj, class } => match regs[obj.0 as usize] {
-                    Value::Ref(None) => {}
-                    Value::Ref(Some(o)) => {
-                        if !self.program.is_subclass(self.heap.class_of(o), *class) {
-                            return Err(VmError::Trap {
-                                trap: Trap::ClassCast,
-                                method: m,
-                                pc,
-                            });
+                        Instr::Branch { op, a, b, target } => {
+                            let taken = tri!(eval_cmp(*op, r!(a), r!(b)));
+                            counters.pcs[flat + pc].branch[usize::from(!taken)] += 1;
+                            pc = if taken { *target } else { pc + 1 };
+                            continue 'run;
                         }
-                    }
-                    Value::Int(_) => {
-                        return Err(VmError::TypeMismatch {
-                            method: m,
-                            pc,
-                            what: "checkcast on int",
-                        })
-                    }
-                },
-                Instr::Safepoint => {
-                    // Poll the yield flag; in this simulation it is never set.
-                }
-                Instr::Intrin { kind, dst, args } => {
-                    let out = match kind {
-                        Intrinsic::Checksum => {
-                            let v = regs[args[0].0 as usize];
-                            self.env.checksum_push(v.encode());
-                            None
+                        Instr::Jump { target } => {
+                            pc = *target;
+                            continue 'run;
                         }
-                        Intrinsic::NextRandom => Some(Value::Int(self.env.next_random())),
-                        Intrinsic::YieldFlag => Some(Value::Int(0)),
-                    };
-                    if let (Some(d), Some(v)) = (dst, out) {
-                        regs[d.0 as usize] = v;
+                        Instr::Switch {
+                            src,
+                            targets,
+                            default,
+                        } => {
+                            let v = tri!(require_int(r!(src)));
+                            let case = if v >= 0 && (v as usize) < targets.len() {
+                                v as usize
+                            } else {
+                                targets.len()
+                            };
+                            counters.switches[counters.site[flat + pc] as usize + case] += 1;
+                            pc = targets.get(case).copied().unwrap_or(*default);
+                            continue 'run;
+                        }
+                        Instr::New { dst, class } => {
+                            let n = program.class(*class).field_count();
+                            r!(dst) = Value::from(heap.alloc_object(*class, n));
+                        }
+                        Instr::NewArray { dst, len } => {
+                            let n = tri!(require_int(r!(len)));
+                            if n < 0 {
+                                tri!(Err(Fault::Trap(Trap::OutOfBounds)));
+                            }
+                            r!(dst) = Value::from(heap.alloc_array(n as usize));
+                        }
+                        Instr::GetField { dst, obj, field } => {
+                            let o = tri!(check_null(r!(obj)));
+                            r!(dst) = heap.get_field(o, field.0);
+                        }
+                        Instr::PutField { obj, field, src } => {
+                            let o = tri!(check_null(r!(obj)));
+                            heap.set_field(o, field.0, r!(src));
+                        }
+                        Instr::ALoad { dst, arr, idx } => {
+                            let (o, i) = tri!(check_array(heap, r!(arr), r!(idx)));
+                            r!(dst) = heap.array_get(o, i);
+                        }
+                        Instr::AStore { arr, idx, src } => {
+                            let (o, i) = tri!(check_array(heap, r!(arr), r!(idx)));
+                            heap.array_set(o, i, r!(src));
+                        }
+                        Instr::ArrayLen { dst, arr } => {
+                            let o = tri!(check_null(r!(arr)));
+                            let n = tri!(heap
+                                .array_len(o)
+                                .ok_or(Fault::Type("arraylen on non-array")));
+                            r!(dst) = Value::Int(n as i64);
+                        }
+                        Instr::Call {
+                            dst,
+                            method: callee,
+                            args,
+                        } => {
+                            for a in args {
+                                regs.push(regs[rb + a.0 as usize]);
+                            }
+                            frames.last_mut().expect("frame").pc = pc as u32;
+                            enter!(*callee, args.len(), *dst, pc + 1);
+                            continue 'run;
+                        }
+                        Instr::CallVirtual {
+                            dst,
+                            slot,
+                            recv,
+                            args,
+                        } => {
+                            let o = tri!(check_null(r!(recv)));
+                            let class = heap.class_of(o);
+                            let site = counters.site[flat + pc] as usize;
+                            counters.receivers[site + class.0 as usize] += 1;
+                            let callee = program.resolve_virtual(class, *slot);
+                            regs.push(regs[rb + recv.0 as usize]);
+                            for a in args {
+                                regs.push(regs[rb + a.0 as usize]);
+                            }
+                            frames.last_mut().expect("frame").pc = pc as u32;
+                            enter!(callee, args.len() + 1, *dst, pc + 1);
+                            continue 'run;
+                        }
+                        Instr::Return { src } => {
+                            let v = src.map(|s| r!(s));
+                            let done = frames.pop().expect("frame");
+                            if done.sync {
+                                if let Value::Ref(Some(recv)) = r!(Reg(0)) {
+                                    heap.monitor_exit(recv, MUTATOR_THREAD);
+                                }
+                            }
+                            regs.truncate(rb);
+                            let Some(caller) = frames.last() else {
+                                break 'exec Ok(v);
+                            };
+                            code = &program.method(caller.method).code;
+                            flat = caller.flat as usize;
+                            rb = caller.regs as usize;
+                            w = &mut regs[rb..];
+                            pc = caller.pc as usize + 1;
+                            if let Some(d) = done.ret {
+                                r!(d) = v.unwrap_or(Value::Int(0));
+                            }
+                            continue 'run;
+                        }
+                        Instr::MonitorEnter { obj } => {
+                            let o = tri!(check_null(r!(obj)));
+                            heap.monitor_enter(o, MUTATOR_THREAD);
+                        }
+                        Instr::MonitorExit { obj } => {
+                            let o = tri!(check_null(r!(obj)));
+                            if !heap.monitor_exit(o, MUTATOR_THREAD) {
+                                tri!(Err(Fault::Trap(Trap::IllegalMonitorState)));
+                            }
+                        }
+                        Instr::InstanceOf { dst, obj, class } => {
+                            let is = match r!(obj) {
+                                Value::Ref(Some(o)) => {
+                                    program.is_subclass(heap.class_of(o), *class)
+                                }
+                                Value::Ref(None) => false,
+                                Value::Int(_) => tri!(Err(Fault::Type("instanceof on int"))),
+                            };
+                            r!(dst) = Value::Int(i64::from(is));
+                        }
+                        Instr::CheckCast { obj, class } => match r!(obj) {
+                            Value::Ref(None) => {}
+                            Value::Ref(Some(o)) => {
+                                if !program.is_subclass(heap.class_of(o), *class) {
+                                    tri!(Err(Fault::Trap(Trap::ClassCast)));
+                                }
+                            }
+                            Value::Int(_) => tri!(Err(Fault::Type("checkcast on int"))),
+                        },
+                        Instr::Safepoint => {
+                            // Poll the yield flag; in this simulation it is never set.
+                        }
+                        Instr::Intrin { kind, dst, args } => {
+                            let out = match kind {
+                                Intrinsic::Checksum => {
+                                    env.checksum_push(r!(args[0]).encode());
+                                    None
+                                }
+                                Intrinsic::NextRandom => Some(Value::Int(env.next_random())),
+                                Intrinsic::YieldFlag => Some(Value::Int(0)),
+                            };
+                            if let (Some(d), Some(v)) = (dst, out) {
+                                r!(d) = v;
+                            }
+                        }
+                        Instr::Marker { id } => env.hit_marker(*id),
                     }
-                }
-                Instr::Marker { id } => {
-                    self.env.hit_marker(*id);
+                    pc += 1;
                 }
             }
-            pc += 1;
+        };
+
+        let result = result.map_err(|(e, resume)| {
+            // Take back the unexecuted rest of the current run, then release
+            // the monitor of every synchronized frame, innermost first.
+            fuel += (limit - resume) as u64;
+            if resume < end {
+                let c = &mut counters.pcs[flat + resume].exec;
+                *c = c.wrapping_sub(1);
+            }
+            for f in frames.iter().rev().filter(|f| f.sync) {
+                if let Value::Ref(Some(recv)) = regs[f.regs as usize] {
+                    heap.monitor_exit(recv, MUTATOR_THREAD);
+                }
+            }
+            e
+        });
+        self.fuel = fuel;
+        result
+    }
+}
+
+/// A failed check, before it is placed at a method and pc.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Trap(Trap),
+    Type(&'static str),
+}
+
+impl Fault {
+    fn at(self, method: MethodId, pc: usize) -> VmError {
+        match self {
+            Fault::Trap(trap) => VmError::Trap { trap, method, pc },
+            Fault::Type(what) => VmError::TypeMismatch { method, pc, what },
         }
     }
+}
 
-    fn eval_cmp(
-        &self,
-        op: crate::bytecode::CmpOp,
-        a: Value,
-        b: Value,
-        m: MethodId,
-        pc: usize,
-    ) -> Result<bool, VmError> {
-        use crate::bytecode::CmpOp;
-        match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Ok(op.eval_int(x, y)),
-            (Value::Ref(x), Value::Ref(y)) => match op {
-                CmpOp::Eq => Ok(x == y),
-                CmpOp::Ne => Ok(x != y),
-                _ => Err(VmError::TypeMismatch {
-                    method: m,
-                    pc,
-                    what: "ordered cmp on refs",
-                }),
-            },
-            _ => Err(VmError::TypeMismatch {
-                method: m,
-                pc,
-                what: "cmp int vs ref",
-            }),
-        }
+#[inline(always)]
+fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Result<bool, Fault> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => Ok(op.eval_int(x, y)),
+        (Value::Ref(x), Value::Ref(y)) => match op {
+            CmpOp::Eq => Ok(x == y),
+            CmpOp::Ne => Ok(x != y),
+            _ => Err(Fault::Type("ordered cmp on refs")),
+        },
+        _ => Err(Fault::Type("cmp int vs ref")),
     }
+}
 
-    fn require_int(&self, v: Value, m: MethodId, pc: usize) -> Result<i64, VmError> {
-        match v {
-            Value::Int(x) => Ok(x),
-            Value::Ref(_) => Err(VmError::TypeMismatch {
-                method: m,
-                pc,
-                what: "expected int",
-            }),
-        }
+#[inline]
+fn require_int(v: Value) -> Result<i64, Fault> {
+    match v {
+        Value::Int(x) => Ok(x),
+        Value::Ref(_) => Err(Fault::Type("expected int")),
     }
+}
 
-    fn require_obj(&self, v: Value, m: MethodId, pc: usize) -> Result<ObjId, VmError> {
-        self.check_null(v, m, pc)
+#[inline]
+fn check_null(v: Value) -> Result<ObjId, Fault> {
+    match v {
+        Value::Ref(Some(o)) => Ok(o),
+        Value::Ref(None) => Err(Fault::Trap(Trap::NullPointer)),
+        Value::Int(_) => Err(Fault::Type("expected ref")),
     }
+}
 
-    fn check_null(&self, v: Value, m: MethodId, pc: usize) -> Result<ObjId, VmError> {
-        match v {
-            Value::Ref(Some(o)) => Ok(o),
-            Value::Ref(None) => Err(VmError::Trap {
-                trap: Trap::NullPointer,
-                method: m,
-                pc,
-            }),
-            Value::Int(_) => Err(VmError::TypeMismatch {
-                method: m,
-                pc,
-                what: "expected ref",
-            }),
-        }
+#[inline]
+fn check_array(heap: &Heap, arr: Value, idx: Value) -> Result<(ObjId, u32), Fault> {
+    let o = check_null(arr)?;
+    let i = require_int(idx)?;
+    let len = heap
+        .array_len(o)
+        .ok_or(Fault::Type("array op on non-array"))?;
+    if i < 0 || i as usize >= len {
+        return Err(Fault::Trap(Trap::OutOfBounds));
     }
-
-    fn check_array(
-        &self,
-        arr: Value,
-        idx: Value,
-        m: MethodId,
-        pc: usize,
-    ) -> Result<(ObjId, u32), VmError> {
-        let o = self.check_null(arr, m, pc)?;
-        let i = self.require_int(idx, m, pc)?;
-        let len = self.heap.array_len(o).ok_or(VmError::TypeMismatch {
-            method: m,
-            pc,
-            what: "array op on non-array",
-        })?;
-        if i < 0 || i as usize >= len {
-            return Err(VmError::Trap {
-                trap: Trap::OutOfBounds,
-                method: m,
-                pc,
-            });
-        }
-        Ok((o, i as u32))
-    }
+    Ok((o, i as u32))
 }
 
 #[cfg(test)]
@@ -671,6 +867,115 @@ mod tests {
         let mut i = Interp::new(&p);
         i.set_fuel(1000);
         assert_eq!(i.run(&[]).unwrap_err(), VmError::FuelExhausted);
+        assert_eq!(i.steps, 1000);
+    }
+
+    /// A fuel limit that lands inside a straight-line run stops at the same
+    /// step as a step-at-a-time interpreter would: every pc before the stop
+    /// counts one more execution than every pc from it on.
+    #[test]
+    fn fuel_exhaustion_mid_run_is_exact() {
+        let mut pb = ProgramBuilder::new();
+        let mut m = pb.method("main", 0);
+        let i = m.imm(0); // pc 0
+        let one = m.imm(1); // pc 1
+        let head = m.new_label();
+        m.bind(head);
+        for _ in 0..5 {
+            m.bin(BinOp::Add, i, i, one); // pcs 2..=6
+        }
+        m.jump(head); // pc 7
+        let entry = m.finish(&mut pb);
+        let p = pb.finish(entry);
+        // 2 set-up steps, 10 full iterations of 6, then 3 adds.
+        let fuel = 2 + 10 * 6 + 3;
+        let mut interp = Interp::new(&p).with_profiling();
+        interp.set_fuel(fuel);
+        assert_eq!(interp.run(&[]).unwrap_err(), VmError::FuelExhausted);
+        assert_eq!(interp.steps, fuel);
+        let prof = interp.profile.method(entry).unwrap();
+        let exec: Vec<u64> = (0..8).map(|pc| prof.exec_count(pc)).collect();
+        assert_eq!(exec, [1, 1, 11, 11, 11, 10, 10, 10]);
+        // The budget is spent: the next run stops before its first step.
+        assert_eq!(interp.run(&[]).unwrap_err(), VmError::FuelExhausted);
+        assert_eq!(interp.steps, fuel);
+    }
+
+    #[test]
+    fn unbounded_recursion_overflows_at_max_depth() {
+        let mut pb = ProgramBuilder::new();
+        let rec = pb.declare("rec", 0);
+        let mut r = pb.method("rec", 0);
+        r.call(None, rec, &[]);
+        r.ret(None);
+        r.finish(&mut pb);
+        let mut m = pb.method("main", 0);
+        m.call(None, rec, &[]);
+        m.ret(None);
+        let entry = m.finish(&mut pb);
+        let p = pb.finish(entry);
+        let mut interp = Interp::new(&p).with_profiling();
+        assert_eq!(interp.run(&[]).unwrap_err(), VmError::StackOverflow);
+        // `main` runs at depth 0; `rec` enters at depths 1..max_depth.
+        let max_depth = interp.max_depth as u64;
+        assert_eq!(
+            interp.profile.method(rec).unwrap().invocations,
+            max_depth - 1
+        );
+        assert_eq!(interp.steps, max_depth, "one call per frame");
+        // Nothing below the failed call ran.
+        assert_eq!(interp.profile.method(rec).unwrap().exec_count(1), 0);
+    }
+
+    /// A trap two synchronized frames deep returns that trap, releases both
+    /// monitors, and leaves every frame's counts at the pc it stopped on.
+    #[test]
+    fn trap_in_synchronized_callee_unwinds_monitors_and_counts() {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.add_class("C", None, &["f"]);
+        let fld = pb.field(c, "f");
+        let mut inner = pb.method("C.inner", 1);
+        inner.set_synchronized();
+        let null = inner.reg();
+        inner.const_null(null); // pc 0
+        let v = inner.reg();
+        inner.get_field(v, null, fld); // pc 1: traps
+        inner.bin(BinOp::Add, v, v, v); // pc 2
+        inner.ret(Some(v)); // pc 3
+        let inner = inner.finish(&mut pb);
+        let mut outer = pb.method("C.outer", 1);
+        outer.set_synchronized();
+        let got = outer.reg();
+        outer.call(Some(got), inner, &[outer.arg(0)]); // pc 0
+        outer.put_field(outer.arg(0), fld, got); // pc 1
+        outer.ret(None); // pc 2
+        let outer = outer.finish(&mut pb);
+        let mut m = pb.method("main", 0);
+        let o = m.reg();
+        m.new_obj(o, c);
+        m.call(None, outer, &[o]);
+        m.ret(None);
+        let entry = m.finish(&mut pb);
+        let p = pb.finish(entry);
+        let mut interp = Interp::new(&p).with_profiling();
+        assert_eq!(
+            interp.run(&[]).unwrap_err(),
+            VmError::Trap {
+                trap: Trap::NullPointer,
+                method: inner,
+                pc: 1,
+            }
+        );
+        assert_eq!(interp.heap.lock_word(ObjId(0)), 0);
+        assert_eq!(interp.heap.lock_count(ObjId(0)), 0);
+        assert_eq!(interp.steps, 5, "new, call, call, const_null, get_field");
+        let counts = |m: MethodId, n: usize| -> Vec<u64> {
+            let prof = interp.profile.method(m).unwrap();
+            (0..n).map(|pc| prof.exec_count(pc)).collect()
+        };
+        assert_eq!(counts(inner, 4), [1, 1, 0, 0]);
+        assert_eq!(counts(outer, 3), [1, 0, 0]);
+        assert_eq!(counts(entry, 3), [1, 1, 0]);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Edge, call-site, and invocation profiles collected by the first-pass
 //! interpreter (paper §4: "region formation is fundamentally profile-driven").
 //!
-//! The counters the interpreter bumps on every step are dense: one
-//! [`MethodProfile`] slot per `MethodId`, and per-pc vectors sized to the
-//! method's code when it first runs, so a step costs a vector index.
-
-use std::collections::HashMap;
+//! The profile is dense: one [`MethodProfile`] slot per `MethodId`, and
+//! per-pc vectors sized to the method's code when it first runs. The
+//! interpreter does not bump these while it runs; it counts into flat
+//! program-wide arrays and folds them in here once per
+//! [`Interp::call`](crate::interp::Interp::call).
 
 use crate::bytecode::{ClassId, MethodId};
+use crate::fxhash::FxHashMap;
 
 /// Profile counters for one method, indexed by bytecode pc.
 #[derive(Debug, Clone, Default)]
@@ -19,9 +20,9 @@ pub struct MethodProfile {
     pub(crate) branches: Vec<(u64, u64)>,
     /// For each switch pc: per-case counts (`targets.len()` entries) plus the
     /// default count in the last slot.
-    pub switches: HashMap<usize, Vec<u64>>,
+    pub switches: FxHashMap<usize, Vec<u64>>,
     /// For each virtual-call pc: receiver class histogram.
-    pub receivers: HashMap<usize, HashMap<ClassId, u64>>,
+    pub receivers: FxHashMap<usize, FxHashMap<ClassId, u64>>,
     /// Per pc: times the instruction there was executed (block counts are
     /// derived from the counts of block-leader pcs).
     pub(crate) exec: Vec<u64>,
@@ -160,15 +161,15 @@ mod tests {
     }
 
     /// A 2-way tie goes to the lowest class, whatever order the histogram
-    /// iterates in (every fresh map hashes with its own keys, so a hash-order
-    /// pick would fail one of these with probability 1 - 2^-32).
+    /// iterates in: both insertion orders of the tied pair agree.
     #[test]
     fn dominant_receiver_tie_goes_to_lowest_class() {
-        for _ in 0..32 {
+        for tied in [[ClassId(7), ClassId(3)], [ClassId(3), ClassId(7)]] {
             let mut p = MethodProfile::default();
             let h = p.receivers.entry(2).or_default();
-            h.insert(ClassId(7), 40);
-            h.insert(ClassId(3), 40);
+            for c in tied {
+                h.insert(c, 40);
+            }
             h.insert(ClassId(1), 20);
             assert_eq!(p.dominant_receiver(2), Some((ClassId(3), 0.4)));
         }

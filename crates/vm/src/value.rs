@@ -64,6 +64,7 @@ impl Value {
     ///
     /// Integers map to themselves; references map to their object index plus a
     /// tag in the upper bits; null maps to a distinguished constant.
+    #[inline]
     pub fn encode(self) -> i64 {
         match self {
             Value::Int(v) => v,
@@ -73,6 +74,7 @@ impl Value {
     }
 
     /// Inverse of [`Value::encode`].
+    #[inline]
     pub fn decode(bits: i64) -> Value {
         if bits == i64::MIN {
             Value::Ref(None)

@@ -1,14 +1,15 @@
 //! Property tests for the core data structures and algorithms:
 //! Equation-1 boundary partitioning against brute force, the cache model's
-//! speculative-bit state machine, the undo log, and histogram accounting.
+//! speculative-bit state machine, the undo log, the heap's word arena
+//! against a reference model, and histogram accounting.
 
 use proptest::prelude::*;
 
 use hasp_core::partition::{pi_term, select_boundaries, Candidate};
 use hasp_hw::{CacheSim, Histogram, HwConfig};
 use hasp_vm::bytecode::ClassId;
-use hasp_vm::heap::{Heap, HeapCell};
-use hasp_vm::value::Value;
+use hasp_vm::heap::{Heap, HeapCell, HEADER, WORD};
+use hasp_vm::value::{ObjId, Value};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -117,6 +118,101 @@ proptest! {
             (0..4).map(|f| heap.read_cell(HeapCell::Field(obj, f))).collect();
         prop_assert_eq!(before, after);
         prop_assert_eq!(heap.len(), 1);
+    }
+
+    /// The word-arena heap against a `Vec<Vec<Value>>` model: random
+    /// object and array allocations, field and element stores, marks and
+    /// truncations keep every value, simulated address and array length
+    /// equal to the model's. A truncation restores the whole frontier —
+    /// object count, arena length and next address — so the next
+    /// allocation gets the same addresses and zeroed words.
+    #[test]
+    fn heap_arena_matches_reference_model(
+        ops in prop::collection::vec((0u8..6, 0u8..8, 0u8..8, -1000i64..1000), 1..80),
+    ) {
+        struct Obj {
+            base: u64,
+            array: bool,
+            slots: Vec<Value>,
+        }
+        let mut heap = Heap::new();
+        let mut model: Vec<Obj> = Vec::new();
+        let mut next_addr = 0x1000;
+        let mut marks = Vec::new();
+        for &(op, a, b, v) in &ops {
+            match op {
+                0 | 1 => {
+                    let array = op == 1;
+                    let n = usize::from(a) % 6;
+                    let id = if array {
+                        heap.alloc_array(n)
+                    } else {
+                        heap.alloc_object(ClassId(u32::from(b)), n)
+                    };
+                    prop_assert_eq!(id, ObjId(model.len() as u32));
+                    let payload = n as u64 + u64::from(array);
+                    model.push(Obj { base: next_addr, array, slots: vec![Value::Int(0); n] });
+                    next_addr += (HEADER + payload * WORD).next_multiple_of(16);
+                }
+                2 => {
+                    let value = match v % 3 {
+                        0 if !model.is_empty() => {
+                            Value::from(ObjId(v.unsigned_abs() as u32 % model.len() as u32))
+                        }
+                        1 => Value::NULL,
+                        _ => Value::Int(v),
+                    };
+                    let Some(o) = model.len().checked_sub(1).map(|last| usize::from(a) % (last + 1)) else {
+                        continue;
+                    };
+                    let obj = &mut model[o];
+                    if obj.slots.is_empty() {
+                        continue;
+                    }
+                    let i = usize::from(b) % obj.slots.len();
+                    let id = ObjId(o as u32);
+                    if obj.array {
+                        heap.array_set(id, i as u32, value);
+                    } else {
+                        heap.set_field(id, i as u16, value);
+                    }
+                    obj.slots[i] = value;
+                }
+                3 => marks.push((heap.alloc_mark(), model.len(), next_addr)),
+                _ => {
+                    if let Some((mark, len, addr)) = marks.pop() {
+                        heap.truncate(&mark);
+                        prop_assert_eq!(heap.alloc_mark(), mark);
+                        model.truncate(len);
+                        next_addr = addr;
+                    }
+                }
+            }
+            prop_assert_eq!(heap.len(), model.len());
+            for (o, obj) in model.iter().enumerate() {
+                let id = ObjId(o as u32);
+                prop_assert_eq!(heap.addr_of_header(id), obj.base);
+                prop_assert_eq!(heap.addr_of(HeapCell::Lock(id)), obj.base + WORD);
+                if obj.array {
+                    prop_assert_eq!(heap.array_len(id), Some(obj.slots.len()));
+                    prop_assert_eq!(heap.addr_of_len(id), obj.base + HEADER);
+                } else {
+                    prop_assert_eq!(heap.array_len(id), None);
+                }
+                for (i, want) in obj.slots.iter().enumerate() {
+                    let (got, cell, addr) = if obj.array {
+                        let cell = HeapCell::Elem(id, i as u32);
+                        (heap.array_get(id, i as u32), cell, obj.base + HEADER + WORD)
+                    } else {
+                        let cell = HeapCell::Field(id, i as u16);
+                        (heap.get_field(id, i as u16), cell, obj.base + HEADER)
+                    };
+                    prop_assert_eq!(got, *want);
+                    prop_assert_eq!(heap.read_cell(cell), want.encode());
+                    prop_assert_eq!(heap.addr_of(cell), addr + i as u64 * WORD);
+                }
+            }
+        }
     }
 
     /// Histogram totals are conserved and the mean is exact.
