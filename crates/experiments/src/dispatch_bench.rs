@@ -6,14 +6,10 @@
 //! `tests/dispatch_equivalence.rs` proves the two are bit-identical.
 //!
 //! The artifact is `BENCH_dispatch.json`; the suite geomean speedup is the
-//! headline number. A third leg runs superblock dispatch with the cache
-//! model ablated (`HwConfig::no_cache_model`) so the remaining model cost —
-//! the gap between the shipped geomean and the cache-off ceiling — is
-//! tracked per PR instead of only quoted in ROADMAP prose. A fourth leg
-//! disables the seal-site way predictor (`HwConfig::unpredicted`): the
-//! same-binary A/B that prices the predictor (DESIGN §16), with per-
-//! workload hit rates alongside so a dead predictor cannot hide behind a
-//! noisy uplift.
+//! headline number. A third leg disables the seal-site way predictor
+//! (`HwConfig::unpredicted`): the same-binary A/B that prices the predictor
+//! (DESIGN §16), with per-workload hit rates alongside so a dead predictor
+//! cannot hide behind a noisy uplift.
 
 use hasp_bench::best_of_interleaved;
 use hasp_hw::{Dispatch, HwConfig};
@@ -44,19 +40,6 @@ pub struct DispatchRow {
     /// Semantics-preserving (the equivalence gates prove it bit-identical),
     /// so its uop count is asserted equal to the shipped leg's.
     pub unpredicted_s: f64,
-    /// Best-of-[`REPS`] wall seconds under superblock dispatch with the
-    /// cache model ablated (`HwConfig::no_cache_model`) — the ceiling the
-    /// memory fast path chases. NOT semantics-preserving (geometric
-    /// overflow aborts disappear), so its uop count is tracked separately
-    /// and never asserted against the real engines.
-    pub cache_off_s: f64,
-    /// Retired uops of the cache-off ablation run.
-    pub cache_off_uops: u64,
-    /// Static data-memory uop share of the compiled code (seal-time access
-    /// pre-classification, [`hasp_hw::CodeCache::static_mem_uops`]): the
-    /// density that separates a workload's shipped throughput from its
-    /// cache-off ceiling.
-    pub static_mem_share: f64,
     /// Seal-site way-predictor consults during the superblock warm run
     /// (DESIGN §16) — every access with a sealed seal site.
     pub pred_probes: u64,
@@ -76,21 +59,9 @@ impl DispatchRow {
         self.uops as f64 / self.superblock_s
     }
 
-    /// Retired uops per wall second with the cache model ablated.
-    pub fn cache_off_rate(&self) -> f64 {
-        self.cache_off_uops as f64 / self.cache_off_s
-    }
-
     /// Superblock speedup over per-uop (ratio of uops/sec; >1 is faster).
     pub fn speedup(&self) -> f64 {
         self.per_uop_s / self.superblock_s
-    }
-
-    /// The cache-off ceiling: speedup over per-uop if the memory model
-    /// were free. The gap between this and [`DispatchRow::speedup`] is the
-    /// cache model's remaining cost.
-    pub fn cache_off_speedup(&self) -> f64 {
-        self.per_uop_s / self.cache_off_s
     }
 
     /// Way-predictor hit rate over its consults (0 when never consulted).
@@ -126,16 +97,6 @@ impl DispatchBenchReport {
         (log_sum / self.rows.len() as f64).exp()
     }
 
-    /// Geometric-mean cache-off ceiling across the suite: what the geomean
-    /// would be if the memory model cost nothing.
-    pub fn geomean_cache_off(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 1.0;
-        }
-        let log_sum: f64 = self.rows.iter().map(|r| r.cache_off_speedup().ln()).sum();
-        (log_sum / self.rows.len() as f64).exp()
-    }
-
     /// Geometric-mean same-binary predictor uplift across the suite.
     pub fn geomean_pred_speedup(&self) -> f64 {
         if self.rows.is_empty() {
@@ -155,8 +116,6 @@ impl DispatchBenchReport {
                 "per-uop/s",
                 "superblock/s",
                 "speedup",
-                "ceiling",
-                "mem%",
                 "pred%",
                 "predx",
             ],
@@ -168,8 +127,6 @@ impl DispatchBenchReport {
                 format!("{:.2}M", r.per_uop_rate() / 1e6),
                 format!("{:.2}M", r.superblock_rate() / 1e6),
                 format!("{}x", num(r.speedup(), 2)),
-                format!("{}x", num(r.cache_off_speedup(), 2)),
-                format!("{:.1}", r.static_mem_share * 100.0),
                 format!("{:.1}", r.pred_rate() * 100.0),
                 format!("{}x", num(r.pred_speedup(), 2)),
             ]);
@@ -180,8 +137,6 @@ impl DispatchBenchReport {
             "-".into(),
             "-".into(),
             format!("{}x", num(self.geomean_speedup(), 2)),
-            format!("{}x", num(self.geomean_cache_off(), 2)),
-            "-".into(),
             "-".into(),
             format!("{}x", num(self.geomean_pred_speedup(), 2)),
         ]);
@@ -199,14 +154,9 @@ impl DispatchBenchReport {
                     .num("per_uop_s", r.per_uop_s)
                     .num("superblock_s", r.superblock_s)
                     .num("unpredicted_s", r.unpredicted_s)
-                    .num("cache_off_s", r.cache_off_s)
-                    .int("cache_off_uops", r.cache_off_uops)
                     .num("per_uop_uops_per_s", r.per_uop_rate())
                     .num("superblock_uops_per_s", r.superblock_rate())
-                    .num("cache_off_uops_per_s", r.cache_off_rate())
                     .num("speedup", r.speedup())
-                    .num("cache_off_speedup", r.cache_off_speedup())
-                    .num("static_mem_share", r.static_mem_share)
                     .int("pred_probes", r.pred_probes)
                     .int("pred_hits", r.pred_hits)
                     .num("pred_rate", r.pred_rate())
@@ -214,13 +164,12 @@ impl DispatchBenchReport {
             );
         }
         JsonObj::new()
-            .str("schema", "hasp-bench-dispatch-v5")
+            .str("schema", "hasp-bench-dispatch-v6")
             .bool("smoke", smoke)
             .int("reps", REPS as u64)
             .num("wall_s", wall_s)
             .int("workloads", self.rows.len() as u64)
             .num("geomean_speedup", self.geomean_speedup())
-            .num("geomean_cache_off", self.geomean_cache_off())
             .num("geomean_pred_speedup", self.geomean_pred_speedup())
             .arr("per_workload", rows)
             .finish()
@@ -242,25 +191,21 @@ pub fn run_bench(smoke: bool) -> DispatchBenchReport {
     let sb_hw = HwConfig::baseline();
     let pu_hw = HwConfig::per_uop();
     let up_hw = HwConfig::unpredicted();
-    let ablate_hw = HwConfig::no_cache_model();
     debug_assert_eq!(sb_hw.dispatch, Dispatch::Superblock);
     debug_assert_eq!(pu_hw.dispatch, Dispatch::PerUop);
     debug_assert!(sb_hw.way_predict && !up_hw.way_predict);
-    debug_assert!(ablate_hw.cache_off);
 
     let rows = workloads
         .iter()
         .map(|w| {
             let profiled = profile_workload(w);
             let compiled = compile_workload(w, &profiled, &ccfg);
-            let (mem_uops, static_uops) = compiled.code.static_mem_uops();
-            let static_mem_share = mem_uops as f64 / static_uops.max(1) as f64;
             // The shared scaffold (`hasp_bench::scaffold`): one untimed
             // warm run per leg, then best-of-REPS interleaved round-robin
             // across the legs so host-speed drift degrades every leg
             // alike. Each timed rep must retire the warm run's exact uop
             // count — a leg can never get faster by doing different work.
-            let legs = [&pu_hw, &sb_hw, &up_hw, &ablate_hw];
+            let legs = [&pu_hw, &sb_hw, &up_hw];
             let out = best_of_interleaved(
                 REPS,
                 legs.len(),
@@ -268,9 +213,8 @@ pub fn run_bench(smoke: bool) -> DispatchBenchReport {
                 |_, rep, warm| assert_eq!(rep.stats.uops, warm.stats.uops, "{}", w.name),
             );
             let (warm, best) = (out.warm, out.best_s);
-            let [per_uop_s, superblock_s, unpredicted_s, cache_off_s] =
-                best.try_into().expect("four legs");
-            let (pu_warm, sb_warm, up_warm, ablate_warm) = (&warm[0], &warm[1], &warm[2], &warm[3]);
+            let [per_uop_s, superblock_s, unpredicted_s] = best.try_into().expect("three legs");
+            let (pu_warm, sb_warm, up_warm) = (&warm[0], &warm[1], &warm[2]);
             let (pu_uops, sb_uops) = (pu_warm.stats.uops, sb_warm.stats.uops);
             assert_eq!(
                 pu_uops, sb_uops,
@@ -286,19 +230,12 @@ pub fn run_bench(smoke: bool) -> DispatchBenchReport {
                 "{}: unpredicted A/B leg retired different uop counts",
                 w.name
             );
-            // The ablation is self-consistent across its own reps (the rep
-            // loop asserts that) but intentionally NOT compared to the real
-            // engines: without the cache model, geometric overflow aborts
-            // disappear, so its retired-uop count may legitimately differ.
             DispatchRow {
                 workload: w.name,
                 uops: sb_uops,
                 per_uop_s,
                 superblock_s,
                 unpredicted_s,
-                cache_off_s,
-                cache_off_uops: ablate_warm.stats.uops,
-                static_mem_share,
                 // The superblock (shipped-config) run is the leg the
                 // predictor serves; its warm run is deterministic, so these
                 // counters are stable across reps.
@@ -325,9 +262,6 @@ mod tests {
                     per_uop_s: 0.2,
                     superblock_s: 0.1,
                     unpredicted_s: 0.11,
-                    cache_off_s: 0.05,
-                    cache_off_uops: 1_000_000,
-                    static_mem_share: 0.25,
                     pred_probes: 200_000,
                     pred_hits: 150_000,
                 },
@@ -337,9 +271,6 @@ mod tests {
                     per_uop_s: 0.8,
                     superblock_s: 0.1,
                     unpredicted_s: 0.1,
-                    cache_off_s: 0.05,
-                    cache_off_uops: 2_000_000,
-                    static_mem_share: 0.40,
                     pred_probes: 0,
                     pred_hits: 0,
                 },
@@ -350,26 +281,19 @@ mod tests {
         // geomean(2, 8) = 4.
         assert!((report.geomean_speedup() - 4.0).abs() < 1e-12);
         assert!((report.rows[0].superblock_rate() - 1e7).abs() < 1e-3);
-        // Ceilings: 0.2/0.05 = 4 and 0.8/0.05 = 16, geomean 8.
-        assert!((report.rows[0].cache_off_speedup() - 4.0).abs() < 1e-12);
-        assert!((report.geomean_cache_off() - 8.0).abs() < 1e-12);
         assert!((report.rows[0].pred_rate() - 0.75).abs() < 1e-12);
         assert!(report.rows[1].pred_rate().abs() < 1e-12, "0/0 consults");
         // A/B uplifts: 0.11/0.1 = 1.1 and 0.1/0.1 = 1, geomean sqrt(1.1).
         assert!((report.rows[0].pred_speedup() - 1.1).abs() < 1e-12);
         assert!((report.geomean_pred_speedup() - 1.1f64.sqrt()).abs() < 1e-12);
         let json = report.json(false, 1.0);
-        assert!(json.contains("\"schema\": \"hasp-bench-dispatch-v5\""));
+        assert!(json.contains("\"schema\": \"hasp-bench-dispatch-v6\""));
         assert!(json.contains("\"geomean_speedup\": 4.000000"));
-        assert!(json.contains("\"geomean_cache_off\": 8.000000"));
         let table = report.table();
         assert!(table.contains("geomean"));
-        assert!(table.contains("ceiling"));
-        assert!(table.contains("mem%"));
         assert!(table.contains("pred%"));
         assert!(table.contains("predx"));
         assert!(json.contains("\"geomean_pred_speedup\""));
-        assert!(json.contains("\"static_mem_share\": 0.250000"));
         assert!(json.contains("\"pred_probes\": 200000"));
         assert!(json.contains("\"pred_rate\": 0.750000"));
     }
@@ -379,10 +303,8 @@ mod tests {
         let report = run_bench(true);
         assert_eq!(report.rows.len(), 2);
         for r in &report.rows {
-            assert!(r.uops > 0 && r.cache_off_uops > 0);
-            assert!(r.static_mem_share > 0.0 && r.static_mem_share < 1.0);
-            assert!(r.per_uop_s > 0.0 && r.superblock_s > 0.0 && r.cache_off_s > 0.0);
-            assert!(r.unpredicted_s > 0.0);
+            assert!(r.uops > 0);
+            assert!(r.per_uop_s > 0.0 && r.superblock_s > 0.0 && r.unpredicted_s > 0.0);
             assert!(
                 r.pred_probes > 0 && r.pred_hits > 0,
                 "{}: dynamic heap accesses must consult (and sometimes hit) \
@@ -391,6 +313,5 @@ mod tests {
             );
         }
         assert!(report.geomean_speedup() > 0.0);
-        assert!(report.geomean_cache_off() > 0.0);
     }
 }

@@ -16,7 +16,7 @@ use hasp_experiments::figures;
 use hasp_experiments::{dispatch_bench, faults, inspect, service, Suite};
 
 const USAGE: &str = "usage: experiments [bench-dispatch [--smoke] | serve [--smoke] | \
-                     mt [--smoke] | faults [--knee] [--injected] [--smoke] | \
+                     mt [--smoke] | faults [--knee] [--smoke] | \
                      inspect <workload> [config] [--dot]]";
 
 fn main() {
@@ -29,14 +29,11 @@ fn main() {
         "serve" => pool(flags(rest, ["--smoke"])[0], false),
         "mt" => pool(flags(rest, ["--smoke"])[0], true),
         "faults" => {
-            // `--injected` is accepted as the explicit name for what this
-            // campaign always is: the deterministic fault-injection ablation
-            // (organic conflicts live in the `mt` harness).
-            let [knee, injected, smoke] = flags(rest, ["--knee", "--injected", "--smoke"]);
+            let [knee, smoke] = flags(rest, ["--knee", "--smoke"]);
             if knee {
                 knee_sweep(smoke);
             } else {
-                fault_campaign(smoke, injected);
+                fault_campaign(smoke);
             }
         }
         "inspect" => {
@@ -134,23 +131,16 @@ fn bench_dispatch(smoke: bool) {
     print!("{}", report.table());
     let path = write_artifact("dispatch", smoke, &report.json(smoke, wall));
     eprintln!(
-        "wrote {path} (geomean speedup {:.2}x, cache-off ceiling {:.2}x, \
-         predictor uplift {:.2}x, in {wall:.1}s)",
+        "wrote {path} (geomean speedup {:.2}x, predictor uplift {:.2}x, in {wall:.1}s)",
         report.geomean_speedup(),
-        report.geomean_cache_off(),
         report.geomean_pred_speedup()
     );
 }
 
-fn fault_campaign(smoke: bool, injected: bool) {
+fn fault_campaign(smoke: bool) {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     eprintln!(
-        "fault campaign ({}): {} sweep on {threads} threads",
-        if injected {
-            "injected ablation, explicit"
-        } else {
-            "injected ablation"
-        },
+        "fault campaign (injected ablation): {} sweep on {threads} threads",
         if smoke { "smoke" } else { "full" }
     );
     let t0 = std::time::Instant::now();

@@ -18,12 +18,12 @@
 //!   itself, never code lookup. `tests/service.rs` republishes mid-stream
 //!   under real threads and asserts no torn reads: every request on either
 //!   code version reproduces the interpreter checksum.
-//! * **Cross-request isolation.** A worker reuses one machine across
-//!   consecutive same-tenant requests via [`Machine::reset_for_request`]
-//!   and recycles allocations across tenants via [`MachinePools`]; both
-//!   paths are bit-identical to a fresh machine (debug-asserted in the
-//!   machine, proven by `machine.rs` tests), which is what makes request
-//!   timing independent of worker count and service order.
+//! * **Cross-request isolation.** A worker builds each request's machine
+//!   with [`Machine::with_pools`] and retires it into its
+//!   [`MachinePools`], so allocations carry from request to request while
+//!   every run is bit-identical to one on a fresh machine (debug-asserted
+//!   in the machine, proven by `machine.rs` tests), which is what makes
+//!   request timing independent of worker count and service order.
 //! * **Sharded statistics with conservation.** Per-tenant stats accumulate
 //!   into per-worker shards ([`TenantShard`]) with no cross-worker
 //!   synchronization; a separate per-request atomic tally is kept
@@ -521,9 +521,8 @@ fn serve_one(
 }
 
 /// One worker: pop a batch, pin the current cache epoch once, serve the
-/// batch out of the pinned snapshot — reusing one machine across
-/// consecutive same-tenant requests via the reset fast path and recycling
-/// allocations across tenants via the pools. With a directory, the worker
+/// batch out of the pinned snapshot — one pooled machine per request, its
+/// allocations recycled through the pools. With a directory, the worker
 /// owns one core link per tenant (core `worker_id·T + t`, asid `t`), so a
 /// mailbox only ever carries its tenant's address-space traffic.
 fn worker_loop(
@@ -547,9 +546,8 @@ fn worker_loop(
         }
         let guard = publisher.pin(worker_id);
         shard.versions.insert(guard.version());
-        let mut i = 0;
-        while i < batch.len() {
-            let tid = batch[i].tenant as usize;
+        for req in batch {
+            let tid = req.tenant as usize;
             let t = &tenants[tid];
             let mut mach = Machine::with_pools(
                 &t.workload.program,
@@ -557,14 +555,7 @@ fn worker_loop(
                 t.hw.clone(),
                 std::mem::take(&mut pools),
             );
-            loop {
-                serve_one(&mut mach, t, batch[i], &mut links[tid], &mut shard, globals);
-                i += 1;
-                if i >= batch.len() || batch[i].tenant as usize != tid {
-                    break;
-                }
-                mach.reset_for_request();
-            }
+            serve_one(&mut mach, t, req, &mut links[tid], &mut shard, globals);
             pools = mach.into_pools();
         }
     }

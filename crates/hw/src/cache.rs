@@ -24,76 +24,6 @@ use crate::stats::PredStats;
 /// `SbInfo::mem_site` for non-memory pcs. The way predictor skips these.
 pub const NO_SITE: u32 = u32::MAX;
 
-/// Branch-target side-cache size (power of two, direct-mapped).
-const BTB_ENTRIES: usize = 512;
-
-/// A direct-mapped branch-target side-cache for `JmpInd` tables and
-/// `CallVirt` vtable walks, keyed by (site, dynamic selector). Both lookups
-/// it short-circuits are pure functions of that pair — a switch table is
-/// immutable and a class's vtable slot never changes — so hits are
-/// semantically transparent; monomorphic sites skip the table walk entirely.
-#[derive(Debug)]
-pub struct TargetCache {
-    entries: Vec<BtbEntry>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct BtbEntry {
-    site: u64,
-    key: i64,
-    target: usize,
-}
-
-impl Default for TargetCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TargetCache {
-    /// Creates an empty side-cache.
-    pub fn new() -> Self {
-        TargetCache {
-            // `site: u64::MAX` never collides with a real pc hash (method
-            // ids are 32-bit), so it doubles as the empty sentinel.
-            entries: vec![
-                BtbEntry {
-                    site: u64::MAX,
-                    key: 0,
-                    target: 0,
-                };
-                BTB_ENTRIES
-            ],
-        }
-    }
-
-    /// The memoized target for `(site, key)`, if the entry is live. The
-    /// sentinel site is rejected explicitly, so even a probe with
-    /// `u64::MAX` (which no real pc hash produces) cannot match an empty
-    /// entry.
-    #[inline]
-    pub fn lookup(&self, site: u64, key: i64) -> Option<usize> {
-        let e = &self.entries[(site as usize) & (BTB_ENTRIES - 1)];
-        (e.site == site && e.key == key && site != u64::MAX).then_some(e.target)
-    }
-
-    /// Installs (or replaces) the direct-mapped entry for `(site, key)`.
-    #[inline]
-    pub fn insert(&mut self, site: u64, key: i64, target: usize) {
-        self.entries[(site as usize) & (BTB_ENTRIES - 1)] = BtbEntry { site, key, target };
-    }
-
-    /// Flash-invalidates every entry, restoring construction state in place
-    /// (allocation reused — the cross-request reset path).
-    pub fn reset(&mut self) {
-        self.entries.fill(BtbEntry {
-            site: u64::MAX,
-            key: 0,
-            target: 0,
-        });
-    }
-}
-
 /// Which level serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitLevel {
@@ -784,33 +714,6 @@ mod tests {
             3,
             "conflicting line left the read/write set"
         );
-    }
-
-    #[test]
-    fn target_cache_hit_miss_and_alias_eviction() {
-        let mut t = TargetCache::new();
-        // Cold: every probe misses.
-        assert_eq!(t.lookup(10, 3), None);
-        t.insert(10, 3, 77);
-        // Hit requires both the site and the dynamic key to match.
-        assert_eq!(t.lookup(10, 3), Some(77));
-        assert_eq!(t.lookup(10, 4), None, "same site, different selector");
-        assert_eq!(t.lookup(11, 3), None, "different site, same selector");
-        // A new selector at the same site replaces the entry (direct-mapped,
-        // one way per index): the old pair is gone.
-        t.insert(10, 4, 88);
-        assert_eq!(t.lookup(10, 4), Some(88));
-        assert_eq!(t.lookup(10, 3), None, "evicted by the same-site update");
-        // Aliasing: sites 512 apart map to the same entry and evict each
-        // other (index is site & (BTB_ENTRIES - 1)).
-        t.insert(5, 0, 1);
-        assert_eq!(t.lookup(5, 0), Some(1));
-        t.insert(5 + 512, 0, 2);
-        assert_eq!(t.lookup(5 + 512, 0), Some(2));
-        assert_eq!(t.lookup(5, 0), None, "aliased site evicted the entry");
-        // The empty sentinel never matches a real site hash even at the
-        // aliasing index of u64::MAX.
-        assert_eq!(t.lookup(u64::MAX, 0), None);
     }
 
     /// Drives one access through the production sited discipline: fast path

@@ -244,12 +244,6 @@ pub struct HwConfig {
     /// bit-exactness against the predictor-off reference — so it is on by
     /// default; `false` forces the unpredicted reference model.
     pub way_predict: bool,
-    /// Ablation: skip the L1/L2 timing model entirely (every access counts
-    /// as an L1 hit; region footprints and injected line budgets still
-    /// work). NOT semantics-preserving — geometric overflow aborts
-    /// disappear — so it exists only to measure what the cache model costs
-    /// (the `bench-dispatch` ceiling column), never for paper figures.
-    pub cache_off: bool,
 }
 
 impl HwConfig {
@@ -278,7 +272,6 @@ impl HwConfig {
             governor: GovernorConfig::off(),
             dispatch: Dispatch::Superblock,
             way_predict: true,
-            cache_off: false,
         }
     }
 
@@ -299,17 +292,6 @@ impl HwConfig {
         HwConfig {
             name: "chkpt-4wide-unpredicted",
             way_predict: false,
-            ..HwConfig::baseline()
-        }
-    }
-
-    /// The cache-model-off ablation: superblock dispatch with every memory
-    /// access treated as an L1 hit. Quantifies the model's share of
-    /// simulator runtime (the `bench-dispatch` ceiling).
-    pub fn no_cache_model() -> Self {
-        HwConfig {
-            name: "chkpt-4wide-nocache",
-            cache_off: true,
             ..HwConfig::baseline()
         }
     }
@@ -413,10 +395,6 @@ mod tests {
     #[test]
     fn fast_path_knobs_default_on_and_ablations_differ_only_in_their_knob() {
         let b = HwConfig::baseline();
-        assert!(!b.cache_off, "the timing model is on by default");
-        let n = HwConfig::no_cache_model();
-        assert!(n.cache_off);
-        assert_eq!(n.dispatch, Dispatch::Superblock);
         assert!(b.way_predict, "way prediction is the production default");
         let up = HwConfig::unpredicted();
         assert!(!up.way_predict);

@@ -45,7 +45,7 @@ pub mod stats;
 pub mod superblock;
 pub mod uop;
 
-pub use cache::{CacheSim, FastHit, HitLevel, TargetCache, NO_SITE};
+pub use cache::{CacheSim, FastHit, HitLevel, NO_SITE};
 pub use coherence::{CohMsg, CoreId, CoreLink, Directory, LineState, LinkStats, MAX_CORES};
 pub use config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 pub use fault::{FaultKind, FaultPlan, MachineFault, FAULT_KINDS};

@@ -7,9 +7,9 @@
 //! asymptotics. An append-only `Vec<u64>` with a linear membership scan
 //! beats both a `HashSet<u64>` and a sorted vector there: no hashing, no
 //! buckets, no `Vec::insert` memmove to keep order, one contiguous
-//! allocation that the machine recycles across regions (see `Machine`'s
-//! scratch buffers), and a probe that is a branch-predictable sweep of at
-//! most [`SPILL_LINES`] words — comfortably L1-resident.
+//! allocation that the machine's region context clears and reuses across
+//! regions, and a probe that is a branch-predictable sweep of at most
+//! [`SPILL_LINES`] words — comfortably L1-resident.
 //!
 //! The tail matters too, though: overflow-style experiments (whole-loop
 //! encapsulation, large speculative budgets) can push a single region to
@@ -32,8 +32,7 @@ pub const SPILL_LINES: usize = 64;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LineSet {
     /// Dense representation (insertion order, deduplicated); emptied on
-    /// spill but kept allocated so [`LineSet::into_buffer`] recycling still
-    /// works.
+    /// spill but kept allocated, so a [`LineSet::clear`]ed set reuses it.
     lines: Vec<u64>,
     /// Spilled representation; `Some` once the set outgrew the vector.
     spill: Option<FxHashSet<u64>>,
@@ -45,13 +44,11 @@ impl LineSet {
         LineSet::default()
     }
 
-    /// An empty set reusing `buf`'s allocation (cleared first).
-    pub fn from_buffer(mut buf: Vec<u64>) -> Self {
-        buf.clear();
-        LineSet {
-            lines: buf,
-            spill: None,
-        }
+    /// Empties the set back to the dense representation, keeping the dense
+    /// buffer's allocation (a spilled set's hash storage is dropped).
+    pub fn clear(&mut self) {
+        self.lines.clear();
+        self.spill = None;
     }
 
     /// Inserts a line index; returns `true` if it was not already present.
@@ -112,13 +109,6 @@ impl LineSet {
         v.sort_unstable();
         v
     }
-
-    /// Consumes the set, returning the dense backing buffer for reuse (a
-    /// spilled set's hash storage is dropped; the buffer's allocation
-    /// survives either way).
-    pub fn into_buffer(self) -> Vec<u64> {
-        self.lines
-    }
 }
 
 #[cfg(test)]
@@ -145,11 +135,11 @@ mod tests {
         for v in 0..32 {
             s.insert(v * 3);
         }
-        let buf = s.into_buffer();
-        let cap = buf.capacity();
-        let s2 = LineSet::from_buffer(buf);
-        assert!(s2.is_empty());
-        assert_eq!(s2.into_buffer().capacity(), cap, "allocation preserved");
+        let cap = s.lines.capacity();
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.lines.capacity(), cap, "allocation preserved");
+        assert!(s.insert(3), "a cleared set forgets its lines");
     }
 
     #[test]
@@ -170,9 +160,9 @@ mod tests {
         let sorted = s.to_sorted_vec();
         assert_eq!(sorted.len(), s.len());
         assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        // Buffer recycling still hands back the dense allocation.
-        let s2 = LineSet::from_buffer(s.into_buffer());
-        assert!(s2.is_empty() && !s2.is_spilled());
+        // Clearing returns to the dense representation.
+        s.clear();
+        assert!(s.is_empty() && !s.is_spilled());
     }
 
     #[test]

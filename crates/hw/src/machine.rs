@@ -13,7 +13,7 @@
 //! cycles from a real cache simulation (MLP-discounted), plus the region
 //! overheads of the Figure 9 sensitivity configurations.
 
-use hasp_vm::bytecode::{Intrinsic, MethodId};
+use hasp_vm::bytecode::{CmpOp, Intrinsic, MethodId, SlotId};
 use hasp_vm::class::Program;
 use hasp_vm::env::{Env, EnvSnapshot};
 use hasp_vm::error::{Trap, VmError};
@@ -21,14 +21,14 @@ use hasp_vm::heap::{Heap, HeapCell, HeapMark};
 use hasp_vm::value::{ObjId, Value};
 
 use crate::bpred::Predictor;
-use crate::cache::{CacheSim, FastHit, HitLevel, TargetCache, NO_SITE};
+use crate::cache::{CacheSim, FastHit, HitLevel, NO_SITE};
 use crate::coherence::CoreLink;
 use crate::config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 use crate::fault::MachineFault;
 use crate::lineset::LineSet;
 use crate::stats::{AbortReason, MarkerSnap, RunStats};
 use crate::superblock::{SbInfo, SbTerm, YIELD_FLAG_ADDR};
-use crate::uop::{CodeCache, CompiledCode, MReg, Uop};
+use crate::uop::{CodeCache, CodePos, CompiledCode, MReg, Uop};
 use hasp_vm::fxhash::FxHashMap;
 
 /// Data address of the global fallback lock word (the hybrid-TM mutual-
@@ -77,6 +77,15 @@ enum BeginOut {
     Redirect(usize),
 }
 
+/// `jmp_ind`'s target: the `table` entry the selector `v` names, or
+/// `default` when `v` is out of range.
+fn jump_target(v: i64, table: &[CodePos], default: CodePos) -> CodePos {
+    usize::try_from(v)
+        .ok()
+        .and_then(|i| table.get(i).copied())
+        .unwrap_or(default)
+}
+
 #[derive(Debug)]
 struct Frame<'p> {
     method: MethodId,
@@ -88,8 +97,13 @@ struct Frame<'p> {
     ret_dst: Option<MReg>,
 }
 
-#[derive(Debug)]
+/// The one region context of a core (regions never nest). A begin resets
+/// it in place, so its buffers are reused by every later region, and by
+/// later machines through [`MachinePools`].
+#[derive(Debug, Default)]
 struct RegionCtx {
+    /// A region is in flight; every other field is meaningful only then.
+    active: bool,
     region: u32,
     method: MethodId,
     alt: usize,
@@ -155,7 +169,7 @@ pub struct Machine<'p> {
     /// Observable side effects (checksum, RNG, markers).
     pub env: Env,
     frames: Vec<Frame<'p>>,
-    region: Option<RegionCtx>,
+    region: RegionCtx,
     cache: CacheSim,
     pred: Predictor,
     stats: RunStats,
@@ -184,15 +198,6 @@ pub struct Machine<'p> {
     /// Retired register files, recycled across frame pushes so steady-state
     /// call linkage allocates nothing.
     reg_pool: Vec<Vec<i64>>,
-    /// Undo-log buffer recycled across regions (only one region is ever in
-    /// flight).
-    spare_undo: Vec<(HeapCell, i64)>,
-    /// Footprint-set buffer recycled across regions.
-    spare_lines: Vec<u64>,
-    /// Argument-marshalling buffer recycled across calls.
-    arg_buf: Vec<i64>,
-    /// Branch-target side-cache for indirect dispatch (`JmpInd`/`CallVirt`).
-    btb: TargetCache,
     /// This core's attachment to a shared coherence directory, when the
     /// machine runs as one core of a multi-core fleet (DESIGN §17). `None`
     /// — the default — keeps every memory path bit-identical to the
@@ -201,21 +206,18 @@ pub struct Machine<'p> {
 }
 
 /// The lifetime-free pooled state of a retired [`Machine`]: every
-/// steady-state allocation a machine accumulates (register files, region
-/// scratch buffers, the cache arrays, predictor tables, the BTB), detached
-/// from the program/code borrows so a service worker can carry it across
-/// published code-cache versions. [`Machine::with_pools`] deterministically
-/// resets everything it recycles — a pooled machine is bit-identical to a
-/// fresh one.
+/// steady-state allocation a machine accumulates (register files, the
+/// region context's buffers, the cache arrays, predictor tables), detached
+/// from the program/code borrows so a worker can carry it from request to
+/// request and across published code-cache versions.
+/// [`Machine::with_pools`] deterministically resets everything it recycles
+/// — a pooled machine is bit-identical to a fresh one.
 #[derive(Debug, Default)]
 pub struct MachinePools {
     reg_pool: Vec<Vec<i64>>,
-    spare_undo: Vec<(HeapCell, i64)>,
-    spare_lines: Vec<u64>,
-    arg_buf: Vec<i64>,
+    region: RegionCtx,
     cache: Option<CacheSim>,
     pred: Option<Predictor>,
-    btb: Option<TargetCache>,
 }
 
 impl MachinePools {
@@ -234,7 +236,12 @@ impl<'p> Machine<'p> {
     /// Creates a machine over compiled code, recycling a retired machine's
     /// pooled allocations. Every recycled structure is reset to its
     /// construction state first, so execution is bit-identical to a machine
-    /// built by [`Machine::new`] — the pools only save the allocations.
+    /// built by [`Machine::new`] — the pools only save the allocations. This
+    /// is the one reuse path: a serving worker builds each request's
+    /// machine here and retires it with [`Machine::into_pools`], which is
+    /// also what makes per-request results independent of which worker
+    /// served them (the service harness's shard conservation check rests on
+    /// it).
     pub fn with_pools(
         program: &'p Program,
         code: &'p CodeCache,
@@ -255,32 +262,16 @@ impl<'p> Machine<'p> {
             }
             None => Predictor::new(),
         };
-        let btb = match pools.btb.take() {
-            Some(mut b) => {
-                b.reset();
-                b
-            }
-            None => TargetCache::new(),
-        };
-        pools.spare_undo.clear();
-        pools.spare_lines.clear();
-        pools.arg_buf.clear();
-        if pools.spare_undo.capacity() == 0 {
-            pools.spare_undo.reserve(64);
-        }
-        if pools.spare_lines.capacity() == 0 {
-            pools.spare_lines.reserve(64);
-        }
         let seed = cfg.faults.seed;
         let inject_per_uop = cfg.faults.any_per_uop();
-        Machine {
+        let mach = Machine {
             program,
             code,
             cfg,
             heap: Heap::new(),
             env: Env::default(),
             frames: Vec::new(),
-            region: None,
+            region: pools.region,
             cache,
             pred,
             stats: RunStats::default(),
@@ -295,89 +286,39 @@ impl<'p> Machine<'p> {
             reform_requests: Vec::new(),
             max_depth: 512,
             reg_pool: pools.reg_pool,
-            spare_undo: pools.spare_undo,
-            spare_lines: pools.spare_lines,
-            arg_buf: pools.arg_buf,
-            btb,
             coh: None,
-        }
+        };
+        debug_assert_eq!(
+            mach.cross_request_state(),
+            None,
+            "with_pools left cross-request state behind"
+        );
+        mach
     }
 
     /// Retires the machine, returning its pooled allocations for the next
-    /// [`Machine::with_pools`]. Live frames and an in-flight region (a run
-    /// cut short by fuel exhaustion or a fault) fold their buffers back
-    /// into the pools.
+    /// [`Machine::with_pools`]. Live frames (a run cut short by fuel
+    /// exhaustion or a fault) fold their register files back into the pool,
+    /// and an in-flight region is dropped.
     pub fn into_pools(mut self) -> MachinePools {
-        self.recycle_transient_state();
+        self.reg_pool.extend(self.frames.drain(..).map(|f| f.regs));
+        self.region.active = false;
         MachinePools {
             reg_pool: self.reg_pool,
-            spare_undo: self.spare_undo,
-            spare_lines: self.spare_lines,
-            arg_buf: self.arg_buf,
+            region: self.region,
             cache: Some(self.cache),
             pred: Some(self.pred),
-            btb: Some(self.btb),
-        }
-    }
-
-    /// Resets the machine in place for the next request of a serving
-    /// worker: all architectural state (heap, environment, frames), all
-    /// speculative state (region context, cache speculative bits), all
-    /// microarchitectural history (cache contents, predictors, BTB), and
-    /// all per-request accounting (stats, cycle accumulators, fault RNG,
-    /// governor ladder) return to construction state, while every
-    /// steady-state allocation is kept. The subsequent run is
-    /// bit-identical to one on a freshly constructed machine —
-    /// which is also what makes per-request results independent of which
-    /// worker served them, the property the service harness's shard
-    /// conservation check rests on.
-    pub fn reset_for_request(&mut self) {
-        self.recycle_transient_state();
-        self.heap = Heap::new();
-        self.env = Env::default();
-        self.cache.reset(&self.cfg);
-        self.pred.reset();
-        self.btb.reset();
-        self.stats = RunStats::default();
-        self.cxw = 0;
-        self.last_commit_cxw = 0;
-        self.fuel = u64::MAX;
-        self.fault_rng = self.cfg.faults.seed | 1;
-        self.region_entries = 0;
-        self.gov.clear();
-        self.fallback_lock = false;
-        self.reform_requests.clear();
-        self.arg_buf.clear();
-        debug_assert_eq!(
-            self.cross_request_state(),
-            None,
-            "reset_for_request left cross-request state behind"
-        );
-    }
-
-    /// Drains live frames and an in-flight region context back into the
-    /// recycling pools (shared by [`Machine::reset_for_request`] and
-    /// [`Machine::into_pools`]).
-    fn recycle_transient_state(&mut self) {
-        while let Some(f) = self.frames.pop() {
-            self.reg_pool.push(f.regs);
-        }
-        if let Some(r) = self.region.take() {
-            let mut undo = r.undo;
-            undo.clear();
-            self.spare_undo = undo;
-            self.spare_lines = r.lines.into_buffer();
         }
     }
 
     /// The first piece of cross-request state still live on this machine,
     /// or `None` when a new request would observe a pristine machine. The
-    /// isolation oracle behind [`Machine::reset_for_request`]'s debug
-    /// assertion and the service harness's tests: speculative cache lines,
+    /// isolation oracle behind [`Machine::with_pools`]'s debug assertion
+    /// and the service harness's tests: speculative cache lines,
     /// a trained way predictor, governor ladder state, or any architectural
     /// residue here would leak one tenant's request into the next.
     pub fn cross_request_state(&self) -> Option<&'static str> {
-        if self.region.is_some() {
+        if self.region.active {
             return Some("region context still in flight");
         }
         if !self.frames.is_empty() {
@@ -493,41 +434,164 @@ impl<'p> Machine<'p> {
     /// [`HwConfig::validate`] is set and a commit/abort left corrupted
     /// architectural state.
     pub fn run(&mut self, args: &[Value]) -> Result<Option<Value>, MachineFault> {
-        let entry = self.program.entry();
-        self.push_frame(
-            entry,
-            &args.iter().map(|v| v.encode()).collect::<Vec<_>>(),
-            None,
-        )?;
+        self.push_frame(self.program.entry(), args)?;
         let out = self.exec()?;
         self.stats.cycles = self.cycles();
         Ok(out)
     }
 
-    fn push_frame(
-        &mut self,
-        m: MethodId,
-        args: &[i64],
-        ret_dst: Option<MReg>,
-    ) -> Result<(), MachineFault> {
-        if self.frames.len() >= self.max_depth {
-            return Err(VmError::StackOverflow.into());
-        }
+    /// Pushes a run's entry frame; every other frame is pushed by
+    /// [`Machine::call`].
+    fn push_frame(&mut self, m: MethodId, args: &[Value]) -> Result<(), MachineFault> {
         let code = self.code.get(m).ok_or(MachineFault::MethodNotCompiled(m))?;
-        // Register-file size comes from lowering metadata, so a recycled
-        // buffer reaches its steady-state capacity after one use.
         let mut regs = self.reg_pool.pop().unwrap_or_default();
         regs.clear();
         regs.resize(code.regs as usize, 0);
-        regs[..args.len()].copy_from_slice(args);
+        for (slot, v) in regs.iter_mut().zip(args) {
+            *slot = v.encode();
+        }
         self.frames.push(Frame {
             method: m,
             code,
             regs,
             pc: 0,
-            ret_dst,
+            ret_dst: None,
         });
         Ok(())
+    }
+
+    // The control-transfer uops, each defined once and called by both
+    // engines (`step` and `exec_superblock`'s terminator arms). `branch`,
+    // `indirect`, `call` and `ret` are `#[inline]`, not `#[inline(always)]`:
+    // forcing them inline measured about 5% fewer simulated uops per second
+    // on perfbench's `steady_sim` (2-core x86-64 host).
+
+    /// A marker: architecturally inert and free, it snapshots the
+    /// retired-uop and cycle counters.
+    fn marker(&mut self, id: u32) {
+        self.env.hit_marker(id);
+        let snap = MarkerSnap {
+            id,
+            ordinal: self.env.marker_count(id),
+            uops: self.stats.uops,
+            cycles: self.cycles(),
+        };
+        self.stats.markers.push(snap);
+    }
+
+    /// A conditional branch at `pc`: evaluates `a op b` on the current
+    /// frame, trains the branch predictor, charges a misprediction, and
+    /// returns whether the branch is taken.
+    #[inline]
+    fn branch(&mut self, method: MethodId, pc: usize, op: CmpOp, a: MReg, b: MReg) -> bool {
+        let regs = &self.frames.last().expect("frame").regs;
+        let taken = op.eval_int(regs[a.0 as usize], regs[b.0 as usize]);
+        self.stats.branches += 1;
+        if !self.pred.branch(Self::pc_hash(method, pc), taken) {
+            self.stats.mispredicts += 1;
+            *self
+                .stats
+                .mispredict_sites
+                .entry((method.0, pc))
+                .or_insert(0) += 1;
+            self.charge(self.cfg.mispredict_penalty);
+        }
+        taken
+    }
+
+    /// An indirect control transfer at `pc` (`jmp_ind`, or a virtual
+    /// call's dispatch) to `target`: trains the indirect predictor and
+    /// charges a misprediction.
+    #[inline]
+    fn indirect(&mut self, method: MethodId, pc: usize, target: u64) {
+        self.stats.indirects += 1;
+        if !self.pred.indirect(Self::pc_hash(method, pc), target) {
+            self.stats.indirect_misses += 1;
+            self.charge(self.cfg.mispredict_penalty);
+        }
+    }
+
+    /// A virtual call's target at `pc`: the receiver's vtable `slot`,
+    /// dispatched as an indirect branch. A null receiver traps.
+    fn virtual_target(
+        &mut self,
+        method: MethodId,
+        pc: usize,
+        recv: MReg,
+        slot: SlotId,
+    ) -> Result<MethodId, MachineFault> {
+        let o = self.obj(self.frames.last().expect("frame").regs[recv.0 as usize])?;
+        let target = self.program.resolve_virtual(self.heap.class_of(o), slot);
+        self.indirect(method, pc, u64::from(target.0));
+        Ok(target)
+    }
+
+    /// Call linkage: charges the hidden linkage uops, then pushes a frame
+    /// for `target` whose register file comes from the pool and starts with
+    /// the receiver (for a virtual call) and the arguments, copied straight
+    /// from the caller's registers. The caller resumes at `ret_pc`.
+    #[inline]
+    fn call(
+        &mut self,
+        target: MethodId,
+        recv: Option<MReg>,
+        args: &[MReg],
+        dst: Option<MReg>,
+        ret_pc: usize,
+    ) -> Result<(), MachineFault> {
+        debug_assert!(!self.region.active, "call inside atomic region");
+        // Argument marshalling and prologue; a virtual call also passes its
+        // receiver and loads the vtable.
+        let linkage = if recv.is_some() { 4 } else { 2 };
+        self.account_call_overhead(args.len() as u64 + linkage);
+        if self.frames.len() >= self.max_depth {
+            return Err(VmError::StackOverflow.into());
+        }
+        let code = self
+            .code
+            .get(target)
+            .ok_or(MachineFault::MethodNotCompiled(target))?;
+        // Register-file size comes from lowering metadata, so a recycled
+        // buffer reaches its steady-state capacity after one use.
+        let mut regs = self.reg_pool.pop().unwrap_or_default();
+        regs.clear();
+        regs.resize(code.regs as usize, 0);
+        let caller = self.frames.last_mut().expect("frame");
+        for (i, r) in recv.iter().chain(args).enumerate() {
+            regs[i] = caller.regs[r.0 as usize];
+        }
+        caller.pc = ret_pc;
+        self.frames.push(Frame {
+            method: target,
+            code,
+            regs,
+            pc: 0,
+            ret_dst: dst,
+        });
+        Ok(())
+    }
+
+    /// Return linkage: charges the epilogue uops, pops the frame into the
+    /// pool, and writes `src` into the caller's destination register —
+    /// or, from the outermost frame, returns the program's result.
+    #[inline]
+    fn ret(&mut self, src: Option<MReg>) -> StepOut {
+        // Frame teardown and return-address handling.
+        self.account_call_overhead(2);
+        debug_assert!(
+            !self.region.active || self.region.frame_depth == self.frames.len(),
+            "region must not span returns"
+        );
+        let frame = self.frames.pop().expect("frame");
+        let v = src.map(|r| frame.regs[r.0 as usize]);
+        self.reg_pool.push(frame.regs);
+        let Some(caller) = self.frames.last_mut() else {
+            return StepOut::Return(v.map(Value::decode));
+        };
+        if let Some(d) = frame.ret_dst {
+            caller.regs[d.0 as usize] = v.unwrap_or(0);
+        }
+        StepOut::Redirect
     }
 
     fn charge(&mut self, cycles: u64) {
@@ -541,7 +605,7 @@ impl<'p> Machine<'p> {
     fn account_call_overhead(&mut self, uops: u64) {
         self.stats.uops += uops;
         self.cxw += uops;
-        if self.region.is_some() {
+        if self.region.active {
             self.stats.region_uops += uops;
         }
     }
@@ -561,32 +625,24 @@ impl<'p> Machine<'p> {
         cache: &mut CacheSim,
         stats: &mut RunStats,
         cxw: &mut u64,
-        region: &mut Option<RegionCtx>,
+        region: &mut RegionCtx,
         coh: &mut Option<CoreLink>,
         cfg: &HwConfig,
         site: u32,
         addr: u64,
         write: bool,
     ) -> bool {
-        // Ablation: with the timing model off, every access is a free L1
-        // hit and only the region footprint (and any injected line budget)
-        // is tracked — quantifies the model's share of simulator runtime.
-        if cfg.cache_off {
-            stats.mem_accesses += 1;
-            stats.l1_hits += 1;
-            return !Self::over_line_budget(cache, region, cfg, addr);
-        }
         // The coherence hook (DESIGN §17, `CoreLink::access`): a colliding
         // remote op bails out before this access touches anything — the
         // caller aborts through the overflow path with the parked reason.
         if let Some(link) = coh.as_mut() {
             let line = cache.line_of(addr);
-            if link.access(cache, line, write, region.is_some()).is_some() {
+            if link.access(cache, line, write, region.active).is_some() {
                 return false;
             }
         }
         stats.mem_accesses += 1;
-        let in_region = region.is_some();
+        let in_region = region.active;
         // The seal-site way predictor (DESIGN §16): `Absorbed` is an L1 hit
         // whose current-epoch speculative bits already cover this access
         // kind, so the set scan, footprint update, and budget re-check are
@@ -632,15 +688,10 @@ impl<'p> Machine<'p> {
     /// (`false` outside a region). The budget models a smaller speculative
     /// cache: it tightens the geometric overflow, never loosens it.
     #[inline]
-    fn over_line_budget(
-        cache: &CacheSim,
-        region: &mut Option<RegionCtx>,
-        cfg: &HwConfig,
-        addr: u64,
-    ) -> bool {
-        let Some(r) = region.as_mut() else {
+    fn over_line_budget(cache: &CacheSim, r: &mut RegionCtx, cfg: &HwConfig, addr: u64) -> bool {
+        if !r.active {
             return false;
-        };
+        }
         let line = cache.line_of(addr);
         if line != r.last_line {
             r.last_line = line;
@@ -684,19 +735,21 @@ impl<'p> Machine<'p> {
 
     /// Logs the old value of `cell` before a speculative store.
     fn log_undo(&mut self, cell: HeapCell) {
-        if let Some(r) = self.region.as_mut() {
-            r.undo.push((cell, self.heap.read_cell(cell)));
+        if self.region.active {
+            self.region.undo.push((cell, self.heap.read_cell(cell)));
         }
     }
 
     fn abort(&mut self, reason: AbortReason) -> Result<(), MachineFault> {
-        let Some(mut r) = self.region.take() else {
+        if !self.region.active {
             let f = self.frames.last().expect("frame");
             return Err(MachineFault::AbortOutsideRegion {
                 method: f.method,
                 pc: f.pc,
             });
-        };
+        }
+        self.region.active = false;
+        let r = &self.region;
         // Roll back memory (reverse order), allocations, environment,
         // registers; redirect to the alternate PC.
         for (cell, old) in r.undo.iter().rev() {
@@ -719,9 +772,7 @@ impl<'p> Machine<'p> {
             frame.regs[idx as usize] = v;
         }
         frame.pc = r.alt;
-        let mut ckpt = std::mem::take(&mut r.regs);
-        ckpt.clear();
-        self.reg_pool.push(ckpt);
+        let (method, region, footprint) = (r.method, r.region, r.lines.len() as u64);
         self.cache.abort_region();
         // Withdraw directory speculative registrations only *after* the
         // flash-clear: a remote write that samples the registration before
@@ -732,10 +783,7 @@ impl<'p> Machine<'p> {
             link.release_spec();
         }
         self.stats.aborts.record(reason);
-        self.stats
-            .per_region
-            .counters_mut((r.method, r.region))
-            .aborts += 1;
+        self.stats.per_region.counters_mut((method, region)).aborts += 1;
         if self.cfg.governor.enabled {
             // Evidence for abort-class-aware escalation: the region's
             // formation boundary (the stable cross-recompile identity the
@@ -743,17 +791,14 @@ impl<'p> Machine<'p> {
             // accumulated when it died.
             let boundary = code
                 .region_boundaries
-                .get(r.region as usize)
+                .get(region as usize)
                 .copied()
                 .unwrap_or(u32::MAX);
-            self.gov_on_abort(r.method, r.region, reason, boundary, r.lines.len() as u64);
+            self.gov_on_abort(method, region, reason, boundary, footprint);
         }
         if self.cfg.validate {
-            self.validate_arch_state(&r, true)?;
+            self.validate_arch_state(true)?;
         }
-        r.undo.clear();
-        self.spare_undo = r.undo;
-        self.spare_lines = r.lines.into_buffer();
         self.charge(self.cfg.abort_penalty);
         Ok(())
     }
@@ -761,7 +806,7 @@ impl<'p> Machine<'p> {
     /// A safety-check failure: an exception abort inside a region, a VM trap
     /// outside.
     fn trap_or_abort(&mut self, trap: Trap) -> Result<(), MachineFault> {
-        if self.region.is_some() {
+        if self.region.active {
             self.abort(AbortReason::Exception)
         } else {
             let f = self.frames.last().expect("frame");
@@ -921,7 +966,7 @@ impl<'p> Machine<'p> {
         region: u32,
         alt: usize,
     ) -> Result<BeginOut, MachineFault> {
-        if self.region.is_some() {
+        if self.region.active {
             return Err(MachineFault::NestedRegion { method, pc });
         }
         // Governor consult: a de-speculated region's begin is patched to
@@ -973,40 +1018,33 @@ impl<'p> Machine<'p> {
                 self.charge(drain - gap);
             }
         }
-        // Sparse checkpoint into a pooled buffer: only the region's
-        // precomputed write set needs saving (see the `RegionCtx`
-        // field docs); the previous region's undo-log / footprint
-        // allocations are reused.
-        let mut ckpt = self.reg_pool.pop().unwrap_or_default();
-        ckpt.clear();
+        // Arm the context in place: a sparse checkpoint of only the
+        // region's precomputed write set (see the `RegionCtx` field docs),
+        // into buffers the previous region already sized.
         let f = self.frames.last().expect("frame");
+        let r = &mut self.region;
+        r.active = true;
+        r.region = region;
+        r.method = method;
+        r.alt = alt;
+        r.frame_depth = self.frames.len();
+        r.regs.clear();
         let writes = &f.code.region_writes[region as usize];
-        ckpt.extend(writes.iter().map(|&r| f.regs[r as usize]));
-        // The shadow checkpoint is validator-only state: an
-        // independent full register-file copy the rollback path
-        // never touches, so sparse restoration can be cross-checked
-        // against the complete pre-region file.
-        let shadow_regs = if self.cfg.validate {
-            f.regs.clone()
-        } else {
-            Vec::new()
-        };
-        let mut undo = std::mem::take(&mut self.spare_undo);
-        undo.clear();
-        self.region = Some(RegionCtx {
-            region,
-            method,
-            alt,
-            frame_depth: self.frames.len(),
-            regs: ckpt,
-            env: self.env.snapshot(),
-            heap: self.heap.alloc_mark(),
-            undo,
-            lines: LineSet::from_buffer(std::mem::take(&mut self.spare_lines)),
-            last_line: u64::MAX,
-            start_uops: self.stats.uops,
-            shadow_regs,
-        });
+        r.regs.extend(writes.iter().map(|&w| f.regs[w as usize]));
+        // The shadow checkpoint is validator-only state: an independent
+        // full register-file copy the rollback path never touches, so
+        // sparse restoration can be cross-checked against the complete
+        // pre-region file.
+        r.shadow_regs.clear();
+        if self.cfg.validate {
+            r.shadow_regs.extend_from_slice(&f.regs);
+        }
+        r.env = self.env.snapshot();
+        r.heap = self.heap.alloc_mark();
+        r.undo.clear();
+        r.lines.clear();
+        r.last_line = u64::MAX;
+        r.start_uops = self.stats.uops;
         self.stats.per_region.counters_mut((method, region)).entries += 1;
         // Tier-2 fallback-lock subscription: read the lock word into the
         // region's read-set, so a software-path writer's coherence
@@ -1038,13 +1076,14 @@ impl<'p> Machine<'p> {
     }
 
     /// Executes an `aregion_end` at `pc`: flash-clear commit, statistics,
-    /// validation, governor bookkeeping, and buffer recycling — shared
-    /// verbatim by the per-uop `step` arm and the block engine's inline
-    /// terminator.
+    /// validation, and governor bookkeeping — shared verbatim by the
+    /// per-uop `step` arm and the block engine's inline terminator.
     fn region_end(&mut self, method: MethodId, pc: usize, region: u32) -> Result<(), MachineFault> {
-        let Some(mut r) = self.region.take() else {
+        if !self.region.active {
             return Err(MachineFault::EndOutsideRegion { method, pc });
-        };
+        }
+        self.region.active = false;
+        let r = &self.region;
         debug_assert_eq!(r.region, region);
         self.cache.commit_region();
         // Directory release strictly after the epoch bump — see the abort
@@ -1058,17 +1097,13 @@ impl<'p> Machine<'p> {
             .record(self.stats.uops - r.start_uops);
         self.stats.region_footprint.record(r.lines.len() as u64);
         self.last_commit_cxw = self.cxw;
+        let (method, region) = (r.method, r.region);
         if self.cfg.validate {
-            self.validate_arch_state(&r, false)?;
+            self.validate_arch_state(false)?;
         }
         if self.cfg.governor.enabled {
-            self.gov_on_commit(r.method, r.region);
+            self.gov_on_commit(method, region);
         }
-        // Recycle the region's buffers for the next one.
-        r.undo.clear();
-        self.spare_undo = r.undo;
-        self.spare_lines = r.lines.into_buffer();
-        self.reg_pool.push(r.regs);
         Ok(())
     }
 
@@ -1078,11 +1113,13 @@ impl<'p> Machine<'p> {
     /// the PC at the alternate path, the register file bit-identical to an
     /// independently captured shadow checkpoint, the allocation frontier and
     /// environment restored, and every undo-logged cell holding its
-    /// pre-region value.
-    fn validate_arch_state(&mut self, r: &RegionCtx, aborted: bool) -> Result<(), MachineFault> {
+    /// pre-region value. Reads the just-resolved region's context, which
+    /// stays intact until the next begin.
+    fn validate_arch_state(&mut self, aborted: bool) -> Result<(), MachineFault> {
         fn violated(what: &'static str, detail: String) -> Result<(), MachineFault> {
             Err(MachineFault::InvariantViolation { what, detail })
         }
+        let r = &self.region;
         let spec = self.cache.spec_lines();
         if spec != 0 {
             return violated("spec-bits", format!("{spec} lines still speculative"));
@@ -1339,8 +1376,8 @@ impl<'p> Machine<'p> {
                     if !probe!(addr, true) {
                         break Interior::Overflow(i);
                     }
-                    if let Some(r) = region.as_mut() {
-                        r.undo.push((HeapCell::Field(o, field), *slot));
+                    if region.active {
+                        region.undo.push((HeapCell::Field(o, field), *slot));
                     }
                     *slot = regs[src.0 as usize];
                 }
@@ -1363,8 +1400,8 @@ impl<'p> Machine<'p> {
                     if !probe!(addr, true) {
                         break Interior::Overflow(i);
                     }
-                    if let Some(r) = region.as_mut() {
-                        r.undo.push((HeapCell::Elem(o, j), *slot));
+                    if region.active {
+                        region.undo.push((HeapCell::Elem(o, j), *slot));
                     }
                     *slot = regs[src.0 as usize];
                 }
@@ -1408,8 +1445,8 @@ impl<'p> Machine<'p> {
                     if !probe!(addr, true) {
                         break Interior::Overflow(i);
                     }
-                    if let Some(r) = region.as_mut() {
-                        r.undo.push((cell, heap.read_cell(cell)));
+                    if region.active {
+                        region.undo.push((cell, heap.read_cell(cell)));
                     }
                     heap.write_cell(cell, regs[src.0 as usize]);
                 }
@@ -1449,11 +1486,12 @@ impl<'p> Machine<'p> {
     /// block's precomputed fuel/stats delta once, runs the straight-line
     /// prefix under one register-file borrow, then follows the *sealed*
     /// terminator link ([`SbTerm`]): direct and conditional successors,
-    /// region entry/commit/abort, and call/return frame transitions all
-    /// resolve inline on locally cached `(method, pc, code)` state — the
-    /// frame stack is consulted only when a frame actually changes, and the
-    /// shared [`Machine::step`] path is reserved for trap replay,
-    /// indirect-table misses, and `Unreachable`.
+    /// indirect jumps, region entry/commit/abort, and call/return frame
+    /// transitions all resolve on locally cached `(method, pc, code)` state
+    /// through the helpers the per-uop engine shares — the frame stack is
+    /// consulted only when a frame actually changes, and the whole
+    /// [`Machine::step`] path is reserved for trap replay, `Unreachable`,
+    /// and blocks sealed early.
     ///
     /// The accounting invariant that makes the batch exact: the per-uop
     /// reference charges each uop *before* executing its action, so
@@ -1486,20 +1524,11 @@ impl<'p> Machine<'p> {
             let sb = &code.blocks[pc];
             let n = u64::from(sb.len);
             if n == 0 {
-                // Markers live outside blocks: architecturally inert and
-                // free, they snapshot the retired-uop and cycle counters.
+                // Markers live outside blocks.
                 let Uop::Marker { id } = code.uops[pc] else {
                     unreachable!("len-0 superblock on a non-marker uop")
                 };
-                self.env.hit_marker(id);
-                let ordinal = self.env.marker_count(id);
-                let snap = MarkerSnap {
-                    id,
-                    ordinal,
-                    uops: self.stats.uops,
-                    cycles: self.cycles(),
-                };
-                self.stats.markers.push(snap);
+                self.marker(id);
                 pc += 1;
                 continue;
             }
@@ -1514,7 +1543,7 @@ impl<'p> Machine<'p> {
             self.stats.uops += n;
             self.cxw += n;
             self.stats.uop_classes.apply_delta(&sb.classes);
-            let in_region = self.region.is_some();
+            let in_region = self.region.active;
             if in_region {
                 self.stats.region_uops += n;
             }
@@ -1579,50 +1608,19 @@ impl<'p> Machine<'p> {
             match sterm {
                 SbTerm::Jmp { next } => pc = next as usize,
                 SbTerm::Br { op, a, b, taken } => {
-                    let Machine {
-                        frames,
-                        stats,
-                        pred,
-                        cxw,
-                        cfg,
-                        ..
-                    } = &mut *self;
-                    let regs = &frames.last().expect("frame").regs;
-                    let (x, y) = (regs[a.0 as usize], regs[b.0 as usize]);
-                    let t = op.eval_int(x, y);
-                    stats.branches += 1;
-                    if !pred.branch(Self::pc_hash(method, term), t) {
-                        stats.mispredicts += 1;
-                        *stats.mispredict_sites.entry((method.0, term)).or_insert(0) += 1;
-                        *cxw += cfg.mispredict_penalty * cfg.width;
-                    }
-                    pc = if t { taken as usize } else { term + 1 };
+                    pc = if self.branch(method, term, op, a, b) {
+                        taken as usize
+                    } else {
+                        term + 1
+                    };
                 }
-                SbTerm::Ret { src } => {
-                    // Epilogue: frame teardown + return-address handling,
-                    // with the register file recycled through the pool.
-                    self.account_call_overhead(2);
-                    debug_assert!(
-                        self.region.is_none()
-                            || self.region.as_ref().expect("region").frame_depth
-                                == self.frames.len(),
-                        "region must not span returns"
-                    );
-                    let frame = self.frames.pop().expect("frame");
-                    let v = src.map(|r| frame.regs[r.0 as usize]);
-                    if self.frames.is_empty() {
+                SbTerm::Ret { src } => match self.ret(src) {
+                    StepOut::Return(v) => {
                         self.stats.cycles = self.cycles();
-                        return Ok(v.map(Value::decode));
+                        return Ok(v);
                     }
-                    let caller = self.frames.last_mut().expect("frame");
-                    if let Some(d) = frame.ret_dst {
-                        caller.regs[d.0 as usize] = v.unwrap_or(0);
-                    }
-                    method = caller.method;
-                    pc = caller.pc;
-                    code = caller.code;
-                    self.reg_pool.push(frame.regs);
-                }
+                    _ => resync!(),
+                },
                 SbTerm::RegionBegin { region, alt } => {
                     match self.region_begin(method, term, region, alt as usize)? {
                         BeginOut::Entered => pc = term + 1,
@@ -1645,158 +1643,56 @@ impl<'p> Machine<'p> {
                     self.abort(reason)?;
                     resync!();
                 }
-                SbTerm::Decode => match code.uops[term] {
-                    Uop::JmpInd {
-                        sel,
-                        ref table,
-                        default,
-                    } => {
-                        let Machine {
-                            frames,
-                            stats,
-                            pred,
-                            btb,
-                            cxw,
-                            cfg,
-                            ..
-                        } = &mut *self;
-                        let v = frames.last().expect("frame").regs[sel.0 as usize];
-                        let site = Self::pc_hash(method, term);
-                        let target = match btb.lookup(site, v) {
-                            Some(t) => t,
-                            None => {
-                                let t = if v >= 0 && (v as usize) < table.len() {
-                                    table[v as usize]
-                                } else {
-                                    default
-                                };
-                                btb.insert(site, v, t);
-                                t
+                SbTerm::Decode => {
+                    // Exact for trap provenance (a null virtual receiver)
+                    // and for the shared step path below.
+                    self.frames.last_mut().expect("frame").pc = term;
+                    match code.uops[term] {
+                        Uop::JmpInd {
+                            sel,
+                            ref table,
+                            default,
+                        } => {
+                            let v = self.frames.last().expect("frame").regs[sel.0 as usize];
+                            pc = jump_target(v, table, default);
+                            self.indirect(method, term, pc as u64);
+                        }
+                        Uop::Call {
+                            dst,
+                            target,
+                            ref args,
+                        } => {
+                            self.call(target, None, args, dst, term + 1)?;
+                            resync!();
+                        }
+                        Uop::CallVirt {
+                            dst,
+                            slot,
+                            recv,
+                            ref args,
+                        } => {
+                            let target = self.virtual_target(method, term, recv, slot)?;
+                            self.call(target, Some(recv), args, dst, term + 1)?;
+                            resync!();
+                        }
+                        // `Unreachable`, and blocks sealed early by markers
+                        // or end-of-stream: the shared step path handles
+                        // them.
+                        ref u => {
+                            match self.step(u, method, term)? {
+                                StepOut::Next(np) => {
+                                    self.frames.last_mut().expect("frame").pc = np;
+                                }
+                                StepOut::Redirect => {}
+                                StepOut::Return(v) => {
+                                    self.stats.cycles = self.cycles();
+                                    return Ok(v);
+                                }
                             }
-                        };
-                        stats.indirects += 1;
-                        if !pred.indirect(site, target as u64) {
-                            stats.indirect_misses += 1;
-                            *cxw += cfg.mispredict_penalty * cfg.width;
+                            resync!();
                         }
-                        pc = target;
                     }
-                    Uop::Call {
-                        dst,
-                        target,
-                        ref args,
-                    } => {
-                        debug_assert!(self.region.is_none(), "call inside atomic region");
-                        // Frame setup: argument marshalling + prologue uops.
-                        self.account_call_overhead(args.len() as u64 + 2);
-                        if self.frames.len() >= self.max_depth {
-                            return Err(VmError::StackOverflow.into());
-                        }
-                        let callee = self
-                            .code
-                            .get(target)
-                            .ok_or(MachineFault::MethodNotCompiled(target))?;
-                        // Pooled push with the arguments copied caller →
-                        // callee directly — no marshalling buffer between.
-                        let mut regs = self.reg_pool.pop().unwrap_or_default();
-                        regs.clear();
-                        regs.resize(callee.regs as usize, 0);
-                        let caller = self.frames.last_mut().expect("frame");
-                        for (i, r) in args.iter().enumerate() {
-                            regs[i] = caller.regs[r.0 as usize];
-                        }
-                        caller.pc = term + 1;
-                        self.frames.push(Frame {
-                            method: target,
-                            code: callee,
-                            regs,
-                            pc: 0,
-                            ret_dst: dst,
-                        });
-                        method = target;
-                        code = callee;
-                        pc = 0;
-                    }
-                    Uop::CallVirt {
-                        dst,
-                        slot,
-                        recv,
-                        ref args,
-                    } if matches!(
-                        Value::decode(self.frames.last().expect("frame").regs[recv.0 as usize]),
-                        Value::Ref(Some(_))
-                    ) =>
-                    {
-                        debug_assert!(self.region.is_none(), "call inside atomic region");
-                        let rbits = self.frames.last().expect("frame").regs[recv.0 as usize];
-                        let Value::Ref(Some(ro)) = Value::decode(rbits) else {
-                            unreachable!("guard checked the receiver")
-                        };
-                        let class = self.heap.class_of(ro);
-                        // Virtual-call sites are overwhelmingly monomorphic:
-                        // the side-cache memoizes the vtable walk per
-                        // (site, class). A vtable slot never changes, so a
-                        // hit is transparent.
-                        let site = Self::pc_hash(method, term);
-                        let target = match self.btb.lookup(site, i64::from(class.0)) {
-                            Some(t) => MethodId(t as u32),
-                            None => {
-                                let t = self.program.resolve_virtual(class, slot);
-                                self.btb.insert(site, i64::from(class.0), t.0 as usize);
-                                t
-                            }
-                        };
-                        // Frame setup + vtable load.
-                        self.account_call_overhead(args.len() as u64 + 4);
-                        // Virtual dispatch is an indirect branch.
-                        self.stats.indirects += 1;
-                        if !self.pred.indirect(site, u64::from(target.0)) {
-                            self.stats.indirect_misses += 1;
-                            self.charge(self.cfg.mispredict_penalty);
-                        }
-                        if self.frames.len() >= self.max_depth {
-                            return Err(VmError::StackOverflow.into());
-                        }
-                        let callee = self
-                            .code
-                            .get(target)
-                            .ok_or(MachineFault::MethodNotCompiled(target))?;
-                        let mut regs = self.reg_pool.pop().unwrap_or_default();
-                        regs.clear();
-                        regs.resize(callee.regs as usize, 0);
-                        let caller = self.frames.last_mut().expect("frame");
-                        regs[0] = rbits;
-                        for (i, r) in args.iter().enumerate() {
-                            regs[i + 1] = caller.regs[r.0 as usize];
-                        }
-                        caller.pc = term + 1;
-                        self.frames.push(Frame {
-                            method: target,
-                            code: callee,
-                            regs,
-                            pc: 0,
-                            ret_dst: dst,
-                        });
-                        method = target;
-                        code = callee;
-                        pc = 0;
-                    }
-                    // Null/non-ref virtual receivers (exact trap provenance),
-                    // `Unreachable`, and blocks sealed early by markers or
-                    // end-of-stream: the shared step path handles them.
-                    ref u => {
-                        self.frames.last_mut().expect("frame").pc = term;
-                        match self.step(u, method, term)? {
-                            StepOut::Next(np) => self.frames.last_mut().expect("frame").pc = np,
-                            StepOut::Redirect => {}
-                            StepOut::Return(v) => {
-                                self.stats.cycles = self.cycles();
-                                return Ok(v);
-                            }
-                        }
-                        resync!();
-                    }
-                },
+                }
             }
         }
     }
@@ -1820,17 +1716,8 @@ impl<'p> Machine<'p> {
             // method's code so there is no per-uop map lookup.
             let uop: &'p Uop = &code.uops[pc];
 
-            // Markers are architecturally inert and free.
             if let Uop::Marker { id } = *uop {
-                self.env.hit_marker(id);
-                let ordinal = self.env.marker_count(id);
-                let snap = MarkerSnap {
-                    id,
-                    ordinal,
-                    uops: self.stats.uops,
-                    cycles: self.cycles(),
-                };
-                self.stats.markers.push(snap);
+                self.marker(id);
                 self.frames.last_mut().expect("frame").pc += 1;
                 continue;
             }
@@ -1839,7 +1726,7 @@ impl<'p> Machine<'p> {
             self.stats.uops += 1;
             self.stats.uop_classes.record(uop.class());
             self.cxw += 1;
-            if self.region.is_some() {
+            if self.region.active {
                 self.stats.region_uops += 1;
                 if self.inject_per_uop {
                     // Interrupt injection (best-effort hardware).
@@ -1936,19 +1823,7 @@ impl<'p> Machine<'p> {
             }
             Uop::Jmp { target } => next_pc = target,
             Uop::Br { op, a, b, target } => {
-                let (x, y) = (regs!()[a.0 as usize], regs!()[b.0 as usize]);
-                let taken = op.eval_int(x, y);
-                self.stats.branches += 1;
-                if !self.pred.branch(Self::pc_hash(method, pc), taken) {
-                    self.stats.mispredicts += 1;
-                    *self
-                        .stats
-                        .mispredict_sites
-                        .entry((method.0, pc))
-                        .or_insert(0) += 1;
-                    self.charge(self.cfg.mispredict_penalty);
-                }
-                if taken {
+                if self.branch(method, pc, op, a, b) {
                     next_pc = target;
                 }
             }
@@ -1957,29 +1832,8 @@ impl<'p> Machine<'p> {
                 ref table,
                 default,
             } => {
-                let v = regs!()[sel.0 as usize];
-                // Monomorphic dispatch sites hit the branch-target
-                // side-cache and skip the table walk; the table lookup
-                // is a pure function of (site, selector), so a hit is
-                // semantically transparent.
-                let site = Self::pc_hash(method, pc);
-                next_pc = match self.btb.lookup(site, v) {
-                    Some(t) => t,
-                    None => {
-                        let t = if v >= 0 && (v as usize) < table.len() {
-                            table[v as usize]
-                        } else {
-                            default
-                        };
-                        self.btb.insert(site, v, t);
-                        t
-                    }
-                };
-                self.stats.indirects += 1;
-                if !self.pred.indirect(site, next_pc as u64) {
-                    self.stats.indirect_misses += 1;
-                    self.charge(self.cfg.mispredict_penalty);
-                }
+                next_pc = jump_target(regs!()[sel.0 as usize], table, default);
+                self.indirect(method, pc, next_pc as u64);
             }
             Uop::LoadField { dst, obj, field } => {
                 let o = self.obj(rval!(obj))?;
@@ -2113,16 +1967,7 @@ impl<'p> Machine<'p> {
                 target,
                 ref args,
             } => {
-                debug_assert!(self.region.is_none(), "call inside atomic region");
-                // Frame setup: argument marshalling + prologue uops.
-                self.account_call_overhead(args.len() as u64 + 2);
-                let mut argv = std::mem::take(&mut self.arg_buf);
-                argv.clear();
-                argv.extend(args.iter().map(|r| regs!()[r.0 as usize]));
-                self.frames.last_mut().expect("frame").pc = next_pc;
-                self.push_frame(target, &argv, dst)?;
-                argv.clear();
-                self.arg_buf = argv;
+                self.call(target, None, args, dst, next_pc)?;
                 return Ok(StepOut::Redirect);
             }
             Uop::CallVirt {
@@ -2131,58 +1976,11 @@ impl<'p> Machine<'p> {
                 recv,
                 ref args,
             } => {
-                debug_assert!(self.region.is_none(), "call inside atomic region");
-                let ro = self.obj(rval!(recv))?;
-                let class = self.heap.class_of(ro);
-                // Virtual-call sites are overwhelmingly monomorphic: the
-                // side-cache memoizes the vtable walk per (site, class).
-                // A vtable slot never changes, so a hit is transparent.
-                let site = Self::pc_hash(method, pc);
-                let target = match self.btb.lookup(site, i64::from(class.0)) {
-                    Some(t) => MethodId(t as u32),
-                    None => {
-                        let t = self.program.resolve_virtual(class, slot);
-                        self.btb.insert(site, i64::from(class.0), t.0 as usize);
-                        t
-                    }
-                };
-                // Frame setup + vtable load.
-                self.account_call_overhead(args.len() as u64 + 4);
-                let mut argv = std::mem::take(&mut self.arg_buf);
-                argv.clear();
-                argv.push(regs!()[recv.0 as usize]);
-                argv.extend(args.iter().map(|r| regs!()[r.0 as usize]));
-                // Virtual dispatch is an indirect branch.
-                self.stats.indirects += 1;
-                if !self.pred.indirect(site, u64::from(target.0)) {
-                    self.stats.indirect_misses += 1;
-                    self.charge(self.cfg.mispredict_penalty);
-                }
-                self.frames.last_mut().expect("frame").pc = next_pc;
-                self.push_frame(target, &argv, dst)?;
-                argv.clear();
-                self.arg_buf = argv;
+                let target = self.virtual_target(method, pc, recv, slot)?;
+                self.call(target, Some(recv), args, dst, next_pc)?;
                 return Ok(StepOut::Redirect);
             }
-            Uop::Ret { src } => {
-                // Epilogue: frame teardown + return-address handling.
-                self.account_call_overhead(2);
-                let v = src.map(|r| regs!()[r.0 as usize]);
-                debug_assert!(
-                    self.region.is_none()
-                        || self.region.as_ref().expect("region").frame_depth == self.frames.len(),
-                    "region must not span returns"
-                );
-                let frame = self.frames.pop().expect("frame");
-                if self.frames.is_empty() {
-                    return Ok(StepOut::Return(v.map(Value::decode)));
-                }
-                if let Some(d) = frame.ret_dst {
-                    self.frames.last_mut().expect("frame").regs[d.0 as usize] = v.unwrap_or(0);
-                }
-                self.reg_pool.push(frame.regs);
-                return Ok(StepOut::Redirect);
-            }
+            Uop::Ret { src } => return Ok(self.ret(src)),
             Uop::RegionBegin { region, alt } => {
                 match self.region_begin(method, pc, region, alt)? {
                     BeginOut::Entered => {}
@@ -3379,7 +3177,7 @@ mod fault_tests {
     }
 
     /// Compiles `add_element_program` under the atomic config and installs
-    /// it — the shared fixture for the pooled-machine/reset tests.
+    /// it — the fixture for the pooled-machine test.
     fn compiled_add_element(n: i64, chunk: i64) -> (Program, CodeCache) {
         use hasp_opt::compile_program;
         use hasp_vm::interp::Interp;
@@ -3394,83 +3192,132 @@ mod fault_tests {
         (p, cc)
     }
 
-    #[test]
-    fn reset_for_request_is_bit_identical_to_a_fresh_machine() {
-        let (p, cc) = compiled_add_element(3000, 500);
-        let hw = HwConfig::baseline();
-        // Reference: a fresh machine per run.
-        let mut fresh = Machine::new(&p, &cc, hw.clone());
-        fresh.run(&[]).expect("fresh run");
-        let fresh_cks = fresh.env.checksum();
-        let fresh_stats = fresh.stats().clone();
-        assert!(fresh_stats.total_aborts() > 0, "fixture must abort");
-
-        // A recycled machine: dirty from a full prior request (committed
-        // regions, aborts, warmed caches and predictors), then reset.
-        let mut mach = Machine::new(&p, &cc, hw);
-        mach.run(&[]).expect("first request");
-        mach.reset_for_request();
-        assert_eq!(mach.cross_request_state(), None);
-        mach.run(&[]).expect("second request");
-        assert_eq!(mach.env.checksum(), fresh_cks);
-        assert_eq!(
-            mach.stats(),
-            &fresh_stats,
-            "a reset machine must be indistinguishable from a fresh one: {:?}",
-            fresh_stats.diff(mach.stats())
-        );
-    }
-
-    #[test]
-    fn reset_for_request_clears_a_mid_region_interrupted_run() {
-        let (p, cc) = compiled_add_element(3000, 1 << 20);
-        let hw = HwConfig::baseline();
-        let mut fresh = Machine::new(&p, &cc, hw.clone());
-        fresh.run(&[]).expect("fresh run");
-        let fresh_cks = fresh.env.checksum();
-        let fresh_stats = fresh.stats().clone();
-
-        // Cut a run down mid-flight by exhausting fuel: frames are live and
-        // (with the hot loop fully encapsulated) a region is typically in
-        // flight — the dirtiest state a worker can hand back.
-        let mut mach = Machine::new(&p, &cc, hw);
-        mach.set_fuel(fresh_stats.uops / 2);
-        let out = mach.run(&[]);
-        assert!(out.is_err(), "truncated run must fault on fuel");
-        assert_ne!(mach.cross_request_state(), None, "dirty state expected");
-        mach.reset_for_request();
-        assert_eq!(mach.cross_request_state(), None);
-        mach.run(&[]).expect("post-reset request");
-        assert_eq!(mach.env.checksum(), fresh_cks);
-        assert_eq!(
-            mach.stats(),
-            &fresh_stats,
-            "{:?}",
-            fresh_stats.diff(mach.stats())
-        );
-    }
-
+    /// A machine built from a retired machine's pools is indistinguishable
+    /// from a fresh one, whatever its donor left behind: a completed run
+    /// (committed regions, aborts, warmed caches and predictors); a run cut
+    /// by fuel with a region in flight (the hot loop is fully encapsulated
+    /// when the array never wraps); and a validator-on run with aborts,
+    /// whose recycled region context carries a shadow register copy.
     #[test]
     fn pooled_machine_matches_fresh_machine_bit_for_bit() {
-        let (p, cc) = compiled_add_element(3000, 500);
-        let hw = HwConfig::baseline();
-        let mut fresh = Machine::new(&p, &cc, hw.clone());
-        fresh.run(&[]).expect("fresh run");
-        // Retire a dirty machine into pools (mid-flight, to exercise the
-        // transient-state recycling), then build a pooled successor.
-        let mut donor = Machine::new(&p, &cc, hw.clone());
-        donor.set_fuel(fresh.stats().uops / 3);
-        let _ = donor.run(&[]);
-        let pools = donor.into_pools();
-        let mut pooled = Machine::with_pools(&p, &cc, hw, pools);
-        assert_eq!(pooled.cross_request_state(), None);
-        pooled.run(&[]).expect("pooled run");
-        assert_eq!(pooled.env.checksum(), fresh.env.checksum());
-        assert_eq!(
-            pooled.stats(),
-            fresh.stats(),
-            "{:?}",
-            fresh.stats().diff(pooled.stats())
-        );
+        let validated = HwConfig {
+            validate: true,
+            ..HwConfig::baseline()
+        };
+        let cases = [
+            (compiled_add_element(3000, 500), HwConfig::baseline(), false),
+            (
+                compiled_add_element(3000, 1 << 20),
+                HwConfig::baseline(),
+                true,
+            ),
+            (compiled_add_element(3000, 500), validated, false),
+        ];
+        for ((p, cc), hw, cut) in &cases {
+            let mut fresh = Machine::new(p, cc, hw.clone());
+            fresh.run(&[]).expect("fresh run");
+            let donor = if *cut {
+                // The first fuel cut from mid-run on that stops the run
+                // with a region in flight.
+                (fresh.stats().uops / 2..)
+                    .map(|fuel| {
+                        let mut d = Machine::new(p, cc, hw.clone());
+                        d.set_fuel(fuel);
+                        assert!(d.run(&[]).is_err(), "truncated run must fault on fuel");
+                        d
+                    })
+                    .find(|d| d.region.active)
+                    .expect("a cut inside a region")
+            } else {
+                let mut d = Machine::new(p, cc, hw.clone());
+                d.run(&[]).expect("donor run");
+                assert!(d.stats().total_aborts() > 0, "fixture must abort");
+                d
+            };
+            let mut pooled = Machine::with_pools(p, cc, hw.clone(), donor.into_pools());
+            assert_eq!(pooled.cross_request_state(), None);
+            pooled.run(&[]).expect("pooled run");
+            assert_eq!(pooled.env.checksum(), fresh.env.checksum());
+            assert_eq!(
+                pooled.stats(),
+                fresh.stats(),
+                "{:?}",
+                fresh.stats().diff(pooled.stats())
+            );
+        }
+    }
+
+    /// Runs a hand-written uop stream on both dispatch engines and returns
+    /// the common outcome and retired-uop count; the engines must agree.
+    fn run_both_engines(uops: &[Uop], regs: u32) -> (Result<Option<Value>, MachineFault>, u64) {
+        let runs: Vec<_> = [HwConfig::baseline(), HwConfig::per_uop()]
+            .into_iter()
+            .map(|hw| {
+                let (p, cc) = install_uops(uops.to_vec(), regs);
+                assert_eq!(p.entry(), MethodId(0));
+                let mut mach = Machine::new(&p, &cc, hw);
+                let out = mach.run(&[]);
+                (out, mach.stats().uops)
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "superblock == per-uop reference");
+        runs[0].clone()
+    }
+
+    #[test]
+    fn call_linkage_and_indirect_jumps_agree_across_engines() {
+        // Unbounded self-recursion: 512 calls of 3 uops each (the call and
+        // its two linkage uops), the last one faulting at the depth limit.
+        let recurse = [
+            Uop::Call {
+                dst: None,
+                target: MethodId(0),
+                args: Box::new([]),
+            },
+            Uop::Ret { src: None },
+        ];
+        let (out, uops) = run_both_engines(&recurse, 1);
+        assert_eq!(out, Err(VmError::StackOverflow.into()));
+        assert_eq!(uops, 1536);
+
+        let missing = [
+            Uop::Call {
+                dst: None,
+                target: MethodId(1),
+                args: Box::new([]),
+            },
+            Uop::Ret { src: None },
+        ];
+        let (out, _) = run_both_engines(&missing, 1);
+        assert_eq!(out, Err(MachineFault::MethodNotCompiled(MethodId(1))));
+
+        // `jmp_ind` over a one-entry table: pc 4 returns 20, the default
+        // (pc 2) returns 10.
+        for (sel, expect) in [(-1, 10), (0, 20), (1, 10)] {
+            let switch = [
+                Uop::Const {
+                    dst: MReg(0),
+                    imm: sel,
+                },
+                Uop::JmpInd {
+                    sel: MReg(0),
+                    table: Box::new([4]),
+                    default: 2,
+                },
+                Uop::Const {
+                    dst: MReg(1),
+                    imm: 10,
+                },
+                Uop::Ret { src: Some(MReg(1)) },
+                Uop::Const {
+                    dst: MReg(1),
+                    imm: 20,
+                },
+                Uop::Ret { src: Some(MReg(1)) },
+            ];
+            let (out, uops) = run_both_engines(&switch, 2);
+            assert_eq!(out, Ok(Some(Value::Int(expect))), "selector {sel}");
+            assert_eq!(uops, 6, "const, jmp_ind, const, ret and its 2 linkage uops");
+        }
     }
 }

@@ -97,15 +97,6 @@ pub struct SbInfo {
     /// Per-class retired-uop tallies for the whole block, dense in
     /// [`UOP_CLASSES`] order — the batch delta applied at block entry.
     pub classes: [u32; UOP_CLASSES.len()],
-    /// Access pre-classification (seal time): how many uops in the block
-    /// touch data memory (loads, stores, lock ops, len/class reads, polls).
-    /// Feeds the per-method static memory density the dispatch benchmark
-    /// reports against each workload's cache-off ceiling (DESIGN §12). A
-    /// monomorphized interior loop keyed on `mem_ops == 0` was built and
-    /// measured here first: duplicating the interior loop cost ~10% in
-    /// I-cache/branch footprint — more than the stripped memory arms saved
-    /// — so the classification stays seal-time metadata.
-    pub mem_ops: u16,
     /// The seal-site identity of the uop *at this pc* for the way predictor
     /// (DESIGN §16): a dense per-method index over the pcs that access data
     /// memory (loads, stores, lock/len/class reads, polls — exactly the
@@ -199,7 +190,6 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
                 len: 0,
                 term: SbTerm::Decode,
                 classes: [0; UOP_CLASSES.len()],
-                mem_ops: 0,
                 mem_site: NO_SITE,
             });
             continue;
@@ -213,7 +203,6 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
                 len: 1,
                 term: decode_term(u),
                 classes: [0; UOP_CLASSES.len()],
-                mem_ops: 0,
                 mem_site: NO_SITE,
             }
         } else {
@@ -224,14 +213,10 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
                 len: suffix.len + 1,
                 term: suffix.term,
                 classes: suffix.classes,
-                mem_ops: suffix.mem_ops,
                 mem_site: NO_SITE,
             }
         };
         info.classes[u.class() as usize] += 1;
-        if is_mem(u) {
-            info.mem_ops += 1;
-        }
         blocks.push(info);
     }
     blocks.reverse();
@@ -400,31 +385,6 @@ mod tests {
             b.iter().map(|s| s.len).collect::<Vec<_>>(),
             [2, 1, 1, 0, 2, 1]
         );
-    }
-
-    #[test]
-    fn access_preclassification_counts_through_suffixes() {
-        let uops = vec![
-            konst(0),
-            Uop::LoadField {
-                dst: MReg(1),
-                obj: MReg(0),
-                field: 0,
-            },
-            Uop::Poll,
-            Uop::StoreField {
-                obj: MReg(0),
-                field: 1,
-                src: MReg(1),
-            },
-            Uop::Ret { src: None },
-        ];
-        let b = build_blocks(&uops);
-        assert_eq!(b[0].mem_ops, 3, "load, poll, and store");
-        assert_eq!(b[3].mem_ops, 1, "suffix from the store on");
-        // Pure register blocks carry no memory metadata.
-        let alu = build_blocks(&[konst(0), Uop::Ret { src: None }]);
-        assert_eq!(alu[0].mem_ops, 0);
     }
 
     #[test]

@@ -339,27 +339,6 @@ impl CodeCache {
         self.methods.iter().flatten().map(|c| c.uops.len()).sum()
     }
 
-    /// Static data-memory uop share across all sealed methods, from the
-    /// superblock access pre-classification: (memory uops, total uops).
-    /// The dispatch benchmark reports the ratio per workload — memory
-    /// density is what separates each workload's shipped throughput from
-    /// its cache-off ceiling (DESIGN §12).
-    pub fn static_mem_uops(&self) -> (usize, usize) {
-        let mut mem = 0;
-        for c in self.methods.iter().flatten() {
-            // `blocks` is a per-pc suffix table: stepping head-to-head by
-            // each head's `len` counts every uop exactly once (a `len: 0`
-            // marker entry is its own one-uop step).
-            let mut pc = 0;
-            while pc < c.blocks.len() {
-                let sb = &c.blocks[pc];
-                mem += sb.mem_ops as usize;
-                pc += (sb.len as usize).max(1);
-            }
-        }
-        (mem, self.static_uops())
-    }
-
     /// Iterates over all installed methods and their code.
     pub fn iter(&self) -> impl Iterator<Item = (MethodId, &CompiledCode)> {
         self.methods

@@ -25,7 +25,7 @@ impl fmt::Display for Reg {
 pub struct ClassId(pub u32);
 
 /// Identifies a method in the program's method table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MethodId(pub u32);
 
 /// A field index within an object layout (fields of superclasses first).

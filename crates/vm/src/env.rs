@@ -123,7 +123,7 @@ impl Env {
 
 /// A point-in-time capture of an [`Env`], used to roll back the observable
 /// side effects of an aborted atomic region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnvSnapshot {
     checksum: i64,
     rng: u64,

@@ -360,7 +360,7 @@ impl Heap {
 
 /// A heap allocation frontier, used to roll back allocations performed
 /// inside an aborted atomic region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapMark {
     objects: usize,
     words: usize,

@@ -56,9 +56,9 @@ proptest! {
         for &probe in &probes {
             prop_assert_eq!(hybrid.contains(probe), reference.contains(&probe));
         }
-        // Recycling the buffer resets to the dense representation.
-        let recycled = LineSet::from_buffer(hybrid.into_buffer());
-        prop_assert!(recycled.is_empty() && !recycled.is_spilled());
+        // Clearing resets to the dense representation.
+        hybrid.clear();
+        prop_assert!(hybrid.is_empty() && !hybrid.is_spilled());
     }
 
     #[test]
