@@ -111,11 +111,11 @@ pub fn inspect(workload: &str, config: &str, dot: bool) -> Result<String, String
         s.region_footprint.max,
         run.static_uops,
     );
-    let diff = s.diff(&per_uop.stats);
-    if diff.is_empty() {
+    if *s == per_uop.stats {
         out.push_str("engines: bit-identical stats (superblock vs per-uop)\n");
     } else {
         out.push_str("ENGINES DIVERGE (superblock vs per-uop):\n");
+        let diff = s.diff(&per_uop.stats);
         diff.iter().for_each(|d| out.push_str(&format!("  {d}\n")));
     }
     let mix: Vec<_> = s

@@ -5,9 +5,10 @@
 //! tolerated conflict rate and writes `BENCH_knee.json`), or — with the
 //! `bench-dispatch` subcommand — races the per-uop and superblock dispatch
 //! engines over the suite and writes `BENCH_dispatch.json`, or — with
-//! `serve` / `mt` — runs the worker-pool harness (pooled machines, one
-//! lock-free published code cache; `mt` attaches every worker to one shared
-//! coherence directory) and writes `BENCH_service.json` / `BENCH_mt.json`.
+//! `serve` / `mt` — runs the worker-pool harness (pooled machines, one code
+//! cache handed out with each batch by the work queue; `mt` attaches every
+//! worker to one shared coherence directory) and writes
+//! `BENCH_service.json` / `BENCH_mt.json`.
 //! `--smoke` runs each artifact's CI slice and writes `BENCH_*_smoke.json`
 //! instead. `inspect <workload> [config] [--dot]` explains one workload's
 //! compile and run (see `hasp_experiments::inspect`).

@@ -179,28 +179,6 @@ impl JsonArr {
         self
     }
 
-    /// Appends a string element.
-    pub fn str(mut self, v: &str) -> Self {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        self.buf.push('"');
-        self.buf.push_str(&v.replace('"', "\\\""));
-        self.buf.push('"');
-        self
-    }
-
-    /// Appends an integer element.
-    pub fn int(mut self, v: u64) -> Self {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
     /// Closes the array and returns the JSON text.
     pub fn finish(mut self) -> String {
         if self.first {

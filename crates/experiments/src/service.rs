@@ -1,23 +1,23 @@
 //! The worker-pool harness behind `experiments -- serve` and
 //! `experiments -- mt`: a fixed pool of pooled-frame [`Machine`] workers
-//! drains a bounded MPMC queue of workload requests, all sharing one
-//! published code cache, and — with coherence on — all attached to one
-//! shared coherence [`Directory`].
+//! drains a bounded MPMC queue of workload requests, all sharing one code
+//! cache, and — with coherence on — all attached to one shared coherence
+//! [`Directory`].
 //!
 //! The serving shape the paper's §7 deployment sketch implies but never
-//! benchmarks: many independent requests, one compiled-code publisher.
+//! benchmarks: many independent requests, one shared compiled-code cache.
 //! Three properties are load-bearing and each has its own enforcement:
 //!
-//! * **Lock-free hot dispatch.** Workers never take a lock to *find* code:
-//!   the shared [`ServiceCache`] lives behind an epoch/RCU-style
-//!   [`Publisher`] — installs build a new sealed cache off the worker
-//!   threads and publish it with one atomic pointer swap; a worker pins the
-//!   current epoch once per request batch (two atomic loads and a slot
-//!   swap) and dispatches superblocks out of the pinned snapshot for the
-//!   whole batch. The only mutex in the request path guards the work queue
-//!   itself, never code lookup. `tests/service.rs` republishes mid-stream
-//!   under real threads and asserts no torn reads: every request on either
-//!   code version reproduces the interpreter checksum.
+//! * **Publication through the work queue.** The current [`ServiceCache`]
+//!   rides in the work queue's state as an `Arc` with a version. A worker
+//!   takes its batch and that cache in one critical section of the queue
+//!   lock it takes anyway, then serves the whole batch out of it without
+//!   touching the lock again. An install builds the new sealed cache off
+//!   the lock on the producer thread and swaps it in under the lock; an old
+//!   cache is freed when the last batch holding it drops its `Arc`.
+//!   `tests/service.rs` installs mid-stream under real threads and asserts
+//!   no torn reads: every request on either code version reproduces the
+//!   interpreter checksum.
 //! * **Cross-request isolation.** A worker builds each request's machine
 //!   with [`Machine::with_pools`] and retires it into its
 //!   [`MachinePools`], so allocations carry from request to request while
@@ -49,7 +49,7 @@
 //! isolation property; real conflicts make them vary, so only coherence-off
 //! reports are checked for determinism. Wall: each leg's host seconds and
 //! requests per second. Both artifacts, `BENCH_service.json` (`serve`) and
-//! `BENCH_mt.json` (`mt`), use schema `hasp-pool-v1`.
+//! `BENCH_mt.json` (`mt`), use schema `hasp-pool-v2`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -61,7 +61,7 @@ use hasp_bench::best_of_interleaved;
 use hasp_hw::stats::{AbortCounts, AbortReason};
 use hasp_hw::{
     CodeCache, CoreLink, Directory, FaultPlan, GovernorConfig, Histogram, HwConfig, LinkStats,
-    Machine, MachinePools, Publisher,
+    Machine, MachinePools,
 };
 use hasp_opt::CompilerConfig;
 use hasp_workloads::{all_workloads, Workload};
@@ -77,8 +77,8 @@ pub const CLOCK_GHZ: f64 = 2.0;
 /// enqueue side can never outrun the pool unboundedly.
 const QUEUE_CAP: usize = 8;
 
-/// Requests a worker claims per queue lock. One epoch pin covers the whole
-/// batch, amortizing the (already lock-free) pin over several requests.
+/// Requests a worker claims per queue lock; the whole batch is served from
+/// the code cache handed out with it.
 const BATCH: usize = 4;
 
 /// Speculative-footprint line budget injected for contended-class tenants:
@@ -157,8 +157,8 @@ impl Tenant {
     }
 }
 
-/// The published value: one sealed [`CodeCache`] per tenant, swapped as a
-/// unit so every worker always sees a mutually consistent set.
+/// The shared code: one sealed [`CodeCache`] per tenant, swapped as a unit
+/// so every worker always sees a mutually consistent set.
 #[derive(Debug, Clone)]
 pub struct ServiceCache {
     /// Sealed code, indexed by tenant id.
@@ -167,7 +167,7 @@ pub struct ServiceCache {
 
 /// Compiles every tenant under `ccfg` into a fresh sealed [`ServiceCache`].
 /// This is the install path: it runs on the producer thread, off the
-/// workers' hot path, and the result is handed to [`Publisher::publish`].
+/// workers' hot path and off the work-queue lock.
 pub fn build_service_cache(tenants: &[Tenant], ccfg: &CompilerConfig) -> ServiceCache {
     ServiceCache {
         tenants: tenants
@@ -196,7 +196,9 @@ pub struct RequestTiming {
 }
 
 /// The bounded MPMC work queue: one mutex + two condvars. This is request
-/// *admission*, not dispatch — workers touch it once per [`BATCH`].
+/// *admission*, not dispatch — workers touch it once per [`BATCH`]. Its
+/// state also carries the current code cache, so a batch and the cache it
+/// is served from are handed out together.
 struct WorkQueue {
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -206,14 +208,20 @@ struct WorkQueue {
 struct QueueState {
     q: VecDeque<Request>,
     closed: bool,
+    /// The cache new batches are served from.
+    cache: Arc<ServiceCache>,
+    /// `cache`'s version: 1 for the initial cache, one more per install.
+    version: u64,
 }
 
 impl WorkQueue {
-    fn new() -> Self {
+    fn new(cache: ServiceCache) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState {
                 q: VecDeque::with_capacity(QUEUE_CAP),
                 closed: false,
+                cache: Arc::new(cache),
+                version: 1,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -231,22 +239,38 @@ impl WorkQueue {
         self.not_empty.notify_one();
     }
 
-    /// Pops up to `max` requests; blocks while empty and open. An empty
-    /// return means the queue is closed and drained.
-    fn pop_batch(&self, max: usize) -> Vec<Request> {
+    /// Pops up to `max` requests with the current cache and its version;
+    /// blocks while empty and open. `None` means the queue is closed and
+    /// drained.
+    fn pop_batch(&self, max: usize) -> Option<(Vec<Request>, Arc<ServiceCache>, u64)> {
         let mut s = self.state.lock().unwrap();
         while s.q.is_empty() && !s.closed {
             s = self.not_empty.wait(s).unwrap();
         }
         let take = s.q.len().min(max);
-        let batch: Vec<Request> = s.q.drain(..take).collect();
-        drop(s);
-        if !batch.is_empty() {
-            self.not_full.notify_all();
-            // More work may remain for the other workers.
-            self.not_empty.notify_one();
+        if take == 0 {
+            return None;
         }
-        batch
+        let batch: Vec<Request> = s.q.drain(..take).collect();
+        let (cache, version) = (Arc::clone(&s.cache), s.version);
+        drop(s);
+        self.not_full.notify_all();
+        // More work may remain for the other workers.
+        self.not_empty.notify_one();
+        Some((batch, cache, version))
+    }
+
+    /// Makes `cache`, built off the lock, the one later batches are served
+    /// from. Batches already handed out keep theirs, and the old cache is
+    /// freed when the last of them drops it.
+    fn install(&self, cache: ServiceCache) {
+        let cache = Arc::new(cache);
+        let mut s = self
+            .state
+            .lock()
+            .expect("a worker panicked holding the queue");
+        s.cache = cache;
+        s.version += 1;
     }
 
     fn close(&self) {
@@ -313,14 +337,14 @@ fn conflict_class(aborts: &AbortCounts) -> u64 {
 }
 
 /// One worker's full shard: per-tenant counters, request timings, the
-/// publisher versions it pinned, and its core links' traffic.
+/// cache versions it served from, and its core links' traffic.
 #[derive(Debug, Clone)]
 pub struct WorkerShard {
     /// Per-tenant counters, indexed by tenant id.
     pub per_tenant: Vec<TenantShard>,
     /// Per-request timings this worker served.
     pub timings: Vec<RequestTiming>,
-    /// Distinct publisher versions pinned by this worker.
+    /// Distinct cache versions this worker served from.
     pub versions: BTreeSet<u64>,
     /// Traffic counters summed over this worker's core links (zero with
     /// coherence off).
@@ -368,15 +392,8 @@ pub struct LegOutcome {
     pub workers: usize,
     /// One shard per worker.
     pub shards: Vec<WorkerShard>,
-    /// Mid-stream cache publications performed.
+    /// Mid-stream cache installs performed.
     pub installs: u64,
-    /// Retired cache versions reclaimed by the publisher.
-    pub reclaims: u64,
-    /// Retired versions still unreclaimed after the final sweep (must be 0
-    /// once every worker has unpinned).
-    pub retired_after: usize,
-    /// The publisher's final version counter.
-    pub final_version: u64,
     /// Independent atomic totals: requests, uops, commits, aborts.
     pub global: [u64; 4],
     /// The shared directory's counters (`None` with coherence off).
@@ -464,7 +481,7 @@ impl LegOutcome {
         all
     }
 
-    /// Distinct publisher versions pinned across all workers.
+    /// Distinct cache versions served from across all workers.
     pub fn versions_seen(&self) -> BTreeSet<u64> {
         self.shards
             .iter()
@@ -520,15 +537,14 @@ fn serve_one(
         .fetch_add(stats.aborts.total(), Ordering::Relaxed);
 }
 
-/// One worker: pop a batch, pin the current cache epoch once, serve the
-/// batch out of the pinned snapshot — one pooled machine per request, its
-/// allocations recycled through the pools. With a directory, the worker
-/// owns one core link per tenant (core `worker_id·T + t`, asid `t`), so a
-/// mailbox only ever carries its tenant's address-space traffic.
+/// One worker: pop a batch with the current cache, serve the batch out of
+/// that cache — one pooled machine per request, its allocations recycled
+/// through the pools. With a directory, the worker owns one core link per
+/// tenant (core `worker_id·T + t`, asid `t`), so a mailbox only ever
+/// carries its tenant's address-space traffic.
 fn worker_loop(
     worker_id: usize,
     tenants: &[Tenant],
-    publisher: &Publisher<ServiceCache>,
     queue: &WorkQueue,
     globals: &Globals,
     dir: Option<&Arc<Directory>>,
@@ -539,19 +555,14 @@ fn worker_loop(
     let mut links: Vec<Option<CoreLink>> = (0..n)
         .map(|t| dir.map(|d| CoreLink::new(Arc::clone(d), (worker_id * n + t) as u8, t as u16)))
         .collect();
-    loop {
-        let batch = queue.pop_batch(BATCH);
-        if batch.is_empty() {
-            break;
-        }
-        let guard = publisher.pin(worker_id);
-        shard.versions.insert(guard.version());
+    while let Some((batch, cache, version)) = queue.pop_batch(BATCH) {
+        shard.versions.insert(version);
         for req in batch {
             let tid = req.tenant as usize;
             let t = &tenants[tid];
             let mut mach = Machine::with_pools(
                 &t.workload.program,
-                &guard.tenants[tid],
+                &cache.tenants[tid],
                 t.hw.clone(),
                 std::mem::take(&mut pools),
             );
@@ -566,12 +577,12 @@ fn worker_loop(
 }
 
 /// Runs one worker-pool leg: `workers` threads drain `schedule` (tenant id
-/// per request) out of the bounded queue, all dispatching from one
-/// published cache that starts as `initial`. After `install_points[k]`
-/// requests have been *pushed*, the producer builds a fresh cache under
-/// `install_ccfg` and publishes it mid-stream — workers keep executing
-/// throughout. With `coherence`, every worker attaches to one shared
-/// [`Directory`] (see [`worker_loop`]).
+/// per request) out of the bounded queue, all dispatching from one shared
+/// cache that starts as `initial`. After `install_points[k]` requests have
+/// been *pushed*, the producer builds a fresh cache under `install_ccfg`
+/// and installs it mid-stream — workers keep executing throughout. With
+/// `coherence`, every worker attaches to one shared [`Directory`] (see
+/// [`worker_loop`]).
 ///
 /// `install_points` must be ascending and within `1..=schedule.len()`.
 pub fn run_leg(
@@ -596,19 +607,18 @@ pub fn run_leg(
         !coherence || tenants.iter().all(|t| !t.hw.faults.any_per_uop()),
         "a coherence leg must be injection-free"
     );
-    let publisher = Publisher::new(initial.clone(), workers);
     let dir = coherence.then(|| Directory::new(workers * tenants.len()));
-    let queue = WorkQueue::new();
+    let queue = WorkQueue::new(initial.clone());
     let globals = Globals::default();
     let t0 = Instant::now();
 
+    let mut installs = 0;
     let shards = std::thread::scope(|s| {
-        let publisher = &publisher;
         let queue = &queue;
         let globals = &globals;
         let dir = dir.as_ref();
         let handles: Vec<_> = (0..workers)
-            .map(|id| s.spawn(move || worker_loop(id, tenants, publisher, queue, globals, dir)))
+            .map(|id| s.spawn(move || worker_loop(id, tenants, queue, globals, dir)))
             .collect();
 
         let mut points = install_points.iter().peekable();
@@ -619,11 +629,11 @@ pub fn run_leg(
             });
             if points.peek() == Some(&&(seq + 1)) {
                 points.next();
-                // Built here, on the producer thread — the workers keep
-                // serving out of their pinned snapshots while this compiles,
-                // then the swap below retires the old cache without ever
-                // stalling a reader.
-                publisher.publish(build_service_cache(tenants, install_ccfg));
+                // Built here, on the producer thread and off the queue
+                // lock — the workers keep serving while this compiles — and
+                // swapped in under the lock.
+                queue.install(build_service_cache(tenants, install_ccfg));
+                installs += 1;
             }
         }
         queue.close();
@@ -634,16 +644,10 @@ pub fn run_leg(
     });
     let wall_s = t0.elapsed().as_secs_f64();
 
-    // Every guard is dropped; the final sweep must be able to free every
-    // retired version.
-    publisher.try_reclaim();
     LegOutcome {
         workers,
         shards,
-        installs: publisher.installs(),
-        reclaims: publisher.reclaims(),
-        retired_after: publisher.retired_len(),
-        final_version: publisher.version(),
+        installs,
         global: [
             globals.requests.load(Ordering::Relaxed),
             globals.uops.load(Ordering::Relaxed),
@@ -812,13 +816,9 @@ pub struct LegSummary {
     pub link: LinkStats,
     /// The shared directory's counters (all zero with coherence off).
     pub directory: DirectoryCounters,
-    /// Mid-stream cache publications.
+    /// Mid-stream cache installs.
     pub installs: u64,
-    /// Retired versions reclaimed.
-    pub reclaims: u64,
-    /// Retired versions left after the final sweep (0 expected).
-    pub retired_after: usize,
-    /// Distinct publisher versions pinned by workers.
+    /// Distinct cache versions served from by workers.
     pub versions_seen: usize,
     /// Host wall seconds for the leg.
     pub wall_s: f64,
@@ -839,13 +839,12 @@ impl LegSummary {
     }
 
     /// Every per-leg gate: no failed request, both identities, no
-    /// unsignaled conflict, no leaked cache version.
+    /// unsignaled conflict.
     pub fn passed(&self) -> bool {
         self.failures == 0
             && self.conservation
             && self.observation
             && self.link.unsignaled_conflicts == 0
-            && self.retired_after == 0
     }
 }
 
@@ -935,8 +934,6 @@ pub fn summarize_leg(tenants: &[Tenant], out: &LegOutcome) -> LegSummary {
         link: out.link(),
         directory: out.directory.unwrap_or_default(),
         installs: out.installs,
-        reclaims: out.reclaims,
-        retired_after: out.retired_after,
         versions_seen: out.versions_seen().len(),
         wall_s: out.wall_s,
         per_tenant,
@@ -1037,13 +1034,12 @@ impl PoolReport {
             .map(|l| {
                 format!(
                     "leg of {} workers: {} failures, conservation {}, observation {}, \
-                     {} unsignaled conflicts, {} unreclaimed versions",
+                     {} unsignaled conflicts",
                     l.workers,
                     l.failures,
                     l.conservation,
                     l.observation,
-                    l.link.unsignaled_conflicts,
-                    l.retired_after
+                    l.link.unsignaled_conflicts
                 )
             })
             .collect();
@@ -1098,7 +1094,7 @@ impl PoolReport {
     pub fn table(&self) -> String {
         let mut t = Table::new(
             &format!(
-                "Worker pool: {} tenants, shared published code cache, coherence {} \
+                "Worker pool: {} tenants, one shared code cache, coherence {} \
                  (host cores {})",
                 self.tenants.len(),
                 if self.coherence { "on" } else { "off" },
@@ -1164,7 +1160,7 @@ impl PoolReport {
         s
     }
 
-    /// Serializes the report as a `hasp-pool-v1` artifact
+    /// Serializes the report as a `hasp-pool-v2` artifact
     /// (`BENCH_service.json` or `BENCH_mt.json`).
     pub fn json(&self, wall_s: f64) -> String {
         let mut tenants = JsonArr::new();
@@ -1176,7 +1172,7 @@ impl PoolReport {
             legs = legs.obj(leg_json(l, Some(self.relative(i))));
         }
         let mut out = JsonObj::new()
-            .str("schema", "hasp-pool-v1")
+            .str("schema", "hasp-pool-v2")
             .bool("smoke", self.smoke)
             .bool("coherence", self.coherence)
             .bool("fixed_work_per_worker", self.fixed_work_per_worker)
@@ -1274,8 +1270,6 @@ fn leg_json(l: &LegSummary, rel: Option<(f64, f64)>) -> JsonObj {
         .int("invalidations", l.directory.invalidations)
         .int("downgrades", l.directory.downgrades)
         .int("installs", l.installs)
-        .int("reclaims", l.reclaims)
-        .int("retired_after", l.retired_after as u64)
         .int("versions_seen", l.versions_seen as u64)
         .num("wall_s", l.wall_s)
         .num("wall_rps", l.wall_rps());
@@ -1357,16 +1351,16 @@ fn host_cores() -> usize {
 
 /// Runs the service benchmark (`serve`): the tenant mix served by worker
 /// pools of increasing size over the same seeded schedule, with two
-/// mid-stream cache publications per leg and coherence off. Smoke mode
+/// mid-stream cache installs per leg and coherence off. Smoke mode
 /// shrinks the tenant set, round count, and pool-size sweep.
 pub fn run_service(smoke: bool) -> PoolReport {
     let tenants = build_tenants(smoke, &CONTENDED);
     let rounds = if smoke { 12 } else { 24 };
     let schedule = build_schedule(tenants.len(), rounds, SCHEDULE_SEED);
-    // Installs republish the same compiler configuration: a fresh, sealed,
-    // bit-identical product. The publication machinery is fully exercised
+    // Installs rebuild the same compiler configuration: a fresh, sealed,
+    // bit-identical product. The install path is fully exercised
     // while request timings stay comparable across the install boundary
-    // (the concurrent-publication test covers *different* products).
+    // (the mid-stream install test covers *different* products).
     let ccfg = CompilerConfig::atomic_aggressive();
     let cache = build_service_cache(&tenants, &ccfg);
     let installs = [schedule.len() / 2, (3 * schedule.len()) / 4];
@@ -1573,8 +1567,6 @@ mod tests {
                 downgrades: 2,
             },
             installs: 2,
-            reclaims: 2,
-            retired_after: 0,
             versions_seen: 3,
             wall_s: 0.1,
             per_tenant: vec![TenantRow {
@@ -1620,7 +1612,7 @@ mod tests {
         assert_eq!(serve.max_tier(), 2);
         let json = serve.json(1.5);
         for field in [
-            "\"schema\": \"hasp-pool-v1\"",
+            "\"schema\": \"hasp-pool-v2\"",
             "\"coherence\": false",
             "\"throughput_rps\": 20000.000000",
             "\"clean_p99_us\": 90.000000",
@@ -1692,9 +1684,6 @@ mod tests {
             workers: 1,
             shards: vec![shard],
             installs: 0,
-            reclaims: 0,
-            retired_after: 0,
-            final_version: 1,
             global: [3, 300, 0, 0],
             directory: None,
             wall_s: 0.0,

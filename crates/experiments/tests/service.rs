@@ -1,14 +1,13 @@
-//! Worker-pool harness gates: the lock-free publication protocol under real
+//! Worker-pool harness gates: a mid-stream code-cache install under real
 //! threads, and conservation of the sharded statistics — each with the
 //! coherence directory detached and attached.
 //!
 //! * `publication_mid_stream_*` — a worker pool serves requests while the
-//!   producer compiles a *different* code product and publishes it with one
-//!   atomic swap, mid-stream. Workers never stop; every request on either
+//!   producer compiles a *different* code product and swaps it into the
+//!   work queue, mid-stream. Workers never stop; every request on either
 //!   version must reproduce the interpreter's reference checksum (a torn or
-//!   stale-mixed read would diverge), both versions must actually be
-//!   observed, and every retired version must be reclaimed once the pool
-//!   drains. With coherence on, the same run also carries real directory
+//!   stale-mixed read would diverge), and both versions must actually be
+//!   served. With coherence on, the same run also carries real directory
 //!   traffic, and both directory identities must hold across the swap.
 //! * `sharded_stats_conserve_*` — a proptest: for any request schedule, the
 //!   merged per-worker shards of a 3-worker pool conserve the independent
@@ -66,7 +65,7 @@ fn publication_mid_stream_is_torn_read_free() {
     let tenants = tenants();
     let initial = build_service_cache(tenants, &CompilerConfig::atomic());
     for coherence in [false, true] {
-        // 64 requests, alternating tenants; publish a *different* compiler
+        // 64 requests, alternating tenants; install a *different* compiler
         // configuration's product after request 32 is pushed — while the
         // pool is busy serving.
         let schedule: Vec<u32> = (0..64u32).map(|i| i % 2).collect();
@@ -81,11 +80,10 @@ fn publication_mid_stream_is_torn_read_free() {
         );
 
         // No torn or mixed reads: every request, on whichever code version
-        // its batch pinned, reproduced the interpreter checksum.
+        // its batch was handed, reproduced the interpreter checksum.
         assert_eq!(out.failures(), 0, "a checksum diverged across the swap");
         assert!(out.conservation_ok(), "shard merge lost a request");
         assert_eq!(out.installs, 1);
-        assert_eq!(out.final_version, 2);
         assert_eq!(out.directory.is_some(), coherence);
         if coherence {
             assert_coherent(&out);
@@ -97,19 +95,11 @@ fn publication_mid_stream_is_torn_read_free() {
 
         // Both versions were genuinely exercised. The queue bound (smaller
         // than the pre-install half of the schedule) forces early batches to
-        // pin version 1 before the publish can happen; requests pushed after
-        // the publish can only pin version 2.
+        // be popped with version 1 before the install can happen; requests
+        // pushed after the install can only be popped with version 2.
         let versions = out.versions_seen();
-        assert!(versions.contains(&1), "pre-install version never pinned");
-        assert!(versions.contains(&2), "published version never pinned");
-
-        // With every guard dropped, the horizon passes every retired
-        // version: the old cache was freed, not leaked.
-        assert_eq!(out.retired_after, 0, "retired cache version leaked");
-        assert!(
-            out.reclaims >= 1,
-            "the swapped-out version was never reclaimed"
-        );
+        assert!(versions.contains(&1), "pre-install version never served");
+        assert!(versions.contains(&2), "installed version never served");
 
         // Both tenants actually aborted/committed through the swap (the
         // merge carried real freight, not zeros).

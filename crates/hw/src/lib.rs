@@ -27,8 +27,8 @@
 //! * [`stats`] — uops/cycles/coverage/abort statistics (Tables 3, Fig. 8/9).
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and
 //!   structured machine errors ([`MachineFault`]).
-//! * [`publish`] — epoch/RCU-style lock-free publication ([`Publisher`]),
-//!   the code-cache installation channel for the serving harness.
+//! * [`lineset`] — an in-flight region's footprint, the set of cache lines
+//!   it has touched: a scanned vector until it spills to a hash set.
 
 #![warn(missing_docs)]
 
@@ -40,7 +40,6 @@ pub mod fault;
 pub mod lineset;
 pub mod lower;
 pub mod machine;
-pub mod publish;
 pub mod stats;
 pub mod superblock;
 pub mod uop;
@@ -51,7 +50,6 @@ pub use config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 pub use fault::{FaultKind, FaultPlan, MachineFault, FAULT_KINDS};
 pub use lower::lower;
 pub use machine::{Machine, MachinePools, FALLBACK_LOCK_ADDR};
-pub use publish::{PinGuard, Publisher};
 pub use stats::{
     AbortReason, Histogram, MarkerSnap, PredStats, RegionCounters, RunStats, ABORT_REASONS,
 };

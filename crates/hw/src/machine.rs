@@ -54,17 +54,18 @@ enum StepOut {
     Return(Option<Value>),
 }
 
-/// How a superblock's interior run ended (see [`Machine::run_interior`]).
-enum Interior {
-    /// Every interior uop up to the terminator retired on the fast path.
-    Done,
-    /// The uop at this pc needs the shared [`Machine::step`] path — either
-    /// an unspecialized kind, or a specialized one about to trap. The fast
-    /// path bailed before any side effect, so replaying it is exact.
-    Slow(usize),
-    /// The memory access at this pc overflowed the region. The cache state
-    /// is already updated (not replayable): the caller must abort.
-    Overflow(usize),
+/// Why [`Machine::run_interior`] stopped at a uop without retiring it;
+/// [`Machine::bail`] finishes the stop for either engine.
+enum Stop {
+    /// A safety check failed: a trap outside a region, an exception abort
+    /// inside one. Nothing was written.
+    Trap(Trap),
+    /// A memory operand holds no object (these raw bits): a hard error.
+    /// Nothing was written.
+    NotObj(i64),
+    /// The memory access overflowed the region, or a coherence conflict
+    /// bailed it. The cache already recorded it, so the region aborts.
+    Overflow,
 }
 
 /// How an `aregion_begin` resolved (see [`Machine::region_begin`]).
@@ -616,8 +617,8 @@ impl<'p> Machine<'p> {
 
     /// The borrow-split core of [`Machine::mem_access`]: cache simulation,
     /// timing, speculative tracking, and overflow detection over the
-    /// machine's disjoint fields, so the superblock interior loop can run it
-    /// while holding the frame's register file borrowed. Returns `false` on
+    /// machine's disjoint fields, so the interior executor can run it while
+    /// holding the frame's register file borrowed. Returns `false` on
     /// region overflow — the caller must abort.
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -701,9 +702,10 @@ impl<'p> Machine<'p> {
         budget > 0 && r.lines.len() as u64 > budget
     }
 
-    /// Data-memory access bookkeeping: cache simulation, timing, speculative
-    /// tracking, and overflow detection. Returns `Ok(false)` if the region
-    /// overflowed (and was aborted).
+    /// A data-memory access outside any uop's own arm (the fallback-lock
+    /// word): cache simulation, timing, speculative tracking, and overflow
+    /// detection. Returns `Ok(false)` if the region overflowed (and was
+    /// aborted).
     fn mem_access(&mut self, site: u32, addr: u64, write: bool) -> Result<bool, MachineFault> {
         let Machine {
             cache,
@@ -731,13 +733,6 @@ impl<'p> Machine<'p> {
             .as_mut()
             .and_then(CoreLink::take_abort)
             .unwrap_or(AbortReason::Overflow)
-    }
-
-    /// Logs the old value of `cell` before a speculative store.
-    fn log_undo(&mut self, cell: HeapCell) {
-        if self.region.active {
-            self.region.undo.push((cell, self.heap.read_cell(cell)));
-        }
     }
 
     fn abort(&mut self, reason: AbortReason) -> Result<(), MachineFault> {
@@ -816,6 +811,24 @@ impl<'p> Machine<'p> {
                 pc: f.pc,
             }
             .into())
+        }
+    }
+
+    /// Finishes an interior [`Stop`] at uop `pc`, for either engine. The
+    /// frame pc is made exact first: trap provenance and the abort path's
+    /// misuse report read it.
+    fn bail(&mut self, pc: usize, why: Stop) -> Result<(), MachineFault> {
+        self.frames.last_mut().expect("frame").pc = pc;
+        match why {
+            Stop::Trap(trap) => self.trap_or_abort(trap),
+            Stop::NotObj(bits) => Err(self
+                .obj(bits)
+                .expect_err("a stopped operand holds no object")
+                .into()),
+            Stop::Overflow => {
+                let why = self.take_mem_abort_reason();
+                self.abort(why)
+            }
         }
     }
 
@@ -1273,17 +1286,22 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The superblock interior executor: retires the straight-line uops in
-    /// `i..term` under one set of field borrows — register file, heap,
-    /// cache, and region context all resolved once — inlining the hot
-    /// register, check, memory, and intrinsic kinds. Anything about to trap
-    /// bails out *before* its side effects with [`Interior::Slow`] so the
-    /// caller can replay it through the shared [`Machine::step`] semantics;
-    /// region overflow (whose cache access cannot be replayed) surfaces as
-    /// [`Interior::Overflow`].
+    /// The one definition of every straight-line (non-terminator) uop,
+    /// shared by both engines: retires the uops in `i..term` under one set
+    /// of field borrows — register file, heap, cache, and region context
+    /// all resolved once. The superblock engine runs a block's interior
+    /// here, and `step` a single uop through [`Machine::run_one`]. A uop
+    /// that cannot retire stops the run at its pc with a [`Stop`] before it
+    /// writes anything (an overflowing allocation's object is the abort's
+    /// to truncate); the caller finishes it with [`Machine::bail`].
     #[allow(clippy::too_many_lines)]
-    #[inline]
-    fn run_interior(&mut self, code: &'p CompiledCode, mut i: usize, term: usize) -> Interior {
+    #[inline(always)]
+    fn run_interior(
+        &mut self,
+        code: &'p CompiledCode,
+        mut i: usize,
+        term: usize,
+    ) -> Result<(), (usize, Stop)> {
         let program = self.program;
         let Machine {
             frames,
@@ -1299,56 +1317,73 @@ impl<'p> Machine<'p> {
         } = self;
         let frame = frames.last_mut().expect("frame");
         let regs = &mut frame.regs;
-        macro_rules! probe {
-            ($addr:expr, $write:expr) => {{
-                // The uop's seal site (way-predictor slot, DESIGN §16)
-                // rides in the superblock index; non-memory uops never
-                // reach this macro.
-                let site = code.blocks[i].mem_site;
-                Self::mem_access_parts(cache, stats, cxw, region, coh, cfg, site, $addr, $write)
+        /// The object a memory operand register holds, or a stop.
+        macro_rules! obj {
+            ($r:expr) => {{
+                let bits = regs[$r.0 as usize];
+                match Value::decode(bits) {
+                    Value::Ref(Some(o)) => o,
+                    _ => break Err((i, Stop::NotObj(bits))),
+                }
             }};
+        }
+        /// The uop's data access at `$addr`, through its seal site
+        /// (way-predictor slot, DESIGN §16; `NO_SITE` for an allocation's
+        /// header write), or an overflow stop.
+        macro_rules! access {
+            ($addr:expr, $write:expr) => {{
+                let site = code.blocks[i].mem_site;
+                if !Self::mem_access_parts(cache, stats, cxw, region, coh, cfg, site, $addr, $write)
+                {
+                    break Err((i, Stop::Overflow));
+                }
+            }};
+        }
+        /// A safety check: trap unless `$ok`.
+        macro_rules! check {
+            ($ok:expr, $trap:expr) => {
+                if !$ok {
+                    break Err((i, Stop::Trap($trap)));
+                }
+            };
         }
         loop {
             if i >= term {
-                break Interior::Done;
+                break Ok(());
             }
             match code.uops[i] {
                 Uop::Const { dst, imm } => regs[dst.0 as usize] = imm,
                 Uop::ConstNull { dst } => regs[dst.0 as usize] = Value::NULL.encode(),
                 Uop::Mov { dst, src } => regs[dst.0 as usize] = regs[src.0 as usize],
                 Uop::Alu { op, dst, a, b } => {
-                    // Trapping ops (div/rem) evaluate side-effect-free, so a
-                    // trap can still bail to the shared slow path exactly.
-                    match op.eval(regs[a.0 as usize], regs[b.0 as usize]) {
-                        Some(v) => regs[dst.0 as usize] = v,
-                        None => break Interior::Slow(i),
-                    }
+                    // Division by zero past its CheckDiv: impossible for
+                    // correct lowering; treat as a trap.
+                    let Some(v) = op.eval(regs[a.0 as usize], regs[b.0 as usize]) else {
+                        break Err((i, Stop::Trap(Trap::DivByZero)));
+                    };
+                    regs[dst.0 as usize] = v;
                 }
                 Uop::CmpSet { op, dst, a, b } => {
                     regs[dst.0 as usize] =
                         i64::from(op.eval_int(regs[a.0 as usize], regs[b.0 as usize]));
                 }
                 Uop::CheckNull { v } => {
-                    if Value::decode(regs[v.0 as usize]) == Value::NULL {
-                        break Interior::Slow(i);
-                    }
+                    check!(
+                        Value::decode(regs[v.0 as usize]) != Value::NULL,
+                        Trap::NullPointer
+                    );
                 }
                 Uop::CheckBounds { len, idx } => {
                     let (l, x) = (regs[len.0 as usize], regs[idx.0 as usize]);
-                    if x < 0 || x >= l {
-                        break Interior::Slow(i);
-                    }
+                    check!(x >= 0 && x < l, Trap::OutOfBounds);
                 }
-                Uop::CheckDiv { v } => {
-                    if regs[v.0 as usize] == 0 {
-                        break Interior::Slow(i);
-                    }
-                }
+                Uop::CheckDiv { v } => check!(regs[v.0 as usize] != 0, Trap::DivByZero),
                 Uop::CheckCast { obj, class } => {
                     if let Value::Ref(Some(o)) = Value::decode(regs[obj.0 as usize]) {
-                        if !program.is_subclass(heap.class_of(o), class) {
-                            break Interior::Slow(i);
-                        }
+                        check!(
+                            program.is_subclass(heap.class_of(o), class),
+                            Trap::ClassCast
+                        );
                     }
                 }
                 Uop::InstOf { dst, obj, class } => {
@@ -1359,102 +1394,74 @@ impl<'p> Machine<'p> {
                     regs[dst.0 as usize] = i64::from(is);
                 }
                 Uop::LoadField { dst, obj, field } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[obj.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
+                    let o = obj!(obj);
                     let (addr, slot) = heap.field_slot(o, field);
-                    if !probe!(addr, false) {
-                        break Interior::Overflow(i);
-                    }
+                    access!(addr, false);
                     regs[dst.0 as usize] = *slot;
                 }
                 Uop::StoreField { obj, field, src } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[obj.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
+                    let o = obj!(obj);
                     let (addr, slot) = heap.field_slot(o, field);
-                    if !probe!(addr, true) {
-                        break Interior::Overflow(i);
-                    }
+                    access!(addr, true);
                     if region.active {
                         region.undo.push((HeapCell::Field(o, field), *slot));
                     }
                     *slot = regs[src.0 as usize];
                 }
                 Uop::LoadElem { dst, arr, idx } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[arr.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
+                    let o = obj!(arr);
                     let (addr, slot) = heap.elem_slot(o, regs[idx.0 as usize] as u32);
-                    if !probe!(addr, false) {
-                        break Interior::Overflow(i);
-                    }
+                    access!(addr, false);
                     regs[dst.0 as usize] = *slot;
                 }
                 Uop::StoreElem { arr, idx, src } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[arr.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
+                    let o = obj!(arr);
                     let j = regs[idx.0 as usize] as u32;
                     let (addr, slot) = heap.elem_slot(o, j);
-                    if !probe!(addr, true) {
-                        break Interior::Overflow(i);
-                    }
+                    access!(addr, true);
                     if region.active {
                         region.undo.push((HeapCell::Elem(o, j), *slot));
                     }
                     *slot = regs[src.0 as usize];
                 }
                 Uop::LoadLen { dst, arr } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[arr.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
+                    let o = obj!(arr);
                     let (addr, len) = heap.len_slot(o);
-                    if !probe!(addr, false) {
-                        break Interior::Overflow(i);
-                    }
+                    access!(addr, false);
                     regs[dst.0 as usize] = len as i64;
                 }
                 Uop::LoadClass { dst, obj } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[obj.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
-                    let addr = heap.addr_of_header(o);
-                    if !probe!(addr, false) {
-                        break Interior::Overflow(i);
-                    }
+                    let o = obj!(obj);
+                    access!(heap.addr_of_header(o), false);
                     regs[dst.0 as usize] = i64::from(heap.class_of(o).0);
                 }
                 Uop::LoadLock { dst, obj } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[obj.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
-                    let cell = HeapCell::Lock(o);
-                    let addr = heap.addr_of(cell);
-                    if !probe!(addr, false) {
-                        break Interior::Overflow(i);
-                    }
+                    let cell = HeapCell::Lock(obj!(obj));
+                    access!(heap.addr_of(cell), false);
                     regs[dst.0 as usize] = heap.read_cell(cell);
                 }
                 Uop::StoreLock { obj, src } => {
-                    let Value::Ref(Some(o)) = Value::decode(regs[obj.0 as usize]) else {
-                        break Interior::Slow(i);
-                    };
-                    let cell = HeapCell::Lock(o);
-                    let addr = heap.addr_of(cell);
-                    if !probe!(addr, true) {
-                        break Interior::Overflow(i);
-                    }
+                    let cell = HeapCell::Lock(obj!(obj));
+                    access!(heap.addr_of(cell), true);
                     if region.active {
                         region.undo.push((cell, heap.read_cell(cell)));
                     }
                     heap.write_cell(cell, regs[src.0 as usize]);
                 }
-                Uop::Poll => {
-                    if !probe!(YIELD_FLAG_ADDR, false) {
-                        break Interior::Overflow(i);
-                    }
+                Uop::AllocObj { dst, class } => {
+                    let o = heap.alloc_object(class, program.class(class).field_count());
+                    access!(heap.addr_of_header(o), true);
+                    regs[dst.0 as usize] = Value::from(o).encode();
                 }
+                Uop::AllocArr { dst, len } => {
+                    let Ok(n) = usize::try_from(regs[len.0 as usize]) else {
+                        break Err((i, Stop::Trap(Trap::OutOfBounds)));
+                    };
+                    let o = heap.alloc_array(n);
+                    access!(heap.addr_of_header(o), true);
+                    regs[dst.0 as usize] = Value::from(o).encode();
+                }
+                Uop::Poll => access!(YIELD_FLAG_ADDR, false),
                 Uop::Intrin {
                     kind,
                     dst,
@@ -1473,12 +1480,32 @@ impl<'p> Machine<'p> {
                         }
                     }
                 },
-                // Allocation, trapping ALU, and anything else: the shared
-                // step path handles it.
-                _ => break Interior::Slow(i),
+                Uop::Jmp { .. }
+                | Uop::Br { .. }
+                | Uop::JmpInd { .. }
+                | Uop::Call { .. }
+                | Uop::CallVirt { .. }
+                | Uop::Ret { .. }
+                | Uop::RegionBegin { .. }
+                | Uop::RegionEnd { .. }
+                | Uop::Abort { .. }
+                | Uop::Marker { .. }
+                | Uop::Unreachable { .. } => unreachable!("terminator or marker in an interior"),
             }
             i += 1;
         }
+    }
+
+    /// [`Machine::run_interior`] on the one uop at `pc` of the current
+    /// frame: how `step` runs a straight-line uop.
+    // `#[inline(always)]` on `run_interior` plus this `#[inline(never)]`
+    // wrapper beat plain `#[inline]` with `step` calling `run_interior`
+    // directly by 2-4% on perfbench `steady_sim` (2-core x86-64 host, 13
+    // of 18 alternating pairs).
+    #[inline(never)]
+    fn run_one(&mut self, pc: usize) -> Result<(), (usize, Stop)> {
+        let code = self.frames.last().expect("frame").code;
+        self.run_interior(code, pc, pc + 1)
     }
 
     /// The chained batched-dispatch hot path: retire decoded superblocks
@@ -1490,15 +1517,15 @@ impl<'p> Machine<'p> {
     /// transitions all resolve on locally cached `(method, pc, code)` state
     /// through the helpers the per-uop engine shares — the frame stack is
     /// consulted only when a frame actually changes, and the whole
-    /// [`Machine::step`] path is reserved for trap replay, `Unreachable`,
-    /// and blocks sealed early.
+    /// [`Machine::step`] path is reserved for `Unreachable` and blocks
+    /// sealed early.
     ///
     /// The accounting invariant that makes the batch exact: the per-uop
     /// reference charges each uop *before* executing its action, so
     /// charging all `n` uops at block entry agrees with it at every point
     /// where the counters are observable (terminators and markers), and a
-    /// redirect at interior uop `i` only needs `blocks[i + 1]` — precisely
-    /// the unexecuted suffix — subtracted again. A mid-chain abort (assert,
+    /// stop at interior uop `i` only needs `blocks[i + 1]` — precisely the
+    /// unexecuted suffix — subtracted again. A mid-chain abort (assert,
     /// overflow, trap-turned-abort) therefore lands on exactly the totals
     /// the reference would have recorded at the redirect point, after which
     /// the chain resynchronizes from the frame stack and keeps going.
@@ -1511,7 +1538,7 @@ impl<'p> Machine<'p> {
             (f.method, f.pc, f.code)
         };
         /// Re-caches the chain state from the frame stack after a path that
-        /// redirected through it (abort, trap replay, governor patch-out).
+        /// redirected through it (abort, interior stop, governor patch-out).
         macro_rules! resync {
             () => {{
                 let f = self.frames.last().expect("frame");
@@ -1549,58 +1576,15 @@ impl<'p> Machine<'p> {
             }
             let term = pc + sb.len as usize - 1;
             let sterm = sb.term;
-            if pc < term {
-                let mut i = pc;
-                let mut redirected = false;
-                while i < term {
-                    match self.run_interior(code, i, term) {
-                        Interior::Done => break,
-                        // A trap-bound or unspecialized interior uop: keep
-                        // the frame pc exact for trap provenance, then
-                        // replay it through the shared semantics (the fast
-                        // path bailed before any side effect, so replaying
-                        // is exact).
-                        Interior::Slow(j) => {
-                            self.frames.last_mut().expect("frame").pc = j;
-                            match self.step(&code.uops[j], method, j) {
-                                Ok(StepOut::Next(_)) => i = j + 1,
-                                Ok(StepOut::Redirect) => {
-                                    self.unapply_suffix(&code.blocks[j + 1], in_region);
-                                    redirected = true;
-                                    break;
-                                }
-                                Ok(StepOut::Return(_)) => {
-                                    unreachable!("return is a block terminator")
-                                }
-                                Err(e) => {
-                                    self.unapply_suffix(&code.blocks[j + 1], in_region);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        // The cache already recorded the access when
-                        // overflow was detected (and for a coherence
-                        // conflict the line is already gone), so this
-                        // cannot be replayed — abort here, exactly as the
-                        // reference path's `mem_access` would, with the
-                        // parked conflict reason when a drain bailed the
-                        // probe.
-                        Interior::Overflow(j) => {
-                            let why = self.take_mem_abort_reason();
-                            if let Err(e) = self.abort(why) {
-                                self.unapply_suffix(&code.blocks[j + 1], in_region);
-                                return Err(e);
-                            }
-                            self.unapply_suffix(&code.blocks[j + 1], in_region);
-                            redirected = true;
-                            break;
-                        }
-                    }
-                }
-                if redirected {
-                    resync!();
-                    continue;
-                }
+            // The interior. A stop leaves the block: finish it, hand back
+            // the unexecuted suffix's batched accounting, and resume
+            // wherever it redirected.
+            if let Err((j, why)) = self.run_interior(code, pc, term) {
+                let finished = self.bail(j, why);
+                self.unapply_suffix(&code.blocks[j + 1], in_region);
+                finished?;
+                resync!();
+                continue;
             }
             // Follow the sealed terminator link. Every arm mirrors the
             // corresponding [`Machine::step`] semantics exactly; the shared
@@ -1768,59 +1752,17 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Executes one uop's architectural action — shared verbatim by both
-    /// dispatch paths, so their semantics cannot drift. Accounting (fuel,
+    /// Executes one uop's architectural action for the per-uop engine (and
+    /// for the superblock engine's decoded terminators). Accounting (fuel,
     /// stats, injection) is the caller's job; `pc` is the uop's own offset,
     /// and the frame's pc field already equals it (trap provenance relies
-    /// on that).
-    #[allow(clippy::too_many_lines)]
+    /// on that). Only control transfers, region primitives and
+    /// `Unreachable` have arms here; every straight-line uop runs its one
+    /// definition in [`Machine::run_interior`].
     #[inline]
     fn step(&mut self, uop: &'p Uop, method: MethodId, pc: usize) -> Result<StepOut, MachineFault> {
         let mut next_pc = pc + 1;
-        macro_rules! regs {
-            () => {
-                self.frames.last_mut().expect("frame").regs
-            };
-        }
-        /// Read a register without a mutable borrow (usable as an
-        /// argument to `&mut self` methods).
-        macro_rules! rval {
-            ($r:expr) => {
-                self.frames.last().expect("frame").regs[$r.0 as usize]
-            };
-        }
-        /// The executing uop's seal site (way-predictor slot, DESIGN §16),
-        /// from the sealed superblock index. Non-memory uops that still
-        /// touch the cache model (allocation header writes) carry
-        /// `NO_SITE` there, so one macro serves every arm.
-        macro_rules! msite {
-            () => {
-                self.frames.last().expect("frame").code.blocks[pc].mem_site
-            };
-        }
         match *uop {
-            Uop::Const { dst, imm } => regs!()[dst.0 as usize] = imm,
-            Uop::ConstNull { dst } => regs!()[dst.0 as usize] = Value::NULL.encode(),
-            Uop::Mov { dst, src } => {
-                let v = regs!()[src.0 as usize];
-                regs!()[dst.0 as usize] = v;
-            }
-            Uop::Alu { op, dst, a, b } => {
-                let (x, y) = (regs!()[a.0 as usize], regs!()[b.0 as usize]);
-                match op.eval(x, y) {
-                    Some(v) => regs!()[dst.0 as usize] = v,
-                    None => {
-                        // Division by zero past its CheckDiv: impossible
-                        // for correct lowering; treat as a trap.
-                        self.trap_or_abort(Trap::DivByZero)?;
-                        return Ok(StepOut::Redirect);
-                    }
-                }
-            }
-            Uop::CmpSet { op, dst, a, b } => {
-                let (x, y) = (regs!()[a.0 as usize], regs!()[b.0 as usize]);
-                regs!()[dst.0 as usize] = i64::from(op.eval_int(x, y));
-            }
             Uop::Jmp { target } => next_pc = target,
             Uop::Br { op, a, b, target } => {
                 if self.branch(method, pc, op, a, b) {
@@ -1832,135 +1774,9 @@ impl<'p> Machine<'p> {
                 ref table,
                 default,
             } => {
-                next_pc = jump_target(regs!()[sel.0 as usize], table, default);
+                let v = self.frames.last().expect("frame").regs[sel.0 as usize];
+                next_pc = jump_target(v, table, default);
                 self.indirect(method, pc, next_pc as u64);
-            }
-            Uop::LoadField { dst, obj, field } => {
-                let o = self.obj(rval!(obj))?;
-                let cell = HeapCell::Field(o, field);
-                if !self.mem_access(msite!(), self.heap.addr_of(cell), false)? {
-                    return Ok(StepOut::Redirect);
-                }
-                regs!()[dst.0 as usize] = self.heap.read_cell(cell);
-            }
-            Uop::StoreField { obj, field, src } => {
-                let o = self.obj(rval!(obj))?;
-                let cell = HeapCell::Field(o, field);
-                if !self.mem_access(msite!(), self.heap.addr_of(cell), true)? {
-                    return Ok(StepOut::Redirect);
-                }
-                self.log_undo(cell);
-                let v = regs!()[src.0 as usize];
-                self.heap.write_cell(cell, v);
-            }
-            Uop::LoadElem { dst, arr, idx } => {
-                let o = self.obj(rval!(arr))?;
-                let i = regs!()[idx.0 as usize] as u32;
-                let cell = HeapCell::Elem(o, i);
-                if !self.mem_access(msite!(), self.heap.addr_of(cell), false)? {
-                    return Ok(StepOut::Redirect);
-                }
-                regs!()[dst.0 as usize] = self.heap.read_cell(cell);
-            }
-            Uop::StoreElem { arr, idx, src } => {
-                let o = self.obj(rval!(arr))?;
-                let i = regs!()[idx.0 as usize] as u32;
-                let cell = HeapCell::Elem(o, i);
-                if !self.mem_access(msite!(), self.heap.addr_of(cell), true)? {
-                    return Ok(StepOut::Redirect);
-                }
-                self.log_undo(cell);
-                let v = regs!()[src.0 as usize];
-                self.heap.write_cell(cell, v);
-            }
-            Uop::LoadLen { dst, arr } => {
-                let o = self.obj(rval!(arr))?;
-                if !self.mem_access(msite!(), self.heap.addr_of_len(o), false)? {
-                    return Ok(StepOut::Redirect);
-                }
-                let n = self.heap.array_len(o).expect("array") as i64;
-                regs!()[dst.0 as usize] = n;
-            }
-            Uop::LoadLock { dst, obj } => {
-                let o = self.obj(rval!(obj))?;
-                let cell = HeapCell::Lock(o);
-                if !self.mem_access(msite!(), self.heap.addr_of(cell), false)? {
-                    return Ok(StepOut::Redirect);
-                }
-                regs!()[dst.0 as usize] = self.heap.read_cell(cell);
-            }
-            Uop::StoreLock { obj, src } => {
-                let o = self.obj(rval!(obj))?;
-                let cell = HeapCell::Lock(o);
-                if !self.mem_access(msite!(), self.heap.addr_of(cell), true)? {
-                    return Ok(StepOut::Redirect);
-                }
-                self.log_undo(cell);
-                let v = regs!()[src.0 as usize];
-                self.heap.write_cell(cell, v);
-            }
-            Uop::LoadClass { dst, obj } => {
-                let o = self.obj(rval!(obj))?;
-                if !self.mem_access(msite!(), self.heap.addr_of_header(o), false)? {
-                    return Ok(StepOut::Redirect);
-                }
-                regs!()[dst.0 as usize] = i64::from(self.heap.class_of(o).0);
-            }
-            Uop::AllocObj { dst, class } => {
-                let n = self.program.class(class).field_count();
-                let o = self.heap.alloc_object(class, n);
-                if !self.mem_access(msite!(), self.heap.addr_of_header(o), true)? {
-                    return Ok(StepOut::Redirect);
-                }
-                regs!()[dst.0 as usize] = Value::from(o).encode();
-            }
-            Uop::AllocArr { dst, len } => {
-                let n = regs!()[len.0 as usize];
-                if n < 0 {
-                    self.trap_or_abort(Trap::OutOfBounds)?;
-                    return Ok(StepOut::Redirect);
-                }
-                let o = self.heap.alloc_array(n as usize);
-                if !self.mem_access(msite!(), self.heap.addr_of_header(o), true)? {
-                    return Ok(StepOut::Redirect);
-                }
-                regs!()[dst.0 as usize] = Value::from(o).encode();
-            }
-            Uop::CheckNull { v } => {
-                if Value::decode(regs!()[v.0 as usize]) == Value::NULL {
-                    self.trap_or_abort(Trap::NullPointer)?;
-                    return Ok(StepOut::Redirect);
-                }
-            }
-            Uop::CheckBounds { len, idx } => {
-                let (l, i) = (regs!()[len.0 as usize], regs!()[idx.0 as usize]);
-                if i < 0 || i >= l {
-                    self.trap_or_abort(Trap::OutOfBounds)?;
-                    return Ok(StepOut::Redirect);
-                }
-            }
-            Uop::CheckDiv { v } => {
-                if regs!()[v.0 as usize] == 0 {
-                    self.trap_or_abort(Trap::DivByZero)?;
-                    return Ok(StepOut::Redirect);
-                }
-            }
-            Uop::CheckCast { obj, class } => {
-                let bits = regs!()[obj.0 as usize];
-                if let Value::Ref(Some(o)) = Value::decode(bits) {
-                    if !self.program.is_subclass(self.heap.class_of(o), class) {
-                        self.trap_or_abort(Trap::ClassCast)?;
-                        return Ok(StepOut::Redirect);
-                    }
-                }
-            }
-            Uop::InstOf { dst, obj, class } => {
-                let bits = regs!()[obj.0 as usize];
-                let is = match Value::decode(bits) {
-                    Value::Ref(Some(o)) => self.program.is_subclass(self.heap.class_of(o), class),
-                    _ => false,
-                };
-                regs!()[dst.0 as usize] = i64::from(is);
             }
             Uop::Call {
                 dst,
@@ -2000,35 +1816,15 @@ impl<'p> Machine<'p> {
                 self.abort(reason)?;
                 return Ok(StepOut::Redirect);
             }
-            Uop::Poll => {
-                if !self.mem_access(msite!(), YIELD_FLAG_ADDR, false)? {
-                    return Ok(StepOut::Redirect);
-                }
-            }
-            Uop::Intrin {
-                kind,
-                dst,
-                ref args,
-            } => match kind {
-                Intrinsic::Checksum => {
-                    let v = regs!()[args[0].0 as usize];
-                    self.env.checksum_push(v);
-                }
-                Intrinsic::NextRandom => {
-                    let v = self.env.next_random();
-                    if let Some(d) = dst {
-                        regs!()[d.0 as usize] = v;
-                    }
-                }
-                Intrinsic::YieldFlag => {
-                    if let Some(d) = dst {
-                        regs!()[d.0 as usize] = 0;
-                    }
-                }
-            },
             Uop::Marker { .. } => unreachable!("handled above"),
             Uop::Unreachable { why } => {
                 panic!("executed unreachable uop: {why} at {}:{pc}", method.0)
+            }
+            _ => {
+                if let Err((_, why)) = self.run_one(pc) {
+                    self.bail(pc, why)?;
+                    return Ok(StepOut::Redirect);
+                }
             }
         }
         Ok(StepOut::Next(next_pc))
@@ -2648,11 +2444,15 @@ mod fault_tests {
     use crate::fault::FaultPlan;
     use hasp_opt::CompilerConfig;
     use hasp_vm::builder::ProgramBuilder;
-    use hasp_vm::bytecode::{BinOp, CmpOp};
+    use hasp_vm::bytecode::{BinOp, ClassId, CmpOp};
 
-    /// Installs a hand-written uop stream as the entry method.
+    /// Installs a hand-written uop stream as the entry method of a program
+    /// that also declares two unrelated field-less classes, `ClassId(0)`
+    /// and `ClassId(1)`, for cast checks.
     fn install_uops(uops: Vec<Uop>, regs: u32) -> (Program, CodeCache) {
         let mut pb = ProgramBuilder::new();
+        pb.add_class("A", None, &[]);
+        pb.add_class("B", None, &[]);
         let mut m = pb.method("main", 0);
         m.ret(None);
         let entry = m.finish(&mut pb);
@@ -3135,8 +2935,11 @@ mod fault_tests {
             assert_eq!(out, Some(Value::Int(800)));
             runs.push(mach.stats().clone());
         }
-        let diff = runs[0].diff(&runs[1]);
-        assert!(diff.is_empty(), "engines diverged: {diff:?}");
+        assert!(
+            runs[0] == runs[1],
+            "engines diverged: {:?}",
+            runs[0].diff(&runs[1])
+        );
     }
 
     #[test]
@@ -3247,17 +3050,23 @@ mod fault_tests {
         }
     }
 
-    /// Runs a hand-written uop stream on both dispatch engines and returns
-    /// the common outcome and retired-uop count; the engines must agree.
-    fn run_both_engines(uops: &[Uop], regs: u32) -> (Result<Option<Value>, MachineFault>, u64) {
+    /// Runs a hand-written uop stream on both dispatch engines under
+    /// `faults` and returns the common outcome and statistics; the engines
+    /// must agree on both.
+    fn run_both_engines(
+        uops: &[Uop],
+        regs: u32,
+        faults: &FaultPlan,
+    ) -> (Result<Option<Value>, MachineFault>, RunStats) {
         let runs: Vec<_> = [HwConfig::baseline(), HwConfig::per_uop()]
             .into_iter()
             .map(|hw| {
                 let (p, cc) = install_uops(uops.to_vec(), regs);
                 assert_eq!(p.entry(), MethodId(0));
-                let mut mach = Machine::new(&p, &cc, hw);
+                let faults = faults.clone();
+                let mut mach = Machine::new(&p, &cc, HwConfig { faults, ..hw });
                 let out = mach.run(&[]);
-                (out, mach.stats().uops)
+                (out, mach.stats().clone())
             })
             .collect();
         assert_eq!(runs[0], runs[1], "superblock == per-uop reference");
@@ -3276,9 +3085,10 @@ mod fault_tests {
             },
             Uop::Ret { src: None },
         ];
-        let (out, uops) = run_both_engines(&recurse, 1);
+        let none = FaultPlan::none();
+        let (out, stats) = run_both_engines(&recurse, 1, &none);
         assert_eq!(out, Err(VmError::StackOverflow.into()));
-        assert_eq!(uops, 1536);
+        assert_eq!(stats.uops, 1536);
 
         let missing = [
             Uop::Call {
@@ -3288,7 +3098,7 @@ mod fault_tests {
             },
             Uop::Ret { src: None },
         ];
-        let (out, _) = run_both_engines(&missing, 1);
+        let (out, _) = run_both_engines(&missing, 1, &none);
         assert_eq!(out, Err(MachineFault::MethodNotCompiled(MethodId(1))));
 
         // `jmp_ind` over a one-entry table: pc 4 returns 20, the default
@@ -3315,9 +3125,166 @@ mod fault_tests {
                 },
                 Uop::Ret { src: Some(MReg(1)) },
             ];
-            let (out, uops) = run_both_engines(&switch, 2);
+            let (out, stats) = run_both_engines(&switch, 2, &none);
             assert_eq!(out, Ok(Some(Value::Int(expect))), "selector {sel}");
-            assert_eq!(uops, 6, "const, jmp_ind, const, ret and its 2 linkage uops");
+            assert_eq!(
+                stats.uops, 6,
+                "const, jmp_ind, const, ret and its 2 linkage uops"
+            );
         }
+    }
+
+    /// Every way a straight-line uop can stop, on both engines: a memory
+    /// operand that holds no object is a hard error at its pc; a failed
+    /// check (or a negative array length) traps outside a region and is an
+    /// exception abort to the alternate path inside one; a store past the
+    /// speculative line budget is an overflow abort.
+    #[test]
+    fn every_interior_stop_agrees_across_engines() {
+        let (r0, r1, r2) = (MReg(0), MReg(1), MReg(2));
+        let none = FaultPlan::none();
+        let main = MethodId(0);
+        let stoppers = [
+            Uop::LoadField {
+                dst: r1,
+                obj: r0,
+                field: 0,
+            },
+            Uop::StoreElem {
+                arr: r0,
+                idx: r1,
+                src: r1,
+            },
+        ];
+        for stopper in stoppers {
+            for (bits, fault) in [
+                (
+                    Value::NULL.encode(),
+                    VmError::Trap {
+                        trap: Trap::NullPointer,
+                        method: main,
+                        pc: 2,
+                    },
+                ),
+                (
+                    5,
+                    VmError::TypeMismatch {
+                        method: main,
+                        pc: 2,
+                        what: "expected ref",
+                    },
+                ),
+            ] {
+                let uops = [
+                    Uop::Const { dst: r0, imm: bits },
+                    Uop::Const { dst: r1, imm: 0 },
+                    stopper.clone(),
+                    Uop::Ret { src: None },
+                ];
+                let (out, stats) = run_both_engines(&uops, 2, &none);
+                assert_eq!(out, Err(fault.into()), "{stopper:?} on {bits}");
+                assert_eq!(stats.uops, 3, "nothing past the stopped uop retires");
+            }
+        }
+
+        // (set-up, the failing uop, its trap).
+        let checks = [
+            (
+                vec![
+                    Uop::Const { dst: r0, imm: 2 },
+                    Uop::Const { dst: r1, imm: 2 },
+                ],
+                Uop::CheckBounds { len: r0, idx: r1 },
+                Trap::OutOfBounds,
+            ),
+            (
+                vec![Uop::AllocObj {
+                    dst: r0,
+                    class: ClassId(0),
+                }],
+                Uop::CheckCast {
+                    obj: r0,
+                    class: ClassId(1),
+                },
+                Trap::ClassCast,
+            ),
+            (
+                vec![Uop::Const { dst: r0, imm: 0 }],
+                Uop::CheckDiv { v: r0 },
+                Trap::DivByZero,
+            ),
+            (
+                vec![Uop::Const { dst: r0, imm: -1 }],
+                Uop::AllocArr { dst: r1, len: r0 },
+                Trap::OutOfBounds,
+            ),
+        ];
+        for (setup, check, trap) in checks {
+            let pc = setup.len();
+            let mut uops = setup.clone();
+            uops.extend([check.clone(), Uop::Ret { src: None }]);
+            let (out, stats) = run_both_engines(&uops, 3, &none);
+            let fault = VmError::Trap {
+                trap,
+                method: main,
+                pc,
+            };
+            assert_eq!(out, Err(fault.into()), "{check:?} outside a region");
+            assert_eq!(stats.uops, pc as u64 + 1);
+
+            // Inside a region the same failure aborts to the alternate
+            // path, which returns 7 (the committed path would return 1).
+            let alt = pc + 5;
+            let mut uops = vec![Uop::RegionBegin { region: 0, alt }];
+            uops.extend(setup);
+            uops.extend([
+                check.clone(),
+                Uop::RegionEnd { region: 0 },
+                Uop::Const { dst: r2, imm: 1 },
+                Uop::Ret { src: Some(r2) },
+                Uop::Const { dst: r2, imm: 7 },
+                Uop::Ret { src: Some(r2) },
+            ]);
+            let (out, stats) = run_both_engines(&uops, 3, &none);
+            assert_eq!(out, Ok(Some(Value::Int(7))), "{check:?} inside a region");
+            assert_eq!(stats.aborts.get(AbortReason::Exception), 1);
+            assert_eq!(stats.aborts.total(), 1);
+            assert_eq!(stats.commits, 0);
+        }
+
+        // Two stores in a region, 120 bytes apart in one array: the second
+        // touches a second line, past a one-line budget. The alternate path
+        // reads back the first store's element, which the abort restored.
+        let r3 = MReg(3);
+        let uops = [
+            Uop::Const { dst: r0, imm: 16 },
+            Uop::AllocArr { dst: r1, len: r0 },
+            Uop::Const { dst: r2, imm: 15 },
+            Uop::Const { dst: r3, imm: 0 },
+            Uop::RegionBegin { region: 0, alt: 10 },
+            Uop::StoreElem {
+                arr: r1,
+                idx: r3,
+                src: r0,
+            },
+            Uop::StoreElem {
+                arr: r1,
+                idx: r2,
+                src: r0,
+            },
+            Uop::RegionEnd { region: 0 },
+            Uop::Const { dst: r2, imm: 1 },
+            Uop::Ret { src: Some(r2) },
+            Uop::LoadElem {
+                dst: r2,
+                arr: r1,
+                idx: r3,
+            },
+            Uop::Ret { src: Some(r2) },
+        ];
+        let (out, stats) = run_both_engines(&uops, 4, &FaultPlan::overflow_budget(1));
+        assert_eq!(out, Ok(Some(Value::Int(0))), "the first store rolled back");
+        assert_eq!(stats.aborts.get(AbortReason::Overflow), 1);
+        assert_eq!(stats.aborts.total(), 1);
     }
 }

@@ -117,7 +117,8 @@ impl SbInfo {
 }
 
 /// True for uops that access data memory. Mirrors exactly the set of
-/// interior arms that call the cache model.
+/// interior arms that call the cache model through a seal site (an
+/// allocation's header write goes through `NO_SITE`).
 fn is_mem(u: &Uop) -> bool {
     matches!(
         u,

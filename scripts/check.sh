@@ -74,10 +74,13 @@ cargo test --release -q --test prop_hw
 echo "== dispatch-bench smoke (superblock vs per-uop on the CI slice) =="
 cargo run --release -p hasp-experiments --bin experiments -- bench-dispatch --smoke
 # Two regression gates on the CI slice (fop + pmd). The shipped-geomean
-# floor is calibrated from the measured smoke geomean (1.45-1.55x on CI
-# hardware; the suite-wide full-run geomean is ~1.55x) with headroom for
-# scheduler noise — a drop below 1.40x means the block engine genuinely
-# rotted, not that the machine was busy.
+# floor sits under the measured smoke geomean with headroom for scheduler
+# noise — a drop below 1.40x means the block engine genuinely rotted, not
+# that the machine was busy. The geomean is superblock over per-uop time:
+# 2.0-2.4x smoke and 1.8-2.0x full on a 2-core x86-64 host. It was
+# 1.6-1.9x and ~1.7x while the per-uop engine kept its own copy of each
+# straight-line uop; sharing the interior executor slowed that leg, the
+# block engine did not get faster.
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_dispatch_smoke.json"))
@@ -95,10 +98,10 @@ rates = {w["workload"]: w["pred_rate"] for w in r["per_workload"]}
 print(f"smoke geomean {g:.2f}x >= 1.40 ok; pred hit-rates {rates}")
 PY
 
-echo "== worker-pool publication test (release: mid-stream cache swap under threads, coherence off and on) =="
+echo "== worker-pool install test (release: mid-stream cache swap under threads, coherence off and on) =="
 cargo test --release -q -p hasp-experiments --test service
 
-echo "== service-mode smoke (pooled workers, lock-free published cache) =="
+echo "== service-mode smoke (pooled workers, one cache handed out by the work queue) =="
 cargo run --release -p hasp-experiments --bin experiments -- serve --smoke
 # Service gates on the smoke artifact: schema pinned (one schema for the
 # serve and mt artifacts, told apart by the coherence flag), the
@@ -109,7 +112,7 @@ cargo run --release -p hasp-experiments --bin experiments -- serve --smoke
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_service_smoke.json"))
-assert r["schema"] == "hasp-pool-v1", f"unexpected schema {r['schema']}"
+assert r["schema"] == "hasp-pool-v2", f"unexpected schema {r['schema']}"
 assert r["coherence"] is False, "serve artifact ran with the directory attached"
 legs = r["legs"]
 assert legs, "no service legs"
@@ -117,8 +120,6 @@ bad = [l["workers"] for l in legs if not l["conservation"]]
 assert not bad, f"shard-merge conservation failed at worker counts {bad}"
 fail = [l["workers"] for l in legs if l["failures"]]
 assert not fail, f"request failures at worker counts {fail}"
-leak = [l["workers"] for l in legs if l["retired_after"]]
-assert not leak, f"unreclaimed cache versions at worker counts {leak}"
 base = legs[0]["throughput_rps"]
 low = [l["workers"] for l in legs if l["throughput_rps"] < base]
 assert not low, f"worker scaling below the 1-worker floor at {low}"
@@ -151,7 +152,7 @@ cargo run --release -p hasp-experiments --bin experiments -- mt --smoke
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_mt_smoke.json"))
-assert r["schema"] == "hasp-pool-v1", f"unexpected schema {r['schema']}"
+assert r["schema"] == "hasp-pool-v2", f"unexpected schema {r['schema']}"
 assert r["coherence"] is True, "mt artifact ran without the directory"
 assert r["conservation_ok"], "directory conservation identity violated"
 legs = r["legs"]
