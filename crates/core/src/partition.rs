@@ -30,11 +30,6 @@ pub fn pi_term(r_target: u64, r: u64) -> f64 {
     (rt - rf) * (rt - rf) / (rt * rf)
 }
 
-/// Total Π over the regions induced by consecutive chosen candidates.
-pub fn pi_total(r_target: u64, sizes: &[u64]) -> f64 {
-    sizes.iter().map(|&r| pi_term(r_target, r)).sum()
-}
-
 /// Selects the subset of `candidates` (which must be sorted by
 /// `path_index`) minimizing Π, always retaining the first and last.
 /// Returns indices into `candidates`.

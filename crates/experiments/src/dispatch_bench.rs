@@ -44,7 +44,7 @@ pub struct DispatchRow {
     /// (DESIGN §16) — every access with a sealed seal site.
     pub pred_probes: u64,
     /// Tag-validated predictor hits among those consults: accesses whose
-    /// set scan (and, when absorbed, footprint work) the predictor skipped.
+    /// set scan and install path the predictor skipped.
     pub pred_hits: u64,
 }
 

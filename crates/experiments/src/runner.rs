@@ -130,14 +130,6 @@ pub struct WorkloadRun {
 }
 
 impl WorkloadRun {
-    /// Weighted sample cycles (the paper's per-benchmark execution time).
-    pub fn weighted_cycles(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.weight * s.cycles as f64)
-            .sum()
-    }
-
     /// Weighted sample uops.
     pub fn weighted_uops(&self) -> f64 {
         self.samples.iter().map(|s| s.weight * s.uops as f64).sum()

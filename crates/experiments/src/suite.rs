@@ -157,15 +157,6 @@ impl Suite {
         })
     }
 
-    /// Convenience: run by workload name.
-    ///
-    /// # Panics
-    /// Panics if the name is unknown.
-    pub fn run_named(&mut self, name: &str, ccfg: &CompilerConfig, hw: &HwConfig) -> &WorkloadRun {
-        let i = self.index_of(name);
-        self.run(i, ccfg, hw)
-    }
-
     /// The index of the named workload.
     ///
     /// # Panics

@@ -211,21 +211,6 @@ const PRED_EMPTY: PredEntry = PredEntry {
     idx: 0,
 };
 
-/// Outcome of the sited fast path ([`CacheSim::fast_hit`]): both variants
-/// are validated L1 hits that skipped the set scan and install path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastHit {
-    /// Fully absorbed: the line is resident *and* its current-epoch
-    /// speculative bits already cover this access kind, so the region
-    /// footprint recorded the line earlier — no footprint or budget work
-    /// remains for the caller.
-    Absorbed,
-    /// Validated residency, but this access may be the line's first touch
-    /// in the current region: an in-region caller must still record the
-    /// line in the region footprint and re-check the injected line budget.
-    Resident,
-}
-
 /// The simulated cache hierarchy, fronted by a per-seal-site way predictor.
 ///
 /// The way predictor (`DESIGN.md` §16) gives every sealed memory-uop site
@@ -263,8 +248,7 @@ pub struct CacheSim {
     /// see [`PredStats`]).
     pred_stats: PredStats,
     /// O(1)-maintained count of L1 lines holding current-epoch speculative
-    /// state (replaces the O(sets×ways) scan the validator used to pay on
-    /// every commit/abort).
+    /// state: the in-flight region's footprint ([`CacheSim::footprint`]).
     spec_count: u32,
     /// Extra cycles × width charged per L2 hit, `(l2_latency - l1_latency)
     /// / mlp * width`, precomputed at construction so the miss path pays no
@@ -377,59 +361,42 @@ impl CacheSim {
     }
 
     /// The way-predictor fast path, consulted *before*
-    /// [`CacheSim::access_sited`]: `Some` iff `site`'s cached `(line, way)`
+    /// [`CacheSim::access_sited`]: `true` iff `site`'s cached `(line, way)`
     /// entry names this line and validation against the live L1 tag array
     /// confirms residency at that slot — an L1 hit that skipped the set
     /// scan and install path. Recency and speculative bits update exactly
-    /// as on the full path; the hit is [`FastHit::Absorbed`] only when the
-    /// pre-existing bits already covered the access (otherwise
-    /// [`FastHit::Resident`], and an in-region caller still owes the
-    /// footprint/budget bookkeeping).
+    /// as on the full path.
     ///
-    /// `None` (cold site, different line, failed validation, predictor off)
-    /// means the caller must take the full path, which retrains the site.
+    /// `false` (cold site, different line, failed validation, predictor
+    /// off) means the caller must take the full path, which retrains the
+    /// site.
     #[inline]
-    pub fn fast_hit(
-        &mut self,
-        site: u32,
-        addr: u64,
-        write: bool,
-        speculative: bool,
-    ) -> Option<FastHit> {
+    pub fn fast_hit(&mut self, site: u32, addr: u64, write: bool, speculative: bool) -> bool {
         let line = self.line_of(addr);
         if !self.way_predict || site == NO_SITE {
-            return None;
+            return false;
         }
         let e = *self.pred.get(site as usize).unwrap_or(&PRED_EMPTY);
         self.pred_stats.probes += 1;
         if e.line != line {
             // Never trained, or trained for another line: a plain miss.
-            return None;
+            return false;
         }
         let idx = e.idx as usize;
         if self.l1.tags[idx] != line {
             // The line left that slot since training (eviction, abort
             // invalidation, coherence): deoptimize to the full path.
             self.pred_stats.mispredicts += 1;
-            return None;
+            return false;
         }
         self.pred_stats.hits += 1;
         // The bump `Level::lookup` makes on a hit.
         self.l1.tick += 1;
         self.l1.lru[idx] = self.l1.tick;
-        // Coverage is decided on the bits as they were *before* this access
-        // marks them.
-        let covered = !speculative
-            || self.l1.spec_write_epoch[idx] == self.epoch
-            || (!write && self.l1.spec_read_epoch[idx] == self.epoch);
         if speculative {
             self.mark_spec(idx, write);
         }
-        Some(if covered {
-            FastHit::Absorbed
-        } else {
-            FastHit::Resident
-        })
+        true
     }
 
     /// Records `site`'s full-path resolution `(line, way)` in its predictor
@@ -516,8 +483,22 @@ impl CacheSim {
         self.spec_count = 0;
     }
 
-    /// Number of L1 lines currently holding speculative state — O(1) from
-    /// the maintained counter (the invariant validator calls this on every
+    /// The in-flight region's footprint: the number of L1 lines holding
+    /// current-epoch speculative state, read from the maintained counter
+    /// with no scan in any build (the machine reads it on every in-region
+    /// access and every commit). Every in-region access marks its line, and
+    /// a marked line leaves L1 only through an eviction that reports
+    /// overflow or an invalidation that reports a conflict, both of which
+    /// abort the region; so while a region lives, this counts exactly the
+    /// distinct lines it has touched.
+    #[inline]
+    pub(crate) fn footprint(&self) -> u64 {
+        u64::from(self.spec_count)
+    }
+
+    /// Number of L1 lines holding current-epoch speculative state (the
+    /// region footprint), checked in debug builds against an O(sets×ways)
+    /// scan of the array (the invariant validator calls this on every
     /// commit and abort in validation mode).
     pub fn spec_lines(&self) -> usize {
         debug_assert_eq!(
@@ -718,11 +699,12 @@ mod tests {
 
     /// Drives one access through the production sited discipline: fast path
     /// first, full (training) path on a fast miss — what the machine's
-    /// `mem_access_parts` does, minus the footprint bookkeeping.
+    /// `mem_access_parts` does, minus timing and the line budget.
     fn sited(c: &mut CacheSim, site: u32, addr: u64, write: bool, spec: bool) -> (HitLevel, bool) {
-        match c.fast_hit(site, addr, write, spec) {
-            Some(_) => (HitLevel::L1, false),
-            None => c.access_sited(site, addr, write, spec),
+        if c.fast_hit(site, addr, write, spec) {
+            (HitLevel::L1, false)
+        } else {
+            c.access_sited(site, addr, write, spec)
         }
     }
 
@@ -730,13 +712,13 @@ mod tests {
     fn way_predictor_trains_validates_and_deoptimizes() {
         let mut c = sim();
         // Cold site: the consult is a plain miss, the full path trains it.
-        assert_eq!(c.fast_hit(3, 0x1000, false, false), None);
+        assert!(!c.fast_hit(3, 0x1000, false, false));
         c.access_sited(3, 0x1000, false, false);
         let after_train = c.pred_stats();
         assert_eq!(after_train.probes, 1);
         assert_eq!(after_train.hits, 0);
         // Same site, same line: the entry validates and hits.
-        assert_eq!(c.fast_hit(3, 0x1008, false, false), Some(FastHit::Absorbed));
+        assert!(c.fast_hit(3, 0x1008, false, false));
         assert_eq!(c.pred_stats().probes, 2);
         assert_eq!(c.pred_stats().hits, 1);
         assert_eq!(c.pred_stats().mispredicts, 0);
@@ -745,31 +727,33 @@ mod tests {
         for k in 1..=4u64 {
             sited(&mut c, 10 + k as u32, 0x1000 + k * 8192, false, false);
         }
-        assert_eq!(c.fast_hit(3, 0x1000, false, false), None);
+        assert!(!c.fast_hit(3, 0x1000, false, false));
         assert_eq!(c.pred_stats().mispredicts, 1);
         // The full path retrains; the site predicts again.
         assert_eq!(c.access_sited(3, 0x1000, false, false).0, HitLevel::L2);
-        assert_eq!(c.fast_hit(3, 0x1000, false, false), Some(FastHit::Absorbed));
+        assert!(c.fast_hit(3, 0x1000, false, false));
     }
 
     #[test]
-    fn predictor_hit_reports_footprint_obligation() {
+    fn predictor_hit_counts_its_line_once_in_the_footprint() {
         let mut c = sim();
-        // Train site 7 outside a region, then re-access speculatively:
-        // residency is validated but the line's first in-region touch still
-        // owes the footprint.
+        // Train site 7 outside a region, then re-access speculatively: the
+        // validated hit is the line's first in-region touch and enters it
+        // in the footprint.
         c.access_sited(7, 0x3000, false, false);
-        assert_eq!(c.fast_hit(7, 0x3000, false, true), Some(FastHit::Resident));
+        assert_eq!(c.spec_lines(), 0);
+        assert!(c.fast_hit(7, 0x3000, false, true));
         assert_eq!(c.spec_lines(), 1, "the validated hit marked the read bit");
-        // Covered repeat: absorbed.
-        assert_eq!(c.fast_hit(7, 0x3000, false, true), Some(FastHit::Absorbed));
-        // A write through the read-covered line is residency-only again.
-        assert_eq!(c.fast_hit(7, 0x3000, true, true), Some(FastHit::Resident));
-        assert_eq!(
-            c.fast_hit(7, 0x3000, false, true),
-            Some(FastHit::Absorbed),
-            "the write bit covers reads"
-        );
+        // Repeats, and a write that adds the second bit, leave one line.
+        assert!(c.fast_hit(7, 0x3008, false, true));
+        assert!(c.fast_hit(7, 0x3000, true, true));
+        assert!(c.fast_hit(7, 0x3010, false, true));
+        assert_eq!(c.spec_lines(), 1, "one line, however many bits");
+        assert_eq!(c.footprint(), 1);
+        // A non-speculative hit marks nothing.
+        c.commit_region();
+        assert!(c.fast_hit(7, 0x3000, true, false));
+        assert_eq!(c.spec_lines(), 0);
     }
 
     #[test]
@@ -780,7 +764,7 @@ mod tests {
         // report residency for the dead line.
         sited(&mut c, 5, 0x6000, true, true);
         c.abort_region();
-        assert_eq!(c.fast_hit(5, 0x6000, false, true), None);
+        assert!(!c.fast_hit(5, 0x6000, false, true));
         assert_eq!(c.pred_stats().mispredicts, 1);
         assert_ne!(
             c.access_sited(5, 0x6000, false, true).0,

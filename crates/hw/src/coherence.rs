@@ -455,11 +455,6 @@ pub struct CoreLink {
     spec: FxHashMap<u64, u8>,
     /// Insertion-ordered spec keys for release.
     spec_keys: Vec<u64>,
-    /// The abort reason a conflicting drain produced, parked until the
-    /// machine's overflow-style bail path consumes it (the access hook
-    /// reports failure as a `bool`, exactly like a region overflow, and
-    /// the abort site asks here which reason to record).
-    pending_abort: Option<AbortReason>,
     /// Traffic counters.
     pub stats: LinkStats,
 }
@@ -478,15 +473,8 @@ impl CoreLink {
             held: FxHashMap::default(),
             spec: FxHashMap::default(),
             spec_keys: Vec::new(),
-            pending_abort: None,
             stats: LinkStats::default(),
         }
-    }
-
-    /// Takes the abort reason a conflicting [`CoreLink::drain`] parked
-    /// (`None` when the last bail was a plain overflow).
-    pub fn take_abort(&mut self) -> Option<AbortReason> {
-        self.pending_abort.take()
     }
 
     /// This core's id.
@@ -510,9 +498,8 @@ impl CoreLink {
     /// access's intent on `line` is published (`write`, and `spec` for an
     /// access inside a region) so remote cores see it before our own
     /// speculative bits can depend on it, then the mailbox is drained again.
-    /// Returns the abort reason when a drained message conflicts (also
-    /// parked for [`CoreLink::take_abort`]); the access must not touch the
-    /// cache then.
+    /// Returns the abort reason when a drained message conflicts; the
+    /// access must not touch the cache then.
     ///
     /// The re-drain after publish is what makes every conflicting message a
     /// *signaled* one: publishing takes the line's stripe lock, and every
@@ -650,13 +637,11 @@ impl CoreLink {
                 } else {
                     self.stats.unsignaled_conflicts += 1;
                 }
-                let reason = if line == lock_line {
+                return Some(if line == lock_line {
                     AbortReason::Sle
                 } else {
                     AbortReason::Conflict
-                };
-                self.pending_abort = Some(reason);
-                return Some(reason);
+                });
             }
             if msg.signal {
                 self.stats.sig_raced += 1;
@@ -674,7 +659,6 @@ impl CoreLink {
         while let Some(reason) = self.drain(cache) {
             debug_assert!(false, "conflict {reason:?} while quiesced");
         }
-        self.pending_abort = None;
     }
 
     /// Withdraws every directory speculative registration this core holds
@@ -773,7 +757,6 @@ mod tests {
         link.publish(0x40, false, true);
         dir.publish_write(1, 0x40, false);
         assert_eq!(link.drain(&mut cache), Some(AbortReason::Conflict));
-        assert_eq!(link.take_abort(), Some(AbortReason::Conflict));
         assert_eq!((link.stats.sig_aborts, link.stats.sig_raced), (1, 0));
         // The same window on the fallback-lock line is an SLE abort.
         let lock_line = cache.line_of(FALLBACK_LOCK_ADDR);

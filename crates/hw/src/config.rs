@@ -18,19 +18,18 @@ use crate::stats::AbortReason;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
     /// Reference interpretation: fetch, account, and execute one uop at a
-    /// time. Always used when per-uop fault injection or the invariant
-    /// validator is armed, so injected-fault results stay bit-identical.
+    /// time. Always used when per-uop fault injection is armed, so
+    /// injected-fault results stay bit-identical.
     PerUop,
     /// Chained superblock dispatch: maximal straight-line runs execute with
     /// one batched fuel/stats update per block from metadata precomputed at
     /// `CodeCache` install time, and control transfers stay *inside* the
     /// block engine. Sealed terminators link blocks into traces (jumps,
     /// branches), `aregion_begin`/`end`/`abort` are handled inline, and
-    /// call/return run on a pooled-frame fast path — the engine drops to
-    /// per-uop stepping only for traps, monitors, validation, and
-    /// injection. A mid-chain abort or trap unapplies the unexecuted block
-    /// suffix so every observation point matches [`Dispatch::PerUop`]
-    /// exactly.
+    /// call/return run on a pooled-frame fast path — the engine hands over
+    /// to per-uop stepping only within one block of fuel exhaustion. A
+    /// mid-chain abort or trap unapplies the unexecuted block suffix so
+    /// every observation point matches [`Dispatch::PerUop`] exactly.
     #[default]
     Superblock,
 }
@@ -174,9 +173,6 @@ pub struct ReformRequest {
     pub boundary: u32,
     /// The abort class that triggered the request.
     pub reason: AbortReason,
-    /// Distinct cache lines the region had touched when it last aborted —
-    /// the footprint evidence backing an `Overflow` request.
-    pub footprint_lines: u64,
 }
 
 /// Parameters of the simulated machine.

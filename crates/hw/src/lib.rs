@@ -27,8 +27,6 @@
 //! * [`stats`] — uops/cycles/coverage/abort statistics (Tables 3, Fig. 8/9).
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and
 //!   structured machine errors ([`MachineFault`]).
-//! * [`lineset`] — an in-flight region's footprint, the set of cache lines
-//!   it has touched: a scanned vector until it spills to a hash set.
 
 #![warn(missing_docs)]
 
@@ -37,14 +35,13 @@ pub mod cache;
 pub mod coherence;
 pub mod config;
 pub mod fault;
-pub mod lineset;
 pub mod lower;
 pub mod machine;
 pub mod stats;
 pub mod superblock;
 pub mod uop;
 
-pub use cache::{CacheSim, FastHit, HitLevel, NO_SITE};
+pub use cache::{CacheSim, HitLevel, NO_SITE};
 pub use coherence::{CohMsg, CoreId, CoreLink, Directory, LineState, LinkStats, MAX_CORES};
 pub use config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 pub use fault::{FaultKind, FaultPlan, MachineFault, FAULT_KINDS};

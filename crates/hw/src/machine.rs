@@ -21,11 +21,10 @@ use hasp_vm::heap::{Heap, HeapCell, HeapMark};
 use hasp_vm::value::{ObjId, Value};
 
 use crate::bpred::Predictor;
-use crate::cache::{CacheSim, FastHit, HitLevel, NO_SITE};
+use crate::cache::{CacheSim, HitLevel, NO_SITE};
 use crate::coherence::CoreLink;
 use crate::config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 use crate::fault::MachineFault;
-use crate::lineset::LineSet;
 use crate::stats::{AbortReason, MarkerSnap, RunStats};
 use crate::superblock::{SbInfo, SbTerm, YIELD_FLAG_ADDR};
 use crate::uop::{CodeCache, CodePos, CompiledCode, MReg, Uop};
@@ -63,9 +62,11 @@ enum Stop {
     /// A memory operand holds no object (these raw bits): a hard error.
     /// Nothing was written.
     NotObj(i64),
-    /// The memory access overflowed the region, or a coherence conflict
-    /// bailed it. The cache already recorded it, so the region aborts.
-    Overflow,
+    /// The memory access must abort the region for this reason: an
+    /// overflow (geometric or past the injected line budget), or a
+    /// coherence conflict (`Conflict`, or `Sle` on the fallback-lock line).
+    /// The cache already recorded the access.
+    Abort(AbortReason),
 }
 
 /// How an `aregion_begin` resolved (see [`Machine::region_begin`]).
@@ -117,11 +118,6 @@ struct RegionCtx {
     env: EnvSnapshot,
     heap: HeapMark,
     undo: Vec<(HeapCell, i64)>,
-    lines: LineSet,
-    /// The last cache line recorded into `lines`, so runs of accesses to
-    /// the same line (the common case: consecutive fields of one object)
-    /// skip the set probe entirely.
-    last_line: u64,
     start_uops: u64,
     /// Independent copy of the *full* register file, captured only in
     /// validation mode so the post-abort validator can verify the sparse
@@ -618,121 +614,82 @@ impl<'p> Machine<'p> {
     /// The borrow-split core of [`Machine::mem_access`]: cache simulation,
     /// timing, speculative tracking, and overflow detection over the
     /// machine's disjoint fields, so the interior executor can run it while
-    /// holding the frame's register file borrowed. Returns `false` on
-    /// region overflow — the caller must abort.
+    /// holding the frame's register file borrowed. `Err` carries the reason
+    /// the region must abort: `Overflow`, or the coherence conflict the
+    /// core's link drained.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn mem_access_parts(
         cache: &mut CacheSim,
         stats: &mut RunStats,
         cxw: &mut u64,
-        region: &mut RegionCtx,
+        in_region: bool,
         coh: &mut Option<CoreLink>,
         cfg: &HwConfig,
         site: u32,
         addr: u64,
         write: bool,
-    ) -> bool {
+    ) -> Result<(), AbortReason> {
         // The coherence hook (DESIGN §17, `CoreLink::access`): a colliding
-        // remote op bails out before this access touches anything — the
-        // caller aborts through the overflow path with the parked reason.
+        // remote op bails out before this access touches anything.
         if let Some(link) = coh.as_mut() {
             let line = cache.line_of(addr);
-            if link.access(cache, line, write, region.active).is_some() {
-                return false;
+            if let Some(why) = link.access(cache, line, write, in_region) {
+                return Err(why);
             }
         }
         stats.mem_accesses += 1;
-        let in_region = region.active;
-        // The seal-site way predictor (DESIGN §16): `Absorbed` is an L1 hit
-        // whose current-epoch speculative bits already cover this access
-        // kind, so the set scan, footprint update, and budget re-check are
-        // all skipped. Skipping the footprint is sound because a
-        // current-epoch speculative bit can only have been set by an earlier
-        // in-region call on the same line (each region runs in its own
-        // epoch), which already recorded the line and settled the
-        // line-budget verdict; the verdict only changes when the footprint
-        // grows. `Resident` is a validated hit whose speculative bits did
-        // *not* cover the access — the line was just marked for the first
-        // time this region, so the footprint insert and budget verdict are
-        // still owed.
-        match cache.fast_hit(site, addr, write, in_region) {
-            Some(FastHit::Absorbed) => {
-                stats.l1_hits += 1;
-                return true;
+        // The seal-site way predictor (DESIGN §16): a validated L1 hit that
+        // skips the set scan and install path, so it cannot overflow.
+        if cache.fast_hit(site, addr, write, in_region) {
+            stats.l1_hits += 1;
+        } else {
+            let (level, overflow) = cache.access_sited(site, addr, write, in_region);
+            match level {
+                HitLevel::L1 => stats.l1_hits += 1,
+                HitLevel::L2 => {
+                    stats.l2_hits += 1;
+                    *cxw += cache.l2_extra_cxw;
+                }
+                HitLevel::Memory => *cxw += cache.mem_extra_cxw,
             }
-            Some(FastHit::Resident) => {
-                stats.l1_hits += 1;
-                return !Self::over_line_budget(cache, region, cfg, addr);
+            // Only a region marks speculative bits, so only a region can
+            // overflow.
+            debug_assert!(in_region || !overflow);
+            if overflow {
+                return Err(AbortReason::Overflow);
             }
-            None => {}
         }
-        let (level, overflow) = cache.access_sited(site, addr, write, in_region);
-        match level {
-            HitLevel::L1 => stats.l1_hits += 1,
-            HitLevel::L2 => {
-                stats.l2_hits += 1;
-                *cxw += cache.l2_extra_cxw;
-            }
-            HitLevel::Memory => *cxw += cache.mem_extra_cxw,
-        }
-        // Only a region marks speculative bits, so only a region can
-        // overflow. The footprint still records an overflowing access's
-        // line: the abort reports the footprint size to the governor.
-        debug_assert!(in_region || !overflow);
-        let over_budget = Self::over_line_budget(cache, region, cfg, addr);
-        !(overflow || over_budget)
-    }
-
-    /// Records `addr`'s line in the in-flight region's footprint and
-    /// returns whether the footprint now exceeds the injected line budget
-    /// (`false` outside a region). The budget models a smaller speculative
-    /// cache: it tightens the geometric overflow, never loosens it.
-    #[inline]
-    fn over_line_budget(cache: &CacheSim, r: &mut RegionCtx, cfg: &HwConfig, addr: u64) -> bool {
-        if !r.active {
-            return false;
-        }
-        let line = cache.line_of(addr);
-        if line != r.last_line {
-            r.last_line = line;
-            r.lines.insert(line);
-        }
+        // The injected line budget models a smaller speculative cache: it
+        // tightens the geometric overflow, never loosens it. Outside a
+        // region the footprint is zero.
         let budget = cfg.faults.line_budget;
-        budget > 0 && r.lines.len() as u64 > budget
+        if budget > 0 && cache.footprint() > budget {
+            return Err(AbortReason::Overflow);
+        }
+        Ok(())
     }
 
     /// A data-memory access outside any uop's own arm (the fallback-lock
     /// word): cache simulation, timing, speculative tracking, and overflow
-    /// detection. Returns `Ok(false)` if the region overflowed (and was
-    /// aborted).
+    /// detection. Returns `Ok(false)` if the access aborted the region.
     fn mem_access(&mut self, site: u32, addr: u64, write: bool) -> Result<bool, MachineFault> {
+        let in_region = self.region.active;
         let Machine {
             cache,
             stats,
             cxw,
-            region,
             coh,
             cfg,
             ..
         } = self;
-        if Self::mem_access_parts(cache, stats, cxw, region, coh, cfg, site, addr, write) {
-            Ok(true)
-        } else {
-            let why = self.take_mem_abort_reason();
-            self.abort(why)?;
-            Ok(false)
+        match Self::mem_access_parts(cache, stats, cxw, in_region, coh, cfg, site, addr, write) {
+            Ok(()) => Ok(true),
+            Err(why) => {
+                self.abort(why)?;
+                Ok(false)
+            }
         }
-    }
-
-    /// Why the last failed memory access bailed: a coherence conflict the
-    /// core's link parked (`Conflict`, or `Sle` for the fallback-lock
-    /// line), else a plain region overflow.
-    fn take_mem_abort_reason(&mut self) -> AbortReason {
-        self.coh
-            .as_mut()
-            .and_then(CoreLink::take_abort)
-            .unwrap_or(AbortReason::Overflow)
     }
 
     fn abort(&mut self, reason: AbortReason) -> Result<(), MachineFault> {
@@ -767,7 +724,7 @@ impl<'p> Machine<'p> {
             frame.regs[idx as usize] = v;
         }
         frame.pc = r.alt;
-        let (method, region, footprint) = (r.method, r.region, r.lines.len() as u64);
+        let (method, region) = (r.method, r.region);
         self.cache.abort_region();
         // Withdraw directory speculative registrations only *after* the
         // flash-clear: a remote write that samples the registration before
@@ -782,14 +739,13 @@ impl<'p> Machine<'p> {
         if self.cfg.governor.enabled {
             // Evidence for abort-class-aware escalation: the region's
             // formation boundary (the stable cross-recompile identity the
-            // harness excludes on re-formation) and the footprint it had
-            // accumulated when it died.
+            // harness excludes on re-formation).
             let boundary = code
                 .region_boundaries
                 .get(region as usize)
                 .copied()
                 .unwrap_or(u32::MAX);
-            self.gov_on_abort(method, region, reason, boundary, footprint);
+            self.gov_on_abort(method, region, reason, boundary);
         }
         if self.cfg.validate {
             self.validate_arch_state(true)?;
@@ -825,10 +781,7 @@ impl<'p> Machine<'p> {
                 .obj(bits)
                 .expect_err("a stopped operand holds no object")
                 .into()),
-            Stop::Overflow => {
-                let why = self.take_mem_abort_reason();
-                self.abort(why)
-            }
+            Stop::Abort(reason) => self.abort(reason),
         }
     }
 
@@ -864,14 +817,7 @@ impl<'p> Machine<'p> {
     ///   retry budget the region is patched out for `cooldown` entries, the
     ///   next cooldown doubles (bounded), and the consecutive-disable count
     ///   walks the region up the tier ladder.
-    fn gov_on_abort(
-        &mut self,
-        method: MethodId,
-        region: u32,
-        reason: AbortReason,
-        boundary: u32,
-        footprint_lines: u64,
-    ) {
+    fn gov_on_abort(&mut self, method: MethodId, region: u32, reason: AbortReason, boundary: u32) {
         if matches!(reason, AbortReason::Interrupt | AbortReason::Spurious) {
             return;
         }
@@ -930,7 +876,6 @@ impl<'p> Machine<'p> {
                 region,
                 boundary,
                 reason,
-                footprint_lines,
             });
         }
     }
@@ -1055,8 +1000,6 @@ impl<'p> Machine<'p> {
         r.env = self.env.snapshot();
         r.heap = self.heap.alloc_mark();
         r.undo.clear();
-        r.lines.clear();
-        r.last_line = u64::MAX;
         r.start_uops = self.stats.uops;
         self.stats.per_region.counters_mut((method, region)).entries += 1;
         // Tier-2 fallback-lock subscription: read the lock word into the
@@ -1098,6 +1041,9 @@ impl<'p> Machine<'p> {
         self.region.active = false;
         let r = &self.region;
         debug_assert_eq!(r.region, region);
+        // The footprint is the cache's speculative-line count, read before
+        // the flash clear zeroes it.
+        let footprint = self.cache.footprint();
         self.cache.commit_region();
         // Directory release strictly after the epoch bump — see the abort
         // path for the conservation argument.
@@ -1108,7 +1054,7 @@ impl<'p> Machine<'p> {
         self.stats
             .region_sizes
             .record(self.stats.uops - r.start_uops);
-        self.stats.region_footprint.record(r.lines.len() as u64);
+        self.stats.region_footprint.record(footprint);
         self.last_commit_cxw = self.cxw;
         let (method, region) = (r.method, r.region);
         if self.cfg.validate {
@@ -1260,11 +1206,12 @@ impl<'p> Machine<'p> {
     /// Dispatch selector. The superblock hot path requires that nothing
     /// observes state *between* the uops of a straight-line run:
     /// probabilistic/interval fault injection draws once per retired
-    /// in-region uop, and the invariant validator audits the reference
-    /// interleaving — either forces the per-uop path, keeping
-    /// injected-fault campaigns bit-identical by construction.
+    /// in-region uop, so it forces the per-uop path, keeping injected-fault
+    /// campaigns bit-identical by construction. The invariant validator
+    /// runs only at commits and aborts, which both engines reach through
+    /// the same helpers, so it audits whichever engine runs.
     fn exec(&mut self) -> Result<Option<Value>, MachineFault> {
-        if self.cfg.dispatch == Dispatch::Superblock && !self.inject_per_uop && !self.cfg.validate {
+        if self.cfg.dispatch == Dispatch::Superblock && !self.inject_per_uop {
             self.exec_superblock()
         } else {
             self.exec_per_uop()
@@ -1317,6 +1264,7 @@ impl<'p> Machine<'p> {
         } = self;
         let frame = frames.last_mut().expect("frame");
         let regs = &mut frame.regs;
+        let in_region = region.active;
         /// The object a memory operand register holds, or a stop.
         macro_rules! obj {
             ($r:expr) => {{
@@ -1329,13 +1277,14 @@ impl<'p> Machine<'p> {
         }
         /// The uop's data access at `$addr`, through its seal site
         /// (way-predictor slot, DESIGN §16; `NO_SITE` for an allocation's
-        /// header write), or an overflow stop.
+        /// header write), or an abort stop.
         macro_rules! access {
             ($addr:expr, $write:expr) => {{
                 let site = code.blocks[i].mem_site;
-                if !Self::mem_access_parts(cache, stats, cxw, region, coh, cfg, site, $addr, $write)
-                {
-                    break Err((i, Stop::Overflow));
+                if let Err(why) = Self::mem_access_parts(
+                    cache, stats, cxw, in_region, coh, cfg, site, $addr, $write,
+                ) {
+                    break Err((i, Stop::Abort(why)));
                 }
             }};
         }
@@ -1683,8 +1632,8 @@ impl<'p> Machine<'p> {
 
     /// The reference interpretation: fetch, account, and execute one uop at
     /// a time. This is the only path that can observe state between the
-    /// uops of a straight-line run, so per-uop fault injection and the
-    /// invariant validator always run here.
+    /// uops of a straight-line run, so per-uop fault injection always runs
+    /// here.
     fn exec_per_uop(&mut self) -> Result<Option<Value>, MachineFault> {
         loop {
             if self.fuel == 0 {
@@ -2474,16 +2423,32 @@ mod fault_tests {
         (p, cc)
     }
 
-    /// Runs `add_element` under `plan` with the validator on; asserts
-    /// transparency and that at least `min` aborts of `reason` validated.
+    /// Runs `add_element` under `plan` with the validator on, on the
+    /// shipped engine and the per-uop reference; asserts transparency,
+    /// equal statistics on both engines, and that at least `min` aborts of
+    /// `reason` validated.
     fn assert_validated_aborts(plan: FaultPlan, reason: AbortReason, min: u64) -> RunStats {
         let p = add_element_program(2000, 1 << 20);
-        let mut hw = HwConfig::baseline();
-        hw.faults = plan;
-        hw.validate = true;
-        let (icks, iret, mcks, mret, stats) = run_both(&p, &CompilerConfig::atomic(), hw);
-        assert_eq!(icks, mcks, "{reason:?} aborts must be transparent");
-        assert_eq!(iret, mret);
+        let runs: Vec<RunStats> = [HwConfig::baseline(), HwConfig::per_uop()]
+            .into_iter()
+            .map(|hw| {
+                let hw = HwConfig {
+                    faults: plan.clone(),
+                    validate: true,
+                    ..hw
+                };
+                let (icks, iret, mcks, mret, stats) = run_both(&p, &CompilerConfig::atomic(), hw);
+                assert_eq!(icks, mcks, "{reason:?} aborts must be transparent");
+                assert_eq!(iret, mret);
+                stats
+            })
+            .collect();
+        assert!(
+            runs[0] == runs[1],
+            "engines diverged: {:?}",
+            runs[0].diff(&runs[1])
+        );
+        let stats = runs[0].clone();
         assert!(
             stats.aborts.get(reason) >= min,
             "expected ≥{min} {reason:?} aborts: {:?}",
@@ -3286,5 +3251,66 @@ mod fault_tests {
         assert_eq!(out, Ok(Some(Value::Int(0))), "the first store rolled back");
         assert_eq!(stats.aborts.get(AbortReason::Overflow), 1);
         assert_eq!(stats.aborts.total(), 1);
+    }
+
+    /// A region of straight-line stores to `lines` consecutive cache lines
+    /// of one array (elements `8k` for `k < lines`, 64 bytes apart). The
+    /// committed path returns 1; the alternate path returns element 0,
+    /// which is 0 again once an abort rolled its store back.
+    fn store_lines_region(lines: u32) -> Vec<Uop> {
+        let (len, arr, idx, one) = (MReg(0), MReg(1), MReg(2), MReg(3));
+        let mut uops = vec![
+            Uop::Const {
+                dst: len,
+                imm: 8 * i64::from(lines),
+            },
+            Uop::AllocArr { dst: arr, len },
+            Uop::Const { dst: one, imm: 1 },
+            // Past the body's two uops per line, the end and the return.
+            Uop::RegionBegin {
+                region: 0,
+                alt: 2 * lines as usize + 6,
+            },
+        ];
+        for k in 0..lines {
+            uops.push(Uop::Const {
+                dst: idx,
+                imm: 8 * i64::from(k),
+            });
+            uops.push(Uop::StoreElem { arr, idx, src: one });
+        }
+        uops.extend([
+            Uop::RegionEnd { region: 0 },
+            Uop::Ret { src: Some(one) },
+            Uop::Const { dst: idx, imm: 0 },
+            Uop::LoadElem { dst: one, arr, idx },
+            Uop::Ret { src: Some(one) },
+        ]);
+        uops
+    }
+
+    /// The region footprint is the cache's speculative-line count, on both
+    /// engines: under a `b`-line budget, a region touching exactly `b`
+    /// distinct lines commits with footprint `b`, and one touching `b + 1`
+    /// aborts `Overflow` with its stores rolled back. With no budget, a
+    /// region touching 100 lines, one per L1 set, commits with footprint
+    /// 100.
+    #[test]
+    fn line_budget_and_footprint_count_distinct_lines() {
+        for b in [1u32, 3, 8] {
+            let budget = FaultPlan::overflow_budget(u64::from(b));
+            let (out, stats) = run_both_engines(&store_lines_region(b), 4, &budget);
+            assert_eq!(out, Ok(Some(Value::Int(1))), "{b} lines fit the budget");
+            assert_eq!((stats.commits, stats.aborts.total()), (1, 0));
+            assert_eq!(stats.region_footprint.max, u64::from(b));
+            let (out, stats) = run_both_engines(&store_lines_region(b + 1), 4, &budget);
+            assert_eq!(out, Ok(Some(Value::Int(0))), "{b} + 1 lines roll back");
+            assert_eq!((stats.commits, stats.aborts.total()), (0, 1));
+            assert_eq!(stats.aborts.get(AbortReason::Overflow), 1);
+        }
+        let (out, stats) = run_both_engines(&store_lines_region(100), 4, &FaultPlan::none());
+        assert_eq!(out, Ok(Some(Value::Int(1))));
+        assert_eq!((stats.commits, stats.aborts.total()), (1, 0));
+        assert_eq!(stats.region_footprint.max, 100);
     }
 }

@@ -180,17 +180,6 @@ pub struct PredStats {
     pub mispredicts: u64,
 }
 
-impl PredStats {
-    /// Validated hits per consult (0 when the predictor never consulted).
-    pub fn hit_rate(&self) -> f64 {
-        if self.probes == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.probes as f64
-        }
-    }
-}
-
 /// A histogram over power-of-two-ish buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {

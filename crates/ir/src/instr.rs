@@ -384,34 +384,6 @@ impl Op {
         }
     }
 
-    /// True for the decomposed safety checks (removable when subsumed by a
-    /// dominating equivalent check).
-    pub fn is_check(&self) -> bool {
-        matches!(
-            self,
-            Op::NullCheck(_) | Op::BoundsCheck { .. } | Op::DivCheck(_) | Op::CastCheck { .. }
-        )
-    }
-
-    /// True if this op reads mutable memory (its value can be invalidated by
-    /// stores/calls/monitor operations).
-    pub fn is_memory_read(&self) -> bool {
-        matches!(self, Op::LoadField { .. } | Op::LoadElem { .. })
-    }
-
-    /// True if this op can invalidate prior memory reads.
-    pub fn is_memory_write(&self) -> bool {
-        matches!(
-            self,
-            Op::StoreField { .. }
-                | Op::StoreElem { .. }
-                | Op::Call { .. }
-                | Op::CallVirtual { .. }
-                | Op::MonitorEnter(_)
-                | Op::MonitorExit(_)
-        )
-    }
-
     /// True for calls (which end atomic regions and act as full barriers).
     pub fn is_call(&self) -> bool {
         matches!(self, Op::Call { .. } | Op::CallVirtual { .. })

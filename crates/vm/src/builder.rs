@@ -126,19 +126,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Id of a previously declared/defined method.
-    ///
-    /// # Panics
-    /// Panics if no method has that name.
-    pub fn method_id(&self, name: &str) -> MethodId {
-        let i = self
-            .names
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or_else(|| panic!("no method named {name}"));
-        MethodId(i as u32)
-    }
-
     fn install(&mut self, id: MethodId, m: Method) {
         self.methods[id.0 as usize] = Some(m);
     }

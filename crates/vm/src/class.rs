@@ -52,7 +52,6 @@ pub struct Program {
     classes: Vec<Class>,
     methods: Vec<Method>,
     entry: MethodId,
-    method_names: HashMap<String, MethodId>,
     class_names: HashMap<String, ClassId>,
 }
 
@@ -60,11 +59,6 @@ impl Program {
     /// Assembles a program from parts. Called by the
     /// [`ProgramBuilder`](crate::builder::ProgramBuilder).
     pub(crate) fn from_parts(classes: Vec<Class>, methods: Vec<Method>, entry: MethodId) -> Self {
-        let method_names = methods
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.clone(), MethodId(i as u32)))
-            .collect();
         let class_names = classes
             .iter()
             .enumerate()
@@ -74,7 +68,6 @@ impl Program {
             classes,
             methods,
             entry,
-            method_names,
             class_names,
         }
     }
@@ -102,11 +95,6 @@ impl Program {
         &self.methods[id.0 as usize]
     }
 
-    /// Looks up a method id by name.
-    pub fn method_by_name(&self, name: &str) -> Option<MethodId> {
-        self.method_names.get(name).copied()
-    }
-
     /// Looks up a class id by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
         self.class_names.get(name).copied()
@@ -115,11 +103,6 @@ impl Program {
     /// All method ids in definition order.
     pub fn method_ids(&self) -> impl Iterator<Item = MethodId> + '_ {
         (0..self.methods.len() as u32).map(MethodId)
-    }
-
-    /// All class ids in definition order.
-    pub fn class_ids(&self) -> impl Iterator<Item = ClassId> + '_ {
-        (0..self.classes.len() as u32).map(ClassId)
     }
 
     /// Number of methods.

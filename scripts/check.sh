@@ -36,23 +36,28 @@ cargo fmt --check
 echo "== fault-campaign smoke (checksum equivalence under injected aborts) =="
 cargo run --release -p hasp-experiments --bin experiments -- faults --smoke
 # Governor-ladder gates on the smoke artifact: every cell checksum-clean,
-# per-tier accounting balanced (enters == exits + live), and the adaptive
-# re-formation loop demonstrably recovers (>=1 row re-forms a region AND
-# keeps committing afterwards — the footprint-split adversary guarantees
-# the shape exists; this gate catches the ladder or the reform loop rotting).
+# every commit and abort validated (validations == commits + aborts: a
+# cell that ran without the invariant validator, or skipped it on some
+# path, still balances its checksums and tiers), per-tier accounting
+# balanced (enters == exits + live), and the adaptive re-formation loop
+# demonstrably recovers (>=1 row re-forms a region AND keeps committing
+# afterwards — the footprint-split adversary guarantees the shape exists;
+# this gate catches the ladder or the reform loop rotting).
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_faults_smoke.json"))
 assert r["schema"] == "hasp-faults-v2", f"unexpected schema {r['schema']}"
 bad = [c for c in r["matrix"] if not c["ok"]]
 assert not bad, f"checksum/validator failures: {[(c['workload'], c['fault']) for c in bad]}"
+unval = [c for c in r["matrix"] if c["validations"] != c["commits"] + c["aborts"]]
+assert not unval, f"unvalidated commits/aborts: {[(c['workload'], c['fault']) for c in unval]}"
 imbal = [c for c in r["matrix"] if not c.get("tier_consistent", False)]
 assert not imbal, f"tier-counter imbalance: {[(c['workload'], c['fault']) for c in imbal]}"
 assert r["tier_counters_consistent"], "aggregate tier-counter gate failed"
 rec = [x for x in r["reforms"] if x["recovered"]]
 assert rec, "no reform row recovered (reforms > 0 and post-reform commits > 0)"
 assert all(x["ok"] for x in r["reforms"]), "a reform quantum failed"
-print(f"ladder gates ok: {len(r['matrix'])} cells tier-balanced, "
+print(f"ladder gates ok: {len(r['matrix'])} cells validated and tier-balanced, "
       f"{len(rec)} reform row(s) recovered")
 PY
 

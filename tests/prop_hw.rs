@@ -1,86 +1,39 @@
-//! Property tests for the hardware substrate's bookkeeping structures:
-//! `LineSet` must behave exactly like a sorted set under random insert
-//! sequences (duplicates, overflow boundaries), the cache's speculative
-//! read/write bits must flash-clear on both commit and abort whatever the
-//! access sequence was, and the seal-site way predictor must be
-//! bit-identical to the unpredicted reference model under random
-//! interleavings of accesses, commits, aborts, and coherence invalidations.
+//! Property tests for the hardware substrate's bookkeeping: the cache's
+//! speculative-line count must equal the number of distinct lines a live
+//! region has touched (it is the region footprint the line budget and the
+//! footprint histogram read), the speculative read/write bits must
+//! flash-clear on both commit and abort whatever the access sequence was,
+//! the seal-site way predictor must be bit-identical to the unpredicted
+//! reference model under random interleavings of accesses, commits,
+//! aborts, and coherence invalidations, the governor ladder must terminate
+//! with the reference checksum under any fault plan, and the sharded
+//! coherence directory must match a sequential reference.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use hasp_hw::lineset::{LineSet, SPILL_LINES};
 use hasp_hw::{CacheSim, HitLevel, HwConfig};
+
+/// One access through the machine's sited discipline: the way-predictor
+/// fast path first (a validated L1 hit, which cannot overflow), the full
+/// training path otherwise.
+fn sited(c: &mut CacheSim, site: u32, addr: u64, write: bool, spec: bool) -> (HitLevel, bool) {
+    if c.fast_hit(site, addr, write, spec) {
+        (HitLevel::L1, false)
+    } else {
+        c.access_sited(site, addr, write, spec)
+    }
+}
+
+/// Twelve hot lines crammed into two L1 sets (8 KB stride), for guaranteed
+/// eviction/overflow pressure.
+fn hot_addr(choice: u64, offset: u64) -> u64 {
+    (choice / 2) * 8192 + (choice % 2) * 64 + offset * 8
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    #[test]
-    fn lineset_matches_reference_set_semantics(
-        lines in prop::collection::vec(0u64..96, 0..200),
-    ) {
-        let mut dense = LineSet::new();
-        let mut reference = std::collections::BTreeSet::new();
-        for &line in &lines {
-            // Duplicate inserts must be rejected exactly when the reference
-            // rejects them.
-            prop_assert_eq!(dense.insert(line), reference.insert(line));
-            prop_assert_eq!(dense.len(), reference.len());
-        }
-        // Same members, no duplicates (sorted view is representation-
-        // independent: the dense vector keeps insertion order).
-        let expect: Vec<u64> = reference.iter().copied().collect();
-        prop_assert_eq!(dense.to_sorted_vec(), expect);
-        for probe in 0..96 {
-            prop_assert_eq!(dense.contains(probe), reference.contains(&probe));
-        }
-    }
-
-    #[test]
-    fn lineset_agrees_across_the_spill_boundary(
-        lines in prop::collection::vec(0u64..1024, 0..700),
-        probes in prop::collection::vec(0u64..1024, 16..17),
-    ) {
-        // The hybrid set must answer insert/contains/len identically to a
-        // reference set whether it is still the dense sorted vector or has
-        // spilled to the hash representation — the universe and length here
-        // are sized so both sides of the SPILL_LINES threshold are hit.
-        let mut hybrid = LineSet::new();
-        let mut reference = std::collections::BTreeSet::new();
-        for &line in &lines {
-            prop_assert_eq!(hybrid.insert(line), reference.insert(line));
-            prop_assert_eq!(hybrid.len(), reference.len());
-            prop_assert_eq!(hybrid.is_spilled(), reference.len() > SPILL_LINES);
-        }
-        let expect: Vec<u64> = reference.iter().copied().collect();
-        prop_assert_eq!(hybrid.to_sorted_vec(), expect);
-        for &probe in &probes {
-            prop_assert_eq!(hybrid.contains(probe), reference.contains(&probe));
-        }
-        // Clearing resets to the dense representation.
-        hybrid.clear();
-        prop_assert!(hybrid.is_empty() && !hybrid.is_spilled());
-    }
-
-    #[test]
-    fn lineset_overflow_boundary_is_exact(
-        budget in 1u64..24,
-        extra in 0u64..8,
-    ) {
-        // Inserting exactly `budget` distinct lines stays at the boundary;
-        // each extra distinct line grows the footprint past it — the machine's
-        // line-budget overflow trigger fires on `len() > budget`.
-        let mut s = LineSet::new();
-        for line in 0..budget {
-            s.insert(line * 7);
-        }
-        prop_assert_eq!(s.len() as u64, budget);
-        prop_assert!(s.len() as u64 <= budget, "at the boundary: no overflow");
-        for line in 0..extra {
-            s.insert(budget * 7 + line + 1);
-        }
-        prop_assert_eq!(s.len() as u64, budget + extra);
-        prop_assert_eq!(s.len() as u64 > budget, extra > 0);
-    }
 
     #[test]
     fn predicted_cache_is_bit_identical_to_unpredicted_reference(
@@ -91,9 +44,7 @@ proptest! {
     ) {
         // The seal-site way predictor (DESIGN §16) against the unpredicted
         // reference model in lockstep, through the exact discipline the
-        // machine uses: consult `fast_hit` first (both `Absorbed` and
-        // `Resident` are validated L1 hits that cannot geometrically
-        // overflow), fall through to the full sited path otherwise. Hit
+        // machine uses (`sited`). Hit
         // levels, overflow signals, conflict verdicts, and speculative-line
         // counts must agree at every step of a random access / commit /
         // abort / invalidate interleaving — commits and aborts bump the
@@ -102,19 +53,12 @@ proptest! {
         // or LRU victim-order drift surface as a divergent hit level.
         let mut fast = CacheSim::new(&HwConfig::baseline());
         let mut reference = CacheSim::new(&HwConfig::unpredicted());
-        let sited = |c: &mut CacheSim, site: u32, addr: u64, write: bool, spec: bool| {
-            match c.fast_hit(site, addr, write, spec) {
-                Some(_) => (HitLevel::L1, false),
-                None => c.access_sited(site, addr, write, spec),
-            }
-        };
         for &(sel, choice, offset, slot, write, speculative) in &ops {
-            // Twelve hot lines crammed into two L1 sets (8 KB stride), for
-            // guaranteed eviction/overflow pressure, shared by only five
-            // predictor sites so entries are constantly retrained onto
-            // conflicting lines — plus an occasional site-less access
-            // (slot 5 → NO_SITE), the fallback-lock / alloc-header shape.
-            let addr = (choice / 2) * 8192 + (choice % 2) * 64 + offset * 8;
+            // The hot lines are shared by only five predictor sites, so
+            // entries are constantly retrained onto conflicting lines —
+            // plus an occasional site-less access (slot 5 → NO_SITE), the
+            // fallback-lock / alloc-header shape.
+            let addr = hot_addr(choice, offset);
             let site = if slot == 5 { hasp_hw::NO_SITE } else { slot };
             match sel % 8 {
                 // Weighted toward accesses.
@@ -141,6 +85,73 @@ proptest! {
         }
         // The reference side must never have consulted a predictor.
         prop_assert_eq!(reference.pred_stats().probes, 0);
+    }
+
+    #[test]
+    fn spec_lines_count_the_distinct_lines_a_live_region_touched(
+        ops in prop::collection::vec(
+            (any::<u8>(), 0u64..12, 0u64..8, 0u32..6, any::<bool>()),
+            1..300,
+        ),
+    ) {
+        // The region footprint is the cache's speculative-line count. A
+        // predicted and an unpredicted cache run random speculative sited
+        // accesses over the hot lines, interleaved with coherence
+        // invalidations and downgrades, commits and aborts. After every
+        // access that neither overflowed nor conflicted, both counts must
+        // equal the distinct lines accessed since the last flash clear. At
+        // the first overflow or conflict the region is abandoned (aborted),
+        // as the machine does.
+        let mut fast = CacheSim::new(&HwConfig::baseline());
+        let mut reference = CacheSim::new(&HwConfig::unpredicted());
+        let (mut touched, mut written) = (BTreeSet::new(), BTreeSet::new());
+        for &(sel, choice, offset, slot, write) in &ops {
+            let addr = hot_addr(choice, offset);
+            let line = fast.line_of(addr);
+            let site = if slot == 5 { hasp_hw::NO_SITE } else { slot };
+            let ended = match sel % 10 {
+                0..=5 => {
+                    let (level, overflow) = sited(&mut fast, site, addr, write, true);
+                    prop_assert_eq!(
+                        (level, overflow),
+                        sited(&mut reference, site, addr, write, true)
+                    );
+                    touched.insert(line);
+                    if write {
+                        written.insert(line);
+                    }
+                    overflow
+                }
+                6 => {
+                    fast.commit_region();
+                    reference.commit_region();
+                    touched.clear();
+                    written.clear();
+                    false
+                }
+                7 => true,
+                8 => {
+                    let conflict = fast.invalidate_line(line);
+                    prop_assert_eq!(conflict, reference.invalidate_line(line));
+                    prop_assert_eq!(conflict, touched.contains(&line));
+                    conflict
+                }
+                _ => {
+                    let conflict = fast.downgrade_line(line);
+                    prop_assert_eq!(conflict, reference.downgrade_line(line));
+                    prop_assert_eq!(conflict, written.contains(&line));
+                    conflict
+                }
+            };
+            if ended {
+                fast.abort_region();
+                reference.abort_region();
+                touched.clear();
+                written.clear();
+            }
+            prop_assert_eq!(fast.spec_lines(), touched.len());
+            prop_assert_eq!(reference.spec_lines(), touched.len());
+        }
     }
 
     #[test]
