@@ -6,7 +6,9 @@
 //! the atomic region. These addresses are exposed to the coherency mechanism
 //! to observe invalidations. Flash clear operations are used to commit
 //! and/or abort speculative state." Evicting a speculatively-accessed line
-//! overflows the region (best-effort hardware → abort).
+//! overflows the region (best-effort hardware → abort). So only the L1
+//! carries the bits: a live region's lines are all L1-resident, and the L2
+//! is a plain LRU backstop.
 //!
 //! The flash clear itself is modeled the way real hardware builds it: the
 //! speculative R/W "bits" are epoch tags compared against a region epoch, so
@@ -59,7 +61,8 @@ struct Level {
     tags: Vec<u64>,
     lru: Vec<u64>,
     /// Region epoch in which each line was last speculatively read; the
-    /// read bit is "set" iff this equals the cache's current epoch.
+    /// read bit is "set" iff this equals the cache's current epoch. Empty
+    /// in a level without speculative bits (the L2).
     spec_read_epoch: Vec<u64>,
     /// Region epoch in which each line was last speculatively written.
     spec_write_epoch: Vec<u64>,
@@ -67,22 +70,36 @@ struct Level {
 }
 
 impl Level {
-    fn new(sets: u64, ways: u64) -> Self {
+    /// A level of `sets × ways` lines, with per-line speculative bits iff
+    /// `speculative`: only the L1 carries them, since a region's lines are
+    /// all L1-resident (evicting one aborts the region).
+    fn new(sets: u64, ways: u64, speculative: bool) -> Self {
         let n = (sets * ways) as usize;
+        let spec_n = if speculative { n } else { 0 };
         Level {
             sets,
             ways,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
             tags: vec![TAG_INVALID; n],
             lru: vec![0; n],
-            spec_read_epoch: vec![NEVER; n],
-            spec_write_epoch: vec![NEVER; n],
+            spec_read_epoch: vec![NEVER; spec_n],
+            spec_write_epoch: vec![NEVER; spec_n],
             tick: 0,
         }
     }
 
+    /// Whether line slot `i` carries speculative bits of `epoch` (never, in
+    /// a level without them).
     fn spec(&self, i: usize, epoch: u64) -> bool {
-        self.spec_read_epoch[i] == epoch || self.spec_write_epoch[i] == epoch
+        self.spec_read_epoch.get(i) == Some(&epoch) || self.spec_write_epoch.get(i) == Some(&epoch)
+    }
+
+    /// Clears line slot `i`'s speculative bits, if the level has them.
+    fn clear_spec(&mut self, i: usize) {
+        if let Some(e) = self.spec_read_epoch.get_mut(i) {
+            *e = NEVER;
+            self.spec_write_epoch[i] = NEVER;
+        }
     }
 
     /// Restores construction state in place, reusing the allocations.
@@ -188,8 +205,7 @@ impl Level {
         let overflow = self.tags[victim] != TAG_INVALID && self.spec(victim, epoch);
         self.tags[victim] = line_addr;
         self.lru[victim] = self.tick;
-        self.spec_read_epoch[victim] = NEVER;
-        self.spec_write_epoch[victim] = NEVER;
+        self.clear_spec(victim);
         (victim, overflow)
     }
 }
@@ -263,8 +279,8 @@ impl CacheSim {
     /// Builds the hierarchy described by `cfg`.
     pub fn new(cfg: &HwConfig) -> Self {
         let mut sim = CacheSim {
-            l1: Level::new(cfg.l1_sets(), cfg.l1_ways),
-            l2: Level::new(cfg.l2_sets(), cfg.l2_ways),
+            l1: Level::new(cfg.l1_sets(), cfg.l1_ways, true),
+            l2: Level::new(cfg.l2_sets(), cfg.l2_ways, false),
             line_bytes: 0,
             line_shift: None,
             epoch: 0,
@@ -443,6 +459,7 @@ impl CacheSim {
                 let level = if self.l2.lookup(line).is_some() {
                     HitLevel::L2
                 } else {
+                    // No L2 line is speculative: the victim is plain LRU.
                     self.l2.install(line, NEVER);
                     HitLevel::Memory
                 };
@@ -534,8 +551,6 @@ impl CacheSim {
         for i in self.l2.set_range(line) {
             if self.l2.tags[i] == line {
                 self.l2.tags[i] = TAG_INVALID;
-                self.l2.spec_read_epoch[i] = NEVER;
-                self.l2.spec_write_epoch[i] = NEVER;
                 break;
             }
         }
@@ -548,8 +563,7 @@ impl CacheSim {
                     self.spec_count -= 1;
                 }
                 self.l1.tags[i] = TAG_INVALID;
-                self.l1.spec_read_epoch[i] = NEVER;
-                self.l1.spec_write_epoch[i] = NEVER;
+                self.l1.clear_spec(i);
                 return conflict;
             }
         }

@@ -22,6 +22,12 @@
 //! lock order is stripe → mailbox; no path takes a stripe lock while
 //! holding a mailbox lock, so the directory cannot deadlock.
 //!
+//! A transaction writes only the host cache lines it must: each counter
+//! sits beside the lock its event already holds (publishes in the stripe,
+//! messages in the victim's mailbox), a mailbox's lock, pending count and
+//! first queued messages share one line, and a core's own view of what it
+//! holds is a flat per-line table in its [`CoreLink`].
+//!
 //! ## Address spaces
 //!
 //! Keys are `(asid, line)` packed into one word: cores attached with
@@ -110,40 +116,94 @@ impl CohMsg {
     }
 }
 
-/// One padded directory shard: a map slice guarded by its own mutex.
+/// One padded directory shard: a map slice guarded by its own mutex, with
+/// the count of transactions taken on it. The count sits inside the lock,
+/// so bumping it writes the host line the transaction already holds.
 /// The alignment keeps hot stripes on distinct cache lines so uncontended
 /// cores do not false-share lock words.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 struct Stripe {
-    map: Mutex<FxHashMap<u64, LineState>>,
+    map: Mutex<StripeMap>,
 }
 
-/// One core's incoming message queue. `pending` is the lock-free fast
-/// path: a core's access hook reads one relaxed atomic and only takes the
-/// queue lock when a message is actually waiting.
-#[repr(align(128))]
+#[derive(Debug, Default)]
+struct StripeMap {
+    lines: FxHashMap<u64, LineState>,
+    /// Directory transactions taken on this stripe (post-dedup publishes).
+    publishes: u64,
+}
+
+/// One core's incoming message queue. The lock word, `pending` and the
+/// first [`INLINE_MSGS`] queued messages share the mailbox's first 64-byte
+/// host line, so a post and a pop each move that one line between the
+/// poster and the victim. The second line holds what only posters write
+/// (the message counters) and the overflow queue, touched only past the
+/// inline slots. `pending` is the lock-free fast path: a core's access
+/// hook reads it with one acquire load and only takes the queue lock when a
+/// message is actually waiting.
+#[repr(C, align(128))]
 #[derive(Debug, Default)]
 struct Mailbox {
     pending: AtomicU64,
-    msgs: Mutex<VecDeque<CohMsg>>,
+    queue: Mutex<MsgQueue>,
 }
 
-/// The sharded line directory shared (via `Arc`) by every core.
+/// Messages a mailbox holds on its first host line before spilling.
+const INLINE_MSGS: usize = 2;
+
+/// A mailbox's FIFO and its counters, all under the mailbox lock. The
+/// oldest `min(len, INLINE_MSGS)` messages sit in `slots` as a ring
+/// starting at `head`; the rest wait in `spill`, in order.
+#[repr(C)]
+#[derive(Debug, Default)]
+struct MsgQueue {
+    slots: [Option<CohMsg>; INLINE_MSGS],
+    head: u8,
+    /// Messages queued, inline and spilled.
+    len: usize,
+    /// Messages posted here with `signal = true` (conservation numerator).
+    signaled: u64,
+    /// Invalidation messages posted here (remote writes).
+    invalidations: u64,
+    /// Downgrade messages posted here (remote reads of an owned line).
+    downgrades: u64,
+    spill: VecDeque<CohMsg>,
+}
+
+impl MsgQueue {
+    fn push(&mut self, msg: CohMsg) {
+        if self.len < INLINE_MSGS {
+            self.slots[(self.head as usize + self.len) % INLINE_MSGS] = Some(msg);
+        } else {
+            self.spill.push_back(msg);
+        }
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<CohMsg> {
+        let head = self.head as usize;
+        let msg = self.slots[head].take()?;
+        // The freed slot is the ring's tail once `head` moves on, so the
+        // oldest spilled message refills it and FIFO order holds.
+        if self.len > INLINE_MSGS {
+            self.slots[head] = self.spill.pop_front();
+        }
+        self.head = ((head + 1) % INLINE_MSGS) as u8;
+        self.len -= 1;
+        Some(msg)
+    }
+}
+
+/// The sharded line directory shared (via `Arc`) by every core. Nothing in
+/// it is written after construction: every counter lives in the stripe or
+/// mailbox whose lock the counted event already holds.
 #[derive(Debug)]
 pub struct Directory {
     stripes: Box<[Stripe]>,
     /// `stripes.len() - 1` (stripe count is a power of two).
     mask: u64,
     mailboxes: Box<[Mailbox]>,
-    /// Messages sent with `signal = true` (conservation numerator).
-    signaled: AtomicU64,
-    /// Invalidation messages sent (remote writes).
-    invalidations: AtomicU64,
-    /// Downgrade messages sent (remote reads of an owned line).
-    downgrades: AtomicU64,
-    /// Directory transactions taken (post-dedup publishes).
-    publishes: AtomicU64,
 }
 
 /// Default stripe count: enough that 8 hot cores rarely collide on a
@@ -165,10 +225,6 @@ impl Directory {
             stripes: (0..n).map(|_| Stripe::default()).collect(),
             mask: n as u64 - 1,
             mailboxes: (0..cores).map(|_| Mailbox::default()).collect(),
-            signaled: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            downgrades: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
         })
     }
 
@@ -185,22 +241,21 @@ impl Directory {
         &self.stripes[(h >> 40 & self.mask) as usize]
     }
 
+    /// Queues `msg` to core `to`, counting it in that mailbox.
     fn post(&self, to: CoreId, msg: CohMsg) {
-        if msg.signal {
-            self.signaled.fetch_add(1, Ordering::Relaxed);
-        }
-        if msg.write {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.downgrades.fetch_add(1, Ordering::Relaxed);
-        }
         let mb = &self.mailboxes[to as usize];
+        let mut q = mb.queue.lock().expect("mailbox");
+        q.signaled += u64::from(msg.signal);
+        if msg.write {
+            q.invalidations += 1;
+        } else {
+            q.downgrades += 1;
+        }
+        q.push(msg);
         // The count changes only under the queue lock, in step with the
         // queue. Bumped after the unlock, the victim could pop this message
         // and decrement first; its count could then read 0 while another
         // message waits, and the post-publish re-drain would skip that one.
-        let mut q = mb.msgs.lock().expect("mailbox");
-        q.push_back(msg);
         mb.pending.fetch_add(1, Ordering::Release);
     }
 
@@ -209,10 +264,10 @@ impl Directory {
     /// `me` becomes exclusive owner, and — when `spec` — `me`'s
     /// speculative-write registration is recorded.
     pub fn publish_write(&self, me: CoreId, key: u64, spec: bool) {
-        self.publishes.fetch_add(1, Ordering::Relaxed);
         let my_bit = 1u64 << me;
         let mut map = self.stripe(key).map.lock().expect("stripe");
-        let st = map.entry(key).or_default();
+        map.publishes += 1;
+        let st = map.lines.entry(key).or_default();
         let victims = st.sharers & !my_bit;
         let signaled_spec = st.spec_readers & !my_bit;
         let spec_writer = st.spec_writer.filter(|&w| w != me);
@@ -233,20 +288,21 @@ impl Directory {
         // drain and detach. Posting after dropping the lock opens a window
         // where the victim quiesces and exits with the signal still in
         // flight, breaking the `signaled == sig_aborts + sig_raced`
-        // conservation identity.
-        for v in 0..self.mailboxes.len() as u8 {
-            let bit = 1u64 << v;
-            if victims & bit != 0 {
-                let signal = signaled_spec & bit != 0 || spec_writer == Some(v);
-                self.post(
-                    v,
-                    CohMsg {
-                        key,
-                        write: true,
-                        signal,
-                    },
-                );
-            }
+        // conservation identity. Victims are visited by set bit, lowest
+        // core first.
+        let mut rest = victims;
+        while rest != 0 {
+            let v = rest.trailing_zeros() as CoreId;
+            rest &= rest - 1;
+            let signal = signaled_spec & (1 << v) != 0 || spec_writer == Some(v);
+            self.post(
+                v,
+                CohMsg {
+                    key,
+                    write: true,
+                    signal,
+                },
+            );
         }
         drop(map);
     }
@@ -257,10 +313,10 @@ impl Directory {
     /// sharers, and — when `spec` — `me`'s speculative-read registration
     /// is recorded.
     pub fn publish_read(&self, me: CoreId, key: u64, spec: bool) {
-        self.publishes.fetch_add(1, Ordering::Relaxed);
         let my_bit = 1u64 << me;
         let mut map = self.stripe(key).map.lock().expect("stripe");
-        let st = map.entry(key).or_default();
+        map.publishes += 1;
+        let st = map.lines.entry(key).or_default();
         let victim = st.owner.filter(|&o| o != me);
         let signal = victim.is_some() && st.spec_writer == victim;
         if victim.is_some() {
@@ -300,18 +356,18 @@ impl Directory {
     pub fn release_spec(&self, me: CoreId, key: u64) {
         let my_bit = 1u64 << me;
         let mut map = self.stripe(key).map.lock().expect("stripe");
-        if let Some(st) = map.get_mut(&key) {
+        if let Some(st) = map.lines.get_mut(&key) {
             st.spec_readers &= !my_bit;
             if st.spec_writer == Some(me) {
                 st.spec_writer = None;
             }
             if st.is_empty() {
-                map.remove(&key);
+                map.lines.remove(&key);
             }
         }
     }
 
-    /// `true` if core `me` has undelivered messages (one relaxed load —
+    /// `true` if core `me` has undelivered messages (one acquire load —
     /// the per-access fast path).
     pub fn pending(&self, me: CoreId) -> bool {
         self.mailboxes[me as usize].pending.load(Ordering::Acquire) != 0
@@ -321,8 +377,8 @@ impl Directory {
     pub fn pop_msg(&self, me: CoreId) -> Option<CohMsg> {
         let mb = &self.mailboxes[me as usize];
         // Under the queue lock, like the increment in `post`.
-        let mut q = mb.msgs.lock().expect("mailbox");
-        let msg = q.pop_front();
+        let mut q = mb.queue.lock().expect("mailbox");
+        let msg = q.pop();
         if msg.is_some() {
             mb.pending.fetch_sub(1, Ordering::Release);
         }
@@ -335,30 +391,42 @@ impl Directory {
             .map
             .lock()
             .expect("stripe")
+            .lines
             .get(&key)
             .copied()
             .unwrap_or_default()
     }
 
+    /// Sums one counter over the mailboxes.
+    fn mail_total(&self, count: impl Fn(&MsgQueue) -> u64) -> u64 {
+        self.mailboxes
+            .iter()
+            .map(|mb| count(&mb.queue.lock().expect("mailbox")))
+            .sum()
+    }
+
     /// Total messages sent with a live speculative collision (conservation
     /// numerator; see the module docs).
     pub fn signaled(&self) -> u64 {
-        self.signaled.load(Ordering::Relaxed)
+        self.mail_total(|q| q.signaled)
     }
 
     /// Total invalidation messages sent (remote writes).
     pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
+        self.mail_total(|q| q.invalidations)
     }
 
     /// Total downgrade messages sent (remote reads of owned lines).
     pub fn downgrades(&self) -> u64 {
-        self.downgrades.load(Ordering::Relaxed)
+        self.mail_total(|q| q.downgrades)
     }
 
     /// Total directory transactions (post-dedup publishes).
     pub fn publishes(&self) -> u64 {
-        self.publishes.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.map.lock().expect("stripe").publishes)
+            .sum()
     }
 
     /// Any key on which a core *other than* `me` currently holds a
@@ -369,7 +437,7 @@ impl Directory {
         let my_bit = 1u64 << me;
         for s in self.stripes.iter() {
             let map = s.map.lock().expect("stripe");
-            for (&key, st) in map.iter() {
+            for (&key, st) in map.lines.iter() {
                 if st.spec_readers & !my_bit != 0 {
                     return Some((key, false));
                 }
@@ -380,14 +448,6 @@ impl Directory {
         }
         None
     }
-}
-
-/// What a core currently believes it holds (local dedup of published
-/// intent; kept coherent by applying incoming messages to it at drain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Held {
-    Shared,
-    Owned,
 }
 
 /// Per-core coherence-traffic counters.
@@ -445,22 +505,31 @@ pub struct CoreLink {
     core: CoreId,
     /// Asid tag pre-shifted into the key's high bits.
     tag: u64,
-    /// Lines this core believes it holds (see [`Held`]); publishing is
-    /// skipped when the directory already knows everything this access
-    /// would tell it, which makes repeat accesses to resident lines a
-    /// single local map probe.
-    held: FxHashMap<u64, Held>,
-    /// Speculative registrations live in the directory: key → bitmask of
-    /// `SPEC_R | SPEC_W`.
-    spec: FxHashMap<u64, u8>,
-    /// Insertion-ordered spec keys for release.
+    /// One state byte per line of this link's address space, indexed by
+    /// line and grown on demand (heap lines are dense above the bump
+    /// allocator's base). The `SHARED`/`OWNED` bits are what this core
+    /// believes it holds: publishing is skipped when the directory already
+    /// knows everything an access would tell it, which makes repeat
+    /// accesses to resident lines one local load. `SPEC_R`/`SPEC_W` are
+    /// its speculative registrations live in the directory.
+    lines: Vec<u8>,
+    /// Keys with a live speculative registration, in registration order:
+    /// the release order.
     spec_keys: Vec<u64>,
     /// Traffic counters.
     pub stats: LinkStats,
 }
 
-const SPEC_R: u8 = 1;
-const SPEC_W: u8 = 2;
+/// Held shared (the directory lists this core as a sharer).
+const SHARED: u8 = 1;
+/// Held exclusively (this core is the directory's owner).
+const OWNED: u8 = 2;
+const HELD: u8 = SHARED | OWNED;
+/// Live speculative-read registration.
+const SPEC_R: u8 = 4;
+/// Live speculative-write registration.
+const SPEC_W: u8 = 8;
+const SPEC: u8 = SPEC_R | SPEC_W;
 
 impl CoreLink {
     /// Attaches core `core` (address space `asid`) to `dir`.
@@ -470,8 +539,7 @@ impl CoreLink {
             dir,
             core,
             tag: u64::from(asid) << LINE_BITS,
-            held: FxHashMap::default(),
-            spec: FxHashMap::default(),
+            lines: Vec::new(),
             spec_keys: Vec::new(),
             stats: LinkStats::default(),
         }
@@ -487,7 +555,7 @@ impl CoreLink {
         &self.dir
     }
 
-    /// One relaxed atomic load: does this core have undelivered messages?
+    /// One acquire load: does this core have undelivered messages?
     #[inline]
     pub fn pending(&self) -> bool {
         self.dir.pending(self.core)
@@ -524,7 +592,7 @@ impl CoreLink {
     }
 
     /// The access hook after its first drain. A skipped publish rests on
-    /// the local `held` view, which a message posted since the first drain
+    /// the link's held bits, which a message posted since the first drain
     /// can have made stale: a remote read that downgraded a line this core
     /// owns would let a write go ahead unpublished, and the remote
     /// speculative reader would never see it. So a skip stands only if the
@@ -559,29 +627,36 @@ impl CoreLink {
     /// Returns whether it published.
     #[inline]
     pub fn publish(&mut self, line: u64, write: bool, spec: bool) -> bool {
-        let key = self.tag | line;
+        let i = line as usize;
+        let st = self.lines.get(i).copied().unwrap_or(0);
         let spec_bit = if write { SPEC_W } else { SPEC_R };
-        let spec_new = spec && self.spec.get(&key).is_none_or(|b| b & spec_bit == 0);
-        let held = self.held.get(&key).copied();
-        let upgrade = write && held != Some(Held::Owned);
-        if held.is_some() && !upgrade && !spec_new {
+        let spec_new = spec && st & spec_bit == 0;
+        let upgrade = write && st & OWNED == 0;
+        if st & HELD != 0 && !upgrade && !spec_new {
             return false;
         }
         self.stats.published += 1;
+        let key = self.tag | line;
+        let mut next = st;
         if write {
             self.dir.publish_write(self.core, key, spec);
-            self.held.insert(key, Held::Owned);
+            next = next & !SHARED | OWNED;
         } else {
             self.dir.publish_read(self.core, key, spec);
-            self.held.entry(key).or_insert(Held::Shared);
+            if st & HELD == 0 {
+                next |= SHARED;
+            }
         }
         if spec {
-            let bits = self.spec.entry(key).or_insert_with(|| {
+            if st & SPEC == 0 {
                 self.spec_keys.push(key);
-                0
-            });
-            *bits |= spec_bit;
+            }
+            next |= spec_bit;
         }
+        if i >= self.lines.len() {
+            self.lines.resize(i + 1, 0);
+        }
+        self.lines[i] = next;
         true
     }
 
@@ -606,11 +681,18 @@ impl CoreLink {
             self.stats.drained += 1;
             let line = msg.line();
             // Keep the local dedup view coherent with what the directory
-            // just did on the remote core's behalf.
-            if msg.write {
-                self.held.remove(&msg.key);
-            } else if self.held.get(&msg.key) == Some(&Held::Owned) {
-                self.held.insert(msg.key, Held::Shared);
+            // just did on the remote core's behalf. A key of another
+            // address space names no line of this link.
+            let mut st = 0;
+            if msg.key & !LINE_MASK == self.tag {
+                if let Some(s) = self.lines.get_mut(line as usize) {
+                    if msg.write {
+                        *s &= !HELD;
+                    } else if *s & OWNED != 0 {
+                        *s = *s & !OWNED | SHARED;
+                    }
+                    st = *s;
+                }
             }
             let live_bit = if msg.write {
                 cache.invalidate_line(line)
@@ -624,13 +706,12 @@ impl CoreLink {
             // count what this assert would have caught.
             debug_assert!(
                 msg.signal || !live_bit,
-                "unsignaled conflict: core {} key {:#x} write {} held-after {:?}",
+                "unsignaled conflict: core {} key {:#x} write {} state-after {st:#x}",
                 self.core,
                 msg.key,
                 msg.write,
-                self.held.get(&msg.key),
             );
-            let registered = msg.signal && self.spec.contains_key(&msg.key);
+            let registered = msg.signal && st & SPEC != 0;
             if live_bit || registered {
                 if msg.signal {
                     self.stats.sig_aborts += 1;
@@ -668,8 +749,8 @@ impl CoreLink {
     pub fn release_spec(&mut self) {
         for key in self.spec_keys.drain(..) {
             self.dir.release_spec(self.core, key);
+            self.lines[(key & LINE_MASK) as usize] &= !SPEC;
         }
-        self.spec.clear();
     }
 }
 
@@ -677,6 +758,27 @@ impl CoreLink {
 mod tests {
     use super::*;
     use crate::config::HwConfig;
+
+    #[test]
+    fn mailbox_lock_pending_and_inline_slots_share_one_host_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!((align_of::<Mailbox>(), size_of::<Mailbox>()), (128, 128));
+        assert_eq!(size_of::<Option<CohMsg>>(), 16, "a slot is one message");
+        assert_eq!(offset_of!(Mailbox, pending), 0);
+        assert_eq!(offset_of!(MsgQueue, slots), 0);
+        let mb = Mailbox::default();
+        let base = &mb as *const Mailbox as usize;
+        let lock = &mb.queue as *const Mutex<MsgQueue> as usize - base;
+        let q = mb.queue.lock().expect("mailbox");
+        let data = &*q as *const MsgQueue as usize - base;
+        // The mutex keeps its (possibly unsized) data last: its lock word
+        // sits between `pending` and the queue.
+        assert!(8 <= lock && lock < data, "lock at {lock}, queue at {data}");
+        let hot_end = data + offset_of!(MsgQueue, len) + size_of::<usize>();
+        assert!(hot_end <= 64, "inline slots, head and len end at {hot_end}");
+        let counters = data + offset_of!(MsgQueue, signaled);
+        assert!(counters >= 64, "counters at {counters}, on the hot line");
+    }
 
     #[test]
     fn write_invalidates_sharers_and_signals_spec_readers() {
@@ -807,6 +909,25 @@ mod tests {
         b.publish(0x40, true, true);
         assert!(!a.pending() && !b.pending());
         assert_eq!(dir.signaled(), 0);
+    }
+
+    #[test]
+    fn a_message_for_another_asid_leaves_the_link_table_alone() {
+        // Core 0 attached once per address space: the asid-2 link owns
+        // line L, and an invalidation of the asid-1 key for L reaches core
+        // 0's mailbox. It names no line of the asid-2 link, whose view of
+        // L must survive the drain (its next write stays a skip).
+        let dir = Directory::new(2);
+        let mut cache = CacheSim::new(&HwConfig::baseline());
+        let mut one = CoreLink::new(Arc::clone(&dir), 0, 1);
+        let mut two = CoreLink::new(Arc::clone(&dir), 0, 2);
+        let line = 0x40;
+        assert!(two.publish(line, true, false));
+        assert!(one.publish(line, false, false));
+        dir.publish_write(1, (1 << LINE_BITS) | line, false);
+        assert_eq!(two.drain(&mut cache), None);
+        assert_eq!(two.stats.benign, 1);
+        assert!(!two.publish(line, true, false), "asid 2 still owns L");
     }
 
     #[test]

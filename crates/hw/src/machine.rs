@@ -124,6 +124,11 @@ struct RegionCtx {
     /// restoration without trusting the rollback path (or the write-set
     /// analysis) it is checking.
     shadow_regs: Vec<i64>,
+    /// Validation mode's first-write shadow of the heap: each word's value
+    /// before the region's first store to it, recorded in the store arms
+    /// apart from the undo push, so the post-abort validator can check the
+    /// rollback without trusting the log it is checking.
+    shadow_stores: FxHashMap<HeapCell, i64>,
 }
 
 /// Per-static-region governor state: consecutive-abort streaks, the
@@ -996,6 +1001,7 @@ impl<'p> Machine<'p> {
         r.shadow_regs.clear();
         if self.cfg.validate {
             r.shadow_regs.extend_from_slice(&f.regs);
+            r.shadow_stores.clear();
         }
         r.env = self.env.snapshot();
         r.heap = self.heap.alloc_mark();
@@ -1071,8 +1077,9 @@ impl<'p> Machine<'p> {
     /// checkpoint depth, region counters consistent — and after an abort,
     /// the PC at the alternate path, the register file bit-identical to an
     /// independently captured shadow checkpoint, the allocation frontier and
-    /// environment restored, and every undo-logged cell holding its
-    /// pre-region value. Reads the just-resolved region's context, which
+    /// environment restored, every word the region stored to holding its
+    /// pre-region value (the first-write shadow), and the undo log naming
+    /// only such words. Reads the just-resolved region's context, which
     /// stays intact until the next begin.
     fn validate_arch_state(&mut self, aborted: bool) -> Result<(), MachineFault> {
         fn violated(what: &'static str, detail: String) -> Result<(), MachineFault> {
@@ -1148,28 +1155,30 @@ impl<'p> Machine<'p> {
             if self.env.snapshot() != r.env {
                 return violated("env", "environment snapshot not restored".into());
             }
-            // Every undo-logged cell must hold its pre-region value. The log
-            // may contain the same cell several times; reverse-order
-            // application leaves the *first* logged (oldest) value, so only
-            // each cell's first occurrence is checked. Cells of objects
-            // allocated inside the region no longer exist after the frontier
-            // rollback and are skipped.
-            let live = self.heap.len();
-            let mut seen = std::collections::HashSet::new();
-            for (cell, old) in &r.undo {
-                if !seen.insert(*cell) {
-                    continue;
-                }
-                let obj = match *cell {
-                    HeapCell::Field(o, _) | HeapCell::Elem(o, _) | HeapCell::Lock(o) => o,
-                };
-                if obj.0 as usize >= live {
-                    continue;
-                }
-                let now = self.heap.read_cell(*cell);
-                if now != *old {
+            // Memory against the first-write shadow, which the store arms
+            // fill apart from the undo log: every word the region stored to
+            // must hold its pre-region value (this sees a store that never
+            // logged), and the log may name only such words (this sees an
+            // entry that logged the wrong cell). Cells of objects allocated
+            // inside the region no longer exist after the frontier rollback
+            // and are skipped.
+            let live = |cell: &HeapCell| {
+                let (HeapCell::Field(o, _) | HeapCell::Elem(o, _) | HeapCell::Lock(o)) = *cell;
+                (o.0 as usize) < self.heap.len()
+            };
+            for (cell, _) in r.undo.iter().filter(|(c, _)| live(c)) {
+                if !r.shadow_stores.contains_key(cell) {
                     return violated(
                         "undo-log",
+                        format!("logged cell {cell:?}, which the region never stored to"),
+                    );
+                }
+            }
+            for (cell, &old) in r.shadow_stores.iter().filter(|(c, _)| live(c)) {
+                let now = self.heap.read_cell(*cell);
+                if now != old {
+                    return violated(
+                        "memory",
                         format!("cell {cell:?} holds {now}, expected pre-region {old}"),
                     );
                 }
@@ -1265,6 +1274,7 @@ impl<'p> Machine<'p> {
         let frame = frames.last_mut().expect("frame");
         let regs = &mut frame.regs;
         let in_region = region.active;
+        let shadowing = in_region && cfg.validate;
         /// The object a memory operand register holds, or a stop.
         macro_rules! obj {
             ($r:expr) => {{
@@ -1287,6 +1297,15 @@ impl<'p> Machine<'p> {
                     break Err((i, Stop::Abort(why)));
                 }
             }};
+        }
+        /// Validation only: `$cell`'s pre-region value `$old`, kept at the
+        /// region's first store to it (the first-write shadow).
+        macro_rules! shadow {
+            ($cell:expr, $old:expr) => {
+                if shadowing {
+                    region.shadow_stores.entry($cell).or_insert($old);
+                }
+            };
         }
         /// A safety check: trap unless `$ok`.
         macro_rules! check {
@@ -1352,6 +1371,7 @@ impl<'p> Machine<'p> {
                     let o = obj!(obj);
                     let (addr, slot) = heap.field_slot(o, field);
                     access!(addr, true);
+                    shadow!(HeapCell::Field(o, field), *slot);
                     if region.active {
                         region.undo.push((HeapCell::Field(o, field), *slot));
                     }
@@ -1368,6 +1388,7 @@ impl<'p> Machine<'p> {
                     let j = regs[idx.0 as usize] as u32;
                     let (addr, slot) = heap.elem_slot(o, j);
                     access!(addr, true);
+                    shadow!(HeapCell::Elem(o, j), *slot);
                     if region.active {
                         region.undo.push((HeapCell::Elem(o, j), *slot));
                     }
@@ -1392,6 +1413,7 @@ impl<'p> Machine<'p> {
                 Uop::StoreLock { obj, src } => {
                     let cell = HeapCell::Lock(obj!(obj));
                     access!(heap.addr_of(cell), true);
+                    shadow!(cell, heap.read_cell(cell));
                     if region.active {
                         region.undo.push((cell, heap.read_cell(cell)));
                     }
@@ -2569,6 +2591,83 @@ mod fault_tests {
         assert_eq!(out, Some(Value::Int(42)));
         assert_eq!(mach.stats().aborts.get(AbortReason::Exception), 1);
         assert!(mach.stats().validations >= 1);
+    }
+
+    #[test]
+    fn validator_checks_region_stores_against_the_first_write_shadow() {
+        // An array allocated before the region; the region stores to
+        // element 0 twice and aborts. The alt path spins until fuel runs
+        // out, leaving the frame and the resolved region's context in
+        // place for a direct look at the validator.
+        for hw in [HwConfig::baseline(), HwConfig::per_uop()] {
+            let (p, cc) = install_uops(
+                vec![
+                    Uop::Const {
+                        dst: MReg(0),
+                        imm: 4,
+                    },
+                    Uop::AllocArr {
+                        dst: MReg(1),
+                        len: MReg(0),
+                    },
+                    Uop::Const {
+                        dst: MReg(2),
+                        imm: 0,
+                    },
+                    Uop::Const {
+                        dst: MReg(3),
+                        imm: 7,
+                    },
+                    Uop::RegionBegin { region: 0, alt: 9 },
+                    Uop::StoreElem {
+                        arr: MReg(1),
+                        idx: MReg(2),
+                        src: MReg(3),
+                    },
+                    Uop::StoreElem {
+                        arr: MReg(1),
+                        idx: MReg(2),
+                        src: MReg(0),
+                    },
+                    Uop::Abort { assert_id: 0 },
+                    Uop::RegionEnd { region: 0 },
+                    Uop::Jmp { target: 9 },
+                ],
+                4,
+            );
+            let mut mach = Machine::new(
+                &p,
+                &cc,
+                HwConfig {
+                    validate: true,
+                    ..hw
+                },
+            );
+            mach.set_fuel(50);
+            assert!(matches!(
+                mach.run(&[]),
+                Err(MachineFault::Vm(VmError::FuelExhausted))
+            ));
+            assert_eq!(mach.stats().aborts.get(AbortReason::Explicit), 1);
+            assert_eq!(mach.stats().validations, 1);
+            let word = HeapCell::Elem(ObjId(0), 0);
+            assert_eq!(mach.region.shadow_stores.len(), 1, "one word stored");
+            assert_eq!(mach.region.shadow_stores[&word], 0, "its pre-region value");
+            mach.validate_arch_state(true)
+                .expect("the rollback is exact");
+            // A word the rollback missed: what a store without an undo
+            // entry leaves behind.
+            mach.heap.write_cell(word, 7);
+            let what = |m: &mut Machine| match m.validate_arch_state(true) {
+                Err(MachineFault::InvariantViolation { what, .. }) => what,
+                other => panic!("expected a violation, got {other:?}"),
+            };
+            assert_eq!(what(&mut mach), "memory");
+            mach.heap.write_cell(word, 0);
+            // A log entry naming a word the region never stored to.
+            mach.region.undo.push((HeapCell::Elem(ObjId(0), 1), 0));
+            assert_eq!(what(&mut mach), "undo-log");
+        }
     }
 
     /// `[Poll, CheckNull, Poll]` inside a region: the check traps between

@@ -136,6 +136,27 @@ PY
 echo "== coherence equivalence (release: directory-attached vs plain, both engines) =="
 cargo test --release -q --test coherence_equivalence
 
+# The directory's conservation identity on the benchmark's own contended
+# workload: two clients on real threads over one directory, signaled
+# messages against the victims' classifications summed over every round.
+# perfbench reports the gap as a number instead of failing on it, so the
+# gate reads it (and the failed share) off the report line. Runs before the
+# mt blocks, whose scaling floor can stop the script on small hosts.
+echo "== shared_asid directory identity (perfbench, 3 s) =="
+cargo run --offline --quiet --release --manifest-path perfbench/Cargo.toml -- \
+  --workload shared_asid --seed 7 --seconds 3 --trace 0 > target/shared_asid_check.out
+python3 - <<'PY'
+import json
+line = next(l for l in open("target/shared_asid_check.out") if l.startswith("report shared_asid "))
+r = json.loads(line.split(" ", 2)[2])
+gap = r["directory_identity_gap"]["value"]
+failed = r["failed_share"]["value"]
+assert gap == 0, f"shared_asid directory identity off by {gap}"
+assert failed == 0, f"shared_asid failed share {failed}"
+print(f"shared_asid gates ok: identity gap 0, failed share 0, "
+      f"{r['shared_rps']['value']:.1f} requests/s")
+PY
+
 echo "== mt stress (release: antagonist + two-machine conservation) =="
 cargo test --release -q --test mt_coherence
 

@@ -131,10 +131,12 @@ fn mid_chain_abort_is_exercised_and_identical() {
 }
 
 /// The fault smoke matrix (fop, pmd × every fault kind at its middle rate)
-/// cell-by-cell under both dispatch modes. Validation stays OFF here so the
-/// superblock engine is genuinely used for the kinds that allow it; the
-/// per-uop-forcing kinds (conflict, interrupt, spurious) still pass through
-/// the same gate and must agree trivially.
+/// cell-by-cell under both dispatch modes, validated as the campaign runs
+/// it: the validator forces no engine, so the chained engine is genuinely
+/// used for the kinds that allow it, and the two engines' `validations`
+/// counts are compared with the rest of `RunStats`. The per-uop-forcing
+/// kinds (conflict, interrupt, spurious) still pass through the same gate
+/// and must agree trivially.
 #[test]
 fn fault_smoke_matrix_identical_across_dispatch_modes() {
     let mut workloads = all_workloads();
@@ -148,12 +150,14 @@ fn fault_smoke_matrix_identical_across_dispatch_modes() {
             let mut hw = HwConfig::baseline();
             hw.faults = kind.plan(rate);
             hw.governor = GovernorConfig::online();
+            hw.validate = true;
             run_both(w, &profiled, &compiled, hw.clone(), hw);
         }
         // And the clean cell with the governor online, for symmetry.
         let mut hw = HwConfig::baseline();
         hw.faults = FaultPlan::none();
         hw.governor = GovernorConfig::online();
+        hw.validate = true;
         run_both(w, &profiled, &compiled, hw.clone(), hw);
     }
 }

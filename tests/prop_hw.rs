@@ -6,8 +6,9 @@
 //! the seal-site way predictor must be bit-identical to the unpredicted
 //! reference model under random interleavings of accesses, commits,
 //! aborts, and coherence invalidations, the governor ladder must terminate
-//! with the reference checksum under any fault plan, and the sharded
-//! coherence directory must match a sequential reference.
+//! with the reference checksum under any fault plan, the sharded
+//! coherence directory must match a sequential reference, and a core
+//! link's flat per-line table must match the map bookkeeping it replaced.
 
 use std::collections::BTreeSet;
 
@@ -288,9 +289,9 @@ mod ladder_liveness {
 /// protocol of a naive sequential reference directory (one flat map, plain
 /// per-core queues, no striping, no atomics): same message streams per
 /// core, same signal verdicts, same global counters, same final line
-/// states. Random cross-core publish/release interleavings — applied from
-/// one thread, so any divergence is a striping/hashing/mailbox bug, not a
-/// data race.
+/// states. Random cross-core publish/release interleavings with mid-stream
+/// pops — applied from one thread, so any divergence is a
+/// striping/hashing/mailbox bug, not a data race.
 mod directory_model {
     use super::*;
 
@@ -303,7 +304,7 @@ mod directory_model {
     /// possible form.
     struct RefDir {
         lines: std::collections::BTreeMap<u64, LineState>,
-        mail: Vec<Vec<CohMsg>>,
+        mail: Vec<std::collections::VecDeque<CohMsg>>,
         signaled: u64,
         invalidations: u64,
         downgrades: u64,
@@ -314,7 +315,7 @@ mod directory_model {
         fn new() -> RefDir {
             RefDir {
                 lines: std::collections::BTreeMap::new(),
-                mail: vec![Vec::new(); CORES],
+                mail: vec![std::collections::VecDeque::new(); CORES],
                 signaled: 0,
                 invalidations: 0,
                 downgrades: 0,
@@ -331,7 +332,7 @@ mod directory_model {
             } else {
                 self.downgrades += 1;
             }
-            self.mail[to as usize].push(msg);
+            self.mail[to as usize].push_back(msg);
         }
 
         fn write(&mut self, me: CoreId, key: u64, spec: bool) {
@@ -418,7 +419,7 @@ mod directory_model {
         #[test]
         fn directory_matches_sequential_reference(
             ops in prop::collection::vec(
-                (0u8..CORES as u8, 0u64..6, 0u64..2, 0u8..3, any::<bool>()),
+                (0u8..CORES as u8, 0u64..6, 0u64..2, 0u8..4, any::<bool>()),
                 0..300,
             ),
         ) {
@@ -437,9 +438,16 @@ mod directory_model {
                         dir.publish_read(core, key, spec);
                         reference.read(core, key, spec);
                     }
-                    _ => {
+                    2 => {
                         dir.release_spec(core, key);
                         reference.release(core, key);
+                    }
+                    _ => {
+                        // A mid-stream pop: a mailbox past its inline
+                        // slots refills them from its spill here.
+                        let mail = &mut reference.mail[core as usize];
+                        prop_assert_eq!(dir.pop_msg(core), mail.pop_front());
+                        prop_assert_eq!(dir.pending(core), !mail.is_empty());
                     }
                 }
             }
@@ -450,9 +458,9 @@ mod directory_model {
             prop_assert_eq!(dir.publishes(), reference.publishes);
             // ...same per-core message streams, in order...
             for core in 0..CORES as u8 {
-                let mut got = Vec::new();
+                let mut got = std::collections::VecDeque::new();
                 while let Some(msg) = dir.pop_msg(core) {
-                    got.push(msg);
+                    got.push_back(msg);
                 }
                 prop_assert_eq!(
                     &got,
@@ -468,6 +476,306 @@ mod directory_model {
                 let expect = reference.lines.get(&key).copied().unwrap_or_default();
                 prop_assert_eq!(dir.line_state(key), expect, "key {:#x}", key);
             }
+        }
+    }
+}
+
+/// A [`CoreLink`](hasp_hw::CoreLink)'s flat per-line state table against
+/// the two hash maps it replaced (what the core holds, and its live
+/// speculative registrations), kept here as the oracle. Both links run the
+/// access hook's drain → publish → drain order over their own directory and
+/// cache, fed the same random local accesses, remote publishes and
+/// releases, drains, commits and aborts; at every step each `publish`
+/// return value and each `drain` verdict must match, and so must the
+/// traffic counters and the directory's line states.
+mod link_model {
+    use super::*;
+
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    use hasp_hw::stats::AbortReason;
+    use hasp_hw::{CoreId, CoreLink, Directory, LinkStats, FALLBACK_LOCK_ADDR};
+
+    const LINE_BITS: u32 = 48;
+    const ASID: u64 = 3;
+    const ME: CoreId = 0;
+    const SPEC_R: u8 = 1;
+    const SPEC_W: u8 = 2;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Held {
+        Shared,
+        Owned,
+    }
+
+    /// The map-based link bookkeeping, as it stood before the flat table.
+    struct MapLink {
+        dir: Arc<Directory>,
+        tag: u64,
+        held: HashMap<u64, Held>,
+        spec: HashMap<u64, u8>,
+        spec_keys: Vec<u64>,
+        stats: LinkStats,
+    }
+
+    impl MapLink {
+        fn publish(&mut self, line: u64, write: bool, spec: bool) -> bool {
+            let key = self.tag | line;
+            let spec_bit = if write { SPEC_W } else { SPEC_R };
+            let spec_new = spec && self.spec.get(&key).is_none_or(|b| b & spec_bit == 0);
+            let held = self.held.get(&key).copied();
+            let upgrade = write && held != Some(Held::Owned);
+            if held.is_some() && !upgrade && !spec_new {
+                return false;
+            }
+            self.stats.published += 1;
+            if write {
+                self.dir.publish_write(ME, key, spec);
+                self.held.insert(key, Held::Owned);
+            } else {
+                self.dir.publish_read(ME, key, spec);
+                self.held.entry(key).or_insert(Held::Shared);
+            }
+            if spec {
+                let bits = self.spec.entry(key).or_insert_with(|| {
+                    self.spec_keys.push(key);
+                    0
+                });
+                *bits |= spec_bit;
+            }
+            true
+        }
+
+        fn drain(&mut self, cache: &mut CacheSim) -> Option<AbortReason> {
+            let lock_line = cache.line_of(FALLBACK_LOCK_ADDR);
+            while let Some(msg) = self.dir.pop_msg(ME) {
+                self.stats.drained += 1;
+                let line = msg.line();
+                if msg.write {
+                    self.held.remove(&msg.key);
+                } else if self.held.get(&msg.key) == Some(&Held::Owned) {
+                    self.held.insert(msg.key, Held::Shared);
+                }
+                let live_bit = if msg.write {
+                    cache.invalidate_line(line)
+                } else {
+                    cache.downgrade_line(line)
+                };
+                let registered = msg.signal && self.spec.contains_key(&msg.key);
+                if live_bit || registered {
+                    if msg.signal {
+                        self.stats.sig_aborts += 1;
+                    } else {
+                        self.stats.unsignaled_conflicts += 1;
+                    }
+                    return Some(if line == lock_line {
+                        AbortReason::Sle
+                    } else {
+                        AbortReason::Conflict
+                    });
+                }
+                if msg.signal {
+                    self.stats.sig_raced += 1;
+                } else {
+                    self.stats.benign += 1;
+                }
+            }
+            None
+        }
+
+        fn release_spec(&mut self) {
+            for key in self.spec_keys.drain(..) {
+                self.dir.release_spec(ME, key);
+            }
+            self.spec.clear();
+        }
+    }
+
+    /// The link operations the access hook uses, for the link under test
+    /// and the oracle alike.
+    trait Link {
+        fn pending(&self) -> bool;
+        fn publish(&mut self, line: u64, write: bool, spec: bool) -> bool;
+        fn drain(&mut self, cache: &mut CacheSim) -> Option<AbortReason>;
+        fn release_spec(&mut self);
+    }
+
+    impl Link for CoreLink {
+        fn pending(&self) -> bool {
+            CoreLink::pending(self)
+        }
+        fn publish(&mut self, line: u64, write: bool, spec: bool) -> bool {
+            CoreLink::publish(self, line, write, spec)
+        }
+        fn drain(&mut self, cache: &mut CacheSim) -> Option<AbortReason> {
+            CoreLink::drain(self, cache)
+        }
+        fn release_spec(&mut self) {
+            CoreLink::release_spec(self);
+        }
+    }
+
+    impl Link for MapLink {
+        fn pending(&self) -> bool {
+            self.dir.pending(ME)
+        }
+        fn publish(&mut self, line: u64, write: bool, spec: bool) -> bool {
+            MapLink::publish(self, line, write, spec)
+        }
+        fn drain(&mut self, cache: &mut CacheSim) -> Option<AbortReason> {
+            MapLink::drain(self, cache)
+        }
+        fn release_spec(&mut self) {
+            MapLink::release_spec(self);
+        }
+    }
+
+    /// What one step observed: every `publish` return and `drain` verdict.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Seen {
+        Published(bool),
+        Drained(Option<AbortReason>),
+    }
+
+    /// One core: a link, its cache, and whether a region is in flight.
+    struct Core<L> {
+        link: L,
+        cache: CacheSim,
+        in_region: bool,
+    }
+
+    impl<L: Link> Core<L> {
+        fn drain(&mut self, seen: &mut Vec<Seen>) -> Option<AbortReason> {
+            let verdict = self.link.drain(&mut self.cache);
+            seen.push(Seen::Drained(verdict));
+            verdict
+        }
+
+        /// The machine's access hook (`CoreLink::access`) spelled out step
+        /// by step, then the cache access itself, or the abort.
+        fn access(&mut self, line: u64, write: bool, seen: &mut Vec<Seen>) {
+            let spec = self.in_region;
+            let mut verdict = None;
+            if self.link.pending() {
+                verdict = self.drain(seen);
+            }
+            while verdict.is_none() {
+                // A drain empties the mailbox, so a second skip is the
+                // last; a count that stays pending means a lost message.
+                assert!(seen.len() < 16, "the hook never settled: {seen:?}");
+                let published = self.link.publish(line, write, spec);
+                seen.push(Seen::Published(published));
+                if published || !self.link.pending() {
+                    break;
+                }
+                verdict = self.drain(seen);
+            }
+            if verdict.is_none() && self.link.pending() {
+                verdict = self.drain(seen);
+            }
+            match verdict {
+                Some(_) => self.resolve(false),
+                None => {
+                    let (_, overflow) = self.cache.access(line * 64, write, spec);
+                    if overflow {
+                        self.resolve(false);
+                    }
+                }
+            }
+        }
+
+        /// Commit or abort: the flash clear, then the directory release.
+        fn resolve(&mut self, commit: bool) {
+            if !self.in_region {
+                return;
+            }
+            if commit {
+                self.cache.commit_region();
+            } else {
+                self.cache.abort_region();
+            }
+            self.link.release_spec();
+            self.in_region = false;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn flat_link_table_matches_the_map_bookkeeping(
+            ops in prop::collection::vec(
+                (0u8..8, 0u64..12, any::<bool>(), any::<bool>(), 1u8..3),
+                0..300,
+            ),
+        ) {
+            // Lines 0..12 take in the fallback-lock line (5) and make the
+            // table grow mid-run; remote cores 1 and 2 share the asid.
+            let dir = Directory::with_stripes(3, 2);
+            let oracle_dir = Directory::with_stripes(3, 2);
+            let hw = HwConfig::baseline();
+            let mut flat = Core {
+                link: CoreLink::new(Arc::clone(&dir), ME, ASID as u16),
+                cache: CacheSim::new(&hw),
+                in_region: false,
+            };
+            let mut maps = Core {
+                link: MapLink {
+                    dir: Arc::clone(&oracle_dir),
+                    tag: ASID << LINE_BITS,
+                    held: HashMap::new(),
+                    spec: HashMap::new(),
+                    spec_keys: Vec::new(),
+                    stats: LinkStats::default(),
+                },
+                cache: CacheSim::new(&hw),
+                in_region: false,
+            };
+            for (step, &(kind, line, write, spec, remote)) in ops.iter().enumerate() {
+                let key = (ASID << LINE_BITS) | line;
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                match kind {
+                    0 | 1 => {
+                        flat.access(line, write, &mut a);
+                        maps.access(line, write, &mut b);
+                    }
+                    2 => {
+                        flat.in_region = true;
+                        maps.in_region = true;
+                    }
+                    3 => {
+                        flat.resolve(write);
+                        maps.resolve(write);
+                    }
+                    4 => {
+                        if flat.drain(&mut a).is_some() {
+                            flat.resolve(false);
+                        }
+                        if maps.drain(&mut b).is_some() {
+                            maps.resolve(false);
+                        }
+                    }
+                    5 | 6 => {
+                        for d in [&dir, &oracle_dir] {
+                            if write {
+                                d.publish_write(remote, key, spec);
+                            } else {
+                                d.publish_read(remote, key, spec);
+                            }
+                        }
+                    }
+                    _ => {
+                        dir.release_spec(remote, key);
+                        oracle_dir.release_spec(remote, key);
+                    }
+                }
+                prop_assert_eq!(&a, &b, "step {}: publish/drain verdicts", step);
+                prop_assert_eq!(flat.link.stats, maps.link.stats, "step {}", step);
+                prop_assert_eq!(flat.in_region, maps.in_region, "step {}", step);
+                prop_assert_eq!(dir.line_state(key), oracle_dir.line_state(key), "step {}", step);
+            }
+            prop_assert_eq!(flat.link.stats.unsignaled_conflicts, 0);
         }
     }
 }
