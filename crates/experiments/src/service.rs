@@ -35,11 +35,12 @@
 //! (`mt`), each worker owns one [`CoreLink`] per tenant — core `w·T + t`,
 //! address space `t` — attached around every run, so workers serving the
 //! same tenant genuinely race and every `Conflict`/`Sle` abort is organic:
-//! no tenant may arm per-uop fault injection. Such a leg also gates the
-//! directory's conservation identity (`signaled == Σ sig_aborts +
-//! Σ sig_raced`, folded into [`LegOutcome::conservation_ok`]) and its
-//! observation identity (conflict-class machine aborts == `Σ sig_aborts`,
-//! [`LegOutcome::observation_ok`]).
+//! no tenant may arm conflict, interrupt or spurious injection
+//! ([`FaultPlan::any_per_uop`](hasp_hw::FaultPlan::any_per_uop)). Such a
+//! leg also gates the directory's conservation identity (`signaled ==
+//! Σ sig_aborts + Σ sig_raced`, folded into [`LegOutcome::conservation_ok`])
+//! and its observation identity (conflict-class machine aborts ==
+//! `Σ sig_aborts`, [`LegOutcome::observation_ok`]).
 //!
 //! Every leg is reported on two clocks. Modeled: each request's service
 //! time is its run's `stats.cycles`, and a discrete-event simulation places

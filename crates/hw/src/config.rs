@@ -18,8 +18,7 @@ use crate::stats::AbortReason;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
     /// Reference interpretation: fetch, account, and execute one uop at a
-    /// time. Always used when per-uop fault injection is armed, so
-    /// injected-fault results stay bit-identical.
+    /// time.
     PerUop,
     /// Chained superblock dispatch: maximal straight-line runs execute with
     /// one batched fuel/stats update per block from metadata precomputed at

@@ -12,10 +12,6 @@
 //! * [`MachineFault`] — structured machine errors, so hardware misuse
 //!   (e.g. `aregion_abort` outside a region) and invariant-validator
 //!   failures surface as values instead of panics.
-//!
-//! The abort-*recovery* policy ([`GovernorConfig`](crate::config::GovernorConfig))
-//! used to live here too; it is recovery policy, not fault injection, and
-//! lives in [`crate::config`] (import it from there or the crate root).
 
 use hasp_vm::bytecode::MethodId;
 use hasp_vm::error::VmError;
@@ -109,8 +105,10 @@ impl FaultPlan {
         }
     }
 
-    /// True when any probabilistic (per-uop) injection is armed, so the
-    /// machine's hot loop can skip the RNG entirely otherwise.
+    /// True when a rate-driven injection is armed: conflicts, interrupts or
+    /// spurious aborts, whose rates count uops. A coherence leg of the
+    /// worker pool requires that none is, so every conflict it reports
+    /// comes from the directory.
     pub fn any_per_uop(&self) -> bool {
         self.conflict_per_miljon > 0 || self.interrupt_interval > 0 || self.spurious_per_miljon > 0
     }
@@ -266,7 +264,7 @@ mod tests {
         assert!(FaultPlan::spurious(1).any_per_uop());
         assert!(
             !FaultPlan::overflow_budget(4).any_per_uop(),
-            "budget checks ride the existing footprint path"
+            "a line budget counts lines, not uops"
         );
     }
 

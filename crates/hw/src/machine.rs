@@ -62,10 +62,11 @@ enum Stop {
     /// A memory operand holds no object (these raw bits): a hard error.
     /// Nothing was written.
     NotObj(i64),
-    /// The memory access must abort the region for this reason: an
-    /// overflow (geometric or past the injected line budget), or a
-    /// coherence conflict (`Conflict`, or `Sle` on the fallback-lock line).
-    /// The cache already recorded the access.
+    /// The region must abort for this reason: the memory access overflowed
+    /// (geometric or past the injected line budget) or hit a coherence
+    /// conflict (`Conflict`, or `Sle` on the fallback-lock line), and the
+    /// cache already recorded it; or the region's scheduled injected abort
+    /// fell on this uop, which is accounted but not executed.
     Abort(AbortReason),
 }
 
@@ -179,10 +180,17 @@ pub struct Machine<'p> {
     cxw: u64,
     last_commit_cxw: u64,
     fuel: u64,
+    /// The fault RNG: a conflict/spurious draw is one LCG step per
+    /// in-region uop, taken ahead of time up to the next hit.
     fault_rng: u64,
-    /// Precomputed `cfg.faults.any_per_uop()` so the per-uop hot path pays
-    /// one branch when no probabilistic injection is armed.
-    inject_per_uop: bool,
+    /// The in-region uop ordinal (`stats.region_uops`) of the next
+    /// conflict or spurious hit, and which one it is; ordinal 0 until the
+    /// first entered region draws it. Read only when a rate is armed.
+    draw_hit: (u64, AbortReason),
+    /// The live region's next injected abort: the in-region uop ordinal it
+    /// fires at (`u64::MAX` for none) and its reason, set at each entered
+    /// `aregion_begin`. The fired uop is accounted but never executed.
+    inject: (u64, AbortReason),
     /// Dynamic `aregion_begin` count (1-based), driving targeted injection.
     region_entries: u64,
     /// Online governor state per static region.
@@ -265,7 +273,6 @@ impl<'p> Machine<'p> {
             None => Predictor::new(),
         };
         let seed = cfg.faults.seed;
-        let inject_per_uop = cfg.faults.any_per_uop();
         let mach = Machine {
             program,
             code,
@@ -281,7 +288,8 @@ impl<'p> Machine<'p> {
             last_commit_cxw: 0,
             fuel: u64::MAX,
             fault_rng: seed | 1,
-            inject_per_uop,
+            draw_hit: (0, AbortReason::Conflict),
+            inject: (u64::MAX, AbortReason::Interrupt),
             region_entries: 0,
             gov: FxHashMap::default(),
             fallback_lock: false,
@@ -919,9 +927,10 @@ impl<'p> Machine<'p> {
     }
 
     /// Executes an `aregion_begin` at `pc`: governor consult, entry stalls,
-    /// sparse write-set checkpoint, region-context arming, and targeted
-    /// injection — shared verbatim by the per-uop `step` arm and the block
-    /// engine's inline terminator, so region-entry semantics cannot drift.
+    /// sparse write-set checkpoint, region-context arming, targeted
+    /// injection, and the schedule of the region's next injected abort —
+    /// shared verbatim by the per-uop `step` arm and the block engine's
+    /// inline terminator, so region-entry semantics cannot drift.
     fn region_begin(
         &mut self,
         method: MethodId,
@@ -1034,7 +1043,77 @@ impl<'p> Machine<'p> {
             self.abort(AbortReason::Spurious)?;
             return Ok(BeginOut::Redirect(alt));
         }
+        self.schedule_injection();
         Ok(BeginOut::Entered)
+    }
+
+    /// Sets the entered region's next injected abort: the earlier of the
+    /// next interrupt (a multiple of `interrupt_interval` retired uops)
+    /// and the next conflict or spurious hit, an interrupt first on a tie.
+    /// Inside a region retired and in-region uops advance together
+    /// (regions contain no calls), so the interrupt's in-region ordinal
+    /// follows from `stats.uops`.
+    fn schedule_injection(&mut self) {
+        let f = &self.cfg.faults;
+        let (uops, ordinal) = (self.stats.uops, self.stats.region_uops);
+        let mut next = (u64::MAX, AbortReason::Interrupt);
+        if f.interrupt_interval > 0 {
+            next.0 = ordinal.saturating_add(f.interrupt_interval - uops % f.interrupt_interval);
+        }
+        if f.conflict_per_miljon > 0 || f.spurious_per_miljon > 0 {
+            if self.draw_hit.0 == 0 {
+                self.draw_hit = self.draw_after(0);
+            }
+            if self.draw_hit.0 < next.0 {
+                next = self.draw_hit;
+            }
+        }
+        self.inject = next;
+    }
+
+    /// The first conflict or spurious hit after in-region uop `ordinal`:
+    /// each in-region uop draws one step of the fault LCG, and a draw's
+    /// conflict bits are tested before its spurious bits (independent bits
+    /// of one draw, so the two streams don't correlate). Returns the
+    /// hitting uop's ordinal and reason.
+    fn draw_after(&mut self, mut ordinal: u64) -> (u64, AbortReason) {
+        let conflict = self.cfg.faults.conflict_per_miljon;
+        let spurious = self.cfg.faults.spurious_per_miljon;
+        loop {
+            ordinal += 1;
+            self.fault_rng = self
+                .fault_rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if conflict > 0 && (self.fault_rng >> 11) % 1_000_000 < conflict {
+                return (ordinal, AbortReason::Conflict);
+            }
+            if spurious > 0 && (self.fault_rng >> 29) % 1_000_000 < spurious {
+                return (ordinal, AbortReason::Spurious);
+            }
+        }
+    }
+
+    /// Fires the live region's scheduled injected abort and returns its
+    /// reason. The draw stream moves on from the fired uop's own ordinal,
+    /// never from the running count, which the chained engine has already
+    /// advanced past the block's unexecuted suffix.
+    // Out of line and cold, so the draw loop stays out of the chained
+    // engine's hot loop: perfbench `steady_sim` medians 0-6% higher than
+    // with it inlined in four rotating series, ahead in 24 of 36 rounds
+    // (2-core x86-64 host).
+    #[cold]
+    #[inline(never)]
+    fn injected(&mut self) -> AbortReason {
+        let (at, why) = self.inject;
+        if why == AbortReason::Interrupt {
+            // The interrupted uop draws nothing, so a pending hit moves one
+            // uop later.
+            self.draw_hit.0 += 1;
+        } else {
+            self.draw_hit = self.draw_after(at);
+        }
+        why
     }
 
     /// Executes an `aregion_end` at `pc`: flash-clear commit, statistics,
@@ -1212,18 +1291,15 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Dispatch selector. The superblock hot path requires that nothing
-    /// observes state *between* the uops of a straight-line run:
-    /// probabilistic/interval fault injection draws once per retired
-    /// in-region uop, so it forces the per-uop path, keeping injected-fault
-    /// campaigns bit-identical by construction. The invariant validator
-    /// runs only at commits and aborts, which both engines reach through
-    /// the same helpers, so it audits whichever engine runs.
+    /// Dispatch selector: [`HwConfig::dispatch`] alone picks the engine.
+    /// Injected aborts are scheduled stops that both engines honour at the
+    /// same uop, and the invariant validator runs only at commits and
+    /// aborts, which both engines reach through the same helpers, so every
+    /// experiment runs on whichever engine is configured.
     fn exec(&mut self) -> Result<Option<Value>, MachineFault> {
-        if self.cfg.dispatch == Dispatch::Superblock && !self.inject_per_uop {
-            self.exec_superblock()
-        } else {
-            self.exec_per_uop()
+        match self.cfg.dispatch {
+            Dispatch::Superblock => self.exec_superblock(),
+            Dispatch::PerUop => self.exec_per_uop(),
         }
     }
 
@@ -1521,6 +1597,14 @@ impl<'p> Machine<'p> {
         loop {
             let sb = &code.blocks[pc];
             let n = u64::from(sb.len);
+            if self.fuel < n.max(1) {
+                // Within one block of exhaustion (a marker counts as one
+                // uop here, as the reference stops before it with no fuel
+                // left): the reference path finds the exact uop the fuel
+                // runs out on.
+                self.frames.last_mut().expect("frame").pc = pc;
+                return self.exec_per_uop();
+            }
             if n == 0 {
                 // Markers live outside blocks.
                 let Uop::Marker { id } = code.uops[pc] else {
@@ -1530,29 +1614,40 @@ impl<'p> Machine<'p> {
                 pc += 1;
                 continue;
             }
-            if self.fuel < n {
-                // Within one block of exhaustion: the reference path finds
-                // the exact uop the fuel runs out on.
-                self.frames.last_mut().expect("frame").pc = pc;
-                return self.exec_per_uop();
-            }
             // The whole block's accounting, batched.
             self.fuel -= n;
             self.stats.uops += n;
             self.cxw += n;
             self.stats.uop_classes.apply_delta(&sb.classes);
-            let in_region = self.region.active;
-            if in_region {
-                self.stats.region_uops += n;
-            }
             let term = pc + sb.len as usize - 1;
             let sterm = sb.term;
-            // The interior. A stop leaves the block: finish it, hand back
-            // the unexecuted suffix's batched accounting, and resume
+            let in_region = self.region.active;
+            // The uop of the region's scheduled injected abort, when it
+            // falls in this block: the last one, `term`, has ordinal
+            // `region_uops`.
+            let mut inject = None;
+            if in_region {
+                self.stats.region_uops += n;
+                let at = self.inject.0;
+                if at <= self.stats.region_uops {
+                    debug_assert!(at + n > self.stats.region_uops, "injection skipped");
+                    inject = Some(term - (self.stats.region_uops - at) as usize);
+                }
+            }
+            // The interior, up to an injected abort's uop, which then
+            // stops the block like any interior stop. A stop leaves the
+            // block: finish it, hand back the unexecuted suffix's batched
+            // accounting (a stop on the terminator has none), and resume
             // wherever it redirected.
-            if let Err((j, why)) = self.run_interior(code, pc, term) {
+            let mut stopped = self.run_interior(code, pc, inject.unwrap_or(term));
+            if let (Ok(()), Some(j)) = (&stopped, inject) {
+                stopped = Err((j, Stop::Abort(self.injected())));
+            }
+            if let Err((j, why)) = stopped {
                 let finished = self.bail(j, why);
-                self.unapply_suffix(&code.blocks[j + 1], in_region);
+                if j < term {
+                    self.unapply_suffix(&code.blocks[j + 1], in_region);
+                }
                 finished?;
                 resync!();
                 continue;
@@ -1653,9 +1748,8 @@ impl<'p> Machine<'p> {
     }
 
     /// The reference interpretation: fetch, account, and execute one uop at
-    /// a time. This is the only path that can observe state between the
-    /// uops of a straight-line run, so per-uop fault injection always runs
-    /// here.
+    /// a time. Runs under [`Dispatch::PerUop`], and finishes a chained run
+    /// within one block of fuel exhaustion.
     fn exec_per_uop(&mut self) -> Result<Option<Value>, MachineFault> {
         loop {
             if self.fuel == 0 {
@@ -1683,32 +1777,10 @@ impl<'p> Machine<'p> {
             self.cxw += 1;
             if self.region.active {
                 self.stats.region_uops += 1;
-                if self.inject_per_uop {
-                    // Interrupt injection (best-effort hardware).
-                    let interval = self.cfg.faults.interrupt_interval;
-                    if interval > 0 && self.stats.uops.is_multiple_of(interval) {
-                        self.abort(AbortReason::Interrupt)?;
-                        continue;
-                    }
-                    let conflict = self.cfg.faults.conflict_per_miljon;
-                    let spurious = self.cfg.faults.spurious_per_miljon;
-                    if conflict > 0 || spurious > 0 {
-                        self.fault_rng = self
-                            .fault_rng
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        // Coherence conflict injection.
-                        if conflict > 0 && (self.fault_rng >> 11) % 1_000_000 < conflict {
-                            self.abort(AbortReason::Conflict)?;
-                            continue;
-                        }
-                        // Spurious hardware aborts (independent bits of the
-                        // same draw, so the streams don't correlate).
-                        if spurious > 0 && (self.fault_rng >> 29) % 1_000_000 < spurious {
-                            self.abort(AbortReason::Spurious)?;
-                            continue;
-                        }
-                    }
+                if self.stats.region_uops == self.inject.0 {
+                    let why = self.injected();
+                    self.abort(why)?;
+                    continue;
                 }
             }
 
@@ -3137,6 +3209,36 @@ mod fault_tests {
         runs[0].clone()
     }
 
+    /// Fuel that runs out right before a marker stops both engines there:
+    /// the marker does not fire, and the frame stays at its pc.
+    #[test]
+    fn fuel_exhausted_before_a_marker_stops_both_engines_there() {
+        let c = |imm| Uop::Const { dst: MReg(0), imm };
+        let uops = vec![
+            c(1),
+            c(2),
+            Uop::Marker { id: 5 },
+            c(3),
+            Uop::Ret { src: None },
+        ];
+        let runs: Vec<_> = [HwConfig::baseline(), HwConfig::per_uop()]
+            .into_iter()
+            .map(|hw| {
+                let (p, cc) = install_uops(uops.clone(), 1);
+                let mut mach = Machine::new(&p, &cc, hw);
+                mach.set_fuel(2);
+                let out = mach.run(&[]);
+                let pc = mach.frames.last().expect("frame").pc;
+                (out, mach.stats().clone(), mach.env.marker_count(5), pc)
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "superblock == per-uop reference");
+        let (out, stats, count, pc) = &runs[0];
+        assert_eq!(*out, Err(VmError::FuelExhausted.into()));
+        assert!(stats.markers.is_empty(), "{:?}", stats.markers);
+        assert_eq!((*count, *pc), (0, 2));
+    }
+
     #[test]
     fn call_linkage_and_indirect_jumps_agree_across_engines() {
         // Unbounded self-recursion: 512 calls of 3 uops each (the call and
@@ -3411,5 +3513,138 @@ mod fault_tests {
         assert_eq!(out, Ok(Some(Value::Int(1))));
         assert_eq!((stats.commits, stats.aborts.total()), (1, 0));
         assert_eq!(stats.region_footprint.max, 100);
+    }
+
+    /// The loop of the schedule test: `iters` times, a region of `k`
+    /// straight-line adds and its end (`k + 1` in-region uops), then the
+    /// counter's decrement and back branch outside it. An abort's alternate
+    /// path is that same decrement, so the method returns `k` per commit.
+    fn region_loop(k: usize, iters: i64) -> Vec<Uop> {
+        let (n, one, sum, zero) = (MReg(0), MReg(1), MReg(2), MReg(3));
+        let mut uops = vec![
+            Uop::Const { dst: n, imm: iters },
+            Uop::Const { dst: one, imm: 1 },
+            Uop::RegionBegin {
+                region: 0,
+                alt: k + 4,
+            },
+        ];
+        uops.extend((0..k).map(|_| Uop::Alu {
+            op: BinOp::Add,
+            dst: sum,
+            a: sum,
+            b: one,
+        }));
+        uops.extend([
+            Uop::RegionEnd { region: 0 },
+            Uop::Alu {
+                op: BinOp::Sub,
+                dst: n,
+                a: n,
+                b: one,
+            },
+            Uop::Br {
+                op: CmpOp::Ne,
+                a: n,
+                b: zero,
+                target: 2,
+            },
+            Uop::Ret { src: Some(sum) },
+        ]);
+        uops
+    }
+
+    /// The oracle for [`region_loop`] under `plan`: the per-uop draw the
+    /// injection schedule replaced. Every in-region uop is accounted, then
+    /// aborts on an interrupt (a multiple of `interrupt_interval` retired
+    /// uops) or else draws one LCG step, whose conflict bits are tested
+    /// before its spurious bits. Returns the commits, the interrupt,
+    /// conflict and spurious aborts, and the retired and in-region uops.
+    fn drawn_outcome(plan: &FaultPlan, k: u64, iters: u64) -> (u64, [u64; 3], u64, u64) {
+        let mut rng = plan.seed | 1;
+        let (conflict, spurious) = (plan.conflict_per_miljon, plan.spurious_per_miljon);
+        let (mut commits, mut aborts) = (0, [0; 3]);
+        // The two constants before the loop.
+        let (mut uops, mut region_uops) = (2u64, 0);
+        for _ in 0..iters {
+            uops += 1; // aregion_begin
+            let mut fired = None;
+            for _ in 0..=k {
+                uops += 1;
+                region_uops += 1;
+                if plan.interrupt_interval > 0 && uops.is_multiple_of(plan.interrupt_interval) {
+                    fired = Some(0);
+                    break;
+                }
+                if conflict > 0 || spurious > 0 {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    if conflict > 0 && (rng >> 11) % 1_000_000 < conflict {
+                        fired = Some(1);
+                        break;
+                    }
+                    if spurious > 0 && (rng >> 29) % 1_000_000 < spurious {
+                        fired = Some(2);
+                        break;
+                    }
+                }
+            }
+            match fired {
+                Some(i) => aborts[i] += 1,
+                None => commits += 1,
+            }
+            uops += 2; // the decrement and the back branch
+        }
+        // The return and its two linkage uops.
+        (commits, aborts, uops + 3, region_uops)
+    }
+
+    const LOOP_ITERS: u64 = 200;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 256,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Injected aborts are scheduled stops that land exactly where the
+        /// per-uop draw they replaced fired, on both engines: random seeds,
+        /// conflict and spurious rates, and small interrupt intervals, so
+        /// interrupts and draw hits often fall in one region or on one uop,
+        /// and stops fall mid-block and on the region's end.
+        #[test]
+        fn injection_schedule_matches_the_per_uop_draw(
+            seed in proptest::prelude::any::<u64>(),
+            conflict in proptest::prop_oneof![proptest::prelude::Just(0u64), 1_000u64..200_000],
+            spurious in proptest::prop_oneof![proptest::prelude::Just(0u64), 1_000u64..200_000],
+            interval in proptest::prop_oneof![
+                proptest::prelude::Just(0u64),
+                proptest::prelude::Just(7u64),
+                proptest::prelude::Just(13u64),
+                proptest::prelude::Just(50u64),
+                proptest::prelude::Just(97u64),
+            ],
+            k in 1usize..40,
+        ) {
+            let plan = FaultPlan {
+                seed,
+                conflict_per_miljon: conflict,
+                interrupt_interval: interval,
+                spurious_per_miljon: spurious,
+                ..FaultPlan::none()
+            };
+            let (commits, aborts, uops, region_uops) = drawn_outcome(&plan, k as u64, LOOP_ITERS);
+            let (out, stats) = run_both_engines(&region_loop(k, LOOP_ITERS as i64), 4, &plan);
+            let reasons = [AbortReason::Interrupt, AbortReason::Conflict, AbortReason::Spurious];
+            assert_eq!(
+                (stats.commits, reasons.map(|r| stats.aborts.get(r)), stats.uops),
+                (commits, aborts, uops),
+                "{plan:?}, k = {k}"
+            );
+            assert_eq!(stats.region_uops, region_uops, "{plan:?}, k = {k}");
+            assert_eq!(stats.aborts.total(), aborts.iter().sum::<u64>());
+            assert_eq!(out, Ok(Some(Value::Int(k as i64 * commits as i64))));
+        }
     }
 }

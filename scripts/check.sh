@@ -64,6 +64,45 @@ PY
 echo "== knee-sweep smoke (conflict-rate probes, checksums, governor online) =="
 cargo run --release -p hasp-experiments --bin experiments -- faults --knee --smoke
 
+# The committed fault artifacts must reproduce: a full campaign (~3 s) and a
+# full knee sweep (~2 s), run in a temporary directory so no tracked file is
+# rewritten, must equal BENCH_faults.json and BENCH_knee.json in every field
+# but the host facts `threads` and `wall_s`. Every fault kind runs on the
+# chained engine, so this also pins it to the injected aborts the committed
+# cells record.
+echo "== fault artifacts reproduce (full campaign and knee sweep vs committed) =="
+root=$PWD
+repro=$(mktemp -d)
+trap 'rm -rf "$repro"' EXIT
+(cd "$repro" \
+  && cargo run --release -q --manifest-path "$root/Cargo.toml" -p hasp-experiments \
+       --bin experiments -- faults > /dev/null \
+  && cargo run --release -q --manifest-path "$root/Cargo.toml" -p hasp-experiments \
+       --bin experiments -- faults --knee > /dev/null)
+python3 - "$repro" <<'PY'
+import json, sys
+def diff(a, b, path=""):
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            if path == "" and k in ("threads", "wall_s"):
+                continue
+            if k not in a or k not in b:
+                yield f"{path}.{k}: on one side only"
+            else:
+                yield from diff(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diff(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield f"{path}: committed {a!r}, reproduced {b!r}"
+for name in ("faults", "knee"):
+    committed = json.load(open(f"BENCH_{name}.json"))
+    fresh = json.load(open(f"{sys.argv[1]}/BENCH_{name}.json"))
+    d = list(diff(committed, fresh))
+    assert not d, f"BENCH_{name}.json does not reproduce ({len(d)} fields): {d[:10]}"
+print("BENCH_faults.json and BENCH_knee.json reproduce in every field but threads and wall_s")
+PY
+
 echo "== dispatch equivalence (release: chained dispatch vs per-uop oracle) =="
 cargo test --release -q --test dispatch_equivalence
 

@@ -7,9 +7,9 @@
 //! the two engines apart.
 //!
 //! A second leg drives the fault-injection smoke matrix under both
-//! dispatch modes with validation *off* — so the superblock path is
-//! genuinely exercised for the kinds that permit it (overflow, targeted)
-//! rather than silently falling back — and compares outcomes cell by cell.
+//! dispatch modes with the invariant validator on and compares outcomes
+//! cell by cell: every fault kind runs on the chained engine, its injected
+//! aborts stopping blocks at the same uops as the per-uop reference.
 
 use hasp_experiments::{
     compile_workload, profile_workload, sweep_rates, try_execute_compiled, CompiledWorkload,
@@ -132,11 +132,9 @@ fn mid_chain_abort_is_exercised_and_identical() {
 
 /// The fault smoke matrix (fop, pmd × every fault kind at its middle rate)
 /// cell-by-cell under both dispatch modes, validated as the campaign runs
-/// it: the validator forces no engine, so the chained engine is genuinely
-/// used for the kinds that allow it, and the two engines' `validations`
-/// counts are compared with the rest of `RunStats`. The per-uop-forcing
-/// kinds (conflict, interrupt, spurious) still pass through the same gate
-/// and must agree trivially.
+/// it. Neither injection nor the validator forces an engine, so every
+/// kind runs on the chained engine, and the two engines' `validations`
+/// counts are compared with the rest of `RunStats`.
 #[test]
 fn fault_smoke_matrix_identical_across_dispatch_modes() {
     let mut workloads = all_workloads();

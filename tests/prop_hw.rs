@@ -202,7 +202,8 @@ mod ladder_liveness {
     //! terminate with the interpreter's checksum — no tier livelock, no
     //! retry loop that starves the alt path — and the per-tier accounting
     //! must balance at run end. The compiled workload is built once; each
-    //! case is one governed, validated machine run.
+    //! case is one governed, validated run on each dispatch engine, and the
+    //! two must agree on the outcome and on every statistic.
 
     use super::*;
     use std::sync::OnceLock;
@@ -210,7 +211,7 @@ mod ladder_liveness {
     use hasp_experiments::{
         compile_workload, profile_workload, CompiledWorkload, ProfiledWorkload,
     };
-    use hasp_hw::{FaultPlan, GovernorConfig, Machine};
+    use hasp_hw::{Dispatch, FaultPlan, GovernorConfig, Machine};
     use hasp_opt::CompilerConfig;
     use hasp_workloads::{synthetic, Workload};
 
@@ -262,12 +263,23 @@ mod ladder_liveness {
                 tier3_disables: tier3,
                 reform_budget: reform,
             };
+            let mut reference = Machine::new(
+                &w.program,
+                &compiled.code,
+                hasp_hw::HwConfig { dispatch: Dispatch::PerUop, ..hw.clone() },
+            );
             let mut mach = Machine::new(&w.program, &compiled.code, hw);
-            mach.set_fuel(w.fuel.saturating_mul(4));
-            if lock_held {
-                mach.set_fallback_lock(true);
+            for m in [&mut mach, &mut reference] {
+                m.set_fuel(w.fuel.saturating_mul(4));
+                m.set_fallback_lock(lock_held);
             }
             let out = mach.run(&[]);
+            prop_assert_eq!(&out, &reference.run(&[]), "engines disagree on the outcome");
+            prop_assert!(
+                mach.stats() == reference.stats(),
+                "engines diverged: {:?}",
+                mach.stats().diff(reference.stats())
+            );
             prop_assert!(out.is_ok(), "machine must terminate cleanly: {:?}", out.err());
             prop_assert_eq!(
                 mach.env.checksum(),
