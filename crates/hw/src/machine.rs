@@ -176,8 +176,16 @@ pub struct Machine<'p> {
     cache: CacheSim,
     pred: Predictor,
     stats: RunStats,
-    /// Cycles × width accumulator (integer arithmetic for determinism).
-    cxw: u64,
+    /// Way-predicted L1 hits not yet in `stats` or the cache's
+    /// `PredStats`: each is one access, one L1 hit, one predictor probe
+    /// and one predictor hit, folded in once when [`Machine::exec`]
+    /// returns.
+    pred_hits: u64,
+    /// Stall cycles × width: charges and miss latencies (integer
+    /// arithmetic for determinism). Each retired uop's one slot is not
+    /// here; [`Machine::cxw`] adds `stats.uops`.
+    stall_cxw: u64,
+    /// [`Machine::cxw`] at the last commit.
     last_commit_cxw: u64,
     fuel: u64,
     /// The fault RNG: a conflict/spurious draw is one LCG step per
@@ -284,7 +292,8 @@ impl<'p> Machine<'p> {
             cache,
             pred,
             stats: RunStats::default(),
-            cxw: 0,
+            pred_hits: 0,
+            stall_cxw: 0,
             last_commit_cxw: 0,
             fuel: u64::MAX,
             fault_rng: seed | 1,
@@ -352,7 +361,10 @@ impl<'p> Machine<'p> {
         if self.fallback_lock {
             return Some("fallback lock held");
         }
-        if self.cxw != 0 || self.last_commit_cxw != 0 {
+        if self.pred_hits != 0 {
+            return Some("predicted hits not folded");
+        }
+        if self.stall_cxw != 0 || self.last_commit_cxw != 0 {
             return Some("cycle accumulator nonzero");
         }
         if self.stats != RunStats::default() {
@@ -410,7 +422,12 @@ impl<'p> Machine<'p> {
 
     /// Current cycle count.
     pub fn cycles(&self) -> u64 {
-        self.cxw / self.cfg.width
+        self.cxw() / self.cfg.width
+    }
+
+    /// Cycles × width: one slot per retired uop plus the stalls.
+    fn cxw(&self) -> u64 {
+        self.stats.uops + self.stall_cxw
     }
 
     /// Sets the global fallback lock word's externally visible state — the
@@ -445,9 +462,7 @@ impl<'p> Machine<'p> {
     /// architectural state.
     pub fn run(&mut self, args: &[Value]) -> Result<Option<Value>, MachineFault> {
         self.push_frame(self.program.entry(), args)?;
-        let out = self.exec()?;
-        self.stats.cycles = self.cycles();
-        Ok(out)
+        self.exec()
     }
 
     /// Pushes a run's entry frame; every other frame is pushed by
@@ -605,7 +620,7 @@ impl<'p> Machine<'p> {
     }
 
     fn charge(&mut self, cycles: u64) {
-        self.cxw += cycles * self.cfg.width;
+        self.stall_cxw += cycles * self.cfg.width;
     }
 
     /// Accounts the hidden uops of call/return linkage (argument
@@ -614,7 +629,6 @@ impl<'p> Machine<'p> {
     /// benefit depends on that cost.
     fn account_call_overhead(&mut self, uops: u64) {
         self.stats.uops += uops;
-        self.cxw += uops;
         if self.region.active {
             self.stats.region_uops += uops;
         }
@@ -624,59 +638,69 @@ impl<'p> Machine<'p> {
         (u64::from(m.0) << 24) ^ pc as u64
     }
 
-    /// The borrow-split core of [`Machine::mem_access`]: cache simulation,
-    /// timing, speculative tracking, and overflow detection over the
-    /// machine's disjoint fields, so the interior executor can run it while
-    /// holding the frame's register file borrowed. `Err` carries the reason
-    /// the region must abort: `Overflow`, or the coherence conflict the
-    /// core's link drained.
-    #[inline]
+    /// A data access past the predicted head: the coherence hook, the
+    /// way predictor when a link is attached, then the set scan, install
+    /// and miss latency. The interior's `access!` tries the predictor
+    /// first when no link is attached, and a predictor that missed there
+    /// is not consulted again here. Runs over the machine's disjoint
+    /// fields, so the interior can call it while holding the frame's
+    /// register file borrowed. `budget` is the injected line budget inside
+    /// a region and 0 outside. `Err` carries the reason the region must
+    /// abort: `Overflow`, or the coherence conflict the core's link
+    /// drained.
+    // Out of line: the head in `access!` answers most accesses, and one
+    // call here keeps every memory arm's inline code down to that head.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn mem_access_parts(
         cache: &mut CacheSim,
         stats: &mut RunStats,
-        cxw: &mut u64,
-        in_region: bool,
+        stall_cxw: &mut u64,
+        pred_hits: &mut u64,
         coh: &mut Option<CoreLink>,
-        cfg: &HwConfig,
+        in_region: bool,
+        budget: u64,
         site: u32,
         addr: u64,
         write: bool,
     ) -> Result<(), AbortReason> {
         // The coherence hook (DESIGN §17, `CoreLink::access`): a colliding
-        // remote op bails out before this access touches anything.
+        // remote op bails out before this access touches anything, so it
+        // runs before the predictor too.
         if let Some(link) = coh.as_mut() {
             let line = cache.line_of(addr);
             if let Some(why) = link.access(cache, line, write, in_region) {
                 return Err(why);
             }
+            if cache.fast_hit(site, addr, write, in_region) {
+                *pred_hits += 1;
+                return Self::within_budget(cache, budget);
+            }
         }
         stats.mem_accesses += 1;
-        // The seal-site way predictor (DESIGN §16): a validated L1 hit that
-        // skips the set scan and install path, so it cannot overflow.
-        if cache.fast_hit(site, addr, write, in_region) {
-            stats.l1_hits += 1;
-        } else {
-            let (level, overflow) = cache.access_sited(site, addr, write, in_region);
-            match level {
-                HitLevel::L1 => stats.l1_hits += 1,
-                HitLevel::L2 => {
-                    stats.l2_hits += 1;
-                    *cxw += cache.l2_extra_cxw;
-                }
-                HitLevel::Memory => *cxw += cache.mem_extra_cxw,
+        let (level, overflow) = cache.access_sited(site, addr, write, in_region);
+        match level {
+            HitLevel::L1 => stats.l1_hits += 1,
+            HitLevel::L2 => {
+                stats.l2_hits += 1;
+                *stall_cxw += cache.l2_extra_cxw;
             }
-            // Only a region marks speculative bits, so only a region can
-            // overflow.
-            debug_assert!(in_region || !overflow);
-            if overflow {
-                return Err(AbortReason::Overflow);
-            }
+            HitLevel::Memory => *stall_cxw += cache.mem_extra_cxw,
         }
-        // The injected line budget models a smaller speculative cache: it
-        // tightens the geometric overflow, never loosens it. Outside a
-        // region the footprint is zero.
-        let budget = cfg.faults.line_budget;
+        // Only a region marks speculative bits, so only a region can
+        // overflow.
+        debug_assert!(in_region || !overflow);
+        if overflow {
+            return Err(AbortReason::Overflow);
+        }
+        Self::within_budget(cache, budget)
+    }
+
+    /// The injected line budget models a smaller speculative cache: it
+    /// tightens the geometric overflow, never loosens it. `budget` is 0
+    /// (none) outside a region, where the footprint cannot grow.
+    #[inline(always)]
+    fn within_budget(cache: &CacheSim, budget: u64) -> Result<(), AbortReason> {
         if budget > 0 && cache.footprint() > budget {
             return Err(AbortReason::Overflow);
         }
@@ -688,15 +712,22 @@ impl<'p> Machine<'p> {
     /// detection. Returns `Ok(false)` if the access aborted the region.
     fn mem_access(&mut self, site: u32, addr: u64, write: bool) -> Result<bool, MachineFault> {
         let in_region = self.region.active;
+        let budget = if in_region {
+            self.cfg.faults.line_budget
+        } else {
+            0
+        };
         let Machine {
             cache,
             stats,
-            cxw,
+            stall_cxw,
+            pred_hits,
             coh,
-            cfg,
             ..
         } = self;
-        match Self::mem_access_parts(cache, stats, cxw, in_region, coh, cfg, site, addr, write) {
+        match Self::mem_access_parts(
+            cache, stats, stall_cxw, pred_hits, coh, in_region, budget, site, addr, write,
+        ) {
             Ok(()) => Ok(true),
             Err(why) => {
                 self.abort(why)?;
@@ -985,7 +1016,7 @@ impl<'p> Machine<'p> {
         if self.cfg.single_inflight {
             // Stall at decode until the previous region drains.
             let drain = self.cfg.window / self.cfg.width;
-            let gap = (self.cxw - self.last_commit_cxw) / self.cfg.width;
+            let gap = (self.cxw() - self.last_commit_cxw) / self.cfg.width;
             if gap < drain {
                 self.charge(drain - gap);
             }
@@ -1140,7 +1171,7 @@ impl<'p> Machine<'p> {
             .region_sizes
             .record(self.stats.uops - r.start_uops);
         self.stats.region_footprint.record(footprint);
-        self.last_commit_cxw = self.cxw;
+        self.last_commit_cxw = self.cxw();
         let (method, region) = (r.method, r.region);
         if self.cfg.validate {
             self.validate_arch_state(false)?;
@@ -1296,11 +1327,21 @@ impl<'p> Machine<'p> {
     /// same uop, and the invariant validator runs only at commits and
     /// aborts, which both engines reach through the same helpers, so every
     /// experiment runs on whichever engine is configured.
+    ///
+    /// On every exit, `Ok` or `Err`, it folds the predicted hits into
+    /// their four counters and writes `stats.cycles`, so a run cut short
+    /// reports the same totals as one that returned.
     fn exec(&mut self) -> Result<Option<Value>, MachineFault> {
-        match self.cfg.dispatch {
+        let out = match self.cfg.dispatch {
             Dispatch::Superblock => self.exec_superblock(),
             Dispatch::PerUop => self.exec_per_uop(),
-        }
+        };
+        let hits = std::mem::take(&mut self.pred_hits);
+        self.stats.mem_accesses += hits;
+        self.stats.l1_hits += hits;
+        self.cache.count_pred_hits(hits);
+        self.stats.cycles = self.cycles();
+        out
     }
 
     /// Rolls back the batched accounting of a block's unexecuted suffix
@@ -1311,7 +1352,6 @@ impl<'p> Machine<'p> {
         let n = u64::from(suffix.len);
         self.fuel += n;
         self.stats.uops -= n;
-        self.cxw -= n;
         self.stats.uop_classes.unapply_delta(&suffix.classes);
         if was_in_region {
             self.stats.region_uops -= n;
@@ -1343,7 +1383,8 @@ impl<'p> Machine<'p> {
             region,
             coh,
             cfg,
-            cxw,
+            stall_cxw,
+            pred_hits,
             env,
             ..
         } = self;
@@ -1351,6 +1392,8 @@ impl<'p> Machine<'p> {
         let regs = &mut frame.regs;
         let in_region = region.active;
         let shadowing = in_region && cfg.validate;
+        let linked = coh.is_some();
+        let budget = if in_region { cfg.faults.line_budget } else { 0 };
         /// The object a memory operand register holds, or a stop.
         macro_rules! obj {
             ($r:expr) => {{
@@ -1363,13 +1406,22 @@ impl<'p> Machine<'p> {
         }
         /// The uop's data access at `$addr`, through its seal site
         /// (way-predictor slot, DESIGN §16; `NO_SITE` for an allocation's
-        /// header write), or an abort stop.
+        /// header write), or an abort stop. With no coherence link the
+        /// predicted hit runs here and bumps one counter; everything else
+        /// is [`Machine::mem_access_parts`].
         macro_rules! access {
             ($addr:expr, $write:expr) => {{
-                let site = code.blocks[i].mem_site;
-                if let Err(why) = Self::mem_access_parts(
-                    cache, stats, cxw, in_region, coh, cfg, site, $addr, $write,
-                ) {
+                let (site, addr, write) = (code.blocks[i].mem_site, $addr, $write);
+                let done = if !linked && cache.fast_hit(site, addr, write, in_region) {
+                    *pred_hits += 1;
+                    Self::within_budget(cache, budget)
+                } else {
+                    Self::mem_access_parts(
+                        cache, stats, stall_cxw, pred_hits, coh, in_region, budget, site, addr,
+                        write,
+                    )
+                };
+                if let Err(why) = done {
                     break Err((i, Stop::Abort(why)));
                 }
             }};
@@ -1617,7 +1669,6 @@ impl<'p> Machine<'p> {
             // The whole block's accounting, batched.
             self.fuel -= n;
             self.stats.uops += n;
-            self.cxw += n;
             self.stats.uop_classes.apply_delta(&sb.classes);
             let term = pc + sb.len as usize - 1;
             let sterm = sb.term;
@@ -1665,10 +1716,7 @@ impl<'p> Machine<'p> {
                     };
                 }
                 SbTerm::Ret { src } => match self.ret(src) {
-                    StepOut::Return(v) => {
-                        self.stats.cycles = self.cycles();
-                        return Ok(v);
-                    }
+                    StepOut::Return(v) => return Ok(v),
                     _ => resync!(),
                 },
                 SbTerm::RegionBegin { region, alt } => {
@@ -1734,10 +1782,7 @@ impl<'p> Machine<'p> {
                                     self.frames.last_mut().expect("frame").pc = np;
                                 }
                                 StepOut::Redirect => {}
-                                StepOut::Return(v) => {
-                                    self.stats.cycles = self.cycles();
-                                    return Ok(v);
-                                }
+                                StepOut::Return(v) => return Ok(v),
                             }
                             resync!();
                         }
@@ -1774,7 +1819,6 @@ impl<'p> Machine<'p> {
             self.fuel -= 1;
             self.stats.uops += 1;
             self.stats.uop_classes.record(uop.class());
-            self.cxw += 1;
             if self.region.active {
                 self.stats.region_uops += 1;
                 if self.stats.region_uops == self.inject.0 {
@@ -1787,10 +1831,7 @@ impl<'p> Machine<'p> {
             match self.step(uop, method, pc)? {
                 StepOut::Next(np) => self.frames.last_mut().expect("frame").pc = np,
                 StepOut::Redirect => {}
-                StepOut::Return(v) => {
-                    self.stats.cycles = self.cycles();
-                    return Ok(v);
-                }
+                StepOut::Return(v) => return Ok(v),
             }
         }
     }
@@ -3184,6 +3225,45 @@ mod fault_tests {
                 fresh.stats().diff(pooled.stats())
             );
         }
+    }
+
+    /// A run that faults reports its totals like a run that returns: on
+    /// both engines, fuel exhaustion leaves `stats().cycles` at `cycles()`
+    /// and the predicted hits folded into their counters.
+    #[test]
+    fn a_faulted_run_reports_cycles_and_folded_hits() {
+        let (p, cc) = compiled_add_element(20_000, 500);
+        let runs: Vec<_> = [HwConfig::baseline(), HwConfig::per_uop()]
+            .into_iter()
+            .map(|hw| {
+                let mut mach = Machine::new(&p, &cc, hw);
+                mach.set_fuel(50_000);
+                assert_eq!(mach.run(&[]), Err(VmError::FuelExhausted.into()));
+                let stats = mach.stats().clone();
+                assert!(stats.cycles > 0, "a faulted run kept 0 cycles");
+                assert_eq!(stats.cycles, mach.cycles());
+                assert_eq!(mach.pred_hits, 0, "predicted hits left unfolded");
+                let pred = mach.way_pred_stats();
+                assert!(pred.hits > 0 && pred.hits + pred.mispredicts <= pred.probes);
+                assert!(stats.l1_hits >= pred.hits && stats.mem_accesses >= stats.l1_hits);
+                stats
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "superblock == per-uop reference");
+    }
+
+    /// Predicted hits still waiting for their fold are cross-request
+    /// state: the next request would inherit them.
+    #[test]
+    fn cross_request_state_names_unfolded_predicted_hits() {
+        let (p, cc) = install_uops(vec![Uop::Ret { src: None }], 1);
+        let mut mach = Machine::new(&p, &cc, HwConfig::baseline());
+        assert_eq!(mach.cross_request_state(), None);
+        mach.pred_hits = 1;
+        assert_eq!(
+            mach.cross_request_state(),
+            Some("predicted hits not folded")
+        );
     }
 
     /// Runs a hand-written uop stream on both dispatch engines under

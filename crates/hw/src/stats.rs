@@ -165,7 +165,8 @@ impl std::fmt::Debug for UopClassCounts {
 /// performance-transparent accelerator, and every equivalence gate asserts
 /// full `RunStats` equality across predictor-on/off configs. Counters live
 /// in the cache model and are read out separately via
-/// `Machine::way_pred_stats`.
+/// `Machine::way_pred_stats`. The machine counts its predicted hits apart
+/// and folds them in when a run stops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredStats {
     /// Predictor consults: accesses that reached the per-site table (sited

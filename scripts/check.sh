@@ -121,7 +121,7 @@ cargo run --release -p hasp-experiments --bin experiments -- bench-dispatch --sm
 # floor sits under the measured smoke geomean with headroom for scheduler
 # noise — a drop below 1.40x means the block engine genuinely rotted, not
 # that the machine was busy. The geomean is superblock over per-uop time:
-# 2.0-2.4x smoke and 1.8-2.0x full on a 2-core x86-64 host. It was
+# 2.0-2.4x smoke and 1.9-2.2x full on a 2-core x86-64 host. It was
 # 1.6-1.9x and ~1.7x while the per-uop engine kept its own copy of each
 # straight-line uop; sharing the interior executor slowed that leg, the
 # block engine did not get faster.

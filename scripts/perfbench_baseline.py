@@ -21,7 +21,9 @@ the counts that must not move with the host:
 
 - the digest, on every workload;
 - vm.interp.steps, opt.ir_insts, core.form.regions and hw.machine.uops
-  (per-operation means over whole rounds), on cold_start and steady_sim.
+  (per-operation means over whole rounds) and hw.cache.pred_hit_rate (the
+  way predictor's hits per probe, which the digest does not cover), on
+  cold_start and steady_sim.
 
 Timings are recorded, never gated: they drift about 20% with the host.
 shared_asid's traced hw.machine.uops is not gated either: it depends on how
@@ -42,7 +44,8 @@ SCHEMA = "hasp-perfbench-baseline-v1"
 WORKLOADS = ["cold_start", "steady_sim", "shared_asid"]
 SEEDS = [7, 4099]
 SECONDS = 5.0
-GATED_COUNTS = ["vm.interp.steps", "opt.ir_insts", "core.form.regions", "hw.machine.uops"]
+GATED_COUNTS = ["vm.interp.steps", "opt.ir_insts", "core.form.regions", "hw.machine.uops",
+                "hw.cache.pred_hit_rate"]
 COUNT_WORKLOADS = ["cold_start", "steady_sim"]
 CARGO = ["cargo", "--offline", "--quiet"]
 MANIFEST = ["--release", "--manifest-path", os.path.join(ROOT, "perfbench", "Cargo.toml")]
@@ -139,7 +142,7 @@ def check():
     if problems:
         sys.exit(1)
     print(f"perfbench baseline ok: {len(base['runs'])} digests, "
-          f"{len(GATED_COUNTS)} counts on {' and '.join(COUNT_WORKLOADS)} match "
+          f"{len(GATED_COUNTS)} exact metrics on {' and '.join(COUNT_WORKLOADS)} match "
           f"BENCH_perfbench.json (base {base['base_commit'][:12]}"
           f"{', dirty' if base['dirty'] else ''})")
 

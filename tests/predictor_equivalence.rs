@@ -13,13 +13,17 @@
 //! victim choice — exactly the machinery a stale predictor entry would
 //! corrupt if validation ever let one through. A third leg sweeps the §6.3
 //! hardware variants, so the equivalence is not an artifact of the Table 1
-//! geometry.
+//! geometry. A fourth stops runs short on fuel, mid-region included: the
+//! machine counts predicted hits apart and folds them into `RunStats` and
+//! `PredStats` when it stops, so a run that faults must report the same
+//! totals as its unpredicted reference too.
 
 use hasp_experiments::{
     compile_workload, profile_workload, try_execute_compiled, CompiledWorkload, ProfiledWorkload,
 };
-use hasp_hw::{FaultPlan, HwConfig};
+use hasp_hw::{FaultPlan, HwConfig, Machine, MachineFault, PredStats, RunStats};
 use hasp_opt::CompilerConfig;
+use hasp_vm::error::VmError;
 use hasp_workloads::{all_workloads, Workload};
 
 fn unpredicted_baseline() -> HwConfig {
@@ -143,5 +147,73 @@ fn hardware_variants_identical_across_predictor_models() {
         let mut unpredicted = predicted.clone();
         unpredicted.way_predict = false;
         run_both(w, &profiled, &compiled, predicted, unpredicted);
+    }
+}
+
+/// Runs `w` on `hw` with `fuel`, which must run out. Returns the run's
+/// statistics, its predictor counters, and whether it stopped with a
+/// region in flight.
+fn cut_short(
+    w: &Workload,
+    compiled: &CompiledWorkload,
+    hw: &HwConfig,
+    fuel: u64,
+) -> (RunStats, PredStats, bool) {
+    let mut mach = Machine::new(&w.program, &compiled.code, hw.clone());
+    mach.set_fuel(fuel);
+    let out = mach.run(&[]);
+    assert_eq!(
+        out,
+        Err(MachineFault::from(VmError::FuelExhausted)),
+        "{}: fuel {fuel} must run out",
+        w.name
+    );
+    let in_region = mach.cross_request_state() == Some("region context still in flight");
+    (mach.stats().clone(), mach.way_pred_stats(), in_region)
+}
+
+/// Every suite workload, stopped on fuel at a quarter and at half of its
+/// run and at the first cut from a sixteenth on that lands inside a
+/// region, on both engines: the predicted run's `RunStats` (cycles,
+/// accesses and L1 hits included) equal the unpredicted reference's, and
+/// its predictor counters are consistent.
+#[test]
+fn fuel_cut_runs_identical_across_predictor_models() {
+    for w in all_workloads() {
+        let profiled = profile_workload(&w);
+        let compiled = compile_workload(&w, &profiled, &CompilerConfig::atomic_aggressive());
+        let whole = try_execute_compiled(&w, &profiled, &compiled, &HwConfig::baseline())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name))
+            .stats
+            .uops;
+        // Steps shorter than the shortest region, so a scan that passes
+        // one stops in it.
+        let mid_region = (whole / 16..)
+            .step_by(7)
+            .take(1000)
+            .find(|&fuel| cut_short(&w, &compiled, &HwConfig::baseline(), fuel).2)
+            .unwrap_or_else(|| panic!("{}: no cut stopped inside a region", w.name));
+        for predicted in [HwConfig::baseline(), HwConfig::per_uop()] {
+            let mut unpredicted = predicted.clone();
+            unpredicted.way_predict = false;
+            for fuel in [whole / 4, whole / 2, mid_region] {
+                let (p, pred, p_in) = cut_short(&w, &compiled, &predicted, fuel);
+                let (u, upred, u_in) = cut_short(&w, &compiled, &unpredicted, fuel);
+                let at = format!("{} at fuel {fuel} ({:?})", w.name, predicted.dispatch);
+                assert_eq!(p, u, "{at}: {:?}", p.diff(&u));
+                assert_eq!(p_in, u_in, "{at}: region in flight differs");
+                assert!(p.cycles > 0, "{at}: no cycles recorded");
+                assert_eq!(
+                    upred,
+                    PredStats::default(),
+                    "{at}: disabled predictor consulted"
+                );
+                assert!(pred.hits > 0, "{at}: no predicted hit");
+                assert!(
+                    pred.hits + pred.mispredicts <= pred.probes,
+                    "{at}: inconsistent predictor counters {pred:?}"
+                );
+            }
+        }
     }
 }
