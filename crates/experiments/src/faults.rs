@@ -76,14 +76,10 @@ pub struct CellOutcome {
     pub governor_reenables: u64,
     /// Calm-streak one-tier de-escalations.
     pub governor_recoveries: u64,
-    /// Governor-ladder transitions into each tier (0–3).
+    /// Governor-ladder transitions into each tier (0, 1, 3; slot 2 is 0).
     pub tier_enters: [u64; 4],
     /// Region-entry consults spent at each tier (time-in-tier).
     pub tier_time: [u64; 4],
-    /// Tier-2 fallback-lock read-set subscriptions.
-    pub lock_subscriptions: u64,
-    /// Software-path executions taken under the fallback lock.
-    pub lock_holds: u64,
     /// Re-formation requests the governor emitted.
     pub reform_requests: u64,
     /// `tier_enters == tier_exits + tier_live` held per tier at run end
@@ -274,8 +270,6 @@ impl CampaignReport {
                         .int("governor_recoveries", out.governor_recoveries)
                         .obj("tier_enters", tiers(&out.tier_enters))
                         .obj("tier_time", tiers(&out.tier_time))
-                        .int("lock_subscriptions", out.lock_subscriptions)
-                        .int("lock_holds", out.lock_holds)
                         .int("reform_requests", out.reform_requests)
                         .bool("tier_consistent", out.tier_consistent)
                         .num("recovery_latency", out.recovery_latency);
@@ -312,12 +306,11 @@ impl CampaignReport {
             .int("retry_budget", u64::from(policy.retry_budget))
             .int("cooldown_entries", policy.cooldown_entries)
             .int("max_cooldown", policy.max_cooldown)
-            .int("tier2_disables", u64::from(policy.tier2_disables))
-            .int("tier3_disables", u64::from(policy.tier3_disables))
+            .int("permanent_disables", u64::from(policy.permanent_disables))
             .int("reform_budget", u64::from(policy.reform_budget))
             .int("reform_overflow_budget", REFORM_OVERFLOW_BUDGET);
         JsonObj::new()
-            .str("schema", "hasp-faults-v2")
+            .str("schema", "hasp-faults-v3")
             // This campaign is the *injected* ablation: conflicts come from
             // the deterministic FaultPlan, not from other cores. The organic
             // counterpart (real threads over the coherence directory) is the
@@ -411,8 +404,6 @@ pub fn run_campaign_on(workloads: &[Workload], smoke: bool, threads: usize) -> C
                 governor_recoveries: run.stats.governor_recoveries,
                 tier_enters: run.stats.tier_enters,
                 tier_time: run.stats.tier_time,
-                lock_subscriptions: run.stats.lock_subscriptions,
-                lock_holds: run.stats.lock_holds,
                 reform_requests: run.stats.reform_requests,
                 tier_consistent: run.stats.tier_counters_consistent(),
                 recovery_latency: run.stats.governor_skips as f64
@@ -769,7 +760,7 @@ mod tests {
         assert!(report.table().contains("ok"));
         let json = report.json(true, 2, 0.5);
         assert!(json.contains("\"all_passed\": true"));
-        assert!(json.contains("\"schema\": \"hasp-faults-v2\""));
+        assert!(json.contains("\"schema\": \"hasp-faults-v3\""));
         assert!(json.contains("\"rng_seed\""));
         assert!(json.contains("\"tier_counters_consistent\": true"));
         assert!(json.contains("\"any_recovered\": true"));

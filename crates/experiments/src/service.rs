@@ -34,12 +34,12 @@
 //! **Coherence** is the harness's one switch (DESIGN §17). With it on
 //! (`mt`), each worker owns one [`CoreLink`] per tenant — core `w·T + t`,
 //! address space `t` — attached around every run, so workers serving the
-//! same tenant genuinely race and every `Conflict`/`Sle` abort is organic:
+//! same tenant genuinely race and every `Conflict` abort is organic:
 //! no tenant may arm conflict, interrupt or spurious injection
 //! ([`FaultPlan::any_per_uop`](hasp_hw::FaultPlan::any_per_uop)). Such a
 //! leg also gates the directory's conservation identity (`signaled ==
 //! Σ sig_aborts + Σ sig_raced`, folded into [`LegOutcome::conservation_ok`])
-//! and its observation identity (conflict-class machine aborts ==
+//! and its observation identity (machine `Conflict` aborts ==
 //! `Σ sig_aborts`, [`LegOutcome::observation_ok`]).
 //!
 //! Every leg is reported on two clocks. Modeled: each request's service
@@ -50,7 +50,7 @@
 //! isolation property; real conflicts make them vary, so only coherence-off
 //! reports are checked for determinism. Wall: each leg's host seconds and
 //! requests per second. Both artifacts, `BENCH_service.json` (`serve`) and
-//! `BENCH_mt.json` (`mt`), use schema `hasp-pool-v2`.
+//! `BENCH_mt.json` (`mt`), use schema `hasp-pool-v3`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -300,12 +300,8 @@ pub struct TenantShard {
     pub regions: hasp_hw::stats::RegionTable,
     /// Time-in-tier (entry consults per governor tier).
     pub tier_time: [u64; 4],
-    /// Governor-ladder tier entries (0–3).
+    /// Governor-ladder tier entries (0, 1, 3; slot 2 is 0).
     pub tier_enters: [u64; 4],
-    /// Tier-2 fallback-lock subscriptions taken.
-    pub lock_subscriptions: u64,
-    /// Software-path executions under the fallback lock.
-    pub lock_holds: u64,
 }
 
 impl TenantShard {
@@ -321,8 +317,6 @@ impl TenantShard {
         self.regions.merge(&other.regions);
         add_tiers(&mut self.tier_time, &other.tier_time);
         add_tiers(&mut self.tier_enters, &other.tier_enters);
-        self.lock_subscriptions += other.lock_subscriptions;
-        self.lock_holds += other.lock_holds;
     }
 }
 
@@ -332,9 +326,11 @@ fn add_tiers(acc: &mut [u64; 4], other: &[u64; 4]) {
     }
 }
 
-/// Conflict-class aborts: `Conflict` plus `Sle`.
+/// The aborts a coherence signal stands behind: `Conflict` only. An `Sle`
+/// abort is the program's own elided-lock check, which no directory
+/// message raises.
 fn conflict_class(aborts: &AbortCounts) -> u64 {
-    aborts.get(AbortReason::Conflict) + aborts.get(AbortReason::Sle)
+    aborts.get(AbortReason::Conflict)
 }
 
 /// One worker's full shard: per-tenant counters, request timings, the
@@ -446,8 +442,8 @@ impl LegOutcome {
     }
 
     /// The observation identity (DESIGN §17): with coherence on, every
-    /// conflict a victim's link delivered surfaced as exactly one
-    /// conflict-class machine abort. Vacuously true with coherence off.
+    /// conflict a victim's link delivered surfaced as exactly one machine
+    /// `Conflict` abort. Vacuously true with coherence off.
     pub fn observation_ok(&self) -> bool {
         self.directory.is_none()
             || self
@@ -523,8 +519,6 @@ fn serve_one(
     ts.regions.merge(&stats.per_region);
     add_tiers(&mut ts.tier_time, &stats.tier_time);
     add_tiers(&mut ts.tier_enters, &stats.tier_enters);
-    ts.lock_subscriptions += stats.lock_subscriptions;
-    ts.lock_holds += stats.lock_holds;
     shard.timings.push(RequestTiming {
         seq: req.seq,
         tenant: req.tenant,
@@ -796,18 +790,14 @@ pub struct LegSummary {
     pub tier_time: [u64; 4],
     /// Governor-ladder tier entries across all requests.
     pub tier_enters: [u64; 4],
-    /// Tier-2 fallback-lock subscriptions taken.
-    pub lock_subscriptions: u64,
-    /// Software-path executions under the fallback lock.
-    pub lock_holds: u64,
     /// Retired uops.
     pub uops: u64,
     /// Region commits.
     pub commits: u64,
     /// Total aborts.
     pub aborts: u64,
-    /// Conflict-class (`Conflict` + `Sle`) aborts: organic with coherence
-    /// on, where nothing is injected.
+    /// `Conflict` aborts: organic with coherence on, where nothing is
+    /// injected.
     pub emergent: u64,
     /// [`LegOutcome::conservation_ok`].
     pub conservation: bool,
@@ -924,8 +914,6 @@ pub fn summarize_leg(tenants: &[Tenant], out: &LegOutcome) -> LegSummary {
         queue_depth,
         tier_time,
         tier_enters,
-        lock_subscriptions: sum(|t| t.lock_subscriptions),
-        lock_holds: sum(|t| t.lock_holds),
         uops: sum(|t| t.uops),
         commits: sum(|t| t.commits),
         aborts: sum(|t| t.aborts.total()),
@@ -1009,7 +997,7 @@ impl PoolReport {
             .chain(self.contention.as_ref().map(|(_, c)| c))
     }
 
-    /// Conflict-class aborts across every leg.
+    /// `Conflict` aborts across every leg.
     pub fn emergent_total(&self) -> u64 {
         self.all_legs().map(|l| l.emergent).sum()
     }
@@ -1161,7 +1149,7 @@ impl PoolReport {
         s
     }
 
-    /// Serializes the report as a `hasp-pool-v2` artifact
+    /// Serializes the report as a `hasp-pool-v3` artifact
     /// (`BENCH_service.json` or `BENCH_mt.json`).
     pub fn json(&self, wall_s: f64) -> String {
         let mut tenants = JsonArr::new();
@@ -1173,7 +1161,7 @@ impl PoolReport {
             legs = legs.obj(leg_json(l, Some(self.relative(i))));
         }
         let mut out = JsonObj::new()
-            .str("schema", "hasp-pool-v2")
+            .str("schema", "hasp-pool-v3")
             .bool("smoke", self.smoke)
             .bool("coherence", self.coherence)
             .bool("fixed_work_per_worker", self.fixed_work_per_worker)
@@ -1254,8 +1242,6 @@ fn leg_json(l: &LegSummary, rel: Option<(f64, f64)>) -> JsonObj {
         .arr("queue_depth_hist", depth)
         .obj("tier_time", tiers(&l.tier_time))
         .obj("tier_enters", tiers(&l.tier_enters))
-        .int("lock_subscriptions", l.lock_subscriptions)
-        .int("lock_holds", l.lock_holds)
         .int("uops", l.uops)
         .int("commits", l.commits)
         .int("aborts", l.aborts)
@@ -1547,9 +1533,7 @@ mod tests {
             contended_p99_us: 120.0,
             queue_depth: Histogram::new(&[0, 1, 2]),
             tier_time: [5, 3, 1, 0],
-            tier_enters: [4, 2, 1, 0],
-            lock_subscriptions: 6,
-            lock_holds: 8,
+            tier_enters: [4, 2, 0, 1],
             uops: 2_000_000,
             commits: 5,
             aborts: 4,
@@ -1610,16 +1594,16 @@ mod tests {
         assert!((serve.top_speedup() - 20.0 / 11.0).abs() < 1e-9);
         let (speedup, scaling) = serve.relative(1);
         assert!((speedup - 20.0 / 11.0).abs() < 1e-9 && (scaling - 2.0).abs() < 1e-9);
-        assert_eq!(serve.max_tier(), 2);
+        assert_eq!(serve.max_tier(), 3);
         let json = serve.json(1.5);
         for field in [
-            "\"schema\": \"hasp-pool-v2\"",
+            "\"schema\": \"hasp-pool-v3\"",
             "\"coherence\": false",
             "\"throughput_rps\": 20000.000000",
             "\"clean_p99_us\": 90.000000",
             "\"contended_p50_us\": 60.000000",
             "\"queue_depth_hist\"",
-            "\"t2\": 1",
+            "\"t3\": 1",
             "\"conservation\": true",
             "\"deterministic\": true",
             "\"speedup_vs_1\"",
@@ -1658,7 +1642,6 @@ mod tests {
             "\"downgrades\": 2",
             "\"observation\": true",
             "\"emergent_per_muop\": 1.500000",
-            "\"lock_subscriptions\": 6",
             "\"contention\"",
             "\"tenant\": \"pmd\"",
             "\"conservation_ok\": true",
@@ -1726,5 +1709,35 @@ mod tests {
             !coherent.observation_ok(),
             "an unobserved conflict must be caught"
         );
+    }
+
+    #[test]
+    fn sle_aborts_are_not_emergent() {
+        // Two delivered conflicts, plus three aborts of the program's own
+        // elided-lock check, which no directory message raised.
+        let mut shard = WorkerShard::new(1);
+        shard.per_tenant[0].requests = 1;
+        let (conflict, sle) = (AbortReason::Conflict, AbortReason::Sle);
+        for reason in [conflict, conflict, sle, sle, sle] {
+            shard.per_tenant[0].aborts.record(reason);
+        }
+        shard.link.sig_aborts = 2;
+        let out = LegOutcome {
+            workers: 1,
+            shards: vec![shard],
+            installs: 0,
+            global: [1, 0, 0, 5],
+            directory: Some(DirectoryCounters {
+                signaled: 2,
+                ..DirectoryCounters::default()
+            }),
+            wall_s: 0.0,
+        };
+        assert!(out.conservation_ok());
+        assert!(
+            out.observation_ok(),
+            "an Sle abort has no signal to balance"
+        );
+        assert_eq!(conflict_class(&out.merged_tenants()[0].aborts), 2);
     }
 }

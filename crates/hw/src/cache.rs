@@ -21,8 +21,8 @@ use crate::config::HwConfig;
 use crate::stats::PredStats;
 
 /// The "no predictor slot" site id: passed for accesses that have no sealed
-/// memory-uop identity (alloc header writes, fallback-lock probes, per-uop
-/// interpreter paths without sealed code) and stored in
+/// memory-uop identity (alloc header writes, per-uop interpreter paths
+/// without sealed code) and stored in
 /// `SbInfo::mem_site` for non-memory pcs. The way predictor skips these.
 pub const NO_SITE: u32 = u32::MAX;
 

@@ -7,10 +7,10 @@
 //! remote write to a line a core has speculatively read (or a remote read
 //! of a line it has speculatively written) delivers an asynchronous
 //! conflict message to that core's mailbox, which the core drains at its
-//! next memory access and converts into a `Conflict` (or, for the fallback
-//! lock line, `Sle`) abort through the exact same mid-block unapply path an
-//! overflow takes. Injected conflicts (`FaultPlan`) remain available as an
-//! ablation; this module makes the organic ones.
+//! next memory access and converts into a `Conflict` abort through the
+//! exact same mid-block unapply path an overflow takes. Injected conflicts
+//! (`FaultPlan`) remain available as an ablation; this module makes the
+//! organic ones.
 //!
 //! ## Sharding
 //!
@@ -56,7 +56,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cache::CacheSim;
-use crate::machine::FALLBACK_LOCK_ADDR;
 use crate::stats::AbortReason;
 use hasp_vm::fxhash::FxHashMap;
 
@@ -662,9 +661,8 @@ impl CoreLink {
 
     /// Drains the mailbox into `cache`, applying each remote op to the
     /// local cache model. Stops at the first conflicting message and
-    /// returns the abort reason the caller must raise (`Sle` for the
-    /// fallback-lock line, `Conflict` otherwise); remaining messages stay
-    /// queued for the next drain.
+    /// returns the abort reason the caller must raise, always `Conflict`;
+    /// remaining messages stay queued for the next drain.
     ///
     /// A message conflicts when it collides with a live current-epoch
     /// speculative bit, or when it is signaled and its key is in this
@@ -676,7 +674,6 @@ impl CoreLink {
     /// bit with no claim behind it (DESIGN §17 argues why the set never
     /// holds a stale registration here).
     pub fn drain(&mut self, cache: &mut CacheSim) -> Option<AbortReason> {
-        let lock_line = cache.line_of(FALLBACK_LOCK_ADDR);
         while let Some(msg) = self.dir.pop_msg(self.core) {
             self.stats.drained += 1;
             let line = msg.line();
@@ -718,11 +715,7 @@ impl CoreLink {
                 } else {
                     self.stats.unsignaled_conflicts += 1;
                 }
-                return Some(if line == lock_line {
-                    AbortReason::Sle
-                } else {
-                    AbortReason::Conflict
-                });
+                return Some(AbortReason::Conflict);
             }
             if msg.signal {
                 self.stats.sig_raced += 1;
@@ -860,11 +853,6 @@ mod tests {
         dir.publish_write(1, 0x40, false);
         assert_eq!(link.drain(&mut cache), Some(AbortReason::Conflict));
         assert_eq!((link.stats.sig_aborts, link.stats.sig_raced), (1, 0));
-        // The same window on the fallback-lock line is an SLE abort.
-        let lock_line = cache.line_of(FALLBACK_LOCK_ADDR);
-        link.publish(lock_line, false, true);
-        dir.publish_write(1, lock_line, false);
-        assert_eq!(link.drain(&mut cache), Some(AbortReason::Sle));
         assert_eq!(dir.signaled(), link.stats.sig_aborts);
         assert_eq!(link.stats.unsignaled_conflicts, 0);
     }

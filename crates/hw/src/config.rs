@@ -34,11 +34,11 @@ pub enum Dispatch {
 }
 
 /// The online abort-recovery governor policy: a per-region **tier ladder**
-/// (§7 made single-run, extended to the best-effort-HTM policy ladder).
+/// (§7 made single-run).
 ///
 /// The hardware reports which region aborted (§3.2); the governor tracks
 /// per-region *consecutive-abort streaks* online and walks each region up a
-/// four-tier ladder as streaks keep exhausting the retry budget:
+/// three-rung ladder as streaks keep exhausting the retry budget:
 ///
 /// * **Tier 0** — speculate freely (healthy region, no governor state).
 /// * **Tier 1** — retry with exponential backoff: a region whose streak
@@ -48,16 +48,14 @@ pub enum Dispatch {
 ///   (de-speculation), after which it is re-enabled. Each successive
 ///   de-speculation doubles the cooldown up to
 ///   [`max_cooldown`](Self::max_cooldown).
-/// * **Tier 2** — fallback-lock subscription: after
-///   [`tier2_disables`](Self::tier2_disables) de-speculations the region
-///   still speculates, but every `aregion_begin` reads the global fallback
-///   lock word into the region's read-set, so a software-path lock holder
-///   conflicts the region out; while the region is de-speculated the
-///   software path *takes* the lock, giving mutual isolation between
-///   hardware and software executions of the same region.
-/// * **Tier 3** — permanent software path: after
-///   [`tier3_disables`](Self::tier3_disables) further de-speculations every
-///   entry branches to the alternate PC under the fallback lock, for good.
+/// * **Tier 3** — permanent software path: at
+///   [`permanent_disables`](Self::permanent_disables) consecutive
+///   de-speculations every entry branches to the alternate PC for good.
+///
+/// The alternate PC is the original program, correct under any
+/// interleaving, so no rung takes a lock. The tier numbers keep the
+/// counters' four slots (`RunStats::tier_enters` and friends); slot 2 is
+/// never used.
 ///
 /// Escalation is **abort-class-aware**: `Interrupt`/`Spurious` aborts are
 /// environmental noise and grow no streak; `Conflict`/`Sle` climb the
@@ -67,9 +65,9 @@ pub enum Dispatch {
 /// with the offending site excluded (adaptive re-formation) instead of
 /// demoting it forever. A calm streak of
 /// [`cooldown_entries`](Self::cooldown_entries) consecutive commits halves
-/// the cooldown and de-escalates one tier, so transient fault bursts
-/// recover while sustained post-profile behavior changes converge to the
-/// non-speculative code.
+/// the cooldown and returns a tier-1 region to tier 0, so transient fault
+/// bursts recover while sustained post-profile behavior changes converge
+/// to the non-speculative code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GovernorConfig {
     /// Master switch (off = the seed's offline two-pass behavior).
@@ -81,12 +79,9 @@ pub struct GovernorConfig {
     pub cooldown_entries: u64,
     /// Backoff ceiling in skipped entries.
     pub max_cooldown: u64,
-    /// Consecutive de-speculations before a region escalates to tier 2
-    /// (fallback-lock subscription). 0 = never escalate past tier 1.
-    pub tier2_disables: u32,
-    /// Further de-speculations past tier 2 before the region goes to tier 3
-    /// (permanent software path). 0 = never escalate past tier 2.
-    pub tier3_disables: u32,
+    /// Consecutive de-speculations that pin a region to tier 3 (the
+    /// permanent software path). 0 = never escalate past tier 1.
+    pub permanent_disables: u32,
     /// Consecutive `Overflow`/`Explicit` aborts of one region before a
     /// [`ReformRequest`] is emitted (at most one per region per run).
     /// 0 = never request re-formation.
@@ -107,16 +102,15 @@ impl GovernorConfig {
             retry_budget: 3,
             cooldown_entries: 64,
             max_cooldown: 65_536,
-            tier2_disables: 2,
-            tier3_disables: 2,
+            permanent_disables: 4,
             reform_budget: 4,
         }
     }
 
     /// The default online policy — the full ladder: 3-abort streaks
     /// de-speculate, 64-entry base cooldown, backoff ceiling of 64K
-    /// entries, tier 2 after 2 de-speculations, tier 3 after 2 more,
-    /// re-formation requested after 4 consecutive footprint/assert aborts.
+    /// entries, tier 3 after 4 de-speculations, re-formation requested
+    /// after 4 consecutive footprint/assert aborts.
     pub fn online() -> Self {
         GovernorConfig {
             enabled: true,
@@ -124,25 +118,14 @@ impl GovernorConfig {
         }
     }
 
-    /// The PR 2 policy: retry + exponential backoff only, no fallback-lock
-    /// tier, no permanent software path, no re-formation. The ablation
-    /// baseline for the ladder.
+    /// Retry + exponential backoff only: no permanent software path, no
+    /// re-formation. The ablation baseline for the ladder.
     pub fn backoff_only() -> Self {
         GovernorConfig {
             enabled: true,
-            tier2_disables: 0,
-            tier3_disables: 0,
+            permanent_disables: 0,
             reform_budget: 0,
             ..GovernorConfig::off()
-        }
-    }
-
-    /// The ladder capped at tier 2: fallback-lock subscription engages but
-    /// regions are never permanently demoted to the software path.
-    pub fn to_tier2() -> Self {
-        GovernorConfig {
-            tier3_disables: 0,
-            ..GovernorConfig::online()
         }
     }
 }
@@ -403,17 +386,15 @@ mod tests {
     fn governor_ladder_policies() {
         let on = GovernorConfig::online();
         assert!(on.enabled);
-        assert!(on.tier2_disables > 0 && on.tier3_disables > 0);
+        assert_eq!(on.permanent_disables, 4);
         assert!(on.reform_budget > 0);
         let b = GovernorConfig::backoff_only();
         assert!(b.enabled);
         assert_eq!(
-            (b.tier2_disables, b.tier3_disables, b.reform_budget),
-            (0, 0, 0),
+            (b.permanent_disables, b.reform_budget),
+            (0, 0),
             "backoff-only never leaves tier 1 and never reforms"
         );
-        let t2 = GovernorConfig::to_tier2();
-        assert!(t2.tier2_disables > 0 && t2.tier3_disables == 0);
         assert_eq!(GovernorConfig::default(), GovernorConfig::off());
     }
 

@@ -15,7 +15,7 @@
 //! * [`cache`] — two-level cache with speculative bits (overflow → abort).
 //! * [`coherence`] — the sharded line directory behind real multi-core
 //!   runs: N machines on OS threads publish per-line intent and receive
-//!   asynchronous organic `Conflict`/`Sle` aborts.
+//!   asynchronous organic `Conflict` aborts.
 //! * [`bpred`] — tournament + indirect branch predictors.
 //! * [`machine`] — the functional executor with checkpoint/rollback and the
 //!   interval timing model, including the Figure 9 sensitivity knobs.
@@ -46,7 +46,7 @@ pub use coherence::{CohMsg, CoreId, CoreLink, Directory, LineState, LinkStats, M
 pub use config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 pub use fault::{FaultKind, FaultPlan, MachineFault, FAULT_KINDS};
 pub use lower::lower;
-pub use machine::{Machine, MachinePools, FALLBACK_LOCK_ADDR};
+pub use machine::{Machine, MachinePools};
 pub use stats::{
     AbortReason, Histogram, MarkerSnap, PredStats, RegionCounters, RunStats, ABORT_REASONS,
 };

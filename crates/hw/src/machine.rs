@@ -21,7 +21,7 @@ use hasp_vm::heap::{Heap, HeapCell, HeapMark};
 use hasp_vm::value::{ObjId, Value};
 
 use crate::bpred::Predictor;
-use crate::cache::{CacheSim, HitLevel, NO_SITE};
+use crate::cache::{CacheSim, HitLevel};
 use crate::coherence::CoreLink;
 use crate::config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 use crate::fault::MachineFault;
@@ -29,17 +29,6 @@ use crate::stats::{AbortReason, MarkerSnap, RunStats};
 use crate::superblock::{SbInfo, SbTerm, YIELD_FLAG_ADDR};
 use crate::uop::{CodeCache, CodePos, CompiledCode, MReg, Uop};
 use hasp_vm::fxhash::FxHashMap;
-
-/// Data address of the global fallback lock word (the hybrid-TM mutual-
-/// isolation channel, SNIPPETS §9.2.2 made concrete): tier-2+ speculative
-/// entries *read* this word into their region read-set at `aregion_begin`
-/// (subscription), and de-speculated software-path executions *write* it
-/// (acquire/release collapsed to one non-speculative store in this
-/// single-threaded machine), so a software-path writer conflicts every
-/// subscribed hardware execution out. Lives on its own 64-byte line,
-/// distinct from [`YIELD_FLAG_ADDR`]'s line, so lock traffic never aliases
-/// the safepoint poll word.
-pub const FALLBACK_LOCK_ADDR: u64 = 0x140;
 
 /// What executing one uop did to control flow.
 enum StepOut {
@@ -63,10 +52,10 @@ enum Stop {
     /// Nothing was written.
     NotObj(i64),
     /// The region must abort for this reason: the memory access overflowed
-    /// (geometric or past the injected line budget) or hit a coherence
-    /// conflict (`Conflict`, or `Sle` on the fallback-lock line), and the
-    /// cache already recorded it; or the region's scheduled injected abort
-    /// fell on this uop, which is accounted but not executed.
+    /// (geometric or past the injected line budget) or drained a coherence
+    /// `Conflict`, and the cache already recorded it; or the region's
+    /// scheduled injected abort fell on this uop, which is accounted but
+    /// not executed.
     Abort(AbortReason),
 }
 
@@ -150,7 +139,8 @@ struct GovState {
     /// Next de-speculation's cooldown length (doubles per de-speculation,
     /// halves per calm streak, bounded by the policy).
     cooldown: u64,
-    /// Current ladder tier (0–3; 3 is permanent).
+    /// Current ladder tier: 0, 1, or 3 (permanent). The ladder has no
+    /// tier 2.
     tier: u8,
     /// Consecutive de-speculations — the tier-escalation evidence
     /// (decremented on calm de-escalation so a recovered region re-earns
@@ -203,12 +193,6 @@ pub struct Machine<'p> {
     region_entries: u64,
     /// Online governor state per static region.
     gov: FxHashMap<(MethodId, u32), GovState>,
-    /// The global fallback lock word's current state. In this
-    /// single-threaded machine a software-path execution acquires and
-    /// releases within one `aregion_begin` consult, so the lock is only
-    /// ever *observed* held when an external holder set it via
-    /// [`Machine::set_fallback_lock`] (the multi-core / test hook).
-    fallback_lock: bool,
     /// Re-formation requests the governor has emitted and the harness has
     /// not yet drained ([`Machine::take_reform_requests`]).
     reform_requests: Vec<ReformRequest>,
@@ -301,7 +285,6 @@ impl<'p> Machine<'p> {
             inject: (u64::MAX, AbortReason::Interrupt),
             region_entries: 0,
             gov: FxHashMap::default(),
-            fallback_lock: false,
             reform_requests: Vec::new(),
             max_depth: 512,
             reg_pool: pools.reg_pool,
@@ -357,9 +340,6 @@ impl<'p> Machine<'p> {
         }
         if !self.reform_requests.is_empty() {
             return Some("undrained re-formation requests");
-        }
-        if self.fallback_lock {
-            return Some("fallback lock held");
         }
         if self.pred_hits != 0 {
             return Some("predicted hits not folded");
@@ -428,19 +408,6 @@ impl<'p> Machine<'p> {
     /// Cycles × width: one slot per retired uop plus the stalls.
     fn cxw(&self) -> u64 {
         self.stats.uops + self.stall_cxw
-    }
-
-    /// Sets the global fallback lock word's externally visible state — the
-    /// hook for a (future multi-core, today test-harness) software-path
-    /// holder outside this machine. While held, every tier-2+ speculative
-    /// entry aborts at its subscription read with [`AbortReason::Sle`].
-    pub fn set_fallback_lock(&mut self, held: bool) {
-        self.fallback_lock = held;
-    }
-
-    /// Whether the global fallback lock word is currently held.
-    pub fn fallback_lock_held(&self) -> bool {
-        self.fallback_lock
     }
 
     /// Drains the governor's pending re-formation requests. The harness
@@ -707,35 +674,6 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// A data-memory access outside any uop's own arm (the fallback-lock
-    /// word): cache simulation, timing, speculative tracking, and overflow
-    /// detection. Returns `Ok(false)` if the access aborted the region.
-    fn mem_access(&mut self, site: u32, addr: u64, write: bool) -> Result<bool, MachineFault> {
-        let in_region = self.region.active;
-        let budget = if in_region {
-            self.cfg.faults.line_budget
-        } else {
-            0
-        };
-        let Machine {
-            cache,
-            stats,
-            stall_cxw,
-            pred_hits,
-            coh,
-            ..
-        } = self;
-        match Self::mem_access_parts(
-            cache, stats, stall_cxw, pred_hits, coh, in_region, budget, site, addr, write,
-        ) {
-            Ok(()) => Ok(true),
-            Err(why) => {
-                self.abort(why)?;
-                Ok(false)
-            }
-        }
-    }
-
     fn abort(&mut self, reason: AbortReason) -> Result<(), MachineFault> {
         if !self.region.active {
             let f = self.frames.last().expect("frame");
@@ -830,21 +768,15 @@ impl<'p> Machine<'p> {
     }
 
     /// The tier a region with `disables` consecutive de-speculations sits
-    /// at: the first de-speculation puts it at tier 1 (backoff),
-    /// `tier2_disables` of them escalate to tier 2 (fallback-lock
-    /// subscription), `tier3_disables` more to tier 3 (permanent software
-    /// path). A zero threshold disables that rung of the ladder.
+    /// at: tier 1 (backoff) from the first de-speculation, tier 3
+    /// (permanent software path) from the `permanent_disables`-th. A zero
+    /// threshold never pins a region.
     fn ladder_tier(policy: &GovernorConfig, disables: u32) -> u8 {
-        let mut tier = 1;
-        if policy.tier2_disables > 0 && disables >= policy.tier2_disables {
-            tier = 2;
-            if policy.tier3_disables > 0
-                && disables >= policy.tier2_disables + policy.tier3_disables
-            {
-                tier = 3;
-            }
+        if policy.permanent_disables > 0 && disables >= policy.permanent_disables {
+            3
+        } else {
+            1
         }
-        tier
     }
 
     /// Governor bookkeeping on an abort — abort-class-aware ladder
@@ -926,8 +858,8 @@ impl<'p> Machine<'p> {
 
     /// Governor bookkeeping on a commit: the abort and re-formation streaks
     /// reset, and a calm streak of `cooldown_entries` consecutive commits
-    /// halves the cooldown back toward its base *and de-escalates the
-    /// region one tier* (tier 3 is permanent) — so a region that genuinely
+    /// halves the cooldown back toward its base *and returns a tier-1
+    /// region to tier 0* (tier 3 is permanent) — so a region that genuinely
     /// recovered from a transient fault burst climbs back down the ladder,
     /// while one still aborting a substantial fraction of its entries
     /// (which never stays calm that long) keeps backing off exponentially.
@@ -939,19 +871,18 @@ impl<'p> Machine<'p> {
             if g.calm >= self.cfg.governor.cooldown_entries {
                 g.calm = 0;
                 g.cooldown = (g.cooldown / 2).max(self.cfg.governor.cooldown_entries);
-                if g.tier > 0 && g.tier < 3 {
-                    let target = g.tier - 1;
-                    self.stats.tier_exits[g.tier as usize] += 1;
-                    self.stats.tier_live[g.tier as usize] -= 1;
-                    self.stats.tier_enters[target as usize] += 1;
-                    self.stats.tier_live[target as usize] += 1;
-                    g.tier = target;
+                if g.tier == 1 {
+                    self.stats.tier_exits[1] += 1;
+                    self.stats.tier_live[1] -= 1;
+                    self.stats.tier_enters[0] += 1;
+                    self.stats.tier_live[0] += 1;
+                    g.tier = 0;
                     // Re-earn escalations: the disable count steps back with
-                    // the tier instead of snapping the region straight back
-                    // up on its next de-speculation.
+                    // the tier instead of snapping the region straight on to
+                    // tier 3 on its next de-speculations.
                     g.disables = g.disables.saturating_sub(1);
                     self.stats.governor_recoveries += 1;
-                    self.stats.per_region.counters_mut((method, region)).tier = target;
+                    self.stats.per_region.counters_mut((method, region)).tier = 0;
                 }
             }
         }
@@ -973,21 +904,15 @@ impl<'p> Machine<'p> {
             return Err(MachineFault::NestedRegion { method, pc });
         }
         // Governor consult: a de-speculated region's begin is patched to
-        // branch straight to its alternate PC — the non-speculative version
-        // runs with zero region overhead. A tier-3 region is patched out
-        // permanently; a tier-2 region's software path additionally runs
-        // under the global fallback lock (the write conflicts out any
-        // subscribed speculative execution — in this single-threaded
-        // machine the acquire/release pair collapses to one store).
-        // Healthy regions have no governor state, so the fast path stays a
-        // single failing map probe. `tier` survives the consult to arm the
-        // tier-2 subscription after the checkpoint below.
-        let mut tier: u8 = 0;
+        // branch straight to its alternate PC — the original,
+        // non-speculative code runs with zero region overhead and needs no
+        // lock of its own (DESIGN §14). A tier-3 region is patched out
+        // permanently. Healthy regions have no governor state, so the fast
+        // path stays a single failing map probe.
         if self.cfg.governor.enabled {
             if let Some(g) = self.gov.get_mut(&(method, region)) {
-                tier = g.tier;
-                self.stats.tier_time[tier as usize] += 1;
-                let software_path = if tier >= 3 {
+                self.stats.tier_time[g.tier as usize] += 1;
+                let software_path = if g.tier == 3 {
                     true
                 } else if g.skips_remaining > 0 {
                     g.skips_remaining -= 1;
@@ -1004,10 +929,6 @@ impl<'p> Machine<'p> {
                         .per_region
                         .counters_mut((method, region))
                         .gov_skips += 1;
-                    if tier >= 2 {
-                        self.stats.lock_holds += 1;
-                        self.mem_access(NO_SITE, FALLBACK_LOCK_ADDR, true)?;
-                    }
                     return Ok(BeginOut::Redirect(alt));
                 }
             }
@@ -1048,25 +969,6 @@ impl<'p> Machine<'p> {
         r.undo.clear();
         r.start_uops = self.stats.uops;
         self.stats.per_region.counters_mut((method, region)).entries += 1;
-        // Tier-2 fallback-lock subscription: read the lock word into the
-        // region's read-set, so a software-path writer's coherence
-        // invalidation conflicts this execution out. The read is a real
-        // region access — it occupies a footprint line and can itself
-        // overflow a tight injected budget. If the lock is already held by
-        // an external software-path execution, entering would race the
-        // holder, so the entry aborts straight to the alternate path (Sle:
-        // a lock-word check found the lock taken).
-        if tier >= 2 {
-            self.stats.lock_subscriptions += 1;
-            if !self.mem_access(NO_SITE, FALLBACK_LOCK_ADDR, false)? {
-                return Ok(BeginOut::Redirect(alt));
-            }
-            if self.fallback_lock {
-                self.stats.lock_held_aborts += 1;
-                self.abort(AbortReason::Sle)?;
-                return Ok(BeginOut::Redirect(alt));
-            }
-        }
         // Targeted injection: abort exactly the Nth dynamic
         // entry, the moment the checkpoint is armed.
         self.region_entries += 1;
@@ -3015,11 +2917,10 @@ mod fault_tests {
     }
 
     /// One always-aborting region driven through the complete tier ladder:
-    /// tracked (0) → backoff (1) → fallback-lock subscription (2) →
-    /// permanent software path (3), with a re-formation request emitted on
-    /// the sustained `Explicit` streak — all while the alt path preserves
-    /// semantics and the tier accounting stays balanced under the
-    /// validator.
+    /// tracked (0) → backoff (1) → permanent software path (3), with a
+    /// re-formation request emitted on the sustained `Explicit` streak —
+    /// all while the alt path preserves semantics and the tier accounting
+    /// stays balanced under the validator.
     #[test]
     fn ladder_escalates_through_every_tier() {
         let (p, cc) = always_abort_loop(1500);
@@ -3036,22 +2937,18 @@ mod fault_tests {
         assert_eq!(out, Some(Value::Int(1500)), "semantics preserved");
         let reqs = mach.take_reform_requests();
         let s = mach.stats();
-        // Every tier was entered, non-vacuously.
-        for t in 0..4 {
+        // Every rung was entered, non-vacuously; slot 2 names no rung.
+        for t in [0, 1, 3] {
             assert!(s.tier_enters[t] > 0, "tier {t} never entered: {s:?}");
             assert!(s.tier_time[t] > 0, "no time spent at tier {t}: {s:?}");
         }
+        assert_eq!((s.tier_enters[2], s.tier_time[2]), (0, 0), "{s:?}");
         // The region ends pinned at tier 3 (permanent), and is the only
         // live tracked region.
         assert_eq!(s.tier_live, [0, 0, 0, 1], "{s:?}");
         assert!(s.tier_counters_consistent(), "{s:?}");
         let region = s.per_region.values().next().expect("one region");
         assert_eq!(region.tier, 3);
-        // Tier 2 actually engaged the hybrid-TM protocol: speculative
-        // entries subscribed the fallback lock, software-path entries
-        // took it.
-        assert!(s.lock_subscriptions > 0, "{s:?}");
-        assert!(s.lock_holds > 0, "{s:?}");
         // The sustained Explicit streak produced exactly one re-formation
         // request; the hand-built stream has no boundary map.
         assert_eq!(s.reform_requests, 1);
@@ -3062,34 +2959,29 @@ mod fault_tests {
         assert!(s.governor_skips > 1000, "{s:?}");
     }
 
-    /// With an external software-path writer holding the fallback lock, a
-    /// tier-2 region's subscription read sees the lock held and aborts
-    /// (`Sle`) instead of speculating against the lock holder.
+    /// The ladder is bookkeeping only: no rung reads or writes a word of
+    /// its own. A region driven to the permanent tier in a loop without a
+    /// memory uop leaves the cache untouched on both engines, and no region
+    /// ever sits at tier 2.
     #[test]
-    fn tier2_subscription_aborts_while_fallback_lock_held() {
-        let (p, cc) = always_abort_loop(600);
-        let mut hw = HwConfig::baseline();
-        hw.validate = true;
-        // Stop the ladder at tier 2 so speculative retries keep happening
-        // (tier 3 would stop attempting speculation altogether).
-        hw.governor = GovernorConfig {
-            retry_budget: 2,
-            cooldown_entries: 2,
-            max_cooldown: 8,
-            ..GovernorConfig::to_tier2()
-        };
-        let mut mach = Machine::new(&p, &cc, hw);
-        mach.set_fallback_lock(true);
-        let out = mach.run(&[]).expect("run");
-        assert_eq!(out, Some(Value::Int(600)), "semantics preserved");
-        let s = mach.stats();
-        assert!(
-            s.lock_held_aborts > 0,
-            "tier-2 entries must abort on the held lock: {s:?}"
-        );
-        assert!(s.aborts.get(AbortReason::Sle) >= s.lock_held_aborts);
-        assert!(s.tier_counters_consistent(), "{s:?}");
-        assert!(mach.fallback_lock_held());
+    fn the_ladder_touches_no_memory_on_either_engine() {
+        for mut hw in [HwConfig::baseline(), HwConfig::per_uop()] {
+            hw.validate = true;
+            hw.governor = GovernorConfig {
+                retry_budget: 2,
+                cooldown_entries: 2,
+                max_cooldown: 8,
+                ..GovernorConfig::online()
+            };
+            let (p, cc) = always_abort_loop(600);
+            let mut mach = Machine::new(&p, &cc, hw);
+            let out = mach.run(&[]).expect("run");
+            assert_eq!(out, Some(Value::Int(600)), "semantics preserved");
+            let s = mach.stats();
+            assert_eq!(s.tier_live, [0, 0, 0, 1], "{s:?}");
+            assert_eq!(s.mem_accesses, 0, "{s:?}");
+            assert_eq!(s.tier_enters[2], 0, "{s:?}");
+        }
     }
 
     /// The ladder behaves identically under both dispatch engines: a

@@ -21,7 +21,9 @@ pub enum AbortReason {
     Conflict,
     /// An interrupt arrived mid-region (best-effort hardware).
     Interrupt,
-    /// An SLE lock-word check found the lock held by another thread.
+    /// The program's own elided-lock check found the object's lock word
+    /// held: the `aregion_abort` with the reserved id that an SLE monitor
+    /// enter lowers to (§4). No coherence signal stands behind it.
     Sle,
     /// The substrate aborted for no architectural reason (spurious or
     /// injected targeted abort — best-effort hardware is allowed to).
@@ -255,8 +257,8 @@ pub struct RegionCounters {
     /// Would-be entries the governor patched straight to the alternate PC
     /// (de-speculated entries; not counted in `entries` — no region began).
     pub gov_skips: u64,
-    /// The region's current governor-ladder tier (0–3; 0 also for regions
-    /// the governor never had to track).
+    /// The region's current governor-ladder tier (0, 1 or 3; 0 also for
+    /// regions the governor never had to track).
     pub tier: u8,
 }
 
@@ -418,10 +420,11 @@ pub struct RunStats {
     pub governor_disables: u64,
     /// Times a de-speculated region's cooldown expired and it re-enabled.
     pub governor_reenables: u64,
-    /// Governor-ladder transitions *into* each tier, indexed by tier (0–3).
-    /// `tier_enters[0]` counts regions the governor started tracking (first
-    /// non-environmental abort); healthy never-aborting regions are never
-    /// tracked and appear in no tier counter.
+    /// Governor-ladder transitions *into* each tier, indexed by tier (0, 1,
+    /// 3; slot 2 names no rung and stays 0). `tier_enters[0]` counts
+    /// regions the governor started tracking (first non-environmental
+    /// abort); healthy never-aborting regions are never tracked and appear
+    /// in no tier counter.
     pub tier_enters: [u64; 4],
     /// Governor-ladder transitions *out of* each tier. Per tier,
     /// `tier_enters[t] == tier_exits[t] + tier_live[t]` always holds (the
@@ -434,20 +437,17 @@ pub struct RunStats {
     /// entries (speculative or patched-out) were attempted while the region
     /// sat at each tier. Only governor-tracked regions are counted.
     pub tier_time: [u64; 4],
-    /// Tier-2 entries that subscribed the global fallback-lock word into
-    /// their read-set.
+    /// Retired with the global fallback lock: always 0. Kept only while
+    /// the benchmark harness still copies it.
     pub lock_subscriptions: u64,
-    /// De-speculated (software-path) executions taken under the global
-    /// fallback lock (tier 2's patched-out entries and every tier-3 entry).
+    /// Retired with the global fallback lock: always 0. Kept only while
+    /// the benchmark harness still copies it.
     pub lock_holds: u64,
-    /// Speculative entries aborted at the subscription read because the
-    /// fallback lock was held by an (external) software-path execution.
-    pub lock_held_aborts: u64,
     /// Re-formation requests the governor emitted (sustained
     /// `Overflow`/`Explicit` aborts; at most one per static region per run).
     pub reform_requests: u64,
-    /// Calm-streak de-escalations: a tracked region stepped one tier back
-    /// down after `cooldown_entries` consecutive commits.
+    /// Calm-streak de-escalations: a tracked region stepped from tier 1
+    /// back to tier 0 after `cooldown_entries` consecutive commits.
     pub governor_recoveries: u64,
     /// Post-abort/post-commit invariant validations that ran (and passed —
     /// a failing validation is a [`crate::fault::MachineFault`]).
@@ -484,7 +484,6 @@ impl Default for RunStats {
             tier_time: [0; 4],
             lock_subscriptions: 0,
             lock_holds: 0,
-            lock_held_aborts: 0,
             reform_requests: 0,
             governor_recoveries: 0,
             validations: 0,
@@ -580,17 +579,6 @@ impl RunStats {
             "governor_reenables",
             self.governor_reenables,
             other.governor_reenables,
-        );
-        scalar(
-            "lock_subscriptions",
-            self.lock_subscriptions,
-            other.lock_subscriptions,
-        );
-        scalar("lock_holds", self.lock_holds, other.lock_holds);
-        scalar(
-            "lock_held_aborts",
-            self.lock_held_aborts,
-            other.lock_held_aborts,
         );
         scalar(
             "reform_requests",
@@ -765,7 +753,7 @@ mod tests {
         let row = shard_a.counters_mut(k1);
         row.entries = 10;
         row.aborts = 2;
-        row.tier = 1;
+        row.tier = 3;
         let mut shard_b = RegionTable::default();
         let row = shard_b.counters_mut(k2);
         row.entries = 5;
@@ -774,7 +762,7 @@ mod tests {
         let row = shard_b.counters_mut(k1);
         row.entries = 7;
         row.aborts = 1;
-        row.tier = 2;
+        row.tier = 1;
 
         // Merge in both orders: first-execution row order differs, but the
         // canonical sorted view must be identical.
@@ -789,7 +777,7 @@ mod tests {
         let merged = ab.get(&k1).expect("k1 merged");
         assert_eq!(merged.entries, 17);
         assert_eq!(merged.aborts, 3);
-        assert_eq!(merged.tier, 2, "tier takes the worst observed");
+        assert_eq!(merged.tier, 3, "tier takes the worst observed");
         assert_eq!(ab.get(&k2).expect("k2").gov_skips, 4);
     }
 

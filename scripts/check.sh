@@ -46,7 +46,7 @@ cargo run --release -p hasp-experiments --bin experiments -- faults --smoke
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_faults_smoke.json"))
-assert r["schema"] == "hasp-faults-v2", f"unexpected schema {r['schema']}"
+assert r["schema"] == "hasp-faults-v3", f"unexpected schema {r['schema']}"
 bad = [c for c in r["matrix"] if not c["ok"]]
 assert not bad, f"checksum/validator failures: {[(c['workload'], c['fault']) for c in bad]}"
 unval = [c for c in r["matrix"] if c["validations"] != c["commits"] + c["aborts"]]
@@ -156,7 +156,7 @@ cargo run --release -p hasp-experiments --bin experiments -- serve --smoke
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_service_smoke.json"))
-assert r["schema"] == "hasp-pool-v2", f"unexpected schema {r['schema']}"
+assert r["schema"] == "hasp-pool-v3", f"unexpected schema {r['schema']}"
 assert r["coherence"] is False, "serve artifact ran with the directory attached"
 legs = r["legs"]
 assert legs, "no service legs"
@@ -204,7 +204,8 @@ cargo run --release -p hasp-experiments --bin experiments -- mt --smoke
 # Multi-core gates on the smoke artifact: schema pinned, zero failed
 # requests, conservation (the shard merge and the directory's
 # signaled == sig_aborts + sig_raced) true, the observation identity
-# (conflict-class machine aborts == sig_aborts) true, and zero unsignaled
+# (machine Conflict aborts == sig_aborts; an Sle abort is the program's own
+# elided-lock check, which no directory signal backs) true, and zero unsignaled
 # conflicts (a live speculative bit with no directory claim, which release
 # builds count instead of asserting) in every leg and the contention leg,
 # emergent conflicts strictly positive with NO FaultPlan anywhere in
@@ -217,7 +218,7 @@ cargo run --release -p hasp-experiments --bin experiments -- mt --smoke
 python3 - <<'PY'
 import json
 r = json.load(open("BENCH_mt_smoke.json"))
-assert r["schema"] == "hasp-pool-v2", f"unexpected schema {r['schema']}"
+assert r["schema"] == "hasp-pool-v3", f"unexpected schema {r['schema']}"
 assert r["coherence"] is True, "mt artifact ran without the directory"
 assert r["conservation_ok"], "directory conservation identity violated"
 legs = r["legs"]

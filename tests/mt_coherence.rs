@@ -11,7 +11,7 @@
 //!   unsignaled message ever hit a live speculative bit, that every
 //!   signaled message is classified (`signaled == sig_aborts +
 //!   sig_raced`), and that every victim-side conflict surfaced as exactly
-//!   one machine `Conflict`/`Sle` abort.
+//!   one machine `Conflict` abort.
 //! * **Machine vs machine** — two machines on real threads, same address
 //!   space, same directory. Both must still reproduce the interpreter's
 //!   checksum bit-for-bit (the atomicity contract under genuine
@@ -35,9 +35,10 @@ fn stress_hw() -> HwConfig {
     }
 }
 
-/// Conflict-class machine aborts (no injection ⇒ all organic).
+/// Machine `Conflict` aborts (no injection ⇒ all organic). An `Sle` abort
+/// is the program's own elided-lock check; no directory signal backs it.
 fn conflict_aborts(m: &Machine) -> u64 {
-    m.stats().aborts.get(AbortReason::Conflict) + m.stats().aborts.get(AbortReason::Sle)
+    m.stats().aborts.get(AbortReason::Conflict)
 }
 
 #[test]
@@ -102,7 +103,7 @@ fn antagonist_conflicts_are_conserved_and_observed() {
         );
         // Observation: every victim-side conflict became a machine abort.
         assert_eq!(
-            stats.aborts.get(AbortReason::Conflict) + stats.aborts.get(AbortReason::Sle),
+            stats.aborts.get(AbortReason::Conflict),
             link.stats.sig_aborts,
             "a delivered conflict did not surface as an abort (attempt {attempt})"
         );

@@ -58,7 +58,7 @@ proptest! {
             // The hot lines are shared by only five predictor sites, so
             // entries are constantly retrained onto conflicting lines —
             // plus an occasional site-less access (slot 5 → NO_SITE), the
-            // fallback-lock / alloc-header shape.
+            // alloc-header shape.
             let addr = hot_addr(choice, offset);
             let site = if slot == 5 { hasp_hw::NO_SITE } else { slot };
             match sel % 8 {
@@ -238,10 +238,8 @@ mod ladder_liveness {
             abort_at in prop_oneof![Just(None), (1u64..200).prop_map(Some)],
             retry_budget in 1u32..5,
             cooldown in 1u64..16,
-            tier2 in 0u32..4,
-            tier3 in 0u32..4,
+            permanent in 0u32..8,
             reform in 0u32..5,
-            lock_held in any::<bool>(),
         ) {
             let (w, profiled, compiled) = fixture();
             let mut hw = hasp_hw::HwConfig::baseline();
@@ -259,8 +257,7 @@ mod ladder_liveness {
                 retry_budget,
                 cooldown_entries: cooldown,
                 max_cooldown: cooldown * 16,
-                tier2_disables: tier2,
-                tier3_disables: tier3,
+                permanent_disables: permanent,
                 reform_budget: reform,
             };
             let mut reference = Machine::new(
@@ -271,7 +268,6 @@ mod ladder_liveness {
             let mut mach = Machine::new(&w.program, &compiled.code, hw);
             for m in [&mut mach, &mut reference] {
                 m.set_fuel(w.fuel.saturating_mul(4));
-                m.set_fallback_lock(lock_held);
             }
             let out = mach.run(&[]);
             prop_assert_eq!(&out, &reference.run(&[]), "engines disagree on the outcome");
@@ -507,7 +503,7 @@ mod link_model {
     use std::sync::Arc;
 
     use hasp_hw::stats::AbortReason;
-    use hasp_hw::{CoreId, CoreLink, Directory, LinkStats, FALLBACK_LOCK_ADDR};
+    use hasp_hw::{CoreId, CoreLink, Directory, LinkStats};
 
     const LINE_BITS: u32 = 48;
     const ASID: u64 = 3;
@@ -560,7 +556,6 @@ mod link_model {
         }
 
         fn drain(&mut self, cache: &mut CacheSim) -> Option<AbortReason> {
-            let lock_line = cache.line_of(FALLBACK_LOCK_ADDR);
             while let Some(msg) = self.dir.pop_msg(ME) {
                 self.stats.drained += 1;
                 let line = msg.line();
@@ -581,11 +576,7 @@ mod link_model {
                     } else {
                         self.stats.unsignaled_conflicts += 1;
                     }
-                    return Some(if line == lock_line {
-                        AbortReason::Sle
-                    } else {
-                        AbortReason::Conflict
-                    });
+                    return Some(AbortReason::Conflict);
                 }
                 if msg.signal {
                     self.stats.sig_raced += 1;
