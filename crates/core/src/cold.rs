@@ -4,16 +4,16 @@ use hasp_ir::{BlockId, BlockSet, Func, Preds};
 
 use crate::config::RegionConfig;
 
-/// True if the edge `from -> to` is cold: the source block never executed,
-/// or the edge's share of the source's outgoing executions is below the
-/// configured bias threshold (paper: 1%).
+/// True if `count` of `total` executions is a cold share: nothing executed,
+/// or the share is below the configured bias threshold (paper: 1%).
+pub fn share_is_cold(cfg: &RegionConfig, count: u64, total: u64) -> bool {
+    total == 0 || (count as f64) < cfg.cold_threshold * (total as f64)
+}
+
+/// True if the edge `from -> to` is cold: its share of the source block's
+/// executions is (see [`share_is_cold`]).
 pub fn edge_is_cold(f: &Func, cfg: &RegionConfig, from: BlockId, to: BlockId) -> bool {
-    let total = f.block(from).freq;
-    if total == 0 {
-        return true;
-    }
-    let count = f.edge_count(from, to);
-    (count as f64) < cfg.cold_threshold * (total as f64)
+    share_is_cold(cfg, f.edge_count(from, to), f.block(from).freq)
 }
 
 /// True if `b` itself is cold relative to the hottest block of the function

@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use hasp_ir::{AssertKind, BlockId, BlockSet, Func, Inst, Op, RegionId, RegionInfo, Term, VReg};
 use hasp_vm::bytecode::CmpOp;
 
+use crate::cold::{edge_is_cold, share_is_cold};
 use crate::config::RegionConfig;
 use crate::normalize::is_call_block;
 
@@ -50,7 +51,7 @@ pub fn form_regions(
                 if !seen.contains(t)
                     && !bound_set.contains(t)
                     && !is_call_block(f, t)
-                    && !edge_cold(f, cfg, c, t)
+                    && !edge_is_cold(f, cfg, c, t)
                 {
                     seen.insert(t);
                     stack.push(t);
@@ -108,7 +109,7 @@ pub fn form_regions(
                 if seen.contains(t)
                     || begin_set.contains(t)
                     || is_call_block(f, t)
-                    || edge_cold(f, cfg, c, t)
+                    || edge_is_cold(f, cfg, c, t)
                     || dt.dominates(t, c)
                 {
                     continue;
@@ -161,10 +162,6 @@ fn zero_counts(t: &mut Term) {
         }
         _ => {}
     }
-}
-
-fn edge_cold(f: &Func, cfg: &RegionConfig, from: BlockId, to: BlockId) -> bool {
-    crate::cold::edge_is_cold(f, cfg, from, to)
 }
 
 /// One region body being copied: the copy of each body block and of each
@@ -339,8 +336,8 @@ fn rewrite_copy_term(
             f_count,
         } => {
             let total = f.block(c).freq.max(t_count + f_count);
-            let t_cold = is_cold_count(cfg, t_count, total);
-            let f_cold = is_cold_count(cfg, f_count, total);
+            let t_cold = share_is_cold(cfg, t_count, total);
+            let f_cold = share_is_cold(cfg, f_count, total);
             match (t_cold, f_cold) {
                 (false, false) => {
                     let nt = map_target(f, r, c, t, copy);
@@ -406,13 +403,6 @@ fn rewrite_copy_term(
     }
 }
 
-fn is_cold_count(cfg: &RegionConfig, count: u64, total: u64) -> bool {
-    if total == 0 {
-        return true;
-    }
-    (count as f64) < cfg.cold_threshold * (total as f64)
-}
-
 /// Converts a switch in a region copy: warm cases become compare/branch
 /// chains; cold cases become asserts ("simplify an indirect branch to a
 /// conditional branch", paper §6).
@@ -432,10 +422,10 @@ fn rewrite_switch(
     let warm_cases: Vec<(i64, BlockId, u64)> = targets
         .iter()
         .enumerate()
-        .filter(|(_, (_, n))| !is_cold_count(cfg, *n, total))
+        .filter(|(_, (_, n))| !share_is_cold(cfg, *n, total))
         .map(|(k, (t, n))| (k as i64, *t, *n))
         .collect();
-    let default_warm = !is_cold_count(cfg, default.1, total);
+    let default_warm = !share_is_cold(cfg, default.1, total);
 
     if warm_cases.is_empty() && !default_warm {
         // Entirely stale: keep the hottest target unconditionally behind an
@@ -505,7 +495,7 @@ fn rewrite_switch(
     }
     // Remaining: warm default; assert away each cold case value.
     for (k, (_, n)) in targets.iter().enumerate() {
-        if is_cold_count(cfg, *n, total) {
+        if share_is_cold(cfg, *n, total) {
             let kc = f.vreg();
             f.block_mut(cur)
                 .insts

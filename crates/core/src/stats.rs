@@ -47,15 +47,6 @@ impl StaticRegionStats {
         }
         s
     }
-
-    /// Fraction of static ops living inside regions.
-    pub fn static_coverage(&self) -> f64 {
-        if self.total_ops == 0 {
-            0.0
-        } else {
-            self.region_ops as f64 / self.total_ops as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +59,6 @@ mod tests {
         let f = Func::new("t", MethodId(0), 0);
         let s = StaticRegionStats::collect(&f);
         assert_eq!(s.regions, 0);
-        assert_eq!(s.static_coverage(), 0.0);
         assert!(s.total_ops > 0);
     }
 }

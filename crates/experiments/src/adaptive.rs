@@ -17,16 +17,17 @@
 //! back to ≈ baseline performance; the governor does it within a single
 //! run.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use hasp_hw::{lower, CodeCache, GovernorConfig, HwConfig, Machine};
+use hasp_hw::{GovernorConfig, HwConfig};
 use hasp_opt::{compile_method, CompilerConfig};
 use hasp_vm::bytecode::MethodId;
 use hasp_vm::interp::Interp;
 use hasp_workloads::Workload;
 
 use crate::runner::{
-    extract_samples, profile_workload, run_workload, ProfiledWorkload, WorkloadRun,
+    lower_program, profile_workload, run_workload, try_execute_compiled, ProfiledWorkload,
+    WorkloadRun,
 };
 
 /// Runs `w` under `ccfg` with the online abort-recovery governor enabled:
@@ -110,40 +111,20 @@ pub fn run_adaptive(
 
     // Recompile: offenders fall back to the non-atomic pipeline.
     let fallback = CompilerConfig::no_atomic();
-    let mut code = CodeCache::new();
-    for m in w.program.method_ids() {
-        let cfg = if offenders.contains(&m) {
-            &fallback
-        } else {
-            ccfg
-        };
-        let c = compile_method(&w.program, &profiled.profile, m, cfg);
-        code.install(m, lower(&c.func));
-    }
-    let mut mach = Machine::new(&w.program, &code, hw.clone());
-    mach.set_fuel(w.fuel.saturating_mul(4));
-    mach.run(&[])
+    let compiled: HashMap<_, _> = w
+        .program
+        .method_ids()
+        .map(|m| {
+            let cfg = if offenders.contains(&m) {
+                &fallback
+            } else {
+                ccfg
+            };
+            (m, compile_method(&w.program, &profiled.profile, m, cfg))
+        })
+        .collect();
+    let second = try_execute_compiled(w, profiled, &lower_program("adaptive", &compiled), hw)
         .unwrap_or_else(|e| panic!("adaptive rerun of {} failed: {e}", w.name));
-    assert_eq!(
-        mach.env.checksum(),
-        profiled.reference_checksum,
-        "adaptive recompilation broke {}",
-        w.name
-    );
-
-    let stats = mach.stats().clone();
-    let pred = mach.way_pred_stats();
-    let samples =
-        extract_samples(w, &stats).unwrap_or_else(|e| panic!("adaptive rerun of {}: {e}", w.name));
-    let second = WorkloadRun {
-        workload: first.workload,
-        compiler: "adaptive",
-        hardware: first.hardware,
-        stats,
-        samples,
-        static_uops: code.static_uops(),
-        pred,
-    };
     let mut recompiled: Vec<MethodId> = offenders.into_iter().collect();
     recompiled.sort();
     AdaptiveOutcome {

@@ -30,11 +30,11 @@ pub struct DispatchRow {
     pub workload: &'static str,
     /// Retired uops per run (identical across modes by construction).
     pub uops: u64,
-    /// Best-of-[`REPS`] wall seconds under per-uop dispatch.
+    /// Wall seconds under per-uop dispatch, best of the report's `reps` runs.
     pub per_uop_s: f64,
-    /// Best-of-[`REPS`] wall seconds under superblock dispatch.
+    /// Wall seconds under superblock dispatch, best of `reps` runs.
     pub superblock_s: f64,
-    /// Best-of-[`REPS`] wall seconds under superblock dispatch with the
+    /// Wall seconds, best of `reps` runs, under superblock dispatch with the
     /// seal-site way predictor disabled (`HwConfig::unpredicted`) — the
     /// same-binary A/B leg that prices the predictor (DESIGN §16).
     /// Semantics-preserving (the equivalence gates prove it bit-identical),

@@ -130,11 +130,6 @@ pub struct WorkloadRun {
 }
 
 impl WorkloadRun {
-    /// Weighted sample uops.
-    pub fn weighted_uops(&self) -> f64 {
-        self.samples.iter().map(|s| s.weight * s.uops as f64).sum()
-    }
-
     /// Weighted mean of per-sample speedups over a baseline run
     /// (§5: samples weighted by phase contribution). Returns percent.
     pub fn speedup_vs(&self, base: &WorkloadRun) -> f64 {
@@ -350,7 +345,6 @@ mod tests {
         assert_eq!(s.marker, 1);
         assert!(s.uops > 0 && s.uops <= base.stats.uops);
         assert!(s.cycles > 0 && s.cycles <= base.stats.cycles);
-        assert!((base.weighted_uops() - s.uops as f64).abs() < 1e-9);
 
         // Self-comparison is exactly zero.
         assert_eq!(base.speedup_vs(&base), 0.0);

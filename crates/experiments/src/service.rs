@@ -36,7 +36,7 @@
 //! address space `t` — attached around every run, so workers serving the
 //! same tenant genuinely race and every `Conflict` abort is organic:
 //! no tenant may arm conflict, interrupt or spurious injection
-//! ([`FaultPlan::any_per_uop`](hasp_hw::FaultPlan::any_per_uop)). Such a
+//! ([`FaultPlan::rate_armed`](hasp_hw::FaultPlan::rate_armed)). Such a
 //! leg also gates the directory's conservation identity (`signaled ==
 //! Σ sig_aborts + Σ sig_raced`, folded into [`LegOutcome::conservation_ok`])
 //! and its observation identity (machine `Conflict` aborts ==
@@ -98,7 +98,7 @@ const OPEN_LOOP_UTIL_PCT: u64 = 95;
 pub enum TenantClass {
     /// Architectural aborts only.
     Clean,
-    /// A shrunken speculative line budget ([`CONTENDED_LINE_BUDGET`])
+    /// A shrunken speculative line budget (`CONTENDED_LINE_BUDGET`)
     /// forces overflow aborts and governor-ladder activity.
     Contended,
 }
@@ -577,7 +577,7 @@ fn worker_loop(
 /// been *pushed*, the producer builds a fresh cache under `install_ccfg`
 /// and installs it mid-stream — workers keep executing throughout. With
 /// `coherence`, every worker attaches to one shared [`Directory`] (see
-/// [`worker_loop`]).
+/// `worker_loop`).
 ///
 /// `install_points` must be ascending and within `1..=schedule.len()`.
 pub fn run_leg(
@@ -599,7 +599,7 @@ pub fn run_leg(
     );
     // Conflicts must emerge from the directory or not at all.
     assert!(
-        !coherence || tenants.iter().all(|t| !t.hw.faults.any_per_uop()),
+        !coherence || tenants.iter().all(|t| !t.hw.faults.rate_armed()),
         "a coherence leg must be injection-free"
     );
     let dir = coherence.then(|| Directory::new(workers * tenants.len()));

@@ -549,11 +549,6 @@ impl CoreLink {
         self.core
     }
 
-    /// The shared directory.
-    pub fn directory(&self) -> &Arc<Directory> {
-        &self.dir
-    }
-
     /// One acquire load: does this core have undelivered messages?
     #[inline]
     pub fn pending(&self) -> bool {

@@ -109,7 +109,7 @@ impl FaultPlan {
     /// spurious aborts, whose rates count uops. A coherence leg of the
     /// worker pool requires that none is, so every conflict it reports
     /// comes from the directory.
-    pub fn any_per_uop(&self) -> bool {
+    pub fn rate_armed(&self) -> bool {
         self.conflict_per_miljon > 0 || self.interrupt_interval > 0 || self.spurious_per_miljon > 0
     }
 }
@@ -258,12 +258,12 @@ mod tests {
         assert_eq!(FaultPlan::spurious(250).spurious_per_miljon, 250);
         assert_eq!(FaultPlan::overflow_budget(4).line_budget, 4);
         assert_eq!(FaultPlan::abort_at(7).abort_at_entry, Some(7));
-        assert!(!FaultPlan::none().any_per_uop());
-        assert!(FaultPlan::conflicts(1).any_per_uop());
-        assert!(FaultPlan::interrupts(1).any_per_uop());
-        assert!(FaultPlan::spurious(1).any_per_uop());
+        assert!(!FaultPlan::none().rate_armed());
+        assert!(FaultPlan::conflicts(1).rate_armed());
+        assert!(FaultPlan::interrupts(1).rate_armed());
+        assert!(FaultPlan::spurious(1).rate_armed());
         assert!(
-            !FaultPlan::overflow_budget(4).any_per_uop(),
+            !FaultPlan::overflow_budget(4).rate_armed(),
             "a line budget counts lines, not uops"
         );
     }

@@ -149,8 +149,6 @@ impl<'f> Lowering<'f> {
             name: self.f.name.clone(),
             uops: self.uops,
             regs: self.next_reg,
-            assert_origins: self.f.asserts.iter().map(|a| a.origin.clone()).collect(),
-            region_count: self.f.regions.len() as u32,
             // The abort target is the original (pre-replication) boundary
             // block — the region's stable identity across recompiles,
             // which re-formation requests name.
@@ -790,7 +788,6 @@ mod tests {
             .iter()
             .any(|u| matches!(u, Uop::Br { target, .. } if *target == abort_at));
         assert!(feeds_abort, "{:?}", code.uops);
-        assert_eq!(code.assert_origins.len(), 1);
     }
 
     #[test]

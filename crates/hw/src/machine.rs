@@ -25,7 +25,7 @@ use crate::cache::{CacheSim, HitLevel};
 use crate::coherence::CoreLink;
 use crate::config::{Dispatch, GovernorConfig, HwConfig, ReformRequest};
 use crate::fault::MachineFault;
-use crate::stats::{AbortReason, MarkerSnap, RunStats};
+use crate::stats::{region_slot, AbortReason, MarkerSnap, RunStats};
 use crate::superblock::{SbInfo, SbTerm, YIELD_FLAG_ADDR};
 use crate::uop::{CodeCache, CodePos, CompiledCode, MReg, Uop};
 use hasp_vm::fxhash::FxHashMap;
@@ -151,6 +151,18 @@ struct GovState {
     reform_sent: bool,
 }
 
+/// The governor state of `(method, region)`, when the governor tracks it.
+#[inline]
+fn tracked(
+    gov: &mut [Vec<Option<GovState>>],
+    method: MethodId,
+    region: u32,
+) -> Option<&mut GovState> {
+    gov.get_mut(method.0 as usize)?
+        .get_mut(region as usize)?
+        .as_mut()
+}
+
 /// The machine.
 #[derive(Debug)]
 pub struct Machine<'p> {
@@ -191,8 +203,10 @@ pub struct Machine<'p> {
     inject: (u64, AbortReason),
     /// Dynamic `aregion_begin` count (1-based), driving targeted injection.
     region_entries: u64,
-    /// Online governor state per static region.
-    gov: FxHashMap<(MethodId, u32), GovState>,
+    /// Online governor state per static region, indexed by method and then
+    /// region id like [`RunStats::per_region`]; `None` for a region the
+    /// governor does not track.
+    gov: Vec<Vec<Option<GovState>>>,
     /// Re-formation requests the governor has emitted and the harness has
     /// not yet drained ([`Machine::take_reform_requests`]).
     reform_requests: Vec<ReformRequest>,
@@ -284,7 +298,7 @@ impl<'p> Machine<'p> {
             draw_hit: (0, AbortReason::Conflict),
             inject: (u64::MAX, AbortReason::Interrupt),
             region_entries: 0,
-            gov: FxHashMap::default(),
+            gov: Vec::new(),
             reform_requests: Vec::new(),
             max_depth: 512,
             reg_pool: pools.reg_pool,
@@ -332,8 +346,8 @@ impl<'p> Machine<'p> {
         if self.cache.pred_trained() {
             return Some("way predictor still trained");
         }
-        if !self.gov.is_empty() {
-            return Some("governor ladder map populated");
+        if self.gov.iter().flatten().any(Option::is_some) {
+            return Some("governor ladder table populated");
         }
         if self.region_entries != 0 {
             return Some("dynamic region-entry counter nonzero");
@@ -799,12 +813,13 @@ impl<'p> Machine<'p> {
         }
         let policy = &self.cfg.governor;
         let key = (method, region);
-        if !self.gov.contains_key(&key) {
+        let slot = region_slot(&mut self.gov, key);
+        if slot.is_none() {
             // First tracked abort: the region enters the ladder at tier 0.
             self.stats.tier_enters[0] += 1;
             self.stats.tier_live[0] += 1;
         }
-        let g = self.gov.entry(key).or_insert(GovState {
+        let g = slot.get_or_insert(GovState {
             streak: 0,
             reform_streak: 0,
             calm: 0,
@@ -864,7 +879,7 @@ impl<'p> Machine<'p> {
     /// while one still aborting a substantial fraction of its entries
     /// (which never stays calm that long) keeps backing off exponentially.
     fn gov_on_commit(&mut self, method: MethodId, region: u32) {
-        if let Some(g) = self.gov.get_mut(&(method, region)) {
+        if let Some(g) = tracked(&mut self.gov, method, region) {
             g.streak = 0;
             g.reform_streak = 0;
             g.calm += 1;
@@ -908,9 +923,9 @@ impl<'p> Machine<'p> {
         // non-speculative code runs with zero region overhead and needs no
         // lock of its own (DESIGN §14). A tier-3 region is patched out
         // permanently. Healthy regions have no governor state, so the fast
-        // path stays a single failing map probe.
+        // path is two bounds-checked loads that find none.
         if self.cfg.governor.enabled {
-            if let Some(g) = self.gov.get_mut(&(method, region)) {
+            if let Some(g) = tracked(&mut self.gov, method, region) {
                 self.stats.tier_time[g.tier as usize] += 1;
                 let software_path = if g.tier == 3 {
                     true
@@ -1124,7 +1139,7 @@ impl<'p> Machine<'p> {
         // transition out or a still-live region, and the live counters must
         // match an exact recount of the governor table.
         let mut census = [0u64; 4];
-        for g in self.gov.values() {
+        for g in self.gov.iter().flatten().flatten() {
             census[g.tier as usize] += 1;
         }
         for (t, &tier_census) in census.iter().enumerate() {
@@ -2450,8 +2465,6 @@ mod fault_tests {
                 name: "main".into(),
                 uops,
                 regs,
-                assert_origins: Vec::new(),
-                region_count: 1,
                 region_boundaries: Vec::new(),
                 blocks: Vec::new(),
                 region_writes: Default::default(),

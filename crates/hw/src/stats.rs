@@ -59,9 +59,8 @@ impl AbortReason {
 /// Dense per-reason abort counters.
 ///
 /// Aborts are counted on the machine's rollback path; a flat array indexed
-/// by [`AbortReason`] keeps that path free of hashing. (The per-static-region
-/// aggregation stays in a `HashMap` — it is touched once per region, not per
-/// uop, and its key space is program-dependent.)
+/// by [`AbortReason`] keeps that path free of hashing, as [`RegionTable`]'s
+/// (method, region) index does for the per-static-region counts.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbortCounts([u64; ABORT_REASONS.len()]);
 
@@ -262,75 +261,87 @@ pub struct RegionCounters {
     pub tier: u8,
 }
 
-/// Per-static-region counter table: a hash index over stable rows, with a
-/// most-recently-used slot in front.
+/// The slot for `(method, region)` in a table indexed by [`MethodId`] and
+/// then by the dense per-method region id, growing both levels on first
+/// touch: the one growth rule of [`RegionTable`] and the machine's governor
+/// table.
+#[inline]
+pub(crate) fn region_slot<T: Default>(
+    rows: &mut Vec<Vec<T>>,
+    (method, region): (MethodId, u32),
+) -> &mut T {
+    let m = method.0 as usize;
+    if m >= rows.len() {
+        rows.resize_with(m + 1, Vec::new);
+    }
+    let row = &mut rows[m];
+    let r = region as usize;
+    if r >= row.len() {
+        row.resize_with(r + 1, T::default);
+    }
+    &mut row[r]
+}
+
+/// Per-static-region counter table, indexed by [`MethodId`] and then by the
+/// dense per-method region id — the index `CompiledCode::region_writes` and
+/// `region_boundaries` already use, so no lookup hashes.
 ///
-/// Dynamic region entries cluster heavily — a loop re-enters the same
-/// static region thousands of times in a row — so the hot
-/// [`RegionTable::counters_mut`] path almost always resolves through the
-/// MRU key compare and never touches the hash map. Rows are append-only,
-/// so their indices stay stable for the lifetime of the run.
-#[derive(Debug, Clone, Default)]
+/// Both levels grow on first touch, and a row no region entered stays
+/// zeroed. The machine counts a region's entry before any abort, skip or
+/// tier write can reach its row, so the table holds exactly the regions
+/// with nonzero `entries`, and [`RegionTable::iter`] yields them in
+/// (method, region) order whatever order they first ran or were merged in.
+/// Derived equality compares the grown shape too, which the set of touched
+/// regions fixes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegionTable {
-    index: FxHashMap<(MethodId, u32), u32>,
-    rows: Vec<((MethodId, u32), RegionCounters)>,
-    /// MRU accelerator; derived state, excluded from equality.
-    last: Option<((MethodId, u32), u32)>,
+    rows: Vec<Vec<RegionCounters>>,
 }
 
 impl RegionTable {
-    /// The counters for `key`, creating a zeroed row on first sight.
+    /// The counters for `key`, growing a zeroed row on first sight.
     #[inline]
     pub fn counters_mut(&mut self, key: (MethodId, u32)) -> &mut RegionCounters {
-        if let Some((k, i)) = self.last {
-            if k == key {
-                return &mut self.rows[i as usize].1;
-            }
-        }
-        let i = match self.index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = self.rows.len() as u32;
-                self.index.insert(key, i);
-                self.rows.push((key, RegionCounters::default()));
-                i
-            }
-        };
-        self.last = Some((key, i));
-        &mut self.rows[i as usize].1
+        region_slot(&mut self.rows, key)
     }
 
     /// The counters for `key`, if the region ever executed.
-    pub fn get(&self, key: &(MethodId, u32)) -> Option<&RegionCounters> {
-        self.index.get(key).map(|&i| &self.rows[i as usize].1)
+    pub fn get(&self, &(method, region): &(MethodId, u32)) -> Option<&RegionCounters> {
+        self.rows
+            .get(method.0 as usize)?
+            .get(region as usize)
+            .filter(|c| c.entries > 0)
     }
 
     /// Number of distinct static regions seen.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.values().count()
     }
 
     /// True when no region ever executed.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.values().next().is_none()
     }
 
-    /// All `(key, counters)` pairs in first-execution order.
+    /// All `(key, counters)` pairs of executed regions, in key order.
     pub fn iter(&self) -> impl Iterator<Item = ((MethodId, u32), &RegionCounters)> {
-        self.rows.iter().map(|(k, c)| (*k, c))
+        self.rows.iter().enumerate().flat_map(|(m, row)| {
+            row.iter()
+                .enumerate()
+                .filter(|(_, c)| c.entries > 0)
+                .map(move |(r, c)| ((MethodId(m as u32), r as u32), c))
+        })
     }
 
-    /// All counters in first-execution order.
+    /// The counters of executed regions, in key order.
     pub fn values(&self) -> impl Iterator<Item = &RegionCounters> {
-        self.rows.iter().map(|(_, c)| c)
+        self.iter().map(|(_, c)| c)
     }
 
     /// Merges another table's rows into this one: `entries`, `aborts`, and
     /// `gov_skips` add per static region; `tier` takes the maximum (the
     /// worst ladder tier any contributing run observed). Sums and max are
-    /// commutative, so merged counters are independent of shard order —
-    /// only the derived *row order* depends on it (compare merged tables
-    /// via [`RegionTable::sorted_rows`]).
+    /// commutative, so the merged table is independent of shard order.
     pub fn merge(&mut self, other: &RegionTable) {
         for (key, c) in other.iter() {
             let row = self.counters_mut(key);
@@ -340,26 +351,7 @@ impl RegionTable {
             row.tier = row.tier.max(c.tier);
         }
     }
-
-    /// All `(key, counters)` pairs in key order — the canonical,
-    /// first-execution-order-independent view for comparing tables merged
-    /// from differently-interleaved shards.
-    pub fn sorted_rows(&self) -> Vec<((MethodId, u32), RegionCounters)> {
-        let mut rows: Vec<_> = self.rows.clone();
-        rows.sort_by_key(|((m, r), _)| (m.0, *r));
-        rows
-    }
 }
-
-impl PartialEq for RegionTable {
-    fn eq(&self, other: &Self) -> bool {
-        // Row order is first-execution order, which bit-identical runs
-        // reproduce exactly; `index`/`last` are derived accelerators.
-        self.rows == other.rows
-    }
-}
-
-impl Eq for RegionTable {}
 
 /// One marker snapshot: the machine state when a marker uop retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -545,7 +537,7 @@ impl RunStats {
     /// Field-by-field comparison against another run, for diagnosing
     /// dispatch-engine divergence: one human-readable line per differing
     /// field (`name: self vs other`), empty when the runs are bit-identical.
-    /// Collections (histograms, per-region map, markers, mispredict sites)
+    /// Collections (histograms, per-region table, markers, mispredict sites)
     /// are summarized rather than dumped.
     pub fn diff(&self, other: &RunStats) -> Vec<String> {
         let mut out = Vec::new();
@@ -764,16 +756,21 @@ mod tests {
         row.aborts = 1;
         row.tier = 1;
 
-        // Merge in both orders: first-execution row order differs, but the
-        // canonical sorted view must be identical.
+        // Merge in both orders: the tables are equal, iterate in
+        // (method, region) order, and count only the regions that ran —
+        // not the zeroed rows grown below (2, 3) — whatever the order.
         let mut ab = RegionTable::default();
         ab.merge(&shard_a);
         ab.merge(&shard_b);
         let mut ba = RegionTable::default();
         ba.merge(&shard_b);
         ba.merge(&shard_a);
-        assert_ne!(ab.iter().next(), ba.iter().next(), "row order differs");
-        assert_eq!(ab.sorted_rows(), ba.sorted_rows());
+        assert_eq!(ab, ba);
+        for t in [&ab, &ba] {
+            assert_eq!(t.iter().map(|(k, _)| k).collect::<Vec<_>>(), [k1, k2]);
+            assert_eq!(t.len(), 2);
+            assert!(t.get(&(MethodId(2), 1)).is_none(), "a grown row never ran");
+        }
         let merged = ab.get(&k1).expect("k1 merged");
         assert_eq!(merged.entries, 17);
         assert_eq!(merged.aborts, 3);

@@ -99,39 +99,13 @@ pub struct SbInfo {
     pub classes: [u32; UOP_CLASSES.len()],
     /// The seal-site identity of the uop *at this pc* for the way predictor
     /// (DESIGN §16): a dense per-method index over the pcs that access data
-    /// memory (loads, stores, lock/len/class reads, polls — exactly the
-    /// `is_mem` set; allocations are excluded), assigned in pc order by a
+    /// memory (loads, stores, lock/len/class reads, polls — exactly
+    /// [`Uop::is_memory`]; allocations are excluded), assigned in pc order by a
     /// forward post-pass; [`crate::cache::NO_SITE`] for every other pc.
     /// `CodeCache::install` rebases these by a cache-global site counter so
     /// each installed method's sites own disjoint predictor slots. Unlike
     /// the rest of `SbInfo` this describes one uop, not the block's suffix.
     pub mem_site: u32,
-}
-
-impl SbInfo {
-    /// The fall-through pc for a block starting at `pc` (one past the
-    /// terminator; meaningful only when the terminator does not redirect).
-    pub fn fall_through(&self, pc: usize) -> usize {
-        pc + self.len as usize
-    }
-}
-
-/// True for uops that access data memory. Mirrors exactly the set of
-/// interior arms that call the cache model through a seal site (an
-/// allocation's header write goes through `NO_SITE`).
-fn is_mem(u: &Uop) -> bool {
-    matches!(
-        u,
-        Uop::StoreField { .. }
-            | Uop::StoreElem { .. }
-            | Uop::StoreLock { .. }
-            | Uop::LoadField { .. }
-            | Uop::LoadElem { .. }
-            | Uop::LoadLen { .. }
-            | Uop::LoadLock { .. }
-            | Uop::LoadClass { .. }
-            | Uop::Poll
-    )
 }
 
 /// True for uops that end a superblock: control transfers, call linkage,
@@ -227,7 +201,7 @@ pub fn build_blocks(uops: &[Uop]) -> Vec<SbInfo> {
     // the next per-method predictor slot.
     let mut site = 0u32;
     for (b, u) in blocks.iter_mut().zip(uops) {
-        if is_mem(u) {
+        if u.is_memory() {
             b.mem_site = site;
             site += 1;
         }
@@ -362,7 +336,6 @@ mod tests {
         // Whole-stream block: 3 alu-class uops + 1 call-class ret.
         assert_eq!(b[0].classes[crate::uop::UopClass::Alu as usize], 3);
         assert_eq!(b[0].classes[crate::uop::UopClass::Call as usize], 1);
-        assert_eq!(b[0].fall_through(0), 4);
     }
 
     #[test]

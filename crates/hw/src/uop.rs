@@ -210,25 +210,11 @@ impl Uop {
         }
     }
 
-    /// True for control-transfer uops that consult the branch predictor.
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Uop::Br { .. } | Uop::JmpInd { .. })
-    }
-
-    /// True for uops whose primary action is a data-memory access.
+    /// True for uops that access data memory: exactly the interior arms
+    /// that call the cache model through a seal site (an allocation's
+    /// header write goes through `NO_SITE`).
     pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Uop::LoadField { .. }
-                | Uop::StoreField { .. }
-                | Uop::LoadElem { .. }
-                | Uop::StoreElem { .. }
-                | Uop::LoadLen { .. }
-                | Uop::LoadLock { .. }
-                | Uop::StoreLock { .. }
-                | Uop::LoadClass { .. }
-                | Uop::Poll
-        )
+        self.class() == UopClass::Memory
     }
 }
 
@@ -241,10 +227,6 @@ pub struct CompiledCode {
     pub uops: Vec<Uop>,
     /// Number of machine registers the frame needs.
     pub regs: u32,
-    /// Map from assert id to provenance (for abort diagnosis, paper §3.2).
-    pub assert_origins: Vec<String>,
-    /// Number of atomic regions in the code.
-    pub region_count: u32,
     /// Per-region formation boundary, indexed by the dense per-method
     /// region id: the original (pre-replication) block id that seeded the
     /// region, which doubles as its abort target. Region formation is
@@ -364,23 +346,6 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Uop::Br {
-            op: CmpOp::Eq,
-            a: MReg(0),
-            b: MReg(1),
-            target: 0
-        }
-        .is_branch());
-        assert!(Uop::JmpInd {
-            sel: MReg(0),
-            table: Box::default(),
-            default: 0
-        }
-        .is_branch());
-        assert!(
-            !Uop::Jmp { target: 0 }.is_branch(),
-            "unconditional jumps don't predict"
-        );
         assert!(Uop::LoadField {
             dst: MReg(0),
             obj: MReg(1),
@@ -405,8 +370,6 @@ mod tests {
                 name: "m".into(),
                 uops: vec![Uop::Ret { src: None }],
                 regs: 1,
-                assert_origins: vec![],
-                region_count: 0,
                 region_boundaries: Vec::new(),
                 blocks: Vec::new(),
                 region_writes: Default::default(),
@@ -439,8 +402,6 @@ mod tests {
                 Uop::Ret { src: Some(MReg(0)) },
             ],
             regs: 1,
-            assert_origins: vec![],
-            region_count: 0,
             region_boundaries: Vec::new(),
             blocks: Vec::new(),
             region_writes: Default::default(),

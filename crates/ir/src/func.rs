@@ -212,27 +212,6 @@ impl Func {
         killed
     }
 
-    /// Splits the edge `from -> to` by inserting a fresh empty block.
-    /// Phi inputs in `to` are rewritten to come from the new block.
-    /// Returns the new block's id.
-    pub fn split_edge(&mut self, from: BlockId, to: BlockId) -> BlockId {
-        let mid = self.add_block(Term::Jump(to));
-        let freq = self.edge_count(from, to);
-        self.block_mut(mid).freq = freq;
-        self.block_mut(mid).region = self.block(from).region;
-        self.block_mut(from).term.retarget(to, mid);
-        for inst in &mut self.blocks[to.0 as usize].insts {
-            if let Op::Phi(ins) = &mut inst.op {
-                for (p, _) in ins.iter_mut() {
-                    if *p == from {
-                        *p = mid;
-                    }
-                }
-            }
-        }
-        mid
-    }
-
     /// Profiled count of the edge `from -> to` (0 if absent or unprofiled).
     pub fn edge_count(&self, from: BlockId, to: BlockId) -> u64 {
         match &self.block(from).term {
@@ -495,27 +474,6 @@ mod tests {
         assert_eq!(f.remove_unreachable(), 1);
         match &f.block(BlockId(1)).insts[0].op {
             Op::Phi(ins) => assert_eq!(ins.len(), 2),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn split_edge_rewrites_phi() {
-        let mut f = diamond();
-        let v2 = f.vreg();
-        let v3 = f.vreg();
-        let d = f.vreg();
-        f.block_mut(BlockId(1)).insts.push(Inst::with_dst(
-            d,
-            Op::Phi(vec![(BlockId(2), v2), (BlockId(3), v3)]),
-        ));
-        let mid = f.split_edge(BlockId(2), BlockId(1));
-        assert!(f.succs(BlockId(2)).eq([mid]));
-        match &f.block(BlockId(1)).insts[0].op {
-            Op::Phi(ins) => {
-                assert!(ins.iter().any(|(p, v)| *p == mid && *v == v2));
-                assert!(!ins.iter().any(|(p, _)| *p == BlockId(2)));
-            }
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -33,15 +33,6 @@ impl Loop {
         out
     }
 
-    /// Blocks inside the loop with an edge leaving the loop, in `BlockId`
-    /// order.
-    pub fn exiting_blocks(&self, f: &Func) -> Vec<BlockId> {
-        self.blocks
-            .iter()
-            .filter(|&b| f.succs(b).any(|s| !self.blocks.contains(s)))
-            .collect()
-    }
-
     /// Blocks inside the loop that branch back to the header, in `BlockId`
     /// order.
     pub fn latches(&self, f: &Func) -> Vec<BlockId> {
@@ -244,7 +235,6 @@ mod tests {
         let lf = LoopForest::compute(&f, &dt);
         let outer = &lf.post_order()[1];
         assert_eq!(outer.exit_targets(&f), vec![BlockId(1)]);
-        assert_eq!(outer.exiting_blocks(&f), vec![BlockId(5)]);
         assert_eq!(outer.latches(&f), vec![BlockId(5)]);
         let inner = &lf.post_order()[0];
         assert_eq!(inner.latches(&f), vec![BlockId(4)]);

@@ -27,8 +27,7 @@ impl ProgramBuilder {
 
     /// Adds a class. `own_fields` are appended after the superclass's fields
     /// so layouts stay prefix-compatible; the vtable starts as a copy of the
-    /// superclass's (override with [`ProgramBuilder::set_vtable`] /
-    /// [`ProgramBuilder::override_slot`]).
+    /// superclass's (override with [`ProgramBuilder::override_slot`]).
     pub fn add_class(
         &mut self,
         name: &str,
@@ -65,11 +64,6 @@ impl ProgramBuilder {
             .position(|f| f == name)
             .unwrap_or_else(|| panic!("class {} has no field {name}", c.name));
         FieldId(i as u16)
-    }
-
-    /// Replaces the entire vtable of `class`.
-    pub fn set_vtable(&mut self, class: ClassId, methods: &[MethodId]) {
-        self.classes[class.0 as usize].vtable = methods.to_vec();
     }
 
     /// Appends a new virtual slot to `class`'s vtable, returning its id.

@@ -1,7 +1,5 @@
 //! Classes, methods, and the program container.
 
-use std::collections::HashMap;
-
 use crate::bytecode::{ClassId, Instr, MethodId, SlotId};
 
 /// A class: a named field layout plus a vtable for virtual dispatch.
@@ -52,23 +50,16 @@ pub struct Program {
     classes: Vec<Class>,
     methods: Vec<Method>,
     entry: MethodId,
-    class_names: HashMap<String, ClassId>,
 }
 
 impl Program {
     /// Assembles a program from parts. Called by the
     /// [`ProgramBuilder`](crate::builder::ProgramBuilder).
     pub(crate) fn from_parts(classes: Vec<Class>, methods: Vec<Method>, entry: MethodId) -> Self {
-        let class_names = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), ClassId(i as u32)))
-            .collect();
         Program {
             classes,
             methods,
             entry,
-            class_names,
         }
     }
 
@@ -93,11 +84,6 @@ impl Program {
     #[inline]
     pub fn method(&self, id: MethodId) -> &Method {
         &self.methods[id.0 as usize]
-    }
-
-    /// Looks up a class id by name.
-    pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.class_names.get(name).copied()
     }
 
     /// All method ids in definition order.
@@ -158,6 +144,5 @@ mod tests {
         assert!(prog.is_subclass(a, a));
         assert!(!prog.is_subclass(a, b));
         assert_eq!(prog.class(b).field_count(), 2, "inherits A's field");
-        assert_eq!(prog.class_by_name("C"), Some(c));
     }
 }

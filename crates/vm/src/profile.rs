@@ -113,23 +113,6 @@ impl Profile {
         }
         self.methods[i].get_or_insert_with(|| MethodProfile::sized(code_len))
     }
-
-    /// Methods sorted by invocation count, hottest first.
-    pub fn hottest_methods(&self) -> Vec<(MethodId, u64)> {
-        let mut v: Vec<_> = self
-            .methods
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| Some((MethodId(i as u32), p.as_ref()?.invocations)))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
-    /// Clears all counters (used between profiling phases).
-    pub fn reset(&mut self) {
-        self.methods.clear();
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +156,5 @@ mod tests {
             h.insert(ClassId(1), 20);
             assert_eq!(p.dominant_receiver(2), Some((ClassId(3), 0.4)));
         }
-    }
-
-    #[test]
-    fn hottest_sorted() {
-        let mut p = Profile::new();
-        p.method_mut(MethodId(0), 1).invocations = 5;
-        p.method_mut(MethodId(1), 1).invocations = 50;
-        assert_eq!(p.hottest_methods()[0].0, MethodId(1));
     }
 }

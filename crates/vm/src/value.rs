@@ -44,22 +44,6 @@ impl Value {
         }
     }
 
-    /// Returns the reference payload (which may be null).
-    ///
-    /// # Panics
-    /// Panics if the value is an integer.
-    pub fn as_ref_val(self) -> Option<ObjId> {
-        match self {
-            Value::Ref(r) => r,
-            Value::Int(v) => panic!("expected reference, found int {v}"),
-        }
-    }
-
-    /// True if the value is a reference (null or not).
-    pub fn is_ref(self) -> bool {
-        matches!(self, Value::Ref(_))
-    }
-
     /// A canonical 64-bit encoding used for checksumming and the undo log.
     ///
     /// Integers map to themselves; references map to their object index plus a
@@ -137,9 +121,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::Int(7).as_int(), 7);
-        assert_eq!(Value::Ref(Some(ObjId(3))).as_ref_val(), Some(ObjId(3)));
-        assert!(Value::NULL.is_ref());
-        assert!(!Value::Int(0).is_ref());
     }
 
     #[test]

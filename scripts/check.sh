@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Pre-merge gauntlet: build, tests, lints, formatting.
+# Pre-merge gauntlet: build, tests, lints, formatting, docs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,7 +24,7 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 echo "== perfbench baseline (digests and counts vs BENCH_perfbench.json) =="
 python3 scripts/perfbench_baseline.py --check
 
-# Lints and formatting run before the host-dependent legs below, so a
+# Lints, formatting and docs run before the host-dependent legs below, so a
 # scaling floor that stops the script on a small host cannot skip them.
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -32,6 +32,11 @@ cargo clippy --release -q -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+# Public docs must build without warnings, so a deleted or renamed item
+# cannot leave a dangling or private intra-doc link behind.
+echo "== cargo doc (rustdoc warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== fault-campaign smoke (checksum equivalence under injected aborts) =="
 cargo run --release -p hasp-experiments --bin experiments -- faults --smoke

@@ -95,7 +95,7 @@ fn lowering_resolves_every_target() {
                 }
             }
             assert_eq!(
-                code.region_count as usize,
+                code.region_boundaries.len(),
                 c.func.regions.len(),
                 "region metadata must survive lowering"
             );
